@@ -32,9 +32,9 @@ fn bench_step_simulate(c: &mut Criterion) {
     g.finish();
 }
 
-/// DP-symmetry folding: the same step at both fidelities. Folded lowers
-/// one representative pipeline; Full lowers every DP replica, so the
-/// gap widens linearly with dp.
+/// DP-symmetry folding: the same step at both fidelities. Folded times
+/// one representative pipeline; Full runs one pass of the compiled
+/// pipeline program per DP replica, so the gap widens linearly with dp.
 fn bench_fidelity(c: &mut Criterion) {
     let mut g = c.benchmark_group("fidelity");
     g.sample_size(10);

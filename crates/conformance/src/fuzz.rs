@@ -33,12 +33,12 @@ use crate::invariants::{
 };
 use crate::oracles::{
     oracle_continuous_batching, oracle_fluid_fast_path, oracle_folded_vs_full,
-    oracle_run_vs_deprecated,
+    oracle_run_vs_deprecated, program_vs_engine,
 };
 use cluster_model::{Cluster, GlobalRank, GpuSpec};
 use llm_model::{MaskSpec, ModelLayout, PrecisionPolicy, TransformerConfig};
 use parallelism_core::infer::{InferPlan, InferSpec, InferenceModel};
-use parallelism_core::pp::sim::{lower_pp, lowering_capacity, PpSimOp};
+use parallelism_core::pp::sim::TableCosts;
 use parallelism_core::query;
 use parallelism_core::pp::UniformCosts;
 use parallelism_core::step::{SimOptions, StepModel};
@@ -46,7 +46,6 @@ use parallelism_core::{
     BalancePolicy, Dim, Mesh4D, ScheduleKind, StageAssignment, TrafficShape, TrafficSpec, ZeroMode,
 };
 use proptest::test_runner::TestRng;
-use sim_engine::graph::TaskGraph;
 use sim_engine::time::SimDuration;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -243,6 +242,16 @@ impl CaseSpec {
             .all(|b| b.total() <= capacity)
     }
 
+    /// A seed derived from every field of the spec (FNV-1a over its
+    /// display form), for the jitter and throttling the oracles inject.
+    pub fn seed(&self) -> u64 {
+        self.to_string()
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
     /// Materializes the spec as a [`StepModel`]. Infallible for
     /// normalized specs.
     pub fn build(&self) -> StepModel {
@@ -269,14 +278,16 @@ impl CaseSpec {
 
     /// Runs the full conformance battery on this spec: the pre-flight
     /// static analyzer (which must report zero errors on a normalized
-    /// spec), schedule invariants, no-deadlock execution,
-    /// executed-graph causality, memory recomposition, step-report
-    /// sanity, trace monotonicity, ring/FSDP byte conservation, and the
-    /// cheap differential oracles (folding, deprecated wrappers, fluid
-    /// fast path). The goodput and memoization oracles run in the grid
-    /// tests instead — they price a whole training day and a shared
-    /// thread-local cache, which would dominate a multi-thousand-case
-    /// sweep.
+    /// spec), schedule invariants, no-deadlock execution, the compiled
+    /// pipeline program vs the engine op by op, executed-graph
+    /// causality, memory recomposition, step-report sanity, trace
+    /// monotonicity, ring/FSDP byte conservation, and the cheap
+    /// differential oracles (folding and the joint-graph step reference
+    /// under jitter seeded by [`CaseSpec::seed`], deprecated wrappers,
+    /// fluid fast path). The goodput and memoization oracles run in the
+    /// grid tests instead — they price a whole training day and clear
+    /// the process-global cost cache, which would dominate a
+    /// multi-thousand-case sweep.
     pub fn check(&self) -> Result<(), String> {
         let ctx = |label: &'static str| {
             let spec = *self;
@@ -297,12 +308,20 @@ impl CaseSpec {
             p2p: SimDuration::from_micros(15),
         };
         check_schedule_executes(&sched, &costs).map_err(ctx("deadlock"))?;
-        let (ops, streams) = lowering_capacity(&sched);
-        let mut g: TaskGraph<PpSimOp> = TaskGraph::with_capacity(ops, streams);
-        lower_pp(&mut g, &sched, &costs, &[], |op| op);
-        let run = g
-            .execute()
-            .map_err(|e| ctx("graph execution")(format!("{e:?}")))?;
+        // The compiled pipeline program vs the engine, on the model's
+        // own stage costs with a different compute scale per rank.
+        let seed = self.seed();
+        let (fwd, bwd) = m.stage_costs();
+        let stage_costs = TableCosts {
+            fwd,
+            bwd,
+            p2p: m.stage_p2p_time(),
+        };
+        let scales: Vec<f64> = (0..u64::from(self.pp))
+            .map(|r| 1.0 + ((seed >> (r % 8 * 8)) & 0xff) as f64 / 2560.0)
+            .collect();
+        let run =
+            program_vs_engine(&sched, &stage_costs, &scales).map_err(ctx("program vs engine"))?;
         check_executed_graph(&run).map_err(ctx("executed graph"))?;
 
         check_memory_model(&m).map_err(ctx("memory model"))?;
@@ -326,7 +345,7 @@ impl CaseSpec {
         )
         .map_err(ctx("fsdp conservation"))?;
 
-        oracle_folded_vs_full(&m).map_err(ctx("oracle folded-vs-full"))?;
+        oracle_folded_vs_full(&m, seed).map_err(ctx("oracle folded-vs-full"))?;
         oracle_run_vs_deprecated(&m).map_err(ctx("oracle run-vs-deprecated"))?;
         oracle_fluid_fast_path(
             &[25e9, 50e9, 100e9, 200e9],

@@ -1,12 +1,16 @@
 //! Differential oracles: run the fast path and the reference path on
 //! the same input and demand equivalence.
 //!
-//! The generic entry point is [`assert_equivalent`]; the nine concrete
+//! The generic entry point is [`assert_equivalent`]; the ten concrete
 //! oracles cover every fast path added so far:
 //!
-//! 1. [`oracle_folded_vs_full`] — DP-symmetry folding vs lowering every
-//!    replica.
-//! 2. [`oracle_memoized_costs`] — the thread-local collective cost
+//! 1. [`oracle_folded_vs_full`] — DP-symmetry folding vs the full
+//!    step, and `StepModel::run` vs [`reference_step_report`] (every
+//!    replica lowered into one engine-executed task graph) under
+//!    jitter, throttled ranks and degraded links;
+//!    [`program_vs_engine`] checks the compiled pipeline program
+//!    against the engine op by op.
+//! 2. [`oracle_memoized_costs`] — the process-global collective cost
 //!    cache vs pricing uncached.
 //! 3. [`oracle_fluid_fast_path`] — the disjoint-single-link fluid
 //!    shortcut vs the general max-min event loop.
@@ -40,15 +44,24 @@
 //!     shard-and-fold.
 
 use crate::invariants::CheckResult;
+use cluster_model::faults::ClusterHealth;
+use cluster_model::jitter::{JitterKind, JitterModel};
 use collectives::cost::{clear_cost_cache, CommCostModel};
+use parallelism_core::costs::tflops_per_gpu;
 use parallelism_core::infer::{
     simulate_replica, InferCosts, InferenceModel, ReplicaResult, RequestOutcome,
 };
 use parallelism_core::run::{GoodputLoss, GoodputReport, RunSimulator};
 use parallelism_core::Request;
 use parallelism_core::search::{enumerate_configs, search, SearchSpec, SearchStrategy};
+use parallelism_core::pp::sim::{
+    lower_pp, lowering_capacity, PpCostModel, PpProgram, PpSimOp, PpTiming, TableCosts,
+};
+use parallelism_core::pp::PpSchedule;
 use parallelism_core::step::{ExposedComm, SimFidelity, SimOptions, StepModel, StepReport};
+use parallelism_core::Dim;
 use sim_engine::fluid::{FluidNet, Transfer, TransferOutcome};
+use sim_engine::graph::{ExecutedGraph, TaskGraph};
 use sim_engine::time::{SimDuration, SimTime};
 use trace_analysis::synth::{synth_trace, SynthSpec};
 use trace_analysis::tiered::{SliceReplay, TierConfig, TieredTrace, WindowStats};
@@ -226,24 +239,219 @@ pub fn assert_equivalent<T: ApproxEq>(label: &str, a: &T, b: &T, tol: f64) -> Ch
     field(label, a.approx_eq(b, tol))
 }
 
-/// Oracle 1 — DP-symmetry folding. A jitter-free, healthy step must
+/// The option sets oracle 1 runs a step under, named for error
+/// messages: healthy at both fidelities, static and transient jitter,
+/// throttled ranks, a degraded node alone (which keeps the folded
+/// path), and a degraded node with throttling and transient jitter.
+/// `seed` picks the jitter streams, the step index and the throttled
+/// ranks, so every spec exercises different replicas.
+fn oracle_step_options(m: &StepModel, seed: u64) -> Vec<(&'static str, SimOptions)> {
+    let (pp, dp) = (u64::from(m.mesh.pp()), u64::from(m.mesh.dp()));
+    let rank =
+        |r: u64, d: u64| r as u32 * m.mesh.stride(Dim::Pp) + d as u32 * m.mesh.stride(Dim::Dp);
+    let throttled = ClusterHealth::healthy()
+        .throttle(rank(seed % pp, (seed / 7) % dp), 1.25)
+        .throttle(rank(0, dp - 1), 1.1);
+    let transient = JitterModel::new(JitterKind::Transient, 0.05, seed);
+    vec![
+        ("healthy", SimOptions::new()),
+        (
+            "healthy full",
+            SimOptions::new().fidelity(SimFidelity::Full),
+        ),
+        (
+            "static jitter",
+            SimOptions::new().jitter(JitterModel::new(JitterKind::Static, 0.05, seed)),
+        ),
+        (
+            "transient jitter",
+            SimOptions::new().jitter(transient).step(1 + seed % 5),
+        ),
+        (
+            "throttled ranks",
+            SimOptions::new().faults(throttled.clone()),
+        ),
+        (
+            "degraded node",
+            SimOptions::new().faults(ClusterHealth::healthy().degrade_node(0, 0.5)),
+        ),
+        (
+            "degraded node + throttled + transient jitter",
+            SimOptions::new()
+                .jitter(transient)
+                .step(2 + seed % 3)
+                .faults(throttled.degrade_node(0, 0.6)),
+        ),
+    ]
+}
+
+/// The independent reference for a step's pipeline timing: every DP
+/// replica's pipeline lowered into one [`TaskGraph`] with [`lower_pp`]
+/// and executed by the event engine.
+///
+/// Pipeline rank `r` of replica `d` is the global rank at mesh
+/// coordinate `(tp 0, cp 0, pp r, dp d)`; its compute runs slower by
+/// that rank's jitter multiplier at `opts.step` times its throttle
+/// multiplier. Degraded links stretch the P2P transfers by
+/// `1 / worst_link_scale`. One op per pipeline rank spans that rank's
+/// compute stream in every replica and lasts the exposed DP collective
+/// time, so it starts when the slowest replica's rank finishes. That
+/// duration is priced outside the pipeline, so it is taken from
+/// `report.exposed.dp`. Step time, TFLOPs/GPU and per-rank bubbles
+/// (worst replica, each against its own pipeline makespan) come from
+/// the executed graph; every other field is copied from `report`.
+pub fn reference_step_report(
+    m: &StepModel,
+    opts: &SimOptions,
+    report: &StepReport,
+) -> Result<StepReport, String> {
+    let sched = m.schedule().map_err(|e| e.to_string())?;
+    let (fwd, bwd) = m.stage_costs();
+    let stretch = 1.0 / opts.health.worst_link_scale();
+    let mut p2p = m.stage_p2p_time();
+    if stretch != 1.0 {
+        p2p = p2p.scale(stretch);
+    }
+    let costs = TableCosts { fwd, bwd, p2p };
+    let (dp, pp) = (m.mesh.dp(), m.mesh.pp());
+    let (ops, streams) = lowering_capacity(&sched);
+    let mut g: TaskGraph<(u32, PpSimOp)> =
+        TaskGraph::with_capacity(ops * dp as usize + pp as usize, streams * dp as usize);
+    let mut replicas = Vec::with_capacity(dp as usize);
+    for d in 0..dp {
+        let scales: Vec<f64> = (0..pp)
+            .map(|r| {
+                let rank = r * m.mesh.stride(Dim::Pp) + d * m.mesh.stride(Dim::Dp);
+                let j = opts.jitter.map_or(1.0, |j| j.multiplier(rank, opts.step));
+                j * opts.health.compute_multiplier(rank)
+            })
+            .collect();
+        replicas.push(lower_pp(&mut g, &sched, &costs, &scales, |op| (d, op)));
+    }
+    for r in 0..pp as usize {
+        let streams: Vec<_> = replicas.iter().map(|l| l.compute_streams[r]).collect();
+        g.add_op(
+            (u32::MAX, PpSimOp::Transfer),
+            report.exposed.dp,
+            streams,
+            [],
+        );
+    }
+    let run = g.execute().map_err(|e| format!("reference graph: {e}"))?;
+
+    let pp = pp as usize;
+    let mut compute = vec![SimDuration::ZERO; dp as usize * pp];
+    let mut local_end = vec![SimTime::ZERO; dp as usize];
+    for rec in run.records() {
+        if let (d, PpSimOp::Forward { rank, .. } | PpSimOp::Backward { rank, .. }) = rec.meta {
+            compute[d as usize * pp + rank as usize] += rec.duration();
+            local_end[d as usize] = local_end[d as usize].max(rec.end);
+        }
+    }
+    let bubble_ratio = (0..pp)
+        .map(|r| {
+            (0..dp as usize)
+                .map(|d| {
+                    let c = compute[d * pp + r];
+                    if c.is_zero() {
+                        return 0.0;
+                    }
+                    let makespan = local_end[d].saturating_since(SimTime::ZERO);
+                    makespan.saturating_sub(c).as_secs_f64() / c.as_secs_f64()
+                })
+                .fold(0.0, f64::max)
+        })
+        .collect();
+    let step_time = run.makespan();
+    Ok(StepReport {
+        step_time,
+        tflops_per_gpu: tflops_per_gpu(
+            m.model_flops_per_step(),
+            step_time.as_secs_f64().max(1e-12),
+            f64::from(m.cluster.num_gpus()),
+        ),
+        bubble_ratio,
+        ..report.clone()
+    })
+}
+
+/// Oracle 1 — step pipeline timing. A jitter-free, healthy step must
 /// produce *bit-identical* reports under [`SimFidelity::Folded`] and
-/// [`SimFidelity::Full`]: the folding identity is exact, not
-/// approximate.
-pub fn oracle_folded_vs_full(m: &StepModel) -> CheckResult {
-    let folded = m
-        .run(&SimOptions::new().fidelity(SimFidelity::Folded))
-        .map_err(|e| format!("folded run failed: {e}"))?
-        .report;
-    let full = m
-        .run(&SimOptions::new().fidelity(SimFidelity::Full))
-        .map_err(|e| format!("full run failed: {e}"))?
-        .report;
-    assert_equivalent("folded vs full", &folded, &full, 0.0)
+/// [`SimFidelity::Full`] (the folding identity is exact, not
+/// approximate), and under every option set `oracle_step_options`
+/// builds from `seed` (jitter, throttled ranks, degraded links) `run`
+/// must equal [`reference_step_report`] bit for bit. Folded and full
+/// steps share one compiled pipeline program, so the engine-executed
+/// joint graph is what keeps this oracle independent of it.
+pub fn oracle_folded_vs_full(m: &StepModel, seed: u64) -> CheckResult {
+    let run = |opts: &SimOptions| {
+        m.run(opts)
+            .map(|o| o.report)
+            .map_err(|e| format!("run failed: {e}"))
+    };
+    let folded = run(&SimOptions::new().fidelity(SimFidelity::Folded))?;
+    let full = run(&SimOptions::new().fidelity(SimFidelity::Full))?;
+    assert_equivalent("folded vs full", &folded, &full, 0.0)?;
+    for (label, opts) in oracle_step_options(m, seed) {
+        let report = run(&opts).map_err(|e| format!("{label}: {e}"))?;
+        let reference =
+            reference_step_report(m, &opts, &report).map_err(|e| format!("{label}: {e}"))?;
+        field(
+            label,
+            assert_equivalent("run vs reference", &report, &reference, 0.0),
+        )?;
+    }
+    Ok(())
+}
+
+/// The lowest layer of oracle 1: the compiled [`PpProgram`] vs the
+/// engine on one pipeline. `schedule` is lowered with [`lower_pp`]
+/// under `costs` and per-rank compute scales `rank_scale`, executed,
+/// and every compute op's `(start, end)` must equal the program pass's
+/// bit for bit (program index `i` is the graph's op `i`). Returns the
+/// executed graph for further invariant checks.
+pub fn program_vs_engine(
+    schedule: &PpSchedule,
+    costs: &dyn PpCostModel,
+    rank_scale: &[f64],
+) -> Result<ExecutedGraph<PpSimOp>, String> {
+    let program =
+        PpProgram::compile(schedule, costs).map_err(|e| format!("program compile: {e:?}"))?;
+    let mut t = PpTiming::default();
+    program.run(rank_scale, &mut t);
+    let (ops, streams) = lowering_capacity(schedule);
+    let mut g: TaskGraph<PpSimOp> = TaskGraph::with_capacity(ops, streams);
+    lower_pp(&mut g, schedule, costs, rank_scale, |op| op);
+    let run = g.execute().map_err(|e| format!("graph execution: {e:?}"))?;
+    for (i, rec) in run.records()[..program.len()].iter().enumerate() {
+        if matches!(rec.meta, PpSimOp::Transfer) {
+            return Err(format!(
+                "graph op {i} is a transfer, program op {i} is compute"
+            ));
+        }
+        if (rec.start, rec.end) != (t.start[i], t.end[i]) {
+            return Err(format!(
+                "op {i} ({:?}): engine [{}, {}) ns vs program [{}, {}) ns",
+                rec.meta,
+                rec.start.as_nanos(),
+                rec.end.as_nanos(),
+                t.start[i].as_nanos(),
+                t.end[i].as_nanos()
+            ));
+        }
+    }
+    if run.makespan() != t.makespan {
+        return Err(format!(
+            "makespan: engine {} ns vs program {} ns",
+            run.makespan().as_nanos(),
+            t.makespan.as_nanos()
+        ));
+    }
+    Ok(run)
 }
 
 /// Oracle 2 — memoized collective costs. Pricing the same collectives
-/// with the thread-local cache enabled and disabled must be
+/// with the process-global cache enabled and disabled must be
 /// bit-identical; the cache may never change a cost, only skip
 /// recomputing it. Exercises all five collective entry points over the
 /// given groups and byte sizes.

@@ -22,7 +22,8 @@ fn folded_matches_full_across_grid() {
     let grid = config_grid();
     assert!(grid.len() >= 50);
     for spec in &grid {
-        oracle_folded_vs_full(&spec.build()).unwrap_or_else(|e| panic!("[{spec}] {e}"));
+        oracle_folded_vs_full(&spec.build(), spec.seed())
+            .unwrap_or_else(|e| panic!("[{spec}] {e}"));
     }
 }
 

@@ -1,16 +1,26 @@
-//! Lowering pipeline schedules onto the timing-graph engine.
+//! Timing pipeline schedules.
 //!
-//! Each pipeline rank gets a compute stream; every cross-stage
-//! activation (or gradient) transfer becomes a point-to-point op on its
-//! own link stream, so transfers overlap with compute and with each
-//! other — exposing P2P only where the schedule actually has to wait
-//! for data (Fig 3). A schedule whose op order cannot execute (e.g. a
-//! hand-built broken warm-up) is caught by the engine's deadlock
-//! detection.
+//! [`PpProgram`] is the one pipeline-timing path: a schedule and its
+//! costs compiled once into flat per-compute-op arrays, then timed by a
+//! linear pass per set of per-rank compute scales. [`simulate_pp`],
+//! the folded step, the full-fidelity step (one pass per DP replica)
+//! and the pipeline trace all run it.
+//!
+//! [`lower_pp`] lowers the same schedule onto the timing-graph engine
+//! instead: each pipeline rank gets a compute stream, and every
+//! cross-stage activation (or gradient) transfer becomes a
+//! point-to-point op on its own link stream, so transfers overlap with
+//! compute and with each other — exposing P2P only where the schedule
+//! actually has to wait for data (Fig 3). That lowering is the
+//! reference the program is checked against, the input of the static
+//! race analysis, and the source of the exact
+//! [`GraphError::Deadlock`] op set when a schedule's op order cannot
+//! execute (e.g. a hand-built broken warm-up).
 
 use super::schedule::{PpOp, PpSchedule};
 use sim_engine::graph::{GraphError, OpId, StreamId, TaskGraph};
-use sim_engine::time::SimDuration;
+use sim_engine::time::{SimDuration, SimTime};
+use std::ops::Range;
 
 /// Metadata attached to each op in the lowered graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,7 +138,8 @@ impl PpSimResult {
     }
 }
 
-/// Simulates `schedule` under `costs`.
+/// Simulates `schedule` under `costs`: compiles it into a
+/// [`PpProgram`] and runs one unscaled pass.
 ///
 /// # Errors
 /// Returns the engine's [`GraphError::Deadlock`] if the schedule's
@@ -138,34 +149,295 @@ pub fn simulate_pp(
     schedule: &PpSchedule,
     costs: &dyn PpCostModel,
 ) -> Result<PpSimResult, GraphError> {
-    let pp = schedule.pp;
-    let (ops, streams) = lowering_capacity(schedule);
-    let mut g: TaskGraph<PpSimOp> = TaskGraph::with_capacity(ops, streams);
-    lower_pp(&mut g, schedule, costs, &[], |op| op);
-
-    let run = g.execute()?;
-    let makespan = run.makespan();
-    let mut compute = vec![SimDuration::ZERO; pp as usize];
-    let mut op_times: Vec<Vec<(u64, u64)>> = vec![Vec::new(); pp as usize];
-    for rec in run.records() {
-        match rec.meta {
-            PpSimOp::Forward { rank, .. } | PpSimOp::Backward { rank, .. } => {
-                compute[rank as usize] += rec.duration();
-                op_times[rank as usize].push((rec.start.as_nanos(), rec.end.as_nanos()));
-            }
-            PpSimOp::Transfer => {}
-        }
-    }
-    let idle = compute
+    let program = PpProgram::compile(schedule, costs)?;
+    let mut t = PpTiming::default();
+    program.run(&[], &mut t);
+    let op_times = (0..schedule.pp)
+        .map(|r| {
+            program
+                .rank_ops(r)
+                .map(|i| (t.start[i].as_nanos(), t.end[i].as_nanos()))
+                .collect()
+        })
+        .collect();
+    let idle = t
+        .compute
         .iter()
-        .map(|&c| makespan.saturating_sub(c))
+        .map(|&c| t.makespan.saturating_sub(c))
         .collect();
     Ok(PpSimResult {
-        makespan,
-        compute,
+        makespan: t.makespan,
+        compute: t.compute,
         idle,
         op_times,
     })
+}
+
+/// "No such op" in [`PpProgram`]'s predecessor arrays.
+const NONE: u32 = u32::MAX;
+
+/// A pipeline schedule and its costs compiled into flat per-compute-op
+/// arrays, timed by one linear pass per set of per-rank compute scales.
+///
+/// Ops are numbered rank-major in program order: rank 0's ops in the
+/// order it runs them, then rank 1's, and so on. That is also the
+/// [`OpId`] order of the compute ops [`lower_pp`] adds to an empty
+/// graph. Each op waits on at most two others: the previous op on its
+/// rank's compute stream, and its data producer (the previous stage's
+/// forward, the next stage's backward, or — for the last stage's
+/// backward — its own forward). In the engine lowering a P2P transfer
+/// sits alone on its own link stream, so it adds exactly its duration
+/// to that one edge. A pass over a topological order is therefore
+/// exact:
+///
+/// `end = max(end[stream pred], end[data pred] + latency) + scaled(base, rank scale)`
+///
+/// and it reproduces `lower_pp` + [`TaskGraph::execute`] bit for bit
+/// (same integer nanoseconds, same scale rounding), without building
+/// or executing a graph.
+#[derive(Debug, Clone)]
+pub struct PpProgram {
+    pp: u32,
+    /// First op of each rank, plus the op count at index `pp`.
+    rank_start: Vec<u32>,
+    /// Pipeline rank running the op.
+    rank: Vec<u32>,
+    /// Index of the op's base duration in `bases`.
+    base: Vec<u32>,
+    /// Distinct `(rank, unscaled compute duration)` pairs. A pass
+    /// scales each once, not once per op: the ops of one stage and
+    /// direction usually share a cost.
+    bases: Vec<(u32, SimDuration)>,
+    /// Previous op on the same compute stream, or [`NONE`].
+    stream_pred: Vec<u32>,
+    /// Op producing this op's input, or [`NONE`].
+    data_pred: Vec<u32>,
+    /// P2P time on the data edge (zero for the loss turn-around).
+    latency: Vec<SimDuration>,
+    /// A topological order of the ops (Kahn's algorithm).
+    order: Vec<u32>,
+}
+
+/// Per-op times of one [`PpProgram::run`] pass. The buffers are reused
+/// by the next pass, so timing many DP replicas allocates nothing after
+/// the first.
+#[derive(Debug, Clone, Default)]
+pub struct PpTiming {
+    /// Start of each compute op, by program index.
+    pub start: Vec<SimTime>,
+    /// End of each compute op, by program index.
+    pub end: Vec<SimTime>,
+    /// Per-rank total compute time.
+    pub compute: Vec<SimDuration>,
+    /// End of the last compute op: the pipeline makespan. A transfer
+    /// is never last, since every transfer feeds a compute op.
+    pub makespan: SimDuration,
+    /// Scaled duration of each of the program's distinct base costs.
+    dur: Vec<SimDuration>,
+}
+
+impl PpTiming {
+    /// Rank `rank`'s bubble ratio in this pass: idle time within the
+    /// makespan over compute time (0 when the rank computed nothing).
+    pub fn bubble_ratio(&self, rank: u32) -> f64 {
+        let c = self.compute[rank as usize];
+        if c.is_zero() {
+            return 0.0;
+        }
+        self.makespan.saturating_sub(c).as_secs_f64() / c.as_secs_f64()
+    }
+}
+
+impl PpProgram {
+    /// Compiles `schedule` under `costs`.
+    ///
+    /// # Errors
+    /// If the op orders admit no execution, the schedule is lowered
+    /// with [`lower_pp`] and executed, so the error is the engine's own
+    /// [`GraphError::Deadlock`] with its exact set of stuck ops.
+    pub fn compile(
+        schedule: &PpSchedule,
+        costs: &dyn PpCostModel,
+    ) -> Result<PpProgram, GraphError> {
+        let n: usize = schedule.ranks.iter().map(Vec::len).sum();
+        let stages = schedule.num_stages() as usize;
+        let nmb = schedule.nmb as usize;
+        let mut p = PpProgram {
+            pp: schedule.pp,
+            rank_start: Vec::with_capacity(schedule.ranks.len() + 1),
+            rank: Vec::with_capacity(n),
+            base: Vec::with_capacity(n),
+            bases: Vec::new(),
+            stream_pred: Vec::with_capacity(n),
+            data_pred: vec![NONE; n],
+            latency: vec![SimDuration::ZERO; n],
+            order: Vec::with_capacity(n),
+        };
+
+        // Compute ops in per-rank program order.
+        let mut fwd_ids: Vec<Option<u32>> = vec![None; stages * nmb];
+        let mut bwd_ids: Vec<Option<u32>> = vec![None; stages * nmb];
+        // Latest entry of `bases` per (stage, direction).
+        let mut last_base = vec![NONE; stages * 2];
+        for (ppr, ops) in schedule.ranks.iter().enumerate() {
+            let first = p.rank.len() as u32;
+            p.rank_start.push(first);
+            for op in ops {
+                let i = p.rank.len() as u32;
+                let stage = schedule.stage_of(ppr as u32, op.chunk());
+                let mb = op.mb();
+                let (dur, slot, key) = match op {
+                    PpOp::Forward { .. } => (costs.fwd(stage, mb), &mut fwd_ids, 2 * stage),
+                    PpOp::Backward { .. } => (costs.bwd(stage, mb), &mut bwd_ids, 2 * stage + 1),
+                };
+                slot[stage as usize * nmb + mb as usize] = Some(i);
+                let b = &mut last_base[key as usize];
+                if *b == NONE || p.bases[*b as usize] != (ppr as u32, dur) {
+                    *b = p.bases.len() as u32;
+                    p.bases.push((ppr as u32, dur));
+                }
+                p.base.push(*b);
+                p.rank.push(ppr as u32);
+                p.stream_pred.push(if i == first { NONE } else { i - 1 });
+            }
+        }
+        p.rank_start.push(n as u32);
+
+        // Data edges, with the P2P time of the transfer each one
+        // crosses.
+        let id = |ids: &[Option<u32>], stage: usize, mb: usize| {
+            // lint: allow(unwrap) — assert_well_formed guarantees every (stage, mb) op exists
+            ids[stage * nmb + mb].expect("op scheduled") as usize
+        };
+        for stage in 0..stages {
+            for mb in 0..nmb {
+                let f = id(&fwd_ids, stage, mb);
+                let b = id(&bwd_ids, stage, mb);
+                if stage > 0 {
+                    p.data_pred[f] = id(&fwd_ids, stage - 1, mb) as u32;
+                    p.latency[f] = costs.p2p(stage as u32 - 1);
+                }
+                if stage == stages - 1 {
+                    p.data_pred[b] = f as u32;
+                } else {
+                    p.data_pred[b] = id(&bwd_ids, stage + 1, mb) as u32;
+                    p.latency[b] = costs.p2p(stage as u32);
+                }
+            }
+        }
+
+        // Kahn's algorithm. Every op has at most one stream successor
+        // (the next op on its rank); data successors go in a CSR arena.
+        let mut unmet: Vec<u8> = (0..n)
+            .map(|i| u8::from(p.stream_pred[i] != NONE) + u8::from(p.data_pred[i] != NONE))
+            .collect();
+        let mut heads = vec![0u32; n + 1];
+        for &d in &p.data_pred {
+            if d != NONE {
+                heads[d as usize + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            heads[i + 1] += heads[i];
+        }
+        let mut succ = vec![0u32; heads[n] as usize];
+        let mut fill = heads[..n].to_vec();
+        for (i, &d) in p.data_pred.iter().enumerate() {
+            if d != NONE {
+                succ[fill[d as usize] as usize] = i as u32;
+                fill[d as usize] += 1;
+            }
+        }
+        p.order
+            .extend((0..n as u32).filter(|&i| unmet[i as usize] == 0));
+        let mut next = 0;
+        while let Some(&i) = p.order.get(next) {
+            next += 1;
+            let i = i as usize;
+            let stream_succ = (i + 1 < n && p.stream_pred[i + 1] == i as u32).then_some(i + 1);
+            let data_succ = succ[heads[i] as usize..heads[i + 1] as usize]
+                .iter()
+                .map(|&j| j as usize);
+            for j in stream_succ.into_iter().chain(data_succ) {
+                unmet[j] -= 1;
+                if unmet[j] == 0 {
+                    p.order.push(j as u32);
+                }
+            }
+        }
+        if p.order.len() < n {
+            return Err(engine_deadlock(schedule, costs));
+        }
+        Ok(p)
+    }
+
+    /// Number of compute ops.
+    pub fn len(&self) -> usize {
+        self.rank.len()
+    }
+
+    /// `true` for a schedule with no ops.
+    pub fn is_empty(&self) -> bool {
+        self.rank.is_empty()
+    }
+
+    /// Program indices of rank `rank`'s ops, in the order it runs them.
+    pub fn rank_ops(&self, rank: u32) -> Range<usize> {
+        self.rank_start[rank as usize] as usize..self.rank_start[rank as usize + 1] as usize
+    }
+
+    /// Times one pass into `t`. `rank_scale[r]` multiplies rank `r`'s
+    /// compute durations (per-rank jitter or throttling), rounded
+    /// exactly as [`lower_pp`] rounds them; an empty slice means no
+    /// scaling, and transfers are never scaled.
+    pub fn run(&self, rank_scale: &[f64], t: &mut PpTiming) {
+        let n = self.rank.len();
+        t.dur.clear();
+        t.dur.extend(
+            self.bases
+                .iter()
+                .map(|&(r, d)| scaled(d, rank_scale.get(r as usize).copied().unwrap_or(1.0))),
+        );
+        t.start.clear();
+        t.start.resize(n, SimTime::ZERO);
+        t.end.clear();
+        t.end.resize(n, SimTime::ZERO);
+        t.compute.clear();
+        t.compute.resize(self.pp as usize, SimDuration::ZERO);
+        let mut last = SimTime::ZERO;
+        for &i in &self.order {
+            let i = i as usize;
+            let mut start = match self.stream_pred[i] {
+                NONE => SimTime::ZERO,
+                s => t.end[s as usize],
+            };
+            let d = self.data_pred[i];
+            if d != NONE {
+                start = start.max(t.end[d as usize] + self.latency[i]);
+            }
+            let r = self.rank[i] as usize;
+            let end = start + t.dur[self.base[i] as usize];
+            t.start[i] = start;
+            t.end[i] = end;
+            t.compute[r] += end.saturating_since(start);
+            last = last.max(end);
+        }
+        t.makespan = last.saturating_since(SimTime::ZERO);
+    }
+}
+
+/// The engine's own [`GraphError::Deadlock`] for a schedule whose ops
+/// the topological sort could not all order.
+fn engine_deadlock(schedule: &PpSchedule, costs: &dyn PpCostModel) -> GraphError {
+    let (ops, streams) = lowering_capacity(schedule);
+    let mut g: TaskGraph<PpSimOp> = TaskGraph::with_capacity(ops, streams);
+    lower_pp(&mut g, schedule, costs, &[], |op| op);
+    match g.execute() {
+        Err(e) => e,
+        // The engine runs an op once its stream and data predecessors
+        // have run — exactly the sort's rule.
+        Ok(_) => unreachable!("a schedule the sort cannot order deadlocks on the engine"),
+    }
 }
 
 /// Graph capacity (ops, streams) needed to lower one copy of `schedule`:
@@ -186,7 +458,8 @@ pub struct PpLowering {
 
 fn scaled(d: SimDuration, scale: f64) -> SimDuration {
     // Exact when unscaled: the DP-folding identity relies on a 1.0
-    // multiplier reproducing the duration bit-for-bit.
+    // multiplier reproducing the duration bit-for-bit. Shared by
+    // `PpProgram::run` and `lower_pp`, so both round alike.
     if scale == 1.0 {
         d
     } else {
@@ -195,8 +468,10 @@ fn scaled(d: SimDuration, scale: f64) -> SimDuration {
 }
 
 /// Lowers one instance of `schedule` under `costs` into `g`, which may
-/// already hold other instances (the full-fidelity step simulation adds
-/// one per DP replica plus cross-replica collectives).
+/// already hold other instances (the conformance reference for the
+/// full-fidelity step adds one per DP replica plus cross-replica DP
+/// collectives). Step timing itself runs [`PpProgram`]; this lowering
+/// is its engine-executed reference.
 ///
 /// `rank_scale[r]` multiplies rank `r`'s *compute* durations (per-rank
 /// jitter/straggler injection); an empty slice means no scaling, and
@@ -456,5 +731,99 @@ mod tests {
         let r = simulate_pp(&s, &uniform(0)).unwrap();
         // 4 forwards then 4 backwards in sequence.
         assert_eq!(r.makespan, us(100) * 4 + us(200) * 4);
+    }
+
+    /// Lowers `s` onto the engine with `scales` and executes it.
+    fn engine(
+        s: &PpSchedule,
+        costs: &dyn PpCostModel,
+        scales: &[f64],
+    ) -> Result<sim_engine::graph::ExecutedGraph<PpSimOp>, GraphError> {
+        let (ops, streams) = lowering_capacity(s);
+        let mut g: TaskGraph<PpSimOp> = TaskGraph::with_capacity(ops, streams);
+        lower_pp(&mut g, s, costs, scales, |op| op);
+        g.execute()
+    }
+
+    /// The compiled program reproduces the engine's start and end of
+    /// every compute op bit for bit, for every schedule family, with
+    /// zero and non-zero P2P, imbalanced stages, and unit or
+    /// non-uniform per-rank scales.
+    #[test]
+    fn program_matches_engine_op_for_op() {
+        let kinds = [
+            ScheduleKind::AllFwdAllBwd,
+            ScheduleKind::Interleaved1F1B,
+            ScheduleKind::Flexible { nc: 1 },
+            ScheduleKind::Flexible { nc: 3 },
+            ScheduleKind::Flexible { nc: 8 },
+        ];
+        for kind in kinds {
+            for (pp, v) in [(1u32, 2u32), (2, 1), (4, 2), (3, 3)] {
+                let nmb = 8 * pp;
+                let s = PpSchedule::build(kind, pp, v, nmb).unwrap();
+                let stages = (pp * v) as usize;
+                for p2p in [0, 7] {
+                    let costs = TableCosts {
+                        fwd: (0..stages).map(|i| us(90 + 13 * i as u64)).collect(),
+                        bwd: (0..stages).map(|i| us(170 + 29 * i as u64)).collect(),
+                        p2p: us(p2p),
+                    };
+                    let program = PpProgram::compile(&s, &costs).unwrap();
+                    assert_eq!(program.len(), stages * nmb as usize * 2);
+                    let mut t = PpTiming::default();
+                    let skewed: Vec<f64> = (0..pp).map(|r| 1.0 + 0.037 * f64::from(r)).collect();
+                    for scales in [&[][..], &skewed] {
+                        program.run(scales, &mut t);
+                        let run = engine(&s, &costs, scales).unwrap();
+                        let ctx = format!("{kind:?} pp={pp} v={v} p2p={p2p} scales={scales:?}");
+                        for (i, rec) in run.records()[..program.len()].iter().enumerate() {
+                            assert_ne!(rec.meta, PpSimOp::Transfer, "{ctx}: op {i}");
+                            assert_eq!(
+                                (rec.start, rec.end),
+                                (t.start[i], t.end[i]),
+                                "{ctx}: op {i}"
+                            );
+                        }
+                        assert_eq!(run.makespan(), t.makespan, "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Re-running a program reuses the timing buffers and gives the
+    /// same answer; a scale of exactly 1 is the unscaled pass.
+    #[test]
+    fn passes_are_repeatable_and_unit_scale_is_exact() {
+        let s = PpSchedule::build(ScheduleKind::Flexible { nc: 3 }, 4, 2, 8).unwrap();
+        let program = PpProgram::compile(&s, &uniform(5)).unwrap();
+        let (mut a, mut b) = (PpTiming::default(), PpTiming::default());
+        program.run(&[], &mut a);
+        program.run(&[1.3, 1.0, 1.1, 1.2], &mut b);
+        assert!(b.makespan > a.makespan);
+        program.run(&[1.0; 4], &mut b);
+        assert_eq!((a.start, a.end, a.compute), (b.start, b.end, b.compute));
+    }
+
+    /// A hand-broken schedule — rank 0 runs micro-batch 0's backward
+    /// before the forward it depends on — is a deadlock, reported with
+    /// exactly the op set the engine reports for the lowered graph.
+    #[test]
+    fn broken_schedule_reports_the_engine_deadlock() {
+        for p2p in [0, 5] {
+            let mut s = PpSchedule::build(ScheduleKind::Flexible { nc: 2 }, 2, 1, 4).unwrap();
+            let b0 = s.ranks[0]
+                .iter()
+                .position(|op| matches!(op, PpOp::Backward { mb: 0, .. }))
+                .unwrap();
+            let op = s.ranks[0].remove(b0);
+            s.ranks[0].insert(0, op);
+            let expected = engine(&s, &uniform(p2p), &[]).unwrap_err();
+            let GraphError::Deadlock(stuck) = &expected;
+            assert!(!stuck.is_empty());
+            assert_eq!(PpProgram::compile(&s, &uniform(p2p)).unwrap_err(), expected);
+            assert_eq!(simulate_pp(&s, &uniform(p2p)).unwrap_err(), expected);
+        }
     }
 }

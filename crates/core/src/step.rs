@@ -6,9 +6,10 @@
 //!
 //! * [`StepModel::estimate`] — a closed-form estimate used by the §5.1
 //!   planner to score candidate configurations;
-//! * [`StepModel::simulate`] — a timing-graph simulation of the
-//!   pipeline schedule with per-stage costs, P2P transfers and memory
-//!   replay, used by the experiment harness (Figs 9, 10, §7.3).
+//! * [`StepModel::run`] — a timing simulation of the pipeline
+//!   schedule (compiled once into a [`PpProgram`], then one linear pass
+//!   per simulated DP replica) with per-stage costs, P2P transfers and
+//!   memory replay, used by the experiment harness (Figs 9, 10, §7.3).
 //!
 //! The simulation collapses symmetric dimensions: all DP replicas are
 //! identical up to data, TP peers run in lock-step (TP communication is
@@ -21,7 +22,7 @@ use crate::fsdp::{self, ZeroMode};
 use crate::mesh::{Dim, Mesh4D};
 use crate::pp::balance::StageAssignment;
 use crate::pp::schedule::{PpSchedule, ScheduleKind};
-use crate::pp::sim::{lower_pp, lowering_capacity, simulate_pp, PpSimOp};
+use crate::pp::sim::{simulate_pp, PpProgram, PpTiming};
 use crate::tp::TpPlan;
 use cluster_model::faults::ClusterHealth;
 use cluster_model::gpu::{Dtype, KernelCost};
@@ -33,8 +34,7 @@ use llm_model::layers::LayerKind;
 use llm_model::masks::MaskSpec;
 use llm_model::memory as mem;
 use llm_model::{ModelLayout, PrecisionPolicy};
-use sim_engine::graph::TaskGraph;
-use sim_engine::time::{SimDuration, SimTime};
+use sim_engine::time::SimDuration;
 
 /// A fully specified training-step configuration.
 #[derive(Debug, Clone)]
@@ -62,23 +62,26 @@ pub struct StepModel {
     pub recompute: bool,
 }
 
-/// How much of the cluster the step simulation actually lowers.
+/// How many DP replicas the step simulation times.
 ///
 /// All DP replicas execute the same program on identical hardware, so a
 /// jitter-free step is fully determined by one representative
 /// TP×CP×PP slice plus the DP collective terms — that is
 /// [`SimFidelity::Folded`], and it makes step simulation O(slice)
-/// instead of O(cluster). [`SimFidelity::Full`] lowers every DP replica
-/// into one task graph with cross-replica DP collectives; it exists to
-/// validate the folding identity and to host per-rank jitter/straggler
-/// injection, where replicas genuinely differ.
+/// instead of O(cluster). [`SimFidelity::Full`] times every DP replica:
+/// the pipeline is compiled once ([`crate::pp::sim::PpProgram`]) and
+/// each replica is one linear pass over it with its own per-rank
+/// compute scales; the exposed DP collective starts when the slowest
+/// replica finishes. It exists to validate the folding identity and to
+/// host per-rank jitter/straggler injection, where replicas genuinely
+/// differ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimFidelity {
     /// One representative DP replica + DP collective terms (exact for
     /// jitter-free configurations, and the default).
     #[default]
     Folded,
-    /// Every DP replica lowered explicitly.
+    /// Every DP replica timed explicitly, one pass each.
     Full,
 }
 
@@ -135,7 +138,7 @@ impl Workload {
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimOptions {
-    /// How much of the cluster to lower. Requests with per-rank
+    /// How many DP replicas to time. Requests with per-rank
     /// variation (jitter, throttled ranks) are promoted to
     /// [`SimFidelity::Full`] automatically — folding is invalid once
     /// replicas differ.
@@ -175,7 +178,7 @@ impl SimOptions {
         SimOptions::default()
     }
 
-    /// Sets the lowering fidelity.
+    /// Sets the simulation fidelity.
     pub fn fidelity(mut self, fidelity: SimFidelity) -> SimOptions {
         self.fidelity = fidelity;
         self
@@ -220,7 +223,7 @@ impl SimOptions {
         self
     }
 
-    /// `true` when the request needs the full (per-replica) lowering:
+    /// `true` when the request needs the full (per-replica) timing:
     /// explicit [`SimFidelity::Full`], jitter, or throttled ranks.
     pub fn wants_full(&self) -> bool {
         self.fidelity == SimFidelity::Full
@@ -560,7 +563,7 @@ impl StepModel {
     ///
     /// # Errors
     /// [`SimError::InvalidSchedule`] for bad schedule parameters,
-    /// [`SimError::Deadlock`] if the lowered graph cannot run, and
+    /// [`SimError::Deadlock`] if the schedule's op order cannot execute, and
     /// [`SimError::Rejected`] when [`SimOptions::preflight`] is set and
     /// the static analysis reports an error-severity diagnostic.
     pub fn run(&self, opts: &SimOptions) -> Result<StepOutcome, SimError> {
@@ -621,8 +624,9 @@ impl StepModel {
     /// Full-fidelity simulation with per-rank performance variation:
     /// compute durations on the pipeline rank at mesh coordinate
     /// `(tp 0, cp 0, pp r, dp d)` are scaled by that global rank's
-    /// jitter multiplier at `step`. Always lowers every DP replica —
-    /// folding is invalid once replicas differ.
+    /// jitter multiplier at `step`. Always times every DP replica, one
+    /// pass of the compiled pipeline program each — folding is invalid
+    /// once replicas differ.
     ///
     /// # Panics
     /// Panics if the schedule deadlocks — impossible for schedules
@@ -635,18 +639,7 @@ impl StepModel {
     }
 
     fn folded_report(&self, comm_stretch: f64) -> Result<StepReport, SimError> {
-        let times = self.stage_times();
-        let sched = self.schedule()?;
-        let mut costs = self.pp_costs(&times);
-        let mut dp_cost = self.dp_exposed();
-        if comm_stretch != 1.0 {
-            costs.p2p = costs.p2p.scale(comm_stretch);
-            dp_cost = dp_cost.scale(comm_stretch);
-        }
-        let result = simulate_pp(&sched, &costs)?;
-        let bubbles: Vec<f64> = (0..self.mesh.pp()).map(|r| result.bubble_ratio(r)).collect();
-        let step_time = result.makespan + dp_cost;
-        Ok(self.report_from(step_time, bubbles, &times, dp_cost))
+        self.program_report(1, comm_stretch, None)
     }
 
     fn full_report(
@@ -654,86 +647,63 @@ impl StepModel {
         jitter: Option<(&JitterModel, u64)>,
         health: &ClusterHealth,
     ) -> Result<StepReport, SimError> {
+        let stride = (self.mesh.stride(Dim::Pp), self.mesh.stride(Dim::Dp));
+        // Pipeline rank `r` of replica `d` is the global rank at mesh
+        // coordinate (tp 0, cp 0, pp r, dp d).
+        let scale = |d: u32, r: u32| {
+            let rank = r * stride.0 + d * stride.1;
+            let j = jitter.map_or(1.0, |(j, step)| j.multiplier(rank, step));
+            j * health.compute_multiplier(rank)
+        };
+        let vary = jitter.is_some() || !health.throttled.is_empty();
+        self.program_report(
+            self.mesh.dp(),
+            1.0 / health.worst_link_scale(),
+            vary.then_some(&scale as &dyn Fn(u32, u32) -> f64),
+        )
+    }
+
+    /// Times the step on the compiled pipeline program: one pass per
+    /// simulated DP replica (`replicas` of them), with pipeline rank
+    /// `r` of replica `d` computing `scale(d, r)×` slower (`None` = no
+    /// scaling). The exposed DP collective joins each pipeline rank
+    /// across replicas, so it starts when the slowest replica's rank
+    /// finishes: `step_time = max over replicas of the pipeline
+    /// makespan + dp_exposed`. Bubbles are measured per replica against
+    /// its own makespan (the DP collective is communication, not
+    /// bubble), and each rank reports its worst replica.
+    fn program_report(
+        &self,
+        replicas: u32,
+        comm_stretch: f64,
+        scale: Option<&dyn Fn(u32, u32) -> f64>,
+    ) -> Result<StepReport, SimError> {
         let times = self.stage_times();
         let sched = self.schedule()?;
         let mut costs = self.pp_costs(&times);
-        let dp = self.mesh.dp();
-        let pp = self.mesh.pp() as usize;
-        let comm_stretch = 1.0 / health.worst_link_scale();
         let mut dp_cost = self.dp_exposed();
         if comm_stretch != 1.0 {
             costs.p2p = costs.p2p.scale(comm_stretch);
             dp_cost = dp_cost.scale(comm_stretch);
         }
-
-        // One task graph holding every DP replica's pipeline plus one
-        // DP collective per pipeline rank spanning all replicas.
-        let (ops_per_replica, streams_per_replica) = lowering_capacity(&sched);
-        let mut g: TaskGraph<(u32, PpSimOp)> = TaskGraph::with_capacity(
-            ops_per_replica * dp as usize + pp,
-            streams_per_replica * dp as usize,
-        );
-        let vary = jitter.is_some() || !health.throttled.is_empty();
-        let mut replicas = Vec::with_capacity(dp as usize);
-        for d in 0..dp {
-            let scales: Vec<f64> = if !vary {
-                Vec::new()
-            } else {
-                (0..pp as u32)
-                    .map(|r| {
-                        let rank =
-                            r * self.mesh.stride(Dim::Pp) + d * self.mesh.stride(Dim::Dp);
-                        let j = jitter.map_or(1.0, |(j, step)| j.multiplier(rank, step));
-                        j * health.compute_multiplier(rank)
-                    })
-                    .collect()
-            };
-            replicas.push(lower_pp(&mut g, &sched, &costs, &scales, |op| (d, op)));
-        }
-        // The exposed DP collective (first all-gather + last
-        // reduce-scatter) joins the same pipeline rank across all
-        // replicas: it starts once the slowest replica's rank finishes.
-        for r in 0..pp {
-            let streams: Vec<_> = replicas.iter().map(|l| l.compute_streams[r]).collect();
-            g.add_op((u32::MAX, PpSimOp::Transfer), dp_cost, streams, []);
-        }
-
-        let run = g.execute()?;
-        let step_time = run.makespan();
-
-        // Per-replica bubble accounting against the replica-local
-        // pipeline makespan (the DP sync op is excluded — it is
-        // communication, not bubble). Report the worst replica per rank.
-        let mut compute = vec![SimDuration::ZERO; dp as usize * pp];
-        let mut local_end = vec![SimTime::ZERO; dp as usize];
-        for rec in run.records() {
-            let (d, op) = rec.meta;
-            if d == u32::MAX {
-                continue;
+        let program = PpProgram::compile(&sched, &costs)?;
+        let pp = self.mesh.pp();
+        let mut timing = PpTiming::default();
+        let mut scales = Vec::with_capacity(if scale.is_some() { pp as usize } else { 0 });
+        let mut makespan = SimDuration::ZERO;
+        let mut bubbles = vec![0.0f64; pp as usize];
+        for d in 0..replicas {
+            if let Some(scale) = scale {
+                scales.clear();
+                scales.extend((0..pp).map(|r| scale(d, r)));
             }
-            match op {
-                PpSimOp::Forward { rank, .. } | PpSimOp::Backward { rank, .. } => {
-                    compute[d as usize * pp + rank as usize] += rec.duration();
-                    local_end[d as usize] = local_end[d as usize].max(rec.end);
-                }
-                PpSimOp::Transfer => {}
+            program.run(&scales, &mut timing);
+            makespan = makespan.max(timing.makespan);
+            for (r, b) in (0..pp).zip(bubbles.iter_mut()) {
+                *b = b.max(timing.bubble_ratio(r));
             }
         }
-        let bubbles: Vec<f64> = (0..pp)
-            .map(|r| {
-                (0..dp as usize)
-                    .map(|d| {
-                        let c = compute[d * pp + r];
-                        if c.is_zero() {
-                            return 0.0;
-                        }
-                        let makespan = local_end[d].saturating_since(SimTime::ZERO);
-                        makespan.saturating_sub(c).as_secs_f64() / c.as_secs_f64()
-                    })
-                    .fold(0.0, f64::max)
-            })
-            .collect();
-        Ok(self.report_from(step_time, bubbles, &times, dp_cost))
+        Ok(self.report_from(makespan + dp_cost, bubbles, &times, dp_cost))
     }
 
     /// Runs the timing-graph simulation and additionally emits a

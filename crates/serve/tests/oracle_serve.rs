@@ -1,9 +1,9 @@
-//! The serve conformance oracle (the repo's eighth): for every config
-//! in the 64-point conformance grid, the HTTP daemon's response must
-//! be byte-identical to a direct `Dispatcher::dispatch` — both on a
-//! cold cache (first pass computes every config) and on the shared
-//! warm cache (second pass must serve memoized responses, still
-//! identical).
+//! The serve conformance oracle (oracle 11, numbered after the ten in
+//! `conformance::oracles`): for every config in the 64-point
+//! conformance grid, the HTTP daemon's response must be byte-identical
+//! to a direct `Dispatcher::dispatch` — both on a cold cache (first
+//! pass computes every config) and on the shared warm cache (second
+//! pass must serve memoized responses, still identical).
 //!
 //! It lives here rather than in `crates/conformance` because the
 //! dependency arrow points the other way: serve sits above conformance

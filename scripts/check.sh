@@ -40,6 +40,9 @@ cargo run --release -q --bin llama3sim -- serve --bench --clients 32
 echo "==> pre-flight analysis across the conformance grid (zero errors expected)"
 cargo run --release -q --bin llama3sim -- analyze --grid
 
+echo "==> step-simulation bench: folded and full 405B/8K-GPU reports must be bit-identical (writes BENCH_step_sim.json)"
+cargo run --release -q --bin llama3sim -- bench
+
 echo "==> conformance fuzz smoke (200 cases)"
 cargo run --release -q --bin llama3sim -- fuzz --cases 200 --seed 0xC0FFEE
 
