@@ -1,7 +1,7 @@
 //! # analyzer
 //!
-//! Pre-flight static analysis of parallelism plans, packaged as a
-//! library facade and the `analyze` CLI. The analysis engine itself
+//! Pre-flight static analysis of parallelism plans, packaged as the
+//! library behind `llama3sim analyze`. The analysis engine itself
 //! lives in [`parallelism_core::analyze`] (so the simulator's opt-in
 //! pre-flight gate can use it without a dependency cycle); this crate
 //! re-exports it, names the paper's production configurations, and
@@ -18,15 +18,13 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cli;
-
 pub use parallelism_core::analyze::{self, analyze_step, Diagnostic, Report, RuleId, Severity};
 
 use conformance::fuzz::CaseSpec;
 use conformance::grid::config_grid;
 use parallelism_core::step::StepModel;
 
-/// The named configurations the `analyze` CLI accepts, with one-line
+/// The named configurations `llama3sim analyze` accepts, with one-line
 /// descriptions. All are defined in `bench_harness::configs`.
 pub const NAMED_CONFIGS: [(&str, &str); 4] = [
     (

@@ -1,5 +1,5 @@
 //! Library entry points for the snapshot subcommands (`llama3sim
-//! bench|goodput|search`) and the deprecated single-purpose shims.
+//! bench|goodput|search|infer|trace`).
 //!
 //! Each runner prints its human-readable summary to stdout, writes the
 //! machine-readable [`Report`](crate::report::Report) envelope next to
@@ -8,41 +8,20 @@
 //! `--json` the envelope is also printed to stdout, after the human
 //! text, so scripted callers need not re-read the file.
 
-use crate::cli::Flags;
 use crate::configs::production_8k_gpu_step;
 use crate::experiments::goodput as goodput_exp;
 use crate::report::Report;
 use parallelism_core::planner::{plan, PlannerInput};
 use parallelism_core::query::{
-    BenchResponse, GoodputResponse, InferQuery, InferResponse, Response, SearchQuery, TraceMode,
-    TraceQuery, TraceResponse,
+    BenchResponse, GoodputResponse, InferQuery, InferResponse, Response, SearchQuery, TraceQuery,
+    TraceResponse,
 };
-use parallelism_core::search::{search, SearchReport, SearchSpec, SearchStrategy};
-use parallelism_core::step::{SimFidelity, SimOptions, Workload};
-use parallelism_core::{TrafficShape, ZeroMode};
+use parallelism_core::search::{SearchReport, SearchSpec};
+use parallelism_core::step::{SimFidelity, SimOptions};
+use parallelism_core::TrafficShape;
 use sim_engine::fluid::{FluidNet, Transfer};
 use sim_engine::time::SimTime;
 use std::time::Instant;
-
-/// Options shared by the `bench` and `goodput` snapshot subcommands.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SnapshotArgs {
-    /// Also print the JSON envelope to stdout.
-    pub json: bool,
-}
-
-impl SnapshotArgs {
-    /// Parses `[--json]`.
-    pub fn parse(args: &[String]) -> Result<SnapshotArgs, String> {
-        let mut f = Flags::new(args);
-        // lint: allow(cli-args) — the canonical constructor
-        let parsed = SnapshotArgs {
-            json: f.switch("json"),
-        };
-        f.finish()?;
-        Ok(parsed)
-    }
-}
 
 /// Median wall-clock milliseconds of `iters` runs of `f`.
 fn time_ms<T>(iters: u32, mut f: impl FnMut() -> T) -> (f64, T) {
@@ -128,21 +107,6 @@ pub fn perf_envelope(r: &BenchResponse) -> Report {
         .metric("fluid_1k_transfers_ms", format!("{:.3}", r.fluid_ms))
 }
 
-/// The `bench` snapshot: wall-clock timings of the simulator's hot
-/// paths, written to `BENCH_step_sim.json`.
-#[deprecated(
-    since = "0.8.0",
-    note = "dispatch a `Query::Bench` and render the response; this shim \
-            wraps `measure_perf` + `perf_envelope`"
-)]
-pub fn perf(args: &SnapshotArgs) -> i32 {
-    let r = measure_perf();
-    println!("{}", Response::Bench(r.clone()).render_human());
-    let code = emit(&perf_envelope(&r), "BENCH_step_sim.json", args.json);
-    assert!(r.identical, "folded and full reports diverged");
-    code
-}
-
 /// Runs the seeded 24-hour 16 K-GPU 405B goodput simulation under
 /// production fault rates and flattens the report into the query
 /// response. This is the computation behind `Query::Goodput`.
@@ -212,157 +176,6 @@ pub fn goodput_envelope(r: &GoodputResponse) -> Report {
             format!("{:.1}", r.young_daly_interval_s),
         )
         .metric("mtbf_s", format!("{:.1}", r.mtbf_s))
-}
-
-/// The `goodput` snapshot: a seeded 24-hour 16 K-GPU 405B run under
-/// production fault rates, written to `BENCH_goodput.json`.
-#[deprecated(
-    since = "0.8.0",
-    note = "dispatch a `Query::Goodput` and render the response; this shim \
-            wraps `measure_goodput` + `goodput_envelope`"
-)]
-pub fn goodput(args: &SnapshotArgs) -> i32 {
-    let r = measure_goodput();
-    println!("{}", Response::Goodput(r.clone()).render_human());
-    println!();
-    emit(&goodput_envelope(&r), "BENCH_goodput.json", args.json)
-}
-
-/// Options for the `search` subcommand.
-#[derive(Debug, Clone)]
-pub struct SearchArgs {
-    /// Model name: `405b`, `70b` or `8b`.
-    pub model: String,
-    /// Cluster size in GPUs.
-    pub gpus: u32,
-    /// Sequence length.
-    pub seq: u64,
-    /// Override the model's layer count (`0` = the model default).
-    pub layers: u64,
-    /// Override the token budget (`0` = the 16 M-token default).
-    pub budget: u64,
-    /// Goodput-refine the best `head` frontier points (0 = off).
-    pub goodput_head: usize,
-    /// Scoring threads (0 = all available).
-    pub threads: usize,
-    /// Largest CP degree to enumerate (0 = the spec default, 64).
-    pub max_cp: u32,
-    /// ZeRO modes to enumerate (empty = all three).
-    pub zero_modes: Vec<ZeroMode>,
-    /// Fail (exit 1) unless this `tp,cp,pp,dp` mesh is on the frontier.
-    pub expect: Option<(u32, u32, u32, u32)>,
-    /// Use the gradient-guided candidate strategy; also times the
-    /// exhaustive baseline so the snapshot pins the measured speedup.
-    pub guided: bool,
-    /// Which workload the funnel scores (training step time vs serving
-    /// p99 TTFT).
-    pub workload: Workload,
-    /// Also print the JSON envelope to stdout.
-    pub json: bool,
-}
-
-impl Default for SearchArgs {
-    fn default() -> SearchArgs {
-        // lint: allow(cli-args) — the canonical defaults
-        SearchArgs {
-            model: "405b".to_string(),
-            gpus: 16_384,
-            seq: 8_192,
-            layers: 0,
-            budget: 0,
-            goodput_head: 0,
-            threads: 0,
-            max_cp: 0,
-            zero_modes: Vec::new(),
-            expect: None,
-            guided: false,
-            workload: Workload::Training,
-            json: false,
-        }
-    }
-}
-
-impl SearchArgs {
-    /// Parses `[--model M] [--gpus N] [--seq N] [--layers N]
-    /// [--budget N] [--goodput-head N] [--threads N] [--max-cp N]
-    /// [--zero M1[,M2...]] [--expect tp,cp,pp,dp] [--guided] [--json]`.
-    pub fn parse(args: &[String]) -> Result<SearchArgs, String> {
-        let mut f = Flags::new(args);
-        let mut parsed = SearchArgs::default();
-        if let Some(m) = f.opt("model")? {
-            parsed.model = m;
-        }
-        if let Some(g) = f.opt_u64("gpus")? {
-            parsed.gpus = u32::try_from(g).map_err(|_| format!("--gpus {g} out of range"))?;
-        }
-        if let Some(s) = f.opt_u64("seq")? {
-            parsed.seq = s;
-        }
-        if let Some(l) = f.opt_u64("layers")? {
-            parsed.layers = l;
-        }
-        if let Some(b) = f.opt_u64("budget")? {
-            parsed.budget = b;
-        }
-        if let Some(h) = f.opt_u64("goodput-head")? {
-            parsed.goodput_head = h as usize;
-        }
-        if let Some(t) = f.opt_u64("threads")? {
-            parsed.threads = t as usize;
-        }
-        if let Some(c) = f.opt_u64("max-cp")? {
-            parsed.max_cp = u32::try_from(c).map_err(|_| format!("--max-cp {c} out of range"))?;
-        }
-        if let Some(z) = f.opt("zero")? {
-            parsed.zero_modes = z
-                .split(',')
-                .map(|m| match m.trim() {
-                    "zero1" | "1" => Ok(ZeroMode::Zero1),
-                    "zero2" | "2" => Ok(ZeroMode::Zero2),
-                    "zero3" | "3" => Ok(ZeroMode::Zero3),
-                    other => Err(format!("--zero: unknown mode {other:?} (want zero1|zero2|zero3)")),
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-        }
-        if let Some(e) = f.opt("expect")? {
-            let parts: Vec<u32> = e.split(',').filter_map(|p| p.trim().parse().ok()).collect();
-            let [tp, cp, pp, dp] = parts[..] else {
-                return Err(format!("--expect: want tp,cp,pp,dp, got {e:?}"));
-            };
-            parsed.expect = Some((tp, cp, pp, dp));
-        }
-        if let Some(w) = f.opt("workload")? {
-            parsed.workload = Workload::parse(&w)
-                .ok_or_else(|| format!("--workload: unknown workload {w:?} (want train|infer)"))?;
-        }
-        parsed.guided = f.switch("guided");
-        parsed.json = f.switch("json");
-        f.finish()?;
-        Ok(parsed)
-    }
-
-    /// The query-API form of these flags (the `expect` knob travels in
-    /// the query; the `json` switch stays CLI-side).
-    pub fn to_query(&self) -> SearchQuery {
-        SearchQuery {
-            model: self.model.clone(),
-            gpus: self.gpus,
-            seq: self.seq,
-            layers: self.layers,
-            budget: self.budget,
-            goodput_head: self.goodput_head,
-            threads: self.threads,
-            max_cp: self.max_cp,
-            zero: self.zero_modes.clone(),
-            expect: self.expect,
-            guided: self.guided,
-            workload: self.workload,
-        }
-    }
-
-    fn spec(&self) -> Result<SearchSpec, String> {
-        self.to_query().to_spec().map_err(|e| e.message)
-    }
 }
 
 /// Builds the `BENCH_search.json` envelope from a finished search.
@@ -438,74 +251,6 @@ pub fn search_envelope(
             .metric("best_goodput", format!("{:.6}", g.goodput.unwrap_or(0.0)));
     }
     envelope
-}
-
-/// Options for the `llama3sim infer` subcommand.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InferArgs {
-    /// The infer query these flags parse into.
-    pub query: InferQuery,
-    /// Sweep all three traffic shapes instead of only the requested
-    /// one, so the snapshot pins the diurnal/bursty envelope.
-    pub grid: bool,
-    /// Also print the JSON envelope to stdout.
-    pub json: bool,
-}
-
-impl InferArgs {
-    /// Parses `[--model M] [--gpus N] [--tp N] [--pp N] [--traffic
-    /// steady|diurnal|bursty] [--rpd N] [--horizon-s N] [--seed S]
-    /// [--block N] [--max-batch N] [--slo-ttft-ms N] [--slo-tpot-ms N]
-    /// [--threads N] [--grid] [--json]`.
-    pub fn parse(args: &[String]) -> Result<InferArgs, String> {
-        let mut f = Flags::new(args);
-        let mut q = InferQuery::default();
-        if let Some(m) = f.opt("model")? {
-            q.model = m;
-        }
-        if let Some(g) = f.opt_u64("gpus")? {
-            q.gpus = u32::try_from(g).map_err(|_| format!("--gpus {g} out of range"))?;
-        }
-        if let Some(t) = f.opt_u64("tp")? {
-            q.tp = u32::try_from(t).map_err(|_| format!("--tp {t} out of range"))?;
-        }
-        if let Some(p) = f.opt_u64("pp")? {
-            q.pp = u32::try_from(p).map_err(|_| format!("--pp {p} out of range"))?;
-        }
-        if let Some(t) = f.opt("traffic")? {
-            q.traffic = TrafficShape::parse(&t)
-                .ok_or_else(|| format!("--traffic: unknown shape {t:?} (want steady|diurnal|bursty)"))?;
-        }
-        if let Some(r) = f.opt_u64("rpd")? {
-            q.requests_per_day = r;
-        }
-        if let Some(h) = f.opt_u64("horizon-s")? {
-            q.horizon_s = h;
-        }
-        if let Some(s) = f.opt_u64("seed")? {
-            q.seed = s;
-        }
-        if let Some(b) = f.opt_u64("block")? {
-            q.block = b;
-        }
-        if let Some(b) = f.opt_u64("max-batch")? {
-            q.max_batch = b as usize;
-        }
-        if let Some(s) = f.opt_u64("slo-ttft-ms")? {
-            q.slo_ttft_ms = s;
-        }
-        if let Some(s) = f.opt_u64("slo-tpot-ms")? {
-            q.slo_tpot_ms = s;
-        }
-        if let Some(t) = f.opt_u64("threads")? {
-            q.threads = t as usize;
-        }
-        let grid = f.switch("grid");
-        let json = f.switch("json");
-        f.finish()?;
-        // lint: allow(cli-args) — built from the parsed flags
-        Ok(InferArgs { query: q, grid, json })
-    }
 }
 
 /// Computes one infer query directly (the same computation the serve
@@ -585,20 +330,21 @@ pub fn infer_envelope(q: &InferQuery, rows: &[InferResponse], wall_ms: f64) -> R
     envelope
 }
 
-/// The `infer` subcommand: price a serving workload (or, with `--grid`,
-/// the full three-shape traffic envelope) and write `BENCH_infer.json`.
-pub fn run_infer(args: &InferArgs) -> i32 {
-    let shapes: Vec<TrafficShape> = if args.grid {
+/// The `infer` subcommand: price a serving workload (or, with `grid`,
+/// the full three-shape traffic envelope) and write `BENCH_infer.json`;
+/// `json` also prints the envelope.
+pub fn run_infer(query: &InferQuery, grid: bool, json: bool) -> i32 {
+    let shapes: Vec<TrafficShape> = if grid {
         TrafficShape::ALL.to_vec()
     } else {
-        vec![args.query.traffic]
+        vec![query.traffic]
     };
     let t0 = Instant::now();
     let mut rows = Vec::with_capacity(shapes.len());
     for shape in shapes {
         let q = InferQuery {
             traffic: shape,
-            ..args.query.clone()
+            ..query.clone()
         };
         match compute_infer(&q) {
             Ok(r) => {
@@ -607,7 +353,7 @@ pub fn run_infer(args: &InferArgs) -> i32 {
                 // Grid runs double as the thread-invariance smoke: the
                 // first shape is re-simulated single-threaded and must
                 // reproduce the report bit-identically.
-                if args.grid && rows.is_empty() {
+                if grid && rows.is_empty() {
                     let serial = InferQuery { threads: 1, ..q.clone() };
                     match compute_infer(&serial) {
                         Ok(s) if s.report == r.report => {
@@ -635,69 +381,7 @@ pub fn run_infer(args: &InferArgs) -> i32 {
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     println!("simulated in {wall_ms:.0} ms");
     let code = i32::from(rows.iter().all(|r| r.report.completed == 0));
-    emit(&infer_envelope(&args.query, &rows, wall_ms), "BENCH_infer.json", args.json).max(code)
-}
-
-/// Options for the `llama3sim trace` subcommand.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceArgs {
-    /// The trace query these flags parse into.
-    pub query: TraceQuery,
-    /// Also print the JSON envelope to stdout.
-    pub json: bool,
-}
-
-impl TraceArgs {
-    /// Parses `[--model M] [--gpus N] [--seq N] [--horizon-s N]
-    /// [--seed S] [--tier0 N] [--window T0,T1] [--zoom N]
-    /// [--stats | --smoke] [--json]`.
-    pub fn parse(args: &[String]) -> Result<TraceArgs, String> {
-        let mut f = Flags::new(args);
-        let mut q = TraceQuery::default();
-        if let Some(m) = f.opt("model")? {
-            q.model = m;
-        }
-        if let Some(g) = f.opt_u64("gpus")? {
-            q.gpus = u32::try_from(g).map_err(|_| format!("--gpus {g} out of range"))?;
-        }
-        if let Some(s) = f.opt_u64("seq")? {
-            q.seq = s;
-        }
-        if let Some(h) = f.opt_u64("horizon-s")? {
-            q.horizon_s = h;
-        }
-        if let Some(s) = f.opt_u64("seed")? {
-            q.seed = s;
-        }
-        if let Some(t) = f.opt_u64("tier0")? {
-            q.tier0 = t;
-        }
-        if let Some(w) = f.opt("window")? {
-            let parts: Vec<u64> = w.split(',').filter_map(|p| p.trim().parse().ok()).collect();
-            let [t0, t1] = parts[..] else {
-                return Err(format!("--window: want T0,T1 in seconds, got {w:?}"));
-            };
-            if t0 >= t1 {
-                return Err(format!("--window: empty range {t0},{t1}"));
-            }
-            q.window = Some((t0, t1));
-        }
-        if let Some(z) = f.opt_u64("zoom")? {
-            q.zoom = u32::try_from(z).map_err(|_| format!("--zoom {z} out of range"))?;
-        }
-        let stats = f.switch("stats");
-        let smoke = f.switch("smoke");
-        q.mode = match (stats, smoke) {
-            (false, false) => TraceMode::Chrome,
-            (true, false) => TraceMode::Stats,
-            (false, true) => TraceMode::Smoke,
-            (true, true) => return Err("--stats and --smoke are mutually exclusive".to_string()),
-        };
-        let json = f.switch("json");
-        f.finish()?;
-        // lint: allow(cli-args) — built from the parsed flags
-        Ok(TraceArgs { query: q, json })
-    }
+    emit(&infer_envelope(query, &rows, wall_ms), "BENCH_infer.json", json).max(code)
 }
 
 /// Builds the `BENCH_trace.json` envelope from a trace response. Every
@@ -712,14 +396,7 @@ pub fn trace_envelope(q: &TraceQuery, r: &TraceResponse) -> Report {
         .config("seed", q.seed)
         .config("tier0_events", q.tier0)
         .config("zoom", q.zoom)
-        .config_str(
-            "mode",
-            match r.mode {
-                TraceMode::Chrome => "chrome",
-                TraceMode::Stats => "stats",
-                TraceMode::Smoke => "smoke",
-            },
-        );
+        .config_str("mode", r.mode.tag());
     if let Some((t0, t1)) = q.window {
         envelope = envelope.config_str("window_s", format!("{t0},{t1}"));
     }
@@ -732,129 +409,4 @@ pub fn trace_envelope(q: &TraceQuery, r: &TraceResponse) -> Report {
             format!("{:.1}", r.appended as f64 / (r.resident.max(1)) as f64),
         )
         .metric("ok", r.ok)
-}
-
-/// The `search` subcommand: runs the Pareto sweep and writes
-/// `BENCH_search.json`.
-#[deprecated(
-    since = "0.8.0",
-    note = "dispatch a `Query::Search` and render the response; this shim \
-            wraps `search` + `search_envelope`"
-)]
-pub fn run_search(args: &SearchArgs) -> i32 {
-    let spec = match args.spec() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    let t0 = Instant::now();
-    let report = match search(&spec) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: search failed: {e}");
-            return 1;
-        }
-    };
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    println!("{}", report.render_human());
-    println!("searched in {wall_ms:.0} ms");
-
-    // With --guided, also time the exhaustive baseline so the snapshot
-    // pins the measured speedup and whether the frontiers agree.
-    let baseline = if args.guided {
-        let mut ex_spec = spec.clone();
-        ex_spec.strategy = SearchStrategy::Exhaustive;
-        let t1 = Instant::now();
-        match search(&ex_spec) {
-            Ok(r) => {
-                let ex_ms = t1.elapsed().as_secs_f64() * 1e3;
-                let matches = r.frontier.len() == report.frontier.len()
-                    && r.frontier
-                        .iter()
-                        .zip(&report.frontier)
-                        .all(|(a, b)| a.config == b.config && a.step_time == b.step_time);
-                println!(
-                    "exhaustive baseline in {ex_ms:.0} ms ({:.1}x speedup, frontier match: {matches})",
-                    ex_ms / wall_ms.max(1e-9)
-                );
-                Some((ex_ms, matches))
-            }
-            Err(e) => {
-                eprintln!("error: exhaustive baseline failed: {e}");
-                return 1;
-            }
-        }
-    } else {
-        None
-    };
-
-    let mut envelope = search_envelope(&args.to_query(), &spec, &report, wall_ms, baseline);
-    let mut code = 0;
-    if let Some((tp, cp, pp, dp)) = args.expect {
-        let hit = report.frontier_contains_mesh(tp, cp, pp, dp);
-        envelope = envelope.metric("expected_mesh_on_frontier", hit);
-        if hit {
-            println!("expected mesh tp{tp}·cp{cp}·pp{pp}·dp{dp} is on the frontier");
-        } else {
-            eprintln!("error: expected mesh tp{tp}·cp{cp}·pp{pp}·dp{dp} is NOT on the frontier");
-            code = 1;
-        }
-    }
-    emit(&envelope, "BENCH_search.json", args.json).max(code)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn search_args_parse_the_full_surface() {
-        let a = SearchArgs::parse(&args(&[
-            "--model", "8b", "--gpus", "16", "--seq", "4096", "--expect", "2,1,2,4",
-            "--goodput-head", "3", "--threads", "2", "--max-cp", "2", "--zero",
-            "zero1,zero3", "--guided", "--json",
-        ]))
-        .unwrap();
-        assert_eq!(a.model, "8b");
-        assert_eq!(a.gpus, 16);
-        assert_eq!(a.seq, 4096);
-        assert_eq!(a.expect, Some((2, 1, 2, 4)));
-        assert_eq!(a.goodput_head, 3);
-        assert_eq!(a.threads, 2);
-        assert_eq!(a.max_cp, 2);
-        assert_eq!(a.zero_modes, vec![ZeroMode::Zero1, ZeroMode::Zero3]);
-        assert!(a.guided);
-        assert!(a.json);
-        let spec = a.spec().unwrap();
-        assert_eq!(spec.input.ngpu, 16);
-        assert_eq!(spec.goodput_head, 3);
-        assert_eq!(spec.max_cp, 2);
-        assert_eq!(spec.zero_modes, vec![ZeroMode::Zero1, ZeroMode::Zero3]);
-        assert_eq!(spec.strategy, SearchStrategy::Guided);
-        let plain = SearchArgs::parse(&args(&[])).unwrap();
-        assert!(!plain.guided);
-        assert_eq!(plain.spec().unwrap().strategy, SearchStrategy::Exhaustive);
-    }
-
-    #[test]
-    fn bad_search_args_are_rejected() {
-        assert!(SearchArgs::parse(&args(&["--expect", "8,1,16"])).is_err());
-        assert!(SearchArgs::parse(&args(&["--frontier"])).is_err());
-        assert!(SearchArgs::parse(&args(&["--zero", "zero4"])).is_err());
-        let a = SearchArgs::parse(&args(&["--model", "1t"])).unwrap();
-        assert!(a.spec().is_err());
-    }
-
-    #[test]
-    fn snapshot_args_share_the_json_switch() {
-        assert!(SnapshotArgs::parse(&args(&["--json"])).unwrap().json);
-        assert!(!SnapshotArgs::parse(&args(&[])).unwrap().json);
-        assert!(SnapshotArgs::parse(&args(&["--cases", "5"])).is_err());
-    }
 }

@@ -32,14 +32,13 @@ use crate::invariants::{
     check_step_report, check_trace_monotone,
 };
 use crate::oracles::{
-    oracle_continuous_batching, oracle_fluid_fast_path, oracle_folded_vs_full,
-    oracle_run_vs_deprecated, program_vs_engine,
+    oracle_continuous_batching, oracle_fluid_fast_path, oracle_folded_vs_full, program_vs_engine,
 };
 use cluster_model::{Cluster, GlobalRank, GpuSpec};
 use llm_model::{MaskSpec, ModelLayout, PrecisionPolicy, TransformerConfig};
 use parallelism_core::infer::{InferPlan, InferSpec, InferenceModel};
 use parallelism_core::pp::sim::TableCosts;
-use parallelism_core::query;
+use parallelism_core::query::{self, FuzzQuery};
 use parallelism_core::pp::UniformCosts;
 use parallelism_core::step::{SimOptions, StepModel};
 use parallelism_core::{
@@ -283,7 +282,7 @@ impl CaseSpec {
     /// causality, memory recomposition, step-report sanity, trace
     /// monotonicity, ring/FSDP byte conservation, and the cheap
     /// differential oracles (folding and the joint-graph step reference
-    /// under jitter seeded by [`CaseSpec::seed`], deprecated wrappers,
+    /// under jitter seeded by [`CaseSpec::seed`], traced vs untraced runs,
     /// fluid fast path). The goodput and memoization oracles run in the
     /// grid tests instead — they price a whole training day and clear
     /// the process-global cost cache, which would dominate a
@@ -346,7 +345,6 @@ impl CaseSpec {
         .map_err(ctx("fsdp conservation"))?;
 
         oracle_folded_vs_full(&m, seed).map_err(ctx("oracle folded-vs-full"))?;
-        oracle_run_vs_deprecated(&m).map_err(ctx("oracle run-vs-deprecated"))?;
         oracle_fluid_fast_path(
             &[25e9, 50e9, 100e9, 200e9],
             &[
@@ -414,7 +412,7 @@ impl CaseSpec {
             ScheduleKind::Flexible { nc } => format!("ScheduleKind::Flexible {{ nc: {nc} }}"),
         };
         format!(
-            r#"// Found by `conformance_fuzz --seed {seed:#x}` (case {case}, {shrink_steps} shrink steps).
+            r#"// Found by `llama3sim fuzz --seed {seed:#x}` (case {case}, {shrink_steps} shrink steps).
 #[test]
 fn conformance_counterexample_seed_{seed:x}_case_{case}() {{
     use conformance::fuzz::{{CaseSpec, GpuChoice}};
@@ -852,10 +850,10 @@ pub struct InferCounterexample {
 /// (each case prices a full serving horizon, so sweeps are shorter than
 /// the step-model family's).
 pub fn run_infer_sweep(
-    args: &FuzzArgs,
+    args: &FuzzQuery,
     mut progress: impl FnMut(u64),
 ) -> Option<InferCounterexample> {
-    let FuzzArgs { cases, seed } = *args;
+    let FuzzQuery { cases, seed } = *args;
     let mut rng = TestRng::new(seed);
     for case in 0..cases {
         let spec = InferCaseSpec::sample(&mut rng);
@@ -899,10 +897,10 @@ pub struct TraceCounterexample {
 /// [`TraceOpSpec::check`] on each, and on the first violation greedily
 /// shrinks it via [`minimize_with`]. Returns `None` on a clean sweep.
 pub fn run_trace_sweep(
-    args: &FuzzArgs,
+    args: &FuzzQuery,
     mut progress: impl FnMut(u64),
 ) -> Option<TraceCounterexample> {
-    let FuzzArgs { cases, seed } = *args;
+    let FuzzQuery { cases, seed } = *args;
     let mut rng = TestRng::new(seed);
     for case in 0..cases {
         let spec = TraceOpSpec::sample(&mut rng);
@@ -927,26 +925,6 @@ pub fn run_trace_sweep(
     None
 }
 
-/// Options for the seeded fuzz sweep (`llama3sim fuzz` and the
-/// deprecated `conformance_fuzz` shim).
-#[derive(Debug, Clone, Copy)]
-pub struct FuzzArgs {
-    /// Number of sampled cases.
-    pub cases: u64,
-    /// RNG seed; the same `(cases, seed)` pair replays the same specs.
-    pub seed: u64,
-}
-
-impl Default for FuzzArgs {
-    fn default() -> FuzzArgs {
-        // lint: allow(cli-args) — the canonical defaults
-        FuzzArgs {
-            cases: 500,
-            seed: 1,
-        }
-    }
-}
-
 /// A shrunk sweep counterexample, ready to render or re-check.
 #[derive(Debug, Clone)]
 pub struct SweepCounterexample {
@@ -966,8 +944,7 @@ pub struct SweepCounterexample {
 
 /// The structured result of a seeded sweep: what ran and the first
 /// (shrunk) violation, if any. This is the data the query API's fuzz
-/// response is built from; the CLI printer ([`sweep`]) is a thin
-/// renderer over it.
+/// response is built from.
 #[derive(Debug, Clone)]
 pub struct SweepOutcome {
     /// Cases swept (the full count on a clean sweep; sweeping stops at
@@ -1003,8 +980,8 @@ impl SweepOutcome {
 /// greedily shrinks it. `progress` is called with the clean-case count
 /// every 500 cases (the CLI prints a heartbeat; the server passes a
 /// no-op).
-pub fn run_sweep(args: &FuzzArgs, mut progress: impl FnMut(u64)) -> SweepOutcome {
-    let FuzzArgs { cases, seed } = *args;
+pub fn run_sweep(args: &FuzzQuery, mut progress: impl FnMut(u64)) -> SweepOutcome {
+    let FuzzQuery { cases, seed } = *args;
     let mut rng = TestRng::new(seed);
     for case in 0..cases {
         let spec = CaseSpec::sample(&mut rng);
@@ -1035,37 +1012,6 @@ pub fn run_sweep(args: &FuzzArgs, mut progress: impl FnMut(u64)) -> SweepOutcome
         cases,
         seed,
         counterexample: None,
-    }
-}
-
-/// Runs the seeded sweep and prints the legacy CLI report: on the first
-/// violation, the diagnostics go to stderr and a ready-to-paste
-/// `#[test]` to stdout. Returns the process exit code: 0 on a clean
-/// sweep, 1 on a counterexample.
-#[deprecated(
-    since = "0.8.0",
-    note = "dispatch a `parallelism_core::query::Query::Fuzz` instead; \
-            this shim only renders `run_sweep`"
-)]
-pub fn sweep(args: &FuzzArgs) -> i32 {
-    let outcome = run_sweep(args, |clean| {
-        eprintln!("conformance fuzz: {clean}/{} cases clean", args.cases);
-    });
-    let SweepOutcome { cases, seed, .. } = outcome;
-    match outcome.counterexample {
-        Some(ce) => {
-            eprintln!("counterexample at case {}/{cases} (seed {seed:#x}):", ce.case);
-            eprintln!("  {}", ce.message);
-            eprintln!("shrunk in {} steps to: {}", ce.shrink_steps, ce.min_spec);
-            eprintln!("  {}", ce.min_message);
-            eprintln!("\npaste this test to pin the regression:\n");
-            println!("{}", ce.snippet);
-            1
-        }
-        None => {
-            println!("conformance fuzz: {cases} cases, seed {seed:#x}: no counterexamples");
-            0
-        }
     }
 }
 

@@ -1,21 +1,21 @@
 //! Differential oracles: run the fast path and the reference path on
 //! the same input and demand equivalence.
 //!
-//! The generic entry point is [`assert_equivalent`]; the ten concrete
-//! oracles cover every fast path added so far:
+//! The generic entry point is [`assert_equivalent`]; the nine concrete
+//! oracles cover every fast path added so far. They keep the numbers
+//! they were introduced under; number 4 (the retired `simulate*`
+//! wrappers vs `StepModel::run`) is not reused:
 //!
 //! 1. [`oracle_folded_vs_full`] — DP-symmetry folding vs the full
 //!    step, and `StepModel::run` vs [`reference_step_report`] (every
 //!    replica lowered into one engine-executed task graph) under
-//!    jitter, throttled ranks and degraded links;
-//!    [`program_vs_engine`] checks the compiled pipeline program
+//!    jitter, throttled ranks and degraded links, and a traced run vs
+//!    the untraced one; [`program_vs_engine`] checks the compiled pipeline program
 //!    against the engine op by op.
 //! 2. [`oracle_memoized_costs`] — the process-global collective cost
 //!    cache vs pricing uncached.
 //! 3. [`oracle_fluid_fast_path`] — the disjoint-single-link fluid
 //!    shortcut vs the general max-min event loop.
-//! 4. [`oracle_run_vs_deprecated`] — `StepModel::run` vs the four
-//!    deprecated `simulate*` wrappers.
 //! 5. [`oracle_goodput_recomposition`] — `RunSimulator::simulate` vs an
 //!    independent step-by-step walk of the same fault timeline.
 //! 6. [`oracle_search_frontier`] — the pruned auto-parallelism search
@@ -380,9 +380,11 @@ pub fn reference_step_report(
 /// [`SimFidelity::Full`] (the folding identity is exact, not
 /// approximate), and under every option set `oracle_step_options`
 /// builds from `seed` (jitter, throttled ranks, degraded links) `run`
-/// must equal [`reference_step_report`] bit for bit. Folded and full
-/// steps share one compiled pipeline program, so the engine-executed
-/// joint graph is what keeps this oracle independent of it.
+/// must equal [`reference_step_report`] bit for bit. A traced run must
+/// carry a trace and report exactly what the untraced run does. Folded
+/// and full steps share one compiled pipeline program, so the
+/// engine-executed joint graph is what keeps this oracle independent
+/// of it.
 pub fn oracle_folded_vs_full(m: &StepModel, seed: u64) -> CheckResult {
     let run = |opts: &SimOptions| {
         m.run(opts)
@@ -392,6 +394,13 @@ pub fn oracle_folded_vs_full(m: &StepModel, seed: u64) -> CheckResult {
     let folded = run(&SimOptions::new().fidelity(SimFidelity::Folded))?;
     let full = run(&SimOptions::new().fidelity(SimFidelity::Full))?;
     assert_equivalent("folded vs full", &folded, &full, 0.0)?;
+    let traced = m
+        .run(&SimOptions::new().trace(true))
+        .map_err(|e| format!("traced run failed: {e}"))?;
+    assert_equivalent("traced vs untraced", &traced.report, &folded, 0.0)?;
+    if traced.trace.is_none() {
+        return Err("run(trace: true) produced no trace".into());
+    }
     for (label, opts) in oracle_step_options(m, seed) {
         let report = run(&opts).map_err(|e| format!("{label}: {e}"))?;
         let reference =
@@ -547,58 +556,6 @@ pub fn oracle_fluid_fast_path(link_bps: &[f64], transfer_bytes: &[f64]) -> Check
         }
     }
     Ok(())
-}
-
-/// Oracle 4 — the deprecated `simulate*` wrappers are thin shims over
-/// [`StepModel::run`] and must stay bit-identical to it until removed.
-// lint: allow(deprecated-sim) — this oracle exists to test the deprecated wrappers
-#[allow(deprecated)]
-pub fn oracle_run_vs_deprecated(m: &StepModel) -> CheckResult {
-    let run_default = m
-        .run(&SimOptions::default())
-        .map_err(|e| format!("run failed: {e}"))?
-        .report;
-    assert_equivalent("simulate() vs run", &m.simulate(), &run_default, 0.0)?;
-    for fidelity in [SimFidelity::Folded, SimFidelity::Full] {
-        let via_run = m
-            .run(&SimOptions::new().fidelity(fidelity))
-            .map_err(|e| format!("run({fidelity:?}) failed: {e}"))?
-            .report;
-        assert_equivalent(
-            &format!("simulate_at({fidelity:?}) vs run"),
-            // lint: allow(deprecated-sim)
-            &m.simulate_at(fidelity),
-            &via_run,
-            0.0,
-        )?;
-    }
-    let jitter = cluster_model::jitter::JitterModel::new(
-        cluster_model::jitter::JitterKind::Static,
-        0.05,
-        17,
-    );
-    let via_run = m
-        .run(&SimOptions::new().jitter(jitter).step(3))
-        .map_err(|e| format!("jittered run failed: {e}"))?
-        .report;
-    assert_equivalent(
-        "simulate_jittered vs run",
-        // lint: allow(deprecated-sim)
-        &m.simulate_jittered(&jitter, 3),
-        &via_run,
-        0.0,
-    )?;
-    // lint: allow(deprecated-sim)
-    let (report, trace) = m.simulate_with_trace();
-    let outcome = m
-        .run(&SimOptions::new().trace(true))
-        .map_err(|e| format!("traced run failed: {e}"))?;
-    assert_equivalent("simulate_with_trace vs run", &report, &outcome.report, 0.0)?;
-    match outcome.trace {
-        Some(t) if t == trace => Ok(()),
-        Some(_) => Err("simulate_with_trace vs run: traces differ".into()),
-        None => Err("run(trace: true) produced no trace".into()),
-    }
 }
 
 /// Oracle 5 — `RunSimulator` day totals vs an independent naive

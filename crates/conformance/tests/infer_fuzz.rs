@@ -7,11 +7,12 @@
 //! than the trace-store family's but still covers all three traffic
 //! shapes many times over.
 
-use conformance::fuzz::{run_infer_sweep, FuzzArgs};
+use conformance::fuzz::run_infer_sweep;
+use parallelism_core::query::FuzzQuery;
 
 #[test]
 fn infer_battery_40_cases_is_clean() {
-    let args = FuzzArgs { cases: 40, seed: 1 };
+    let args = FuzzQuery { cases: 40, seed: 1 };
     let mut heartbeats = 0u32;
     let ce = run_infer_sweep(&args, |_clean| heartbeats += 1);
     if let Some(ce) = ce {
@@ -27,7 +28,7 @@ fn infer_battery_40_cases_is_clean() {
 fn infer_sweep_replays_identically() {
     // Same (cases, seed) pair, same verdict — the sweep is a pure
     // function of its arguments.
-    let args = FuzzArgs {
+    let args = FuzzQuery {
         cases: 6,
         seed: 0xBEEF,
     };

@@ -1,4 +1,4 @@
-//! Runs the nine differential oracles over the deterministic
+//! Runs the differential oracles over the deterministic
 //! ≥ 50-configuration grid from `conformance::grid` (the search-funnel
 //! and guided-search oracles over small exhaustive search spaces
 //! instead — their references are quadratic; the run-trace replay
@@ -11,7 +11,7 @@ use conformance::grid::config_grid;
 use conformance::oracles::{
     oracle_fluid_fast_path, oracle_folded_vs_full, oracle_goodput_recomposition,
     oracle_guided_frontier, oracle_memoized_costs, oracle_run_trace_replay,
-    oracle_run_vs_deprecated, oracle_search_frontier, oracle_tiered_trace,
+    oracle_search_frontier, oracle_tiered_trace,
 };
 use parallelism_core::search::{enumerate_configs, SearchSpec};
 use parallelism_core::{CheckpointPolicy, Dim, RunSimulator, ZeroMode};
@@ -24,15 +24,6 @@ fn folded_matches_full_across_grid() {
     for spec in &grid {
         oracle_folded_vs_full(&spec.build(), spec.seed())
             .unwrap_or_else(|e| panic!("[{spec}] {e}"));
-    }
-}
-
-#[test]
-fn deprecated_wrappers_match_run_across_grid() {
-    let grid = config_grid();
-    assert!(grid.len() >= 50);
-    for spec in &grid {
-        oracle_run_vs_deprecated(&spec.build()).unwrap_or_else(|e| panic!("[{spec}] {e}"));
     }
 }
 

@@ -5,11 +5,12 @@
 //! cheaper than a step-model case, so the whole battery stays in the
 //! low seconds.
 
-use conformance::fuzz::{run_trace_sweep, FuzzArgs};
+use conformance::fuzz::run_trace_sweep;
+use parallelism_core::query::FuzzQuery;
 
 #[test]
 fn trace_op_battery_2000_cases_is_clean() {
-    let args = FuzzArgs {
+    let args = FuzzQuery {
         cases: 2000,
         seed: 1,
     };
@@ -28,7 +29,7 @@ fn trace_op_battery_2000_cases_is_clean() {
 fn trace_sweep_replays_identically() {
     // Same (cases, seed) pair, same verdict — the sweep is a pure
     // function of its arguments.
-    let args = FuzzArgs {
+    let args = FuzzQuery {
         cases: 50,
         seed: 0xD15C,
     };

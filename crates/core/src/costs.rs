@@ -18,7 +18,7 @@
 //!   error costs at most extra candidate evaluations, never wrong
 //!   frontier points.
 //!
-//! Repo rule (enforced by `repo_lint`'s `scalar-costs` rule): no direct
+//! Repo rule (enforced by `llama3sim lint`'s LINT004): no direct
 //! float arithmetic in this module — every quantity is an `S` and every
 //! constant enters through [`Scalar::lit`].
 

@@ -19,11 +19,20 @@
 //! `threads` knob), so a thundering herd that only disagrees about
 //! thread counts coalesces onto one computation.
 //!
+//! Each record-shaped kind (`search`, `trace`, `infer`, `fuzz`, and
+//! `analyze` through a flat key record) has one [`Field`] table, in
+//! canonical key order. That table is the whole grammar: it drives
+//! [`Query::to_wire`], [`Query::parse_wire`], the `llama3sim` flags
+//! ([`Record::from_args`]: key `k` is flag `--k` with `_` written as
+//! `-`, taking exactly the wire value) and the usage text
+//! ([`Record::usage`]). Numbers are decimal or `0x` hex on input, and
+//! always decimal on output.
+//!
 //! This module defines only data — no I/O, no dispatch — so it can sit
 //! in `parallelism_core` without dragging the analyzer, conformance or
-//! bench crates into the dependency graph. A `repo_lint` rule keeps
-//! these wire types out of the crates *below* core: the substrate
-//! must not grow knowledge of the network protocol.
+//! bench crates into the dependency graph. A `llama3sim lint` rule
+//! (LINT005) keeps these wire types out of the crates *below* core:
+//! the substrate must not grow knowledge of the network protocol.
 
 use crate::analyze;
 use crate::fsdp::ZeroMode;
@@ -205,7 +214,8 @@ pub enum TraceMode {
 }
 
 impl TraceMode {
-    fn tag(self) -> &'static str {
+    /// The mode's wire tag.
+    pub fn tag(self) -> &'static str {
         match self {
             TraceMode::Chrome => "chrome",
             TraceMode::Stats => "stats",
@@ -271,19 +281,8 @@ impl TraceQuery {
     /// (model, gpus, seq) combination.
     pub fn to_step(&self) -> Result<crate::step::StepModel, QueryError> {
         use crate::planner::{candidate_step, plan, PlannerInput};
-        use llm_model::TransformerConfig;
-        let model = match self.model.as_str() {
-            "405b" => TransformerConfig::llama3_405b(),
-            "70b" => TransformerConfig::llama3_70b(),
-            "8b" => TransformerConfig::llama3_8b(),
-            other => {
-                return Err(QueryError::new(format!(
-                    "unknown model {other:?} (want 405b|70b|8b)"
-                )))
-            }
-        };
         let mut input = PlannerInput::llama3_405b(self.gpus, self.seq);
-        input.model = model;
+        input.model = model_config(&self.model)?;
         let p = plan(&input).map_err(|e| QueryError::new(format!("trace: {e}")))?;
         let (step, _bs) = candidate_step(&input, p.mesh.tp(), p.mesh.cp(), p.mesh.pp())
             .ok_or_else(|| QueryError::new("trace: planned mesh is not admissible"))?;
@@ -346,19 +345,20 @@ impl Default for InferQuery {
     }
 }
 
-impl InferQuery {
-    fn config(&self) -> Result<llm_model::TransformerConfig, QueryError> {
-        use llm_model::TransformerConfig;
-        match self.model.as_str() {
-            "405b" => Ok(TransformerConfig::llama3_405b()),
-            "70b" => Ok(TransformerConfig::llama3_70b()),
-            "8b" => Ok(TransformerConfig::llama3_8b()),
-            other => Err(QueryError::new(format!(
-                "unknown model {other:?} (want 405b|70b|8b)"
-            ))),
-        }
+/// Resolves a `model=` name to its configuration.
+fn model_config(name: &str) -> Result<llm_model::TransformerConfig, QueryError> {
+    use llm_model::TransformerConfig;
+    match name {
+        "405b" => Ok(TransformerConfig::llama3_405b()),
+        "70b" => Ok(TransformerConfig::llama3_70b()),
+        "8b" => Ok(TransformerConfig::llama3_8b()),
+        other => Err(QueryError::new(format!(
+            "unknown model {other:?} (want 405b|70b|8b)"
+        ))),
     }
+}
 
+impl InferQuery {
     /// Resolves the query to an [`InferenceModel`]: explicit `tp`/`pp`
     /// when given, otherwise [`InferPlan::auto`], with replicas filling
     /// the fleet.
@@ -367,7 +367,7 @@ impl InferQuery {
     /// [`QueryError`] on an unknown model, an infeasible mesh, or a
     /// fleet smaller than one replica.
     pub fn to_model(&self) -> Result<InferenceModel, QueryError> {
-        let cfg = self.config()?;
+        let cfg = model_config(&self.model)?;
         let gpu = cluster_model::gpu::GpuSpec::h100_sxm_hbm3();
         let gpus_per_node = 8;
         let plan = if self.tp > 0 || self.pp > 0 {
@@ -427,6 +427,194 @@ pub enum Query {
     Infer(InferQuery),
 }
 
+/// How a [`Field`] is spelled on the `llama3sim` command line. The
+/// flag for key `k` is `--k` with `_` written as `-`, and its value is
+/// exactly the wire value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Arg {
+    /// `--k VALUE`; the string is VALUE's placeholder in the usage text.
+    Value(&'static str),
+    /// A bare `--k` switch, meaning `k=true`.
+    Switch,
+    /// One bare switch per listed variant: `--v` means `k=v`.
+    Variants(&'static [&'static str]),
+    /// No flag: the key exists only on the wire.
+    WireOnly,
+}
+
+/// One wire key of a query kind: the single definition that the wire
+/// codec, the CLI flags and the usage text are all derived from.
+pub struct Field<Q: 'static> {
+    /// The wire key.
+    pub(crate) key: &'static str,
+    /// The CLI spelling.
+    pub(crate) arg: Arg,
+    /// One-line help for the usage text.
+    pub(crate) help: &'static str,
+    /// Parses a wire value into the field.
+    pub(crate) parse: fn(&mut Q, &str) -> Result<(), String>,
+    /// Renders the field as a wire value. A field whose rendering
+    /// equals the default's is omitted from the wire.
+    pub(crate) render: fn(&Q) -> String,
+}
+
+impl<Q> Field<Q> {
+    fn flag(&self) -> String {
+        format!("--{}", self.key.replace('_', "-"))
+    }
+
+    /// The `(key, value)` pair CLI argument `arg` stands for; the value
+    /// is `None` when it is the next argument.
+    fn match_flag(&self, arg: &str) -> Option<(&'static str, Option<&'static str>)> {
+        match self.arg {
+            Arg::Value(_) if self.flag() == arg => Some((self.key, None)),
+            Arg::Switch if self.flag() == arg => Some((self.key, Some("true"))),
+            Arg::Variants(vs) => {
+                let v = vs.iter().find(|&&v| arg.strip_prefix("--") == Some(v))?;
+                Some((self.key, Some(*v)))
+            }
+            _ => None,
+        }
+    }
+}
+
+/// A query kind whose wire form is one [`Field`] table.
+pub trait Record: Default + 'static {
+    /// The wire kind tag.
+    const KIND: &'static str;
+    /// One row per wire key, in canonical wire order.
+    const FIELDS: &'static [Field<Self>];
+
+    /// Appends ` key=value` for every field that renders differently
+    /// from the default.
+    fn encode(&self, out: &mut String) {
+        let d = Self::default();
+        for f in Self::FIELDS {
+            let v = (f.render)(self);
+            if v != (f.render)(&d) {
+                out.push(' ');
+                out.push_str(f.key);
+                out.push('=');
+                out.push_str(&v);
+            }
+        }
+    }
+
+    /// Builds the record from `key=value` pairs: unknown and repeated
+    /// keys are errors, absent keys keep their defaults.
+    ///
+    /// # Errors
+    /// [`QueryError`] naming the offending key.
+    fn decode(pairs: &[(&str, &str)]) -> Result<Self, QueryError> {
+        let mut q = Self::default();
+        for (i, &(k, v)) in pairs.iter().enumerate() {
+            if pairs[..i].iter().any(|&(seen, _)| seen == k) {
+                return Err(QueryError::new(format!("duplicate key {k:?}")));
+            }
+            let f = Self::FIELDS.iter().find(|f| f.key == k).ok_or_else(|| {
+                QueryError::new(format!("{}: unknown key {k:?}", Self::KIND))
+            })?;
+            (f.parse)(&mut q, v).map_err(|e| QueryError::new(format!("{k}: {e}")))?;
+        }
+        Ok(q)
+    }
+
+    /// Builds the record from CLI flags, each translated to its wire
+    /// pair and then decoded exactly as the wire is.
+    ///
+    /// # Errors
+    /// [`QueryError`] on an unrecognized flag, a missing value, or
+    /// anything [`Record::decode`] rejects.
+    fn from_args(args: &[String]) -> Result<Self, QueryError> {
+        let mut pairs: Vec<(&str, &str)> = Vec::with_capacity(args.len());
+        let mut flags: Vec<&str> = Vec::with_capacity(args.len());
+        let mut rest = args.iter();
+        while let Some(a) = rest.next() {
+            let (key, value) = Self::FIELDS
+                .iter()
+                .find_map(|f| f.match_flag(a))
+                .ok_or_else(|| QueryError::new(format!("unrecognized argument {a:?}")))?;
+            if let Some(i) = pairs.iter().position(|&(k, _)| k == key) {
+                return Err(QueryError::new(format!("{a} conflicts with {}", flags[i])));
+            }
+            flags.push(a);
+            let value = match value {
+                Some(v) => v,
+                None => rest
+                    .next()
+                    .ok_or_else(|| QueryError::new(format!("{a} requires a value")))?,
+            };
+            pairs.push((key, value));
+        }
+        Self::decode(&pairs)
+    }
+
+    /// The usage text's `(flags, help)` line of every CLI-visible
+    /// field, with the default appended when it is not empty.
+    fn usage() -> Vec<(String, String)> {
+        let d = Self::default();
+        Self::FIELDS
+            .iter()
+            .filter_map(|f| {
+                let flags = match f.arg {
+                    Arg::Value(placeholder) => format!("{} {placeholder}", f.flag()),
+                    Arg::Switch => f.flag(),
+                    Arg::Variants(vs) => {
+                        let each: Vec<String> = vs.iter().map(|v| format!("--{v}")).collect();
+                        each.join(" | ")
+                    }
+                    Arg::WireOnly => return None,
+                };
+                let default = (f.render)(&d);
+                let help = if default.is_empty() || f.arg == Arg::Switch {
+                    f.help.to_string()
+                } else {
+                    format!("{} (default {default})", f.help)
+                };
+                Some((flags, help))
+            })
+            .collect()
+    }
+}
+
+/// Parses a decimal or `0x`-prefixed hex number: the one number grammar
+/// of the wire and the CLI. Values are always rendered in decimal.
+///
+/// # Errors
+/// A message naming the value when it is not a number or does not fit
+/// `T`.
+pub fn parse_num<T: TryFrom<u64>>(v: &str) -> Result<T, String> {
+    let n = match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => v.parse(),
+    };
+    n.ok()
+        .and_then(|n| T::try_from(n).ok())
+        .ok_or_else(|| format!("bad number {v:?}"))
+}
+
+/// Parses a comma-separated list, rejecting it if any element fails.
+fn parse_list<T>(v: &str, item: fn(&str) -> Result<T, String>) -> Result<Vec<T>, String> {
+    v.split(',').map(|p| item(p.trim())).collect()
+}
+
+fn parse_bool(v: &str) -> Result<bool, String> {
+    match v {
+        "true" => Ok(true),
+        "false" => Ok(false),
+        other => Err(format!("want true|false, got {other:?}")),
+    }
+}
+
+fn parse_zero(v: &str) -> Result<ZeroMode, String> {
+    match v {
+        "zero1" | "1" => Ok(ZeroMode::Zero1),
+        "zero2" | "2" => Ok(ZeroMode::Zero2),
+        "zero3" | "3" => Ok(ZeroMode::Zero3),
+        other => Err(format!("unknown mode {other:?} (want zero1|zero2|zero3)")),
+    }
+}
+
 fn zero_tag(z: ZeroMode) -> &'static str {
     match z {
         ZeroMode::Zero1 => "zero1",
@@ -435,22 +623,287 @@ fn zero_tag(z: ZeroMode) -> &'static str {
     }
 }
 
-fn parse_zero(s: &str) -> Result<Vec<ZeroMode>, QueryError> {
-    s.split(',')
-        .map(|m| match m.trim() {
-            "zero1" | "1" => Ok(ZeroMode::Zero1),
-            "zero2" | "2" => Ok(ZeroMode::Zero2),
-            "zero3" | "3" => Ok(ZeroMode::Zero3),
-            other => Err(QueryError::new(format!(
-                "zero: unknown mode {other:?} (want zero1|zero2|zero3)"
-            ))),
-        })
-        .collect()
+/// A numeric field: decimal or hex in, decimal out.
+macro_rules! num_field {
+    ($key:literal, $placeholder:literal, $help:literal, $field:ident) => {
+        Field {
+            key: $key,
+            arg: Arg::Value($placeholder),
+            help: $help,
+            parse: |q, v| {
+                q.$field = parse_num(v)?;
+                Ok(())
+            },
+            render: |q| q.$field.to_string(),
+        }
+    };
 }
 
-fn parse_num<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, QueryError> {
-    v.parse()
-        .map_err(|_| QueryError::new(format!("{key}: bad number {v:?}")))
+/// The model-name field, resolved (and validated) only when the query
+/// runs.
+macro_rules! model_field {
+    () => {
+        Field {
+            key: "model",
+            arg: Arg::Value("405b|70b|8b"),
+            help: "model size",
+            parse: |q, v| {
+                q.model = v.to_string();
+                Ok(())
+            },
+            render: |q| q.model.clone(),
+        }
+    };
+}
+
+impl Record for FuzzQuery {
+    const KIND: &'static str = "fuzz";
+    const FIELDS: &'static [Field<FuzzQuery>] = &[
+        num_field!("cases", "N", "sampled cases", cases),
+        num_field!("seed", "S", "RNG seed", seed),
+    ];
+}
+
+impl Record for SearchQuery {
+    const KIND: &'static str = "search";
+    const FIELDS: &'static [Field<SearchQuery>] = &[
+        model_field!(),
+        num_field!("gpus", "N", "cluster size in GPUs", gpus),
+        num_field!("seq", "N", "sequence length", seq),
+        num_field!("layers", "N", "layer-count override; 0 keeps the model's", layers),
+        num_field!("budget", "TOKENS", "token-budget override; 0 keeps 16M", budget),
+        num_field!("head", "N", "goodput-refine the best N frontier points; 0 = off", goodput_head),
+        num_field!("threads", "N", "scoring threads; 0 = all (a hint, not hashed)", threads),
+        num_field!("max_cp", "N", "largest CP degree to enumerate; 0 = 64", max_cp),
+        Field {
+            key: "zero",
+            arg: Arg::Value("M1[,M2...]"),
+            help: "ZeRO modes to enumerate, zero1|zero2|zero3; empty = all",
+            parse: |q, v| {
+                q.zero = parse_list(v, parse_zero)?;
+                Ok(())
+            },
+            render: |q| {
+                let tags: Vec<&str> = q.zero.iter().map(|&z| zero_tag(z)).collect();
+                tags.join(",")
+            },
+        },
+        Field {
+            key: "expect",
+            arg: Arg::Value("tp,cp,pp,dp"),
+            help: "exit 1 unless this mesh is on the frontier",
+            parse: |q, v| {
+                let [tp, cp, pp, dp] = parse_list(v, parse_num)?[..] else {
+                    return Err(format!("want tp,cp,pp,dp, got {v:?}"));
+                };
+                q.expect = Some((tp, cp, pp, dp));
+                Ok(())
+            },
+            render: |q| {
+                q.expect
+                    .map_or(String::new(), |(tp, cp, pp, dp)| format!("{tp},{cp},{pp},{dp}"))
+            },
+        },
+        Field {
+            key: "guided",
+            arg: Arg::Switch,
+            help: "gradient-guided candidates, timed against the exhaustive baseline",
+            parse: |q, v| {
+                q.guided = parse_bool(v)?;
+                Ok(())
+            },
+            render: |q| q.guided.to_string(),
+        },
+        Field {
+            key: "workload",
+            arg: Arg::Value("train|infer"),
+            help: "rank meshes by step time or by serving p99 TTFT",
+            parse: |q, v| {
+                q.workload = Workload::parse(v)
+                    .ok_or_else(|| format!("unknown tag {v:?} (want train|infer)"))?;
+                Ok(())
+            },
+            render: |q| q.workload.tag().to_string(),
+        },
+    ];
+}
+
+impl Record for TraceQuery {
+    const KIND: &'static str = "trace";
+    const FIELDS: &'static [Field<TraceQuery>] = &[
+        model_field!(),
+        num_field!("gpus", "N", "cluster size in GPUs", gpus),
+        num_field!("seq", "N", "sequence length", seq),
+        num_field!("horizon", "S", "run horizon, seconds", horizon_s),
+        num_field!("seed", "S", "fault-timeline seed", seed),
+        num_field!("tier0", "N", "tier-0 capacity of the trace store, events", tier0),
+        Field {
+            key: "window",
+            arg: Arg::Value("T0,T1"),
+            help: "seek window in seconds, rematerialized replay-exact",
+            parse: |q, v| {
+                let [t0, t1] = parse_list(v, parse_num)?[..] else {
+                    return Err(format!("want t0,t1, got {v:?}"));
+                };
+                if t0 >= t1 {
+                    return Err(format!("t0 must be before t1, got {v:?}"));
+                }
+                q.window = Some((t0, t1));
+                Ok(())
+            },
+            render: |q| q.window.map_or(String::new(), |(t0, t1)| format!("{t0},{t1}")),
+        },
+        num_field!("zoom", "N", "decimate events to global-index stride 2^N", zoom),
+        Field {
+            key: "mode",
+            arg: Arg::Variants(&["stats", "smoke"]),
+            help: "window aggregates | replay self-check -> BENCH_trace.json",
+            parse: |q, v| {
+                q.mode = match v {
+                    "chrome" => TraceMode::Chrome,
+                    "stats" => TraceMode::Stats,
+                    "smoke" => TraceMode::Smoke,
+                    other => {
+                        return Err(format!("unknown mode {other:?} (want chrome|stats|smoke)"))
+                    }
+                };
+                Ok(())
+            },
+            render: |q| q.mode.tag().to_string(),
+        },
+    ];
+}
+
+impl Record for InferQuery {
+    const KIND: &'static str = "infer";
+    const FIELDS: &'static [Field<InferQuery>] = &[
+        model_field!(),
+        num_field!("gpus", "N", "fleet size in GPUs", gpus),
+        num_field!("tp", "N", "tensor-parallel degree per replica; 0 = auto", tp),
+        num_field!("pp", "N", "pipeline stages per replica; 0 = auto", pp),
+        Field {
+            key: "traffic",
+            arg: Arg::Value("SHAPE"),
+            help: "traffic profile, steady|diurnal|bursty",
+            parse: |q, v| {
+                q.traffic = TrafficShape::parse(v)
+                    .ok_or_else(|| format!("unknown shape {v:?} (want steady|diurnal|bursty)"))?;
+                Ok(())
+            },
+            render: |q| q.traffic.tag().to_string(),
+        },
+        num_field!("rpd", "N", "offered load, requests per day", requests_per_day),
+        num_field!("horizon", "S", "arrival window, seconds", horizon_s),
+        num_field!("seed", "S", "traffic seed", seed),
+        num_field!("block", "N", "KV-block size, tokens", block),
+        num_field!("batch", "N", "max resident sequences per replica", max_batch),
+        num_field!("slo_ttft", "MS", "TTFT SLO, milliseconds", slo_ttft_ms),
+        num_field!("slo_tpot", "MS", "TPOT SLO, milliseconds", slo_tpot_ms),
+        num_field!("threads", "N", "simulation threads; 0 = all (a hint, not hashed)", threads),
+    ];
+}
+
+/// The `analyze` query's wire keys. [`AnalyzeMode`] is an enum, so it
+/// travels as this flat record: `mode` names the variant and `config`
+/// or `index` carries its payload.
+#[derive(Debug, Default)]
+struct AnalyzeKeys {
+    mode: Option<&'static str>,
+    config: Option<String>,
+    index: Option<usize>,
+}
+
+impl Record for AnalyzeKeys {
+    const KIND: &'static str = "analyze";
+    const FIELDS: &'static [Field<AnalyzeKeys>] = &[
+        Field {
+            key: "mode",
+            arg: Arg::Variants(&["list", "grid"]),
+            help: "list the named configs | sweep the 64-config grid (the default)",
+            parse: |q, v| {
+                let modes = ["list", "config", "grid", "grid_index"];
+                let tag = modes.into_iter().find(|&m| m == v);
+                q.mode = Some(tag.ok_or_else(|| {
+                    format!("unknown mode {v:?} (want list|config|grid|grid_index)")
+                })?);
+                Ok(())
+            },
+            render: |q| q.mode.unwrap_or_default().to_string(),
+        },
+        Field {
+            key: "config",
+            arg: Arg::Value("NAME"),
+            help: "analyze one named configuration",
+            parse: |q, v| {
+                q.config = Some(v.to_string());
+                Ok(())
+            },
+            render: |q| q.config.clone().unwrap_or_default(),
+        },
+        Field {
+            key: "index",
+            arg: Arg::WireOnly,
+            help: "analyze one grid configuration by 0-based index",
+            parse: |q, v| {
+                q.index = Some(parse_num(v)?);
+                Ok(())
+            },
+            render: |q| q.index.map_or(String::new(), |i| i.to_string()),
+        },
+    ];
+}
+
+impl AnalyzeKeys {
+    fn from_mode(mode: &AnalyzeMode) -> AnalyzeKeys {
+        let (tag, config, index) = match mode {
+            AnalyzeMode::List => ("list", None, None),
+            AnalyzeMode::Config(name) => ("config", Some(name.clone()), None),
+            AnalyzeMode::Grid => ("grid", None, None),
+            AnalyzeMode::GridIndex(i) => ("grid_index", None, Some(*i)),
+        };
+        AnalyzeKeys {
+            mode: Some(tag),
+            config,
+            index,
+        }
+    }
+
+    /// Resolves the keys to a mode. Without `mode=`, the payload key
+    /// present picks its mode (else the grid); a payload key the mode
+    /// would ignore is an error.
+    fn into_mode(self) -> Result<AnalyzeMode, QueryError> {
+        let mode = self.mode.unwrap_or(match (&self.config, self.index) {
+            (Some(_), _) => "config",
+            (None, Some(_)) => "grid_index",
+            (None, None) => "grid",
+        });
+        let err = |what: &str| Err(QueryError::new(format!("analyze: mode={mode} {what}")));
+        match (mode, self.config, self.index) {
+            ("list", None, None) => Ok(AnalyzeMode::List),
+            ("grid", None, None) => Ok(AnalyzeMode::Grid),
+            ("config", Some(name), None) => Ok(AnalyzeMode::Config(name)),
+            ("grid_index", None, Some(i)) => Ok(AnalyzeMode::GridIndex(i)),
+            ("config", None, _) => err("wants config=NAME"),
+            ("grid_index", _, None) => err("wants index=N"),
+            (_, Some(_), _) => err("ignores config="),
+            _ => err("ignores index="),
+        }
+    }
+}
+
+impl AnalyzeMode {
+    /// Parses `analyze` CLI flags through the same keys as the wire.
+    ///
+    /// # Errors
+    /// [`QueryError`] on an unrecognized flag or an inconsistent mode.
+    pub fn from_args(args: &[String]) -> Result<AnalyzeMode, QueryError> {
+        AnalyzeKeys::from_args(args)?.into_mode()
+    }
+
+    /// The usage text's `(flags, help)` lines.
+    pub fn usage() -> Vec<(String, String)> {
+        AnalyzeKeys::usage()
+    }
 }
 
 impl Query {
@@ -473,147 +926,13 @@ impl Query {
     /// encoding is injective over semantically distinct queries.
     pub fn to_wire(&self) -> String {
         let mut out = format!("{WIRE_MAGIC} {}", self.kind());
-        let mut kv = |k: &str, v: String| {
-            out.push(' ');
-            out.push_str(k);
-            out.push('=');
-            out.push_str(&v);
-        };
         match self {
-            Query::Analyze(mode) => match mode {
-                AnalyzeMode::List => kv("mode", "list".into()),
-                AnalyzeMode::Config(name) => {
-                    kv("mode", "config".into());
-                    kv("config", name.clone());
-                }
-                AnalyzeMode::Grid => kv("mode", "grid".into()),
-                AnalyzeMode::GridIndex(i) => {
-                    kv("mode", "grid_index".into());
-                    kv("index", i.to_string());
-                }
-            },
-            Query::Fuzz(f) => {
-                let d = FuzzQuery::default();
-                if f.cases != d.cases {
-                    kv("cases", f.cases.to_string());
-                }
-                if f.seed != d.seed {
-                    kv("seed", f.seed.to_string());
-                }
-            }
+            Query::Analyze(mode) => AnalyzeKeys::from_mode(mode).encode(&mut out),
+            Query::Fuzz(q) => q.encode(&mut out),
+            Query::Search(q) => q.encode(&mut out),
+            Query::Trace(q) => q.encode(&mut out),
+            Query::Infer(q) => q.encode(&mut out),
             Query::Bench | Query::Goodput | Query::Stats => {}
-            Query::Search(s) => {
-                let d = SearchQuery::default();
-                if s.model != d.model {
-                    kv("model", s.model.clone());
-                }
-                if s.gpus != d.gpus {
-                    kv("gpus", s.gpus.to_string());
-                }
-                if s.seq != d.seq {
-                    kv("seq", s.seq.to_string());
-                }
-                if s.layers != d.layers {
-                    kv("layers", s.layers.to_string());
-                }
-                if s.budget != d.budget {
-                    kv("budget", s.budget.to_string());
-                }
-                if s.goodput_head != d.goodput_head {
-                    kv("head", s.goodput_head.to_string());
-                }
-                if s.threads != d.threads {
-                    kv("threads", s.threads.to_string());
-                }
-                if s.max_cp != d.max_cp {
-                    kv("max_cp", s.max_cp.to_string());
-                }
-                if !s.zero.is_empty() {
-                    let list: Vec<&str> = s.zero.iter().map(|&z| zero_tag(z)).collect();
-                    kv("zero", list.join(","));
-                }
-                if let Some((tp, cp, pp, dp)) = s.expect {
-                    kv("expect", format!("{tp},{cp},{pp},{dp}"));
-                }
-                if s.guided {
-                    kv("guided", "true".into());
-                }
-                if s.workload != d.workload {
-                    kv("workload", s.workload.tag().into());
-                }
-            }
-            Query::Trace(t) => {
-                let d = TraceQuery::default();
-                if t.model != d.model {
-                    kv("model", t.model.clone());
-                }
-                if t.gpus != d.gpus {
-                    kv("gpus", t.gpus.to_string());
-                }
-                if t.seq != d.seq {
-                    kv("seq", t.seq.to_string());
-                }
-                if t.horizon_s != d.horizon_s {
-                    kv("horizon", t.horizon_s.to_string());
-                }
-                if t.seed != d.seed {
-                    kv("seed", t.seed.to_string());
-                }
-                if t.tier0 != d.tier0 {
-                    kv("tier0", t.tier0.to_string());
-                }
-                if let Some((t0, t1)) = t.window {
-                    kv("window", format!("{t0},{t1}"));
-                }
-                if t.zoom != d.zoom {
-                    kv("zoom", t.zoom.to_string());
-                }
-                if t.mode != d.mode {
-                    kv("mode", t.mode.tag().into());
-                }
-            }
-            Query::Infer(i) => {
-                let d = InferQuery::default();
-                if i.model != d.model {
-                    kv("model", i.model.clone());
-                }
-                if i.gpus != d.gpus {
-                    kv("gpus", i.gpus.to_string());
-                }
-                if i.tp != d.tp {
-                    kv("tp", i.tp.to_string());
-                }
-                if i.pp != d.pp {
-                    kv("pp", i.pp.to_string());
-                }
-                if i.traffic != d.traffic {
-                    kv("traffic", i.traffic.tag().into());
-                }
-                if i.requests_per_day != d.requests_per_day {
-                    kv("rpd", i.requests_per_day.to_string());
-                }
-                if i.horizon_s != d.horizon_s {
-                    kv("horizon", i.horizon_s.to_string());
-                }
-                if i.seed != d.seed {
-                    kv("seed", i.seed.to_string());
-                }
-                if i.block != d.block {
-                    kv("block", i.block.to_string());
-                }
-                if i.max_batch != d.max_batch {
-                    kv("batch", i.max_batch.to_string());
-                }
-                if i.slo_ttft_ms != d.slo_ttft_ms {
-                    kv("slo_ttft", i.slo_ttft_ms.to_string());
-                }
-                if i.slo_tpot_ms != d.slo_tpot_ms {
-                    kv("slo_tpot", i.slo_tpot_ms.to_string());
-                }
-                if i.threads != d.threads {
-                    kv("threads", i.threads.to_string());
-                }
-            }
         }
         out
     }
@@ -661,240 +980,25 @@ impl Query {
         let kind = tokens
             .next()
             .ok_or_else(|| QueryError::new("missing query kind"))?;
-        let mut pairs: Vec<(&str, &str)> = Vec::new();
-        for t in tokens {
-            let Some((k, v)) = t.split_once('=') else {
-                return Err(QueryError::new(format!("bad token {t:?} (want key=value)")));
-            };
-            if pairs.iter().any(|&(seen, _)| seen == k) {
-                return Err(QueryError::new(format!("duplicate key {k:?}")));
-            }
-            pairs.push((k, v));
-        }
-        let get = |key: &str| pairs.iter().find(|&&(k, _)| k == key).map(|&(_, v)| v);
-        let known = |allowed: &[&str]| -> Result<(), QueryError> {
-            for &(k, _) in &pairs {
-                if !allowed.contains(&k) {
-                    return Err(QueryError::new(format!("{kind}: unknown key {k:?}")));
-                }
-            }
-            Ok(())
+        let pairs = tokens
+            .map(|t| {
+                t.split_once('=')
+                    .ok_or_else(|| QueryError::new(format!("bad token {t:?} (want key=value)")))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let bare = |q: Query| match pairs.first() {
+            None => Ok(q),
+            Some((k, _)) => Err(QueryError::new(format!("{kind}: unknown key {k:?}"))),
         };
         match kind {
-            "analyze" => {
-                known(&["mode", "config", "index"])?;
-                let mode = get("mode").unwrap_or("grid");
-                let mode = match mode {
-                    "list" => AnalyzeMode::List,
-                    "grid" => AnalyzeMode::Grid,
-                    "config" => AnalyzeMode::Config(
-                        get("config")
-                            .ok_or_else(|| QueryError::new("analyze: mode=config wants config=NAME"))?
-                            .to_string(),
-                    ),
-                    "grid_index" => AnalyzeMode::GridIndex(parse_num(
-                        "index",
-                        get("index")
-                            .ok_or_else(|| QueryError::new("analyze: mode=grid_index wants index=N"))?,
-                    )?),
-                    other => {
-                        return Err(QueryError::new(format!(
-                            "analyze: unknown mode {other:?} (want list|config|grid|grid_index)"
-                        )))
-                    }
-                };
-                Ok(Query::Analyze(mode))
-            }
-            "fuzz" => {
-                known(&["cases", "seed"])?;
-                let mut f = FuzzQuery::default();
-                if let Some(v) = get("cases") {
-                    f.cases = parse_num("cases", v)?;
-                }
-                if let Some(v) = get("seed") {
-                    f.seed = parse_num("seed", v)?;
-                }
-                Ok(Query::Fuzz(f))
-            }
-            "bench" => {
-                known(&[])?;
-                Ok(Query::Bench)
-            }
-            "goodput" => {
-                known(&[])?;
-                Ok(Query::Goodput)
-            }
-            "stats" => {
-                known(&[])?;
-                Ok(Query::Stats)
-            }
-            "search" => {
-                known(&[
-                    "model", "gpus", "seq", "layers", "budget", "head", "threads", "max_cp",
-                    "zero", "expect", "guided", "workload",
-                ])?;
-                let mut s = SearchQuery::default();
-                if let Some(v) = get("model") {
-                    s.model = v.to_string();
-                }
-                if let Some(v) = get("gpus") {
-                    s.gpus = parse_num("gpus", v)?;
-                }
-                if let Some(v) = get("seq") {
-                    s.seq = parse_num("seq", v)?;
-                }
-                if let Some(v) = get("layers") {
-                    s.layers = parse_num("layers", v)?;
-                }
-                if let Some(v) = get("budget") {
-                    s.budget = parse_num("budget", v)?;
-                }
-                if let Some(v) = get("head") {
-                    s.goodput_head = parse_num("head", v)?;
-                }
-                if let Some(v) = get("threads") {
-                    s.threads = parse_num("threads", v)?;
-                }
-                if let Some(v) = get("max_cp") {
-                    s.max_cp = parse_num("max_cp", v)?;
-                }
-                if let Some(v) = get("zero") {
-                    s.zero = parse_zero(v)?;
-                }
-                if let Some(v) = get("expect") {
-                    let parts: Vec<u32> =
-                        v.split(',').filter_map(|p| p.trim().parse().ok()).collect();
-                    let [tp, cp, pp, dp] = parts[..] else {
-                        return Err(QueryError::new(format!(
-                            "expect: want tp,cp,pp,dp, got {v:?}"
-                        )));
-                    };
-                    s.expect = Some((tp, cp, pp, dp));
-                }
-                if let Some(v) = get("guided") {
-                    s.guided = match v {
-                        "true" => true,
-                        "false" => false,
-                        other => {
-                            return Err(QueryError::new(format!(
-                                "guided: want true|false, got {other:?}"
-                            )))
-                        }
-                    };
-                }
-                if let Some(v) = get("workload") {
-                    s.workload = Workload::parse(v).ok_or_else(|| {
-                        QueryError::new(format!(
-                            "workload: unknown tag {v:?} (want train|infer)"
-                        ))
-                    })?;
-                }
-                Ok(Query::Search(s))
-            }
-            "trace" => {
-                known(&[
-                    "model", "gpus", "seq", "horizon", "seed", "tier0", "window", "zoom", "mode",
-                ])?;
-                let mut t = TraceQuery::default();
-                if let Some(v) = get("model") {
-                    t.model = v.to_string();
-                }
-                if let Some(v) = get("gpus") {
-                    t.gpus = parse_num("gpus", v)?;
-                }
-                if let Some(v) = get("seq") {
-                    t.seq = parse_num("seq", v)?;
-                }
-                if let Some(v) = get("horizon") {
-                    t.horizon_s = parse_num("horizon", v)?;
-                }
-                if let Some(v) = get("seed") {
-                    t.seed = parse_num("seed", v)?;
-                }
-                if let Some(v) = get("tier0") {
-                    t.tier0 = parse_num("tier0", v)?;
-                }
-                if let Some(v) = get("window") {
-                    let parts: Vec<u64> =
-                        v.split(',').filter_map(|p| p.trim().parse().ok()).collect();
-                    let [t0, t1] = parts[..] else {
-                        return Err(QueryError::new(format!("window: want t0,t1, got {v:?}")));
-                    };
-                    if t0 >= t1 {
-                        return Err(QueryError::new(format!(
-                            "window: t0 must be before t1, got {v:?}"
-                        )));
-                    }
-                    t.window = Some((t0, t1));
-                }
-                if let Some(v) = get("zoom") {
-                    t.zoom = parse_num("zoom", v)?;
-                }
-                if let Some(v) = get("mode") {
-                    t.mode = match v {
-                        "chrome" => TraceMode::Chrome,
-                        "stats" => TraceMode::Stats,
-                        "smoke" => TraceMode::Smoke,
-                        other => {
-                            return Err(QueryError::new(format!(
-                                "trace: unknown mode {other:?} (want chrome|stats|smoke)"
-                            )))
-                        }
-                    };
-                }
-                Ok(Query::Trace(t))
-            }
-            "infer" => {
-                known(&[
-                    "model", "gpus", "tp", "pp", "traffic", "rpd", "horizon", "seed", "block",
-                    "batch", "slo_ttft", "slo_tpot", "threads",
-                ])?;
-                let mut i = InferQuery::default();
-                if let Some(v) = get("model") {
-                    i.model = v.to_string();
-                }
-                if let Some(v) = get("gpus") {
-                    i.gpus = parse_num("gpus", v)?;
-                }
-                if let Some(v) = get("tp") {
-                    i.tp = parse_num("tp", v)?;
-                }
-                if let Some(v) = get("pp") {
-                    i.pp = parse_num("pp", v)?;
-                }
-                if let Some(v) = get("traffic") {
-                    i.traffic = TrafficShape::parse(v).ok_or_else(|| {
-                        QueryError::new(format!(
-                            "traffic: unknown shape {v:?} (want steady|diurnal|bursty)"
-                        ))
-                    })?;
-                }
-                if let Some(v) = get("rpd") {
-                    i.requests_per_day = parse_num("rpd", v)?;
-                }
-                if let Some(v) = get("horizon") {
-                    i.horizon_s = parse_num("horizon", v)?;
-                }
-                if let Some(v) = get("seed") {
-                    i.seed = parse_num("seed", v)?;
-                }
-                if let Some(v) = get("block") {
-                    i.block = parse_num("block", v)?;
-                }
-                if let Some(v) = get("batch") {
-                    i.max_batch = parse_num("batch", v)?;
-                }
-                if let Some(v) = get("slo_ttft") {
-                    i.slo_ttft_ms = parse_num("slo_ttft", v)?;
-                }
-                if let Some(v) = get("slo_tpot") {
-                    i.slo_tpot_ms = parse_num("slo_tpot", v)?;
-                }
-                if let Some(v) = get("threads") {
-                    i.threads = parse_num("threads", v)?;
-                }
-                Ok(Query::Infer(i))
-            }
+            "analyze" => AnalyzeKeys::decode(&pairs)?.into_mode().map(Query::Analyze),
+            "fuzz" => FuzzQuery::decode(&pairs).map(Query::Fuzz),
+            "search" => SearchQuery::decode(&pairs).map(Query::Search),
+            "trace" => TraceQuery::decode(&pairs).map(Query::Trace),
+            "infer" => InferQuery::decode(&pairs).map(Query::Infer),
+            "bench" => bare(Query::Bench),
+            "goodput" => bare(Query::Goodput),
+            "stats" => bare(Query::Stats),
             other => Err(QueryError::new(format!(
                 "unknown query kind {other:?} (want analyze|fuzz|bench|goodput|search|stats|trace|infer)"
             ))),
@@ -1363,36 +1467,22 @@ mod tests {
 
     #[test]
     fn wire_round_trips_every_kind() {
+        // Record kinds are driven row by row in
+        // `every_table_row_round_trips_on_the_wire_and_the_cli`; these
+        // are the enum and keyless kinds plus whole-table records.
         let queries = [
             Query::Analyze(AnalyzeMode::List),
             Query::Analyze(AnalyzeMode::Grid),
             Query::Analyze(AnalyzeMode::Config("scaled_405b".into())),
             Query::Analyze(AnalyzeMode::GridIndex(17)),
-            Query::Fuzz(FuzzQuery { cases: 40, seed: 7 }),
-            Query::Fuzz(FuzzQuery::default()),
             Query::Bench,
             Query::Goodput,
             Query::Stats,
-            Query::Search(SearchQuery::default()),
-            Query::Search(SearchQuery {
-                model: "8b".into(),
-                gpus: 8,
-                seq: 8192,
-                layers: 4,
-                budget: 131_072,
-                goodput_head: 2,
-                threads: 3,
-                max_cp: 2,
-                zero: vec![ZeroMode::Zero1, ZeroMode::Zero3],
-                expect: Some((2, 1, 2, 2)),
-                guided: true,
-                workload: Workload::Training,
-            }),
-            Query::Trace(TraceQuery::default()),
+            Query::Fuzz(FuzzQuery { cases: 40, seed: 7 }),
             Query::Trace(TraceQuery {
                 model: "8b".into(),
                 gpus: 8,
-                seq: 8192,
+                seq: 4096,
                 horizon_s: 3600,
                 seed: 9,
                 tier0: 128,
@@ -1400,11 +1490,6 @@ mod tests {
                 zoom: 2,
                 mode: TraceMode::Stats,
             }),
-            Query::Trace(TraceQuery {
-                mode: TraceMode::Smoke,
-                ..TraceQuery::default()
-            }),
-            Query::Infer(InferQuery::default()),
             Query::Infer(InferQuery {
                 model: "8b".into(),
                 gpus: 16,
@@ -1420,50 +1505,12 @@ mod tests {
                 slo_tpot_ms: 50,
                 threads: 2,
             }),
-            Query::Search(SearchQuery {
-                workload: Workload::Inference,
-                ..SearchQuery::default()
-            }),
         ];
         for q in queries {
             let wire = q.to_wire();
             let back = Query::parse_wire(&wire).unwrap_or_else(|e| panic!("{wire}: {e}"));
             assert_eq!(back, q, "{wire}");
         }
-    }
-
-    #[test]
-    fn canonical_hash_ignores_execution_hints() {
-        let a = Query::Search(SearchQuery {
-            threads: 1,
-            ..SearchQuery::default()
-        });
-        let b = Query::Search(SearchQuery {
-            threads: 16,
-            ..SearchQuery::default()
-        });
-        assert_eq!(a.canonical_wire(), b.canonical_wire());
-        assert_eq!(a.canonical_hash(), b.canonical_hash());
-        let c = Query::Search(SearchQuery {
-            max_cp: 2,
-            ..SearchQuery::default()
-        });
-        assert_ne!(a.canonical_hash(), c.canonical_hash());
-
-        let i1 = Query::Infer(InferQuery {
-            threads: 1,
-            ..InferQuery::default()
-        });
-        let i16 = Query::Infer(InferQuery {
-            threads: 16,
-            ..InferQuery::default()
-        });
-        assert_eq!(i1.canonical_hash(), i16.canonical_hash());
-        let ib = Query::Infer(InferQuery {
-            traffic: TrafficShape::Bursty,
-            ..InferQuery::default()
-        });
-        assert_ne!(i1.canonical_hash(), ib.canonical_hash());
     }
 
     #[test]
@@ -1532,9 +1579,186 @@ mod tests {
             "llama3sim/1 infer gpus=x",
             "llama3sim/1 infer bogus=1",
             "llama3sim/1 infer rpd=1 rpd=1",
+            "llama3sim/1 search expect=1,2,3,4,x",
+            "llama3sim/1 trace window=0,x,5",
+            "llama3sim/1 search zero=zero1,zero9",
+            "llama3sim/1 search gpus=0x",
+            "llama3sim/1 search gpus=0x1_0000_0000",
+            "llama3sim/1 search gpus=4294967296",
+            "llama3sim/1 analyze mode=list config=scaled_405b",
+            "llama3sim/1 analyze mode=grid index=3",
+            "llama3sim/1 analyze mode=config config=scaled_405b index=3",
+            "llama3sim/1 analyze mode=grid_index config=scaled_405b index=3",
+            "llama3sim/1 analyze mode=grid_index",
         ] {
             assert!(Query::parse_wire(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn a_payload_key_selects_its_analyze_mode() {
+        let config = Query::parse_wire("llama3sim/1 analyze config=scaled_405b").unwrap();
+        assert_eq!(config, Query::Analyze(AnalyzeMode::Config("scaled_405b".into())));
+        assert_eq!(config.to_wire(), "llama3sim/1 analyze mode=config config=scaled_405b");
+        let index = Query::parse_wire("llama3sim/1 analyze index=3").unwrap();
+        assert_eq!(index, Query::Analyze(AnalyzeMode::GridIndex(3)));
+        let bare = Query::parse_wire("llama3sim/1 analyze").unwrap();
+        assert_eq!(bare, Query::Analyze(AnalyzeMode::Grid));
+    }
+
+    #[test]
+    fn analyze_flags_share_the_wire_keys() {
+        let parse = |list: &[&str]| {
+            let args: Vec<String> = list.iter().map(|s| s.to_string()).collect();
+            AnalyzeMode::from_args(&args)
+        };
+        assert_eq!(parse(&["--list"]), Ok(AnalyzeMode::List));
+        assert_eq!(parse(&["--grid"]), Ok(AnalyzeMode::Grid));
+        assert_eq!(parse(&[]), Ok(AnalyzeMode::Grid));
+        assert_eq!(
+            parse(&["--config", "scaled_405b"]),
+            Ok(AnalyzeMode::Config("scaled_405b".into()))
+        );
+        for bad in [
+            &["--list", "--grid"][..],
+            &["--list", "--config", "scaled_405b"],
+            &["--config"],
+            &["--index", "3"],
+            &["--grid-index"],
+            &["--mode", "list"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} should not parse");
+        }
+    }
+
+    #[test]
+    fn numbers_accept_hex_and_render_decimal() {
+        let q = Query::parse_wire("llama3sim/1 fuzz seed=0xC0FFEE").unwrap();
+        assert_eq!(q, Query::Fuzz(FuzzQuery { seed: 0xC0FFEE, ..FuzzQuery::default() }));
+        assert_eq!(q.to_wire(), "llama3sim/1 fuzz seed=12648430");
+        assert_eq!(parse_num::<u32>("0X10"), Ok(16));
+        assert!(parse_num::<u32>("4294967296").is_err());
+        assert!(parse_num::<u64>("-1").is_err());
+    }
+
+    /// Drives every row of `Q`'s table with its non-default `samples`
+    /// value: the wire line is exactly `kind key=value` and parses
+    /// back, `--flag value` parses to the same record, and the
+    /// canonical hash sees the value unless the key is `threads`.
+    fn check_every_row<Q>(wrap: fn(Q) -> Query, samples: &[(&str, &str)])
+    where
+        Q: Record + Clone + PartialEq + fmt::Debug,
+    {
+        for f in Q::FIELDS {
+            assert!(
+                samples.iter().any(|&(k, _)| k == f.key),
+                "{}: no sample for row {}",
+                Q::KIND,
+                f.key
+            );
+        }
+        let has_threads = Q::FIELDS.iter().any(|f| f.key == "threads");
+        for &(key, value) in samples {
+            let q = Q::decode(&[(key, value)]).unwrap_or_else(|e| panic!("{key}={value}: {e}"));
+            assert_ne!(q, Q::default(), "{key}={value} is the default");
+            let wire = wrap(q.clone()).to_wire();
+            assert_eq!(wire, format!("{WIRE_MAGIC} {} {key}={value}", Q::KIND));
+            assert_eq!(Query::parse_wire(&wire), Ok(wrap(q.clone())), "{wire}");
+
+            let row = Q::FIELDS.iter().find(|f| f.key == key).unwrap();
+            let flag = row.flag();
+            let args: Vec<String> = match row.arg {
+                Arg::Value(_) => vec![flag, value.to_string()],
+                Arg::Switch => vec![flag],
+                Arg::Variants(_) => vec![format!("--{value}")],
+                Arg::WireOnly => continue,
+            };
+            assert_eq!(Q::from_args(&args), Ok(q.clone()), "{args:?}");
+
+            let plain = wrap(q.clone()).canonical_hash();
+            let default = wrap(Q::default()).canonical_hash();
+            assert_eq!(plain == default, key == "threads", "{key}={value}");
+            if has_threads && key != "threads" {
+                let hinted = Q::decode(&[(key, value), ("threads", "7")]).unwrap();
+                assert_eq!(wrap(hinted).canonical_hash(), plain, "{key}={value}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_table_row_round_trips_on_the_wire_and_the_cli() {
+        check_every_row(Query::Fuzz, &[("cases", "40"), ("seed", "7")]);
+        check_every_row(
+            Query::Search,
+            &[
+                ("model", "8b"),
+                ("gpus", "8"),
+                ("seq", "4096"),
+                ("layers", "4"),
+                ("budget", "131072"),
+                ("head", "2"),
+                ("threads", "3"),
+                ("max_cp", "2"),
+                ("zero", "zero1,zero3"),
+                ("expect", "8,1,16,128"),
+                ("guided", "true"),
+                ("workload", "infer"),
+            ],
+        );
+        check_every_row(
+            Query::Trace,
+            &[
+                ("model", "70b"),
+                ("gpus", "64"),
+                ("seq", "4096"),
+                ("horizon", "3600"),
+                ("seed", "9"),
+                ("tier0", "128"),
+                ("window", "100,160"),
+                ("zoom", "2"),
+                ("mode", "stats"),
+                ("mode", "smoke"),
+            ],
+        );
+        check_every_row(
+            Query::Infer,
+            &[
+                ("model", "8b"),
+                ("gpus", "16"),
+                ("tp", "2"),
+                ("pp", "2"),
+                ("traffic", "bursty"),
+                ("rpd", "50000"),
+                ("horizon", "3600"),
+                ("seed", "9"),
+                ("block", "32"),
+                ("batch", "64"),
+                ("slo_ttft", "500"),
+                ("slo_tpot", "50"),
+                ("threads", "2"),
+            ],
+        );
+    }
+
+    #[test]
+    fn cli_flags_reject_what_the_wire_rejects() {
+        let args = |list: &[&str]| -> Vec<String> { list.iter().map(|s| s.to_string()).collect() };
+        for bad in [
+            &["--gpus"][..],
+            &["--gpus", "x"],
+            &["--gpus", "8", "--gpus", "8"],
+            &["--max_cp", "2"],
+            &["--goodput-head", "2"],
+            &["--expect", "1,2,3,4,x"],
+            &["--guided", "true"],
+            &["gpus=8"],
+        ] {
+            assert!(SearchQuery::from_args(&args(bad)).is_err(), "{bad:?} should not parse");
+        }
+        assert!(TraceQuery::from_args(&args(&["--stats", "--smoke"])).is_err());
+        assert!(TraceQuery::from_args(&args(&["--chrome"])).is_err());
+        assert!(TraceQuery::from_args(&args(&["--horizon-s", "60"])).is_err());
+        assert!(InferQuery::from_args(&args(&["--max-batch", "8"])).is_err());
     }
 
     #[test]

@@ -145,16 +145,6 @@ impl SearchSpec {
         }
     }
 
-    /// Deprecated alias of [`SearchSpec::training`].
-    #[deprecated(
-        since = "0.10.0",
-        note = "the workload is explicit since query API v2; use SearchSpec::training \
-                (or set `workload` for inference)"
-    )]
-    pub fn new(input: PlannerInput) -> SearchSpec {
-        SearchSpec::training(input)
-    }
-
     /// The Llama 3 405B production search problem (16 M-token budget,
     /// H100 cluster).
     pub fn llama3_405b(ngpu: u32, seq: u64) -> SearchSpec {

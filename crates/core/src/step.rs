@@ -123,8 +123,7 @@ impl Workload {
 /// jittered, faulted and traced step simulation.
 ///
 /// The default (`SimOptions::default()`) is a healthy, jitter-free,
-/// folded simulation and produces a report bit-identical to the legacy
-/// `simulate()` entrypoint.
+/// folded simulation.
 ///
 /// ```
 /// use parallelism_core::step::SimOptions;
@@ -320,7 +319,7 @@ impl StepModel {
     /// validated at construction in practice). Prefer
     /// [`StepModel::schedule`] in fallible contexts.
     pub fn build_schedule(&self) -> PpSchedule {
-        // lint: allow(unwrap) — the panic is this deprecated wrapper's documented contract
+        // lint: allow(unwrap) — the panic is this method's documented contract
         self.schedule().expect("valid schedule parameters")
     }
 
@@ -555,8 +554,7 @@ impl StepModel {
     /// and traced simulation are all the same code path, selected by
     /// [`SimOptions`].
     ///
-    /// `run(&SimOptions::default())` is bit-identical to the legacy
-    /// `simulate()`. Requests with per-rank variation (jitter or
+    /// Requests with per-rank variation (jitter or
     /// throttled ranks) are automatically promoted to
     /// [`SimFidelity::Full`]; degraded links stretch inter-node
     /// communication (P2P and exposed DP) by `1 / worst_link_scale`.
@@ -590,52 +588,6 @@ impl StepModel {
             None
         };
         Ok(StepOutcome { report, trace })
-    }
-
-    /// Timing-graph simulation of the schedule (per-stage table costs,
-    /// P2P transfers, memory replay) at [`SimFidelity::Folded`] — the
-    /// default, exact for jitter-free configurations.
-    ///
-    /// # Panics
-    /// Panics if the schedule deadlocks — impossible for schedules
-    /// produced by [`PpSchedule::build`].
-    #[deprecated(note = "use StepModel::run(&SimOptions::default())")]
-    pub fn simulate(&self) -> StepReport {
-        // lint: allow(unwrap) — the panic is this deprecated wrapper's documented contract
-        self.folded_report(1.0).expect("built schedules cannot deadlock")
-    }
-
-    /// Timing-graph simulation at an explicit fidelity. Folded and Full
-    /// produce identical reports for jitter-free configurations.
-    ///
-    /// # Panics
-    /// Panics if the schedule deadlocks — impossible for schedules
-    /// produced by [`PpSchedule::build`].
-    #[deprecated(note = "use StepModel::run with SimOptions::new().fidelity(..)")]
-    pub fn simulate_at(&self, fidelity: SimFidelity) -> StepReport {
-        match fidelity {
-            SimFidelity::Folded => self.folded_report(1.0),
-            SimFidelity::Full => self.full_report(None, &ClusterHealth::healthy()),
-        }
-        // lint: allow(unwrap) — the panic is this deprecated wrapper's documented contract
-        .expect("built schedules cannot deadlock")
-    }
-
-    /// Full-fidelity simulation with per-rank performance variation:
-    /// compute durations on the pipeline rank at mesh coordinate
-    /// `(tp 0, cp 0, pp r, dp d)` are scaled by that global rank's
-    /// jitter multiplier at `step`. Always times every DP replica, one
-    /// pass of the compiled pipeline program each — folding is invalid
-    /// once replicas differ.
-    ///
-    /// # Panics
-    /// Panics if the schedule deadlocks — impossible for schedules
-    /// produced by [`PpSchedule::build`].
-    #[deprecated(note = "use StepModel::run with SimOptions::new().jitter(..).step(..)")]
-    pub fn simulate_jittered(&self, jitter: &JitterModel, step: u64) -> StepReport {
-        self.full_report(Some((jitter, step)), &ClusterHealth::healthy())
-            // lint: allow(unwrap) — the panic is this deprecated wrapper's documented contract
-            .expect("built schedules cannot deadlock")
     }
 
     fn folded_report(&self, comm_stretch: f64) -> Result<StepReport, SimError> {
@@ -704,23 +656,6 @@ impl StepModel {
             }
         }
         Ok(self.report_from(makespan + dp_cost, bubbles, &times, dp_cost))
-    }
-
-    /// Runs the timing-graph simulation and additionally emits a
-    /// [`trace_analysis::Trace`] of the pipeline execution — one
-    /// compute event per stage-micro-batch on each pipeline rank —
-    /// suitable for Chrome-trace export and visual schedule inspection.
-    ///
-    /// # Panics
-    /// Panics if the schedule deadlocks (impossible for built
-    /// schedules).
-    #[deprecated(note = "use StepModel::run with SimOptions::new().trace(true)")]
-    pub fn simulate_with_trace(&self) -> (StepReport, trace_analysis::Trace) {
-        // lint: allow(unwrap) — the panic is this deprecated wrapper's documented contract
-        let report = self.folded_report(1.0).expect("built schedules cannot deadlock");
-        // lint: allow(unwrap)
-        let trace = self.build_trace().expect("built schedules cannot deadlock");
-        (report, trace)
     }
 
     fn build_trace(&self) -> Result<trace_analysis::Trace, SimError> {
@@ -1187,32 +1122,6 @@ mod tests {
         let trace = traced.trace.expect("trace requested");
         assert!(!trace.events.is_empty());
         assert_eq!(traced.report, plain.report);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_run() {
-        let m = scaled_step(
-            ScheduleKind::Flexible { nc: 4 },
-            BalancePolicy::Uniform,
-            false,
-        );
-        assert_eq!(m.simulate(), m.pipe_sim());
-        assert_eq!(
-            m.simulate_at(SimFidelity::Full),
-            m.run(&SimOptions::new().fidelity(SimFidelity::Full))
-                .unwrap()
-                .report
-        );
-        let j = JitterModel::new(cluster_model::jitter::JitterKind::Static, 0.05, 9);
-        assert_eq!(
-            m.simulate_jittered(&j, 2),
-            m.run(&SimOptions::new().jitter(j).step(2)).unwrap().report
-        );
-        let (rep, trace) = m.simulate_with_trace();
-        let out = m.run(&SimOptions::new().trace(true)).unwrap();
-        assert_eq!(rep, out.report);
-        assert_eq!(trace.events.len(), out.trace.unwrap().events.len());
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! # lint
 //!
-//! Repo-local static analysis: the source hygiene rules
-//! (`LINT001`–`LINT007`) and the concurrency rules
-//! (`LOCK001`–`LOCK003`) behind `llama3sim lint` and the `repo_lint`
-//! binary. Dependency-free by design — the scanner is a
+//! Repo-local static analysis: the source hygiene rules (`LINT001`,
+//! `LINT004`–`LINT007`) and the concurrency rules (`LOCK001`–`LOCK003`)
+//! behind `llama3sim lint`. Dependency-free by design — the scanner is a
 //! string/comment-aware token model ([`model::SourceModel`]), not a
 //! full parser, so it runs in milliseconds over the whole workspace
 //! and its failure modes are easy to reason about (documented per rule
@@ -40,8 +39,9 @@ use std::path::{Path, PathBuf};
 
 /// Sources exempt from every rule (relative to the repo root):
 /// figure-generation experiment scripts and the snapshot entry points
-/// the deprecated bench bins delegate to — bin-style code living in a
-/// library module, where aborting on bad data is the contract.
+/// behind `llama3sim bench|goodput|search|infer|trace` — bin-style code
+/// living in a library module, where aborting on bad data is the
+/// contract.
 const ALLOWED_PATHS: [&str; 2] = ["crates/bench/src/experiments", "crates/bench/src/snapshot.rs"];
 
 /// The result of linting a file set.

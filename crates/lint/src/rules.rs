@@ -1,39 +1,22 @@
-//! The repo hygiene rules (`LINT001`–`LINT007`), ported from the
-//! original `repo_lint` binary onto [`SourceModel`] so string literals
-//! and block comments can no longer fool the token scans.
+//! The repo hygiene rules (`LINT001`, `LINT004`–`LINT007`), scanned
+//! over a [`SourceModel`] so string literals and block comments cannot
+//! fool the token scans. `LINT002` and `LINT003` are retired: they
+//! policed the deprecated `simulate*` wrappers and the per-subcommand
+//! CLI argument structs, both gone. Their IDs are not reused.
 //!
 //! Each rule reports a [`Diagnostic`] whose `op` field carries the
 //! 1-based `path:line` location and whose witness is the offending
-//! line; the message texts are the original `repo_lint` contract and
-//! are pinned by the golden lint test.
+//! line; the message texts are pinned by the golden lint test.
 
 use crate::model::SourceModel;
 use parallelism_core::analyze::{Diagnostic, RuleId};
 
 /// Marker suppressing LINT001 on the same or previous line.
 pub const UNWRAP_MARKER: &str = "lint: allow(unwrap)";
-/// Marker suppressing LINT002 on the same or previous line.
-pub const DEPRECATED_MARKER: &str = "lint: allow(deprecated-sim)";
-/// Marker suppressing LINT003 on the same or previous line.
-pub const CLI_ARGS_MARKER: &str = "lint: allow(cli-args)";
 /// Marker suppressing LINT004 on the same or previous line.
 pub const SCALAR_MARKER: &str = "lint: allow(f64)";
 /// Marker suppressing LINT006 on the same or previous line.
 pub const TRACE_VEC_MARKER: &str = "lint: allow(trace-vec)";
-
-/// Unambiguous method names of the deprecated simulation wrappers.
-/// (`.simulate(` alone is ambiguous — `RunSimulator::simulate` and
-/// `MultimodalStep::simulate` are current API; blanket
-/// `#[allow(deprecated)]` is what would hide a deprecated call to
-/// them, and that is flagged here too.)
-const DEPRECATED_CALLS: [&str; 3] =
-    [".simulate_at(", ".simulate_jittered(", ".simulate_with_trace("];
-
-/// Construction sites of the per-subcommand CLI argument structs.
-/// Declarations (`struct`/`impl`/`fn` headers) and type positions don't
-/// match — only `<Name> {` literal construction does.
-const CLI_ARGS_STRUCTS: [&str; 4] =
-    ["AnalyzeArgs {", "FuzzArgs {", "SnapshotArgs {", "SearchArgs {"];
 
 /// Modules whose cost expressions must stay generic over `Scalar` —
 /// the LINT004 target set.
@@ -82,7 +65,7 @@ fn finding(rule: RuleId, model: &SourceModel, idx: usize, message: &str) -> Diag
         .with_witness(vec![model.lines()[idx].raw.trim().to_string()])
 }
 
-/// Runs all seven hygiene rules over one file, appending findings.
+/// Runs the five hygiene rules over one file, appending findings.
 pub fn check_hygiene(model: &SourceModel, out: &mut Vec<Diagnostic>) {
     let path = model.path();
     let scalar_costs_module = SCALAR_COST_PATHS.iter().any(|p| path.ends_with(p));
@@ -104,36 +87,6 @@ pub fn check_hygiene(model: &SourceModel, out: &mut Vec<Diagnostic>) {
                 idx,
                 "unwrap/expect in library code (return SimError or add \
                  `// lint: allow(unwrap)` with a reason)",
-            ));
-        }
-
-        let deprecated_use = code.contains("#[allow(deprecated)]")
-            || DEPRECATED_CALLS.iter().any(|c| code.contains(c));
-        if deprecated_use && !model.marked(idx, DEPRECATED_MARKER) {
-            out.push(finding(
-                RuleId::Lint002,
-                model,
-                idx,
-                "internal caller of a deprecated simulate* wrapper (use \
-                 `StepModel::run`, or add `// lint: allow(deprecated-sim)` in oracle code)",
-            ));
-        }
-
-        // `fn` headers returning the type and `let Args { .. } = ...`
-        // destructuring are not construction sites.
-        let cli_construction = CLI_ARGS_STRUCTS.iter().any(|c| code.contains(c))
-            && !code.contains("struct ")
-            && !code.contains("impl ")
-            && !code.contains("fn ")
-            && !code.contains("} = ");
-        if cli_construction && !model.marked(idx, CLI_ARGS_MARKER) {
-            out.push(finding(
-                RuleId::Lint003,
-                model,
-                idx,
-                "direct construction of a CLI argument struct (go through its \
-                 `parse`/`Default` constructor so flag parsing stays unified behind \
-                 `llama3sim`, or mark the canonical constructor `// lint: allow(cli-args)`)",
             ));
         }
 
@@ -258,7 +211,7 @@ mod tests {
 
     #[test]
     fn unwrap_inside_a_string_literal_is_not_flagged() {
-        // The original repo_lint flagged this; the SourceModel port is
+        // A line-based scan would flag this; the SourceModel scanner is
         // strictly more precise.
         let v = lint_str("fn f() {\n    let s = \"docs about .unwrap() calls\";\n}\n");
         assert!(v.is_empty(), "{v:?}");
@@ -267,38 +220,6 @@ mod tests {
     #[test]
     fn unwrap_inside_a_block_comment_is_not_flagged() {
         let v = lint_str("fn f() {\n    /* y.unwrap()\n       z.unwrap() */\n    g();\n}\n");
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn flags_deprecated_wrapper_calls_without_marker() {
-        let v = lint_str("fn f(m: &M) {\n    m.simulate_at(SimFidelity::Full);\n}\n");
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, RuleId::Lint002);
-        assert!(v[0].message.contains("deprecated"));
-        let ok = lint_str(
-            "fn f(m: &M) {\n    // lint: allow(deprecated-sim)\n    m.simulate_at(SimFidelity::Full);\n}\n",
-        );
-        assert!(ok.is_empty());
-    }
-
-    #[test]
-    fn flags_cli_args_construction_without_marker() {
-        let v = lint_str("fn f(json: bool) -> SnapshotArgs {\n    SnapshotArgs { json }\n}\n");
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, RuleId::Lint003);
-        assert!(v[0].message.contains("CLI argument struct"), "{v:?}");
-        let ok = lint_str(
-            "fn f(json: bool) -> SnapshotArgs {\n    // lint: allow(cli-args) — canonical\n    SnapshotArgs { json }\n}\n",
-        );
-        assert!(ok.is_empty(), "{ok:?}");
-    }
-
-    #[test]
-    fn cli_args_declarations_are_not_construction_sites() {
-        let v = lint_str(
-            "pub struct SearchArgs {\n    pub json: bool,\n}\nimpl Default for SearchArgs {\n    fn default() -> SearchArgs {\n        // lint: allow(cli-args) — canonical\n        SearchArgs { json: false }\n    }\n}\n",
-        );
         assert!(v.is_empty(), "{v:?}");
     }
 

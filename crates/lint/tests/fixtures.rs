@@ -87,8 +87,6 @@ fn hygiene_fixture_fires_one_finding_per_rule_in_order() {
         rules,
         vec![
             RuleId::Lint001,
-            RuleId::Lint002,
-            RuleId::Lint003,
             RuleId::Lint005,
             RuleId::Lint006,
         ],

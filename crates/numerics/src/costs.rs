@@ -8,7 +8,7 @@
 //! float type; the expressions use the exact operation order of the
 //! code they replaced.
 //!
-//! Repo rule (enforced by `repo_lint`'s `scalar-costs` rule): no
+//! Repo rule (enforced by `llama3sim lint`'s LINT004): no
 //! direct float arithmetic in this module — every quantity is an `S`
 //! and every constant enters through [`Scalar::lit`], so the two
 //! pricing paths cannot silently diverge.

@@ -11,7 +11,7 @@
 use crate::client::ServeClient;
 use crate::dispatch::Dispatcher;
 use crate::http::Server;
-use bench_harness::cli::Flags;
+use bench_harness::cli::{CliFlag, Flags, JSON};
 use bench_harness::report::Report;
 use bench_harness::snapshot::emit;
 use parallelism_core::query::{AnalyzeMode, InferQuery, Query, Response, SearchQuery};
@@ -36,7 +36,6 @@ pub struct ServeArgs {
 
 impl Default for ServeArgs {
     fn default() -> ServeArgs {
-        // lint: allow(cli-args) — the canonical defaults
         ServeArgs {
             addr: "127.0.0.1:4157".to_string(),
             self_test: false,
@@ -48,20 +47,45 @@ impl Default for ServeArgs {
 }
 
 impl ServeArgs {
-    /// Parses `[--addr HOST:PORT] [--self-test | --bench [--clients N]
-    /// [--json]]`.
+    /// The subcommand's flags, in usage order.
+    pub const FLAGS: [CliFlag; 5] = [
+        CliFlag {
+            name: "addr",
+            value: Some("HOST:PORT"),
+            help: "listen address for daemon mode",
+        },
+        CliFlag {
+            name: "self-test",
+            value: None,
+            help: "socket smoke over an ephemeral port, then exit",
+        },
+        CliFlag {
+            name: "bench",
+            value: None,
+            help: "replay the mixed workload -> BENCH_serve.json",
+        },
+        CliFlag {
+            name: "clients",
+            value: Some("N"),
+            help: "concurrent connections for --bench",
+        },
+        JSON,
+    ];
+
+    /// Parses [`ServeArgs::FLAGS`].
     pub fn parse(args: &[String]) -> Result<ServeArgs, String> {
+        let [addr, self_test, bench, clients, json] = &ServeArgs::FLAGS;
         let mut f = Flags::new(args);
         let mut parsed = ServeArgs::default();
-        if let Some(a) = f.opt("addr")? {
+        if let Some(a) = f.opt(addr)? {
             parsed.addr = a;
         }
-        parsed.self_test = f.switch("self-test");
-        parsed.bench = f.switch("bench");
-        if let Some(c) = f.opt_u64("clients")? {
-            parsed.clients = c as usize;
+        parsed.self_test = f.switch(self_test);
+        parsed.bench = f.switch(bench);
+        if let Some(c) = f.opt_num(clients)? {
+            parsed.clients = c;
         }
-        parsed.json = f.switch("json");
+        parsed.json = f.switch(json);
         f.finish()?;
         if parsed.self_test && parsed.bench {
             return Err("--self-test and --bench are mutually exclusive".to_string());

@@ -31,7 +31,7 @@ use analyzer::{analyze_grid, analyze_step, named_step, NAMED_CONFIGS};
 use bench_harness::snapshot::{measure_goodput, measure_perf};
 use cluster_model::faults::{FaultRates, FaultTimeline};
 use collectives::cost_cache_stats;
-use conformance::fuzz::{run_sweep, FuzzArgs};
+use conformance::fuzz::run_sweep;
 use conformance::grid::config_grid;
 use parallelism_core::query::{
     AnalyzeMode, AnalyzeResponse, InferQuery, InferResponse, Query, QueryError, Response,
@@ -169,17 +169,7 @@ impl Dispatcher {
     fn compute(&self, query: &Query) -> Result<Response, QueryError> {
         match query {
             Query::Analyze(mode) => Ok(Response::Analyze(compute_analyze(mode)?)),
-            Query::Fuzz(f) => {
-                let outcome = run_sweep(
-                    // lint: allow(cli-args) — built from the parsed query
-                    &FuzzArgs {
-                        cases: f.cases,
-                        seed: f.seed,
-                    },
-                    |_| {},
-                );
-                Ok(Response::Fuzz(outcome.into_response()))
-            }
+            Query::Fuzz(f) => Ok(Response::Fuzz(run_sweep(f, |_| {}).into_response())),
             Query::Search(s) => self.compute_search(s),
             Query::Trace(t) => Ok(Response::Trace(compute_trace(t)?)),
             Query::Infer(i) => Ok(Response::Infer(Box::new(compute_infer(i)?))),

@@ -1,132 +1,164 @@
-//! `llama3sim` — the consolidated multi-command CLI.
+//! `llama3sim` — the multi-command CLI.
 //!
 //! Every subcommand is a thin front end over the versioned query API
 //! ([`parallelism_core::query`]): flags parse into a [`Query`], a
 //! shared [`serve::Dispatcher`] executes it, and the payload prints
 //! through the same [`Response`] renderers the HTTP daemon serves —
 //! so `llama3sim search ...` and `POST /v1/query` are byte-identical
-//! by construction. Flag parsing stays on
-//! [`bench_harness::cli::Flags`] with one `--json` convention
-//! (machine-readable output on stdout in addition to the
-//! `BENCH_*.json` envelope files the snapshot commands write):
+//! by construction.
 //!
-//! ```text
-//! llama3sim analyze  --list | --config NAME [--json] | --grid [--json]
-//! llama3sim fuzz     [--cases N] [--seed S]
-//! llama3sim bench    [--json]
-//! llama3sim goodput  [--json]
-//! llama3sim search   [--model 405b|70b|8b] [--gpus N] [--seq N]
-//!                    [--layers N] [--budget TOKENS]
-//!                    [--goodput-head N] [--threads N] [--max-cp N]
-//!                    [--zero M1[,M2...]] [--expect tp,cp,pp,dp]
-//!                    [--workload train|infer] [--guided] [--json]
-//! llama3sim infer    [--model 405b|70b|8b] [--gpus N] [--tp N] [--pp N]
-//!                    [--traffic steady|diurnal|bursty] [--rpd N]
-//!                    [--horizon-s N] [--seed S] [--block N]
-//!                    [--max-batch N] [--slo-ttft-ms N] [--slo-tpot-ms N]
-//!                    [--threads N] [--grid] [--json]
-//! llama3sim trace    [--model 405b|70b|8b] [--gpus N] [--seq N]
-//!                    [--horizon-s N] [--seed S] [--tier0 N]
-//!                    [--window T0,T1] [--zoom N] [--stats | --smoke]
-//!                    [--json]
-//! llama3sim serve    [--addr HOST:PORT] [--self-test]
-//!                    [--bench [--clients N] [--json]]
-//! llama3sim lint     [--json]
-//! ```
-//!
-//! The old single-purpose bins (`analyze`, `conformance_fuzz`,
-//! `perf_snapshot`, `goodput_snapshot`) remain as deprecated shims
-//! that print a pointer here and delegate to the same library entry
-//! points.
+//! There is one grammar. A query's flags come from its field table:
+//! wire key `k` is flag `--k` (with `_` written as `-`) and takes
+//! exactly the wire value, a `bool` key is a bare switch, and a `mode`
+//! key is one bare switch per variant (`trace --stats|--smoke`,
+//! `analyze --list|--grid`). The few CLI-only flags — `--json`,
+//! `infer --grid` and the `serve` options — only shape how a result is
+//! printed or served, and live on [`bench_harness::cli::Flags`].
+//! `llama3sim --help` prints every subcommand's flags, generated from
+//! those same tables.
 
-use analyzer::cli::{self as analyze_cli, AnalyzeArgs};
-use bench_harness::cli::Flags;
+use analyzer::NAMED_CONFIGS;
+use bench_harness::cli::{CliFlag, Flags, JSON};
 use bench_harness::snapshot::{
-    emit, goodput_envelope, perf_envelope, run_infer, search_envelope, trace_envelope, InferArgs,
-    SearchArgs, SnapshotArgs, TraceArgs,
+    emit, goodput_envelope, perf_envelope, run_infer, search_envelope, trace_envelope,
 };
-use conformance::fuzz::{run_sweep, FuzzArgs};
-use parallelism_core::query::{AnalyzeMode, Query, Response};
+use conformance::fuzz::run_sweep;
+use parallelism_core::query::{
+    AnalyzeMode, FuzzQuery, InferQuery, Query, Record, Response, SearchQuery, TraceQuery,
+};
 use serve::cli::ServeArgs;
 use serve::Dispatcher;
 use std::time::Instant;
 
-fn usage() -> i32 {
-    eprintln!("usage: llama3sim <command> [flags]");
-    eprintln!();
-    eprintln!("commands:");
-    eprintln!("  analyze   pre-flight static analysis (no simulation)");
-    eprintln!("            --list | --config NAME [--json] | --grid [--json]");
-    eprintln!("  fuzz      seeded conformance fuzz sweep");
-    eprintln!("            [--cases N] [--seed S]");
-    eprintln!("  bench     performance snapshot -> BENCH_step_sim.json");
-    eprintln!("            [--json]");
-    eprintln!("  goodput   seeded 24 h goodput snapshot -> BENCH_goodput.json");
-    eprintln!("            [--json]");
-    eprintln!("  search    Pareto auto-parallelism search -> BENCH_search.json");
-    eprintln!("            [--model 405b|70b|8b] [--gpus N] [--seq N]");
-    eprintln!("            [--layers N] [--budget TOKENS]");
-    eprintln!("            [--goodput-head N] [--threads N] [--max-cp N] [--zero M1[,M2...]]");
-    eprintln!("            [--expect tp,cp,pp,dp] [--workload train|infer] [--guided] [--json]");
-    eprintln!("            --guided: gradient-guided candidate selection (autodiff");
-    eprintln!("            surrogate + projected descent), verified vs the exhaustive");
-    eprintln!("            baseline and reported with the measured speedup");
-    eprintln!("            --workload infer: rank serving meshes by (p99 TTFT, peak HBM)");
-    eprintln!("  infer     continuous-batching serving simulation -> BENCH_infer.json");
-    eprintln!("            [--model 405b|70b|8b] [--gpus N] [--tp N] [--pp N]");
-    eprintln!("            [--traffic steady|diurnal|bursty] [--rpd N] [--horizon-s N]");
-    eprintln!("            [--seed S] [--block N] [--max-batch N] [--slo-ttft-ms N]");
-    eprintln!("            [--slo-tpot-ms N] [--threads N] [--grid] [--json]");
-    eprintln!("            --grid: sweep all three traffic shapes into one envelope");
-    eprintln!("  trace     tiered-trace export of a simulated multi-day run");
-    eprintln!("            [--model 405b|70b|8b] [--gpus N] [--seq N] [--horizon-s N]");
-    eprintln!("            [--seed S] [--tier0 N] [--window T0,T1] [--zoom N]");
-    eprintln!("            [--stats | --smoke] [--json]");
-    eprintln!("            default: chrome-trace JSON of the O(log N) retained timeline;");
-    eprintln!("            --window seeks (replay-exact), --stats prints aggregates,");
-    eprintln!("            --smoke self-checks replay exactness -> BENCH_trace.json");
-    eprintln!("  serve     HTTP daemon exposing the query API -> POST /v1/query");
-    eprintln!("            [--addr HOST:PORT] [--self-test] [--bench [--clients N] [--json]]");
-    eprintln!("  lint      static analysis of the workspace sources (hygiene LINT001-007,");
-    eprintln!("            concurrency LOCK001-003 over the serve/cache substrate)");
-    eprintln!("            [--json]  (exit 0 clean, 1 on findings)");
-    2
+/// One subcommand: its summary, its flags and its runner.
+struct Command {
+    name: &'static str,
+    about: &'static str,
+    /// The query flags' usage lines, from the query's field table.
+    query_flags: fn() -> Vec<(String, String)>,
+    /// The CLI-only flags.
+    cli_flags: &'static [CliFlag],
+    run: fn(&[String]) -> Result<i32, String>,
 }
 
-fn parse_fuzz(args: &[String]) -> Result<FuzzArgs, String> {
-    let mut f = Flags::new(args);
-    let mut parsed = FuzzArgs::default();
-    if let Some(c) = f.opt_u64("cases")? {
-        parsed.cases = c;
+const ANALYZE_JSON: CliFlag = CliFlag {
+    help: "one JSON object per diagnostic instead of text",
+    ..JSON
+};
+const LINT_JSON: CliFlag = CliFlag {
+    help: "one JSON object per finding instead of text",
+    ..JSON
+};
+const INFER_GRID: CliFlag = CliFlag {
+    name: "grid",
+    value: None,
+    help: "sweep all three traffic shapes into one envelope",
+};
+
+const COMMANDS: [Command; 9] = [
+    Command {
+        name: "analyze",
+        about: "pre-flight static analysis (no simulation)",
+        query_flags: AnalyzeMode::usage,
+        cli_flags: &[ANALYZE_JSON],
+        run: run_analyze,
+    },
+    Command {
+        name: "fuzz",
+        about: "seeded conformance fuzz sweep",
+        query_flags: FuzzQuery::usage,
+        cli_flags: &[],
+        run: run_fuzz,
+    },
+    Command {
+        name: "bench",
+        about: "performance snapshot -> BENCH_step_sim.json",
+        query_flags: Vec::new,
+        cli_flags: &[JSON],
+        run: run_bench,
+    },
+    Command {
+        name: "goodput",
+        about: "seeded 24 h goodput snapshot -> BENCH_goodput.json",
+        query_flags: Vec::new,
+        cli_flags: &[JSON],
+        run: run_goodput,
+    },
+    Command {
+        name: "search",
+        about: "Pareto auto-parallelism search -> BENCH_search.json",
+        query_flags: SearchQuery::usage,
+        cli_flags: &[JSON],
+        run: run_search,
+    },
+    Command {
+        name: "infer",
+        about: "continuous-batching serving simulation -> BENCH_infer.json",
+        query_flags: InferQuery::usage,
+        cli_flags: &[INFER_GRID, JSON],
+        run: run_infer_cmd,
+    },
+    Command {
+        name: "trace",
+        about: "tiered-trace export of a simulated multi-day run (chrome-trace JSON)",
+        query_flags: TraceQuery::usage,
+        cli_flags: &[JSON],
+        run: run_trace,
+    },
+    Command {
+        name: "serve",
+        about: "HTTP daemon exposing the query API -> POST /v1/query",
+        query_flags: Vec::new,
+        cli_flags: &ServeArgs::FLAGS,
+        run: |rest| Ok(serve::cli::run(&ServeArgs::parse(rest)?)),
+    },
+    Command {
+        name: "lint",
+        about: "static analysis of the workspace sources (exit 1 on findings)",
+        query_flags: Vec::new,
+        cli_flags: &[LINT_JSON],
+        run: run_lint,
+    },
+];
+
+/// One command's usage block: the summary, then a line per flag.
+fn command_usage(c: &Command) -> String {
+    let mut out = format!("  {:<9} {}\n", c.name, c.about);
+    let cli = c.cli_flags.iter().map(CliFlag::usage);
+    for (flags, help) in (c.query_flags)().into_iter().chain(cli) {
+        out.push_str(&format!("            {flags:<24} {help}\n"));
     }
-    if let Some(s) = f.opt_u64("seed")? {
-        parsed.seed = s;
-    }
-    f.finish()?;
-    Ok(parsed)
+    out
 }
 
-fn run_analyze(d: &Dispatcher, rest: &[String]) -> Result<i32, String> {
-    let args = AnalyzeArgs::parse(rest)?;
-    let mode = if args.list {
-        AnalyzeMode::List
-    } else if let Some(name) = &args.config {
-        AnalyzeMode::Config(name.clone())
-    } else {
-        AnalyzeMode::Grid
-    };
-    let response = match d.dispatch(&Query::Analyze(mode)) {
+fn usage() -> String {
+    let mut out = "usage: llama3sim <command> [flags]\n\ncommands:\n".to_string();
+    for c in &COMMANDS {
+        out.push_str(&command_usage(c));
+    }
+    out
+}
+
+fn run_analyze(rest: &[String]) -> Result<i32, String> {
+    let mut f = Flags::new(rest);
+    let json = f.switch(&ANALYZE_JSON);
+    let mode = f.query(AnalyzeMode::from_args)?;
+    let list = mode == AnalyzeMode::List;
+    let response = match Dispatcher::new().dispatch(&Query::Analyze(mode)) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("{e}");
-            analyze_cli::print_usage("analyze");
+            eprintln!("\nnamed configs:");
+            for (name, desc) in NAMED_CONFIGS {
+                eprintln!("  {name:<22} {desc}");
+            }
             return Ok(2);
         }
     };
     let Response::Analyze(payload) = &response else {
         return Err("analyze dispatch returned a non-analyze response".to_string());
     };
-    if args.json && !args.list {
+    if json && !list {
         let jsonl = payload.render_jsonl();
         if !jsonl.is_empty() {
             println!("{jsonl}");
@@ -138,12 +170,12 @@ fn run_analyze(d: &Dispatcher, rest: &[String]) -> Result<i32, String> {
 }
 
 fn run_fuzz(rest: &[String]) -> Result<i32, String> {
-    let args = parse_fuzz(rest)?;
+    let query = Flags::new(rest).query(FuzzQuery::from_args)?;
     // The heartbeat streams to stderr mid-sweep, which a one-shot
     // dispatch cannot carry, so the CLI drives the sweep itself and
     // renders through the same response type the dispatcher returns.
-    let outcome = run_sweep(&args, |clean| {
-        eprintln!("conformance fuzz: {clean}/{} cases clean", args.cases);
+    let outcome = run_sweep(&query, |clean| {
+        eprintln!("conformance fuzz: {clean}/{} cases clean", query.cases);
     });
     let payload = outcome.into_response();
     if let Some(diag) = payload.render_diagnostics() {
@@ -154,32 +186,45 @@ fn run_fuzz(rest: &[String]) -> Result<i32, String> {
     Ok(response.exit_code())
 }
 
-fn run_bench(d: &Dispatcher, rest: &[String]) -> Result<i32, String> {
-    let args = SnapshotArgs::parse(rest)?;
-    let response = d.dispatch(&Query::Bench).map_err(|e| e.to_string())?;
+fn json_only(rest: &[String]) -> Result<bool, String> {
+    let mut f = Flags::new(rest);
+    let json = f.switch(&JSON);
+    f.finish()?;
+    Ok(json)
+}
+
+fn run_bench(rest: &[String]) -> Result<i32, String> {
+    let json = json_only(rest)?;
+    let response = Dispatcher::new()
+        .dispatch(&Query::Bench)
+        .map_err(|e| e.to_string())?;
     let Response::Bench(r) = &response else {
         return Err("bench dispatch returned a non-bench response".to_string());
     };
     println!("{}", response.render_human());
-    let code = emit(&perf_envelope(r), "BENCH_step_sim.json", args.json);
+    let code = emit(&perf_envelope(r), "BENCH_step_sim.json", json);
     assert!(r.identical, "folded and full reports diverged");
     Ok(code)
 }
 
-fn run_goodput(d: &Dispatcher, rest: &[String]) -> Result<i32, String> {
-    let args = SnapshotArgs::parse(rest)?;
-    let response = d.dispatch(&Query::Goodput).map_err(|e| e.to_string())?;
+fn run_goodput(rest: &[String]) -> Result<i32, String> {
+    let json = json_only(rest)?;
+    let response = Dispatcher::new()
+        .dispatch(&Query::Goodput)
+        .map_err(|e| e.to_string())?;
     let Response::Goodput(r) = &response else {
         return Err("goodput dispatch returned a non-goodput response".to_string());
     };
     println!("{}", response.render_human());
     println!();
-    Ok(emit(&goodput_envelope(r), "BENCH_goodput.json", args.json))
+    Ok(emit(&goodput_envelope(r), "BENCH_goodput.json", json))
 }
 
-fn run_search(d: &Dispatcher, rest: &[String]) -> Result<i32, String> {
-    let args = SearchArgs::parse(rest)?;
-    let query = args.to_query();
+fn run_search(rest: &[String]) -> Result<i32, String> {
+    let mut f = Flags::new(rest);
+    let json = f.switch(&JSON);
+    let query = f.query(SearchQuery::from_args)?;
+    let d = Dispatcher::new();
     let t0 = Instant::now();
     let response = match d.dispatch(&Query::Search(query.clone())) {
         Ok(r) => r,
@@ -187,7 +232,11 @@ fn run_search(d: &Dispatcher, rest: &[String]) -> Result<i32, String> {
             eprintln!("error: {e}");
             // A plan-level failure keeps the search exit code; anything
             // else (bad model name, bad flags) is a usage error.
-            return Ok(if e.to_string().starts_with("search failed") { 1 } else { 2 });
+            return Ok(if e.to_string().starts_with("search failed") {
+                1
+            } else {
+                2
+            });
         }
     };
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -199,9 +248,11 @@ fn run_search(d: &Dispatcher, rest: &[String]) -> Result<i32, String> {
 
     // With --guided, also time the exhaustive baseline so the snapshot
     // pins the measured speedup and whether the frontiers agree.
-    let baseline = if args.guided {
-        let mut ex_query = query.clone();
-        ex_query.guided = false;
+    let baseline = if query.guided {
+        let ex_query = SearchQuery {
+            guided: false,
+            ..query.clone()
+        };
         let t1 = Instant::now();
         match d.dispatch(&Query::Search(ex_query)) {
             Ok(Response::Search(ex)) => {
@@ -236,7 +287,7 @@ fn run_search(d: &Dispatcher, rest: &[String]) -> Result<i32, String> {
     let spec = query.to_spec().map_err(|e| e.to_string())?;
     let mut envelope = search_envelope(&query, &spec, &r.report, wall_ms, baseline);
     let mut code = 0;
-    if let Some((tp, cp, pp, dp)) = args.expect {
+    if let Some((tp, cp, pp, dp)) = query.expect {
         let hit = r.expect_hit == Some(true);
         envelope = envelope.metric("expected_mesh_on_frontier", hit);
         if hit {
@@ -246,12 +297,22 @@ fn run_search(d: &Dispatcher, rest: &[String]) -> Result<i32, String> {
             code = 1;
         }
     }
-    Ok(emit(&envelope, "BENCH_search.json", args.json).max(code))
+    Ok(emit(&envelope, "BENCH_search.json", json).max(code))
 }
 
-fn run_trace(d: &Dispatcher, rest: &[String]) -> Result<i32, String> {
-    let args = TraceArgs::parse(rest)?;
-    let response = match d.dispatch(&Query::Trace(args.query.clone())) {
+fn run_infer_cmd(rest: &[String]) -> Result<i32, String> {
+    let mut f = Flags::new(rest);
+    let grid = f.switch(&INFER_GRID);
+    let json = f.switch(&JSON);
+    let query = f.query(InferQuery::from_args)?;
+    Ok(run_infer(&query, grid, json))
+}
+
+fn run_trace(rest: &[String]) -> Result<i32, String> {
+    let mut f = Flags::new(rest);
+    let json = f.switch(&JSON);
+    let query = f.query(TraceQuery::from_args)?;
+    let response = match Dispatcher::new().dispatch(&Query::Trace(query.clone())) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
@@ -262,13 +323,13 @@ fn run_trace(d: &Dispatcher, rest: &[String]) -> Result<i32, String> {
         return Err("trace dispatch returned a non-trace response".to_string());
     };
     println!("{}", response.render_human());
-    let code = emit(&trace_envelope(&args.query, r), "BENCH_trace.json", args.json);
+    let code = emit(&trace_envelope(&query, r), "BENCH_trace.json", json);
     Ok(code.max(response.exit_code()))
 }
 
 fn run_lint(rest: &[String]) -> Result<i32, String> {
     let mut f = Flags::new(rest);
-    let json = f.switch("json");
+    let json = f.switch(&LINT_JSON);
     f.finish()?;
     let report = lint::lint_repo(&lint::repo_root());
     for d in &report.diagnostics {
@@ -291,38 +352,30 @@ fn run_lint(rest: &[String]) -> Result<i32, String> {
     }
 }
 
-fn dispatch(cmd: &str, rest: &[String]) -> Result<i32, String> {
-    match cmd {
-        "analyze" => run_analyze(&Dispatcher::new(), rest),
-        "fuzz" => run_fuzz(rest),
-        "bench" => run_bench(&Dispatcher::new(), rest),
-        "goodput" => run_goodput(&Dispatcher::new(), rest),
-        "search" => run_search(&Dispatcher::new(), rest),
-        "infer" => Ok(run_infer(&InferArgs::parse(rest)?)),
-        "trace" => run_trace(&Dispatcher::new(), rest),
-        "serve" => Ok(serve::cli::run(&ServeArgs::parse(rest)?)),
-        "lint" => run_lint(rest),
-        other => Err(format!("unknown command {other:?}")),
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.split_first() {
-        None => usage(),
+        None => {
+            eprint!("{}", usage());
+            2
+        }
         Some((cmd, _)) if cmd == "--help" || cmd == "-h" || cmd == "help" => {
-            usage();
+            print!("{}", usage());
             0
         }
-        Some((cmd, rest)) => dispatch(cmd, rest).unwrap_or_else(|e| {
-            eprintln!("llama3sim {cmd}: {e}");
-            if cmd == "analyze" {
-                analyze_cli::print_usage("llama3sim analyze");
+        Some((cmd, rest)) => match COMMANDS.iter().find(|c| c.name == cmd) {
+            None => {
+                eprint!("llama3sim: unknown command {cmd:?}\n\n{}", usage());
                 2
-            } else {
-                usage()
             }
-        }),
+            Some(c) => (c.run)(rest).unwrap_or_else(|e| {
+                eprint!(
+                    "llama3sim {cmd}: {e}\n\nusage: llama3sim {cmd} [flags]\n{}",
+                    command_usage(c)
+                );
+                2
+            }),
+        },
     };
     std::process::exit(code);
 }

@@ -61,9 +61,9 @@ pub use serve;
 /// Prefer these re-exports over deep module paths
 /// (`llama3_parallelism::core::planner::...`): the deep paths are kept
 /// for backward compatibility but are considered deprecated import
-/// surface — `rustc` ignores `#[deprecated]` on `pub use` items, so
-/// the steering lives here, in the module docs, and in `repo_lint`
-/// rather than in compiler warnings. `examples/` imports everything
+/// surface — `rustc` ignores deprecation attributes on `pub use`
+/// items, so the steering lives here and in the module docs rather
+/// than in compiler warnings. `examples/` imports everything
 /// simulation-related from this prelude.
 ///
 /// ```

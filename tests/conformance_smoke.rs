@@ -1,7 +1,7 @@
 //! Library-API smoke sweep of the conformance fuzz battery: a short,
-//! deterministic run of the same sampler the `conformance_fuzz` bin
-//! drives, so `cargo test` alone exercises the invariant checkers and
-//! cheap oracles end-to-end. The deep sweeps stay in the bin
+//! deterministic run of the same sampler `llama3sim fuzz` drives, so
+//! `cargo test` alone exercises the invariant checkers and cheap
+//! oracles end-to-end. The deep sweeps stay in the CLI
 //! (`scripts/check.sh` runs 200 cases; CI acceptance runs 2000).
 
 use conformance::fuzz::CaseSpec;

@@ -131,41 +131,6 @@ fn goodput_report_is_seed_deterministic() {
     assert_ne!(report(3), report(4));
 }
 
-/// The API-redesign regression: the unified entrypoint with default
-/// options must be bit-identical to the old `simulate()` on the
-/// paper's three model scales.
-#[test]
-#[allow(deprecated)]
-fn run_default_matches_legacy_simulate() {
-    use llama3_parallelism::prelude::*;
-    let cases = [
-        (
-            llama3_parallelism::model::TransformerConfig::llama3_8b(),
-            Mesh4D::new(4, 1, 2, 4),
-            4,
-            8,
-        ),
-        (
-            llama3_parallelism::model::TransformerConfig::llama3_70b(),
-            Mesh4D::new(4, 1, 4, 2),
-            5,
-            8,
-        ),
-        (
-            llama3_parallelism::model::TransformerConfig::llama3_405b_scaled(28),
-            Mesh4D::new(4, 2, 4, 2),
-            7,
-            12,
-        ),
-    ];
-    for (cfg, mesh, v, bs) in cases {
-        let step = fault_test_step(cfg, mesh, v, bs);
-        let new = step.run(&SimOptions::default()).expect("valid step").report;
-        let old = step.simulate();
-        assert_eq!(new, old, "run(default) diverged from simulate()");
-    }
-}
-
 #[test]
 fn trace_synthesis_is_deterministic() {
     let mesh = Mesh4D::new(2, 2, 2, 2);

@@ -125,7 +125,7 @@ fn trace_chrome_matches_golden_at_two_zooms() {
     // A one-hour 8B run on 8 GPUs emits a few dozen events — small
     // enough to pin the chrome export byte-for-byte at full resolution
     // and at a 4x decimation.
-    let base = ["trace", "--model", "8b", "--gpus", "8", "--horizon-s", "3600"];
+    let base = ["trace", "--model", "8b", "--gpus", "8", "--horizon", "3600"];
     let (out, err, code) = run_cli(&[&base[..], &["--zoom", "0"]].concat());
     assert_eq!(code, 0, "stderr: {err}");
     assert_golden("trace_8b_zoom0.txt", &strip_volatile(&out));
@@ -137,7 +137,7 @@ fn trace_chrome_matches_golden_at_two_zooms() {
 #[test]
 fn trace_stats_json_envelope_matches_golden() {
     let (out, err, code) = run_cli(&[
-        "trace", "--model", "8b", "--gpus", "8", "--horizon-s", "3600", "--stats", "--json",
+        "trace", "--model", "8b", "--gpus", "8", "--horizon", "3600", "--stats", "--json",
     ]);
     assert_eq!(code, 0, "stderr: {err}");
     assert_golden("trace_8b_stats_json.txt", &strip_volatile(&out));
@@ -149,10 +149,19 @@ fn infer_small_serving_day_matches_golden() {
     // 8 GPUs, a steady 20K-requests/day trace compressed to 300 s.
     let (out, err, code) = run_cli(&[
         "infer", "--model", "8b", "--gpus", "8", "--traffic", "steady", "--rpd", "20000",
-        "--horizon-s", "300", "--seed", "7",
+        "--horizon", "300", "--seed", "7",
     ]);
     assert_eq!(code, 0, "stderr: {err}");
     assert_golden("infer_8b_small.txt", &strip_volatile(&out));
+}
+
+#[test]
+fn help_matches_golden_usage() {
+    // Every flag line is generated from a query field table or a
+    // CLI-only flag; this pin shows any change to one in review.
+    let (out, err, code) = run_cli(&["--help"]);
+    assert_eq!(code, 0, "stderr: {err}");
+    assert_golden("usage.txt", &out);
 }
 
 #[test]
