@@ -32,7 +32,8 @@ use crate::invariants::{
     check_step_report, check_trace_monotone,
 };
 use crate::oracles::{
-    oracle_continuous_batching, oracle_fluid_fast_path, oracle_folded_vs_full, program_vs_engine,
+    oracle_continuous_batching, oracle_fluid_fast_path, oracle_folded_vs_full,
+    oracle_pipeline_rules, program_vs_engine,
 };
 use cluster_model::{Cluster, GlobalRank, GpuSpec};
 use llm_model::{MaskSpec, ModelLayout, PrecisionPolicy, TransformerConfig};
@@ -277,8 +278,9 @@ impl CaseSpec {
 
     /// Runs the full conformance battery on this spec: the pre-flight
     /// static analyzer (which must report zero errors on a normalized
-    /// spec), schedule invariants, no-deadlock execution, the compiled
-    /// pipeline program vs the engine op by op, executed-graph
+    /// spec), schedule invariants, no-deadlock execution, the pipeline
+    /// rules on 16 broken variants of the schedule (oracle 12), the
+    /// compiled pipeline program vs the engine op by op, executed-graph
     /// causality, memory recomposition, step-report sanity, trace
     /// monotonicity, ring/FSDP byte conservation, and the cheap
     /// differential oracles (folding and the joint-graph step reference
@@ -307,6 +309,7 @@ impl CaseSpec {
             p2p: SimDuration::from_micros(15),
         };
         check_schedule_executes(&sched, &costs).map_err(ctx("deadlock"))?;
+        oracle_pipeline_rules(&sched, 16).map_err(ctx("oracle pipeline-rules"))?;
         // The compiled pipeline program vs the engine, on the model's
         // own stage costs with a different compute scale per rank.
         let seed = self.seed();

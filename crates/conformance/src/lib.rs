@@ -12,14 +12,15 @@
 //!    schedules, executed task graphs, process groups, memory models
 //!    and traces.
 //! 2. [`oracles`] — a generic [`oracles::assert_equivalent`] harness
-//!    plus the nine differential oracles (folded vs full fidelity and
+//!    plus the ten differential oracles (folded vs full fidelity and
 //!    traced vs untraced runs, memoized vs uncached collective costs,
 //!    fluid fast path vs the general max-min solver, `RunSimulator`
 //!    day totals vs an independent naive recomposition, the pruned
 //!    search funnel vs exhaustive enumeration, guided vs exhaustive
 //!    search, tiered-trace replay and aggregates vs full-resolution
-//!    references, and the continuous-batching inference engine vs an
-//!    independent naive rewalk).
+//!    references, the continuous-batching inference engine vs an
+//!    independent naive rewalk, and the pipeline deadlock and race
+//!    rules vs execution and a brute-force closure).
 //! 3. [`fuzz`] — seeded random `(model, mesh, schedule, options)`
 //!    sampling with greedy dimension-halving shrinking, driven by
 //!    `llama3sim fuzz`; counterexamples are emitted as ready-to-paste

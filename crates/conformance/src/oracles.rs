@@ -1,10 +1,11 @@
 //! Differential oracles: run the fast path and the reference path on
 //! the same input and demand equivalence.
 //!
-//! The generic entry point is [`assert_equivalent`]; the nine concrete
+//! The generic entry point is [`assert_equivalent`]; the ten concrete
 //! oracles cover every fast path added so far. They keep the numbers
 //! they were introduced under; number 4 (the retired `simulate*`
-//! wrappers vs `StepModel::run`) is not reused:
+//! wrappers vs `StepModel::run`) is not reused, and number 11 is the
+//! serve crate's:
 //!
 //! 1. [`oracle_folded_vs_full`] — DP-symmetry folding vs the full
 //!    step, and `StepModel::run` vs [`reference_step_report`] (every
@@ -42,6 +43,10 @@
 //!     (`free == capacity` after draining), and the fleet-level
 //!     `simulate` bit-identical on a re-run and to a manual
 //!     shard-and-fold.
+//! 12. [`oracle_pipeline_rules`] — the pre-flight `DEAD001`/`DEAD002`
+//!     and `RACE001` rules, read off the compiled pipeline program, vs
+//!     execution and a brute-force closure over the [`lower_pp`] graph
+//!     on a battery of swapped, duplicated, dropped and moved ops.
 
 use crate::invariants::CheckResult;
 use cluster_model::faults::ClusterHealth;
@@ -54,8 +59,11 @@ use parallelism_core::infer::{
 use parallelism_core::run::{GoodputLoss, GoodputReport, RunSimulator};
 use parallelism_core::Request;
 use parallelism_core::search::{enumerate_configs, search, SearchSpec, SearchStrategy};
+use parallelism_core::analyze::race::{self, Lane, Race};
+use parallelism_core::analyze::{self, deadlock, RuleId};
 use parallelism_core::pp::sim::{
-    lower_pp, lowering_capacity, PpCostModel, PpProgram, PpSimOp, PpTiming, TableCosts,
+    lower_pp, lowering_capacity, simulate_pp, PpCostModel, PpProgram, PpSimOp, PpTiming,
+    TableCosts, UniformCosts,
 };
 use parallelism_core::pp::PpSchedule;
 use parallelism_core::step::{ExposedComm, SimFidelity, SimOptions, StepModel, StepReport};
@@ -1273,4 +1281,211 @@ pub fn naive_goodput(sim: &RunSimulator) -> Result<GoodputReport, String> {
         },
         mtbf_s: mtbf,
     })
+}
+
+/// The edits oracle 12 applies to one op of one rank, in battery order.
+const SCHEDULE_EDITS: [&str; 7] = [
+    "swap with next",
+    "swap with opposite",
+    "drop",
+    "duplicate",
+    "duplicate to end",
+    "move to front",
+    "move to back",
+];
+
+/// `base` with edit `SCHEDULE_EDITS[edit]` applied to op `i` of rank
+/// `rank`, or `None` when the edit leaves the schedule unchanged.
+fn mutate_schedule(base: &PpSchedule, rank: usize, i: usize, edit: usize) -> Option<PpSchedule> {
+    let ops = &base.ranks[rank];
+    let n = ops.len();
+    let mut edited = ops.clone();
+    match edit {
+        0 if i + 1 < n => edited.swap(i, i + 1),
+        0 => {}
+        1 => edited.swap(i, (i + n / 2) % n),
+        2 => {
+            edited.remove(i);
+        }
+        3 => edited.insert(i + 1, ops[i]),
+        4 => edited.push(ops[i]),
+        5 => {
+            let op = edited.remove(i);
+            edited.insert(0, op);
+        }
+        _ => {
+            let op = edited.remove(i);
+            edited.push(op);
+        }
+    }
+    (edited != *ops).then(|| {
+        let mut s = base.clone();
+        s.ranks[rank] = edited;
+        s
+    })
+}
+
+/// Largest schedule (in compute ops) oracle 12 checks `RACE001`
+/// against the brute-force closure; its reference is quadratic.
+const RACE_REFERENCE_MAX_OPS: usize = 512;
+
+/// Oracle 12 — the pipeline rules vs execution and a brute-force
+/// reference, over a battery of broken schedules. `base` (a built
+/// schedule) must get no `DEAD*`/`RACE001` finding. Then every edit
+/// of [`SCHEDULE_EDITS`] is applied to every op of every rank — at
+/// most `max_mutants` of them, evenly spaced — and each mutant goes
+/// through [`check_pipeline_rules`]. Returns the number of mutants
+/// checked.
+pub fn oracle_pipeline_rules(base: &PpSchedule, max_mutants: usize) -> Result<usize, String> {
+    let program = analyze::compile(base);
+    let findings = [
+        deadlock::check_program(base, &program),
+        race::check_program(base, &program),
+    ]
+    .concat();
+    if let Some(d) = findings.first() {
+        return Err(format!("built schedule: {}", d.render_human()));
+    }
+    let slots: Vec<(usize, usize, usize)> = (0..base.ranks.len())
+        .flat_map(|r| {
+            (0..base.ranks[r].len())
+                .flat_map(move |i| (0..SCHEDULE_EDITS.len()).map(move |e| (r, i, e)))
+        })
+        .collect();
+    let stride = slots.len().div_ceil(max_mutants.max(1)).max(1);
+    let mut checked = 0;
+    for &(r, i, e) in slots.iter().step_by(stride) {
+        if let Some(s) = mutate_schedule(base, r, i, e) {
+            check_pipeline_rules(&s)
+                .map_err(|err| format!("rank {r} op {i} {}: {err}", SCHEDULE_EDITS[e]))?;
+            checked += 1;
+        }
+    }
+    Ok(checked)
+}
+
+/// One schedule of oracle 12: `DEAD001` or `DEAD002` fires exactly when
+/// [`simulate_pp`] fails, with zero and with non-zero P2P; and on a
+/// schedule that runs, with at most [`RACE_REFERENCE_MAX_OPS`] ops,
+/// `RACE001`'s unordered pairs are exactly those of a brute-force
+/// reachability closure over the [`lower_pp`] task graph.
+pub fn check_pipeline_rules(s: &PpSchedule) -> CheckResult {
+    let program = analyze::compile(s);
+    let dead = deadlock::check_program(s, &program);
+    let rejected = dead
+        .iter()
+        .any(|d| matches!(d.rule, RuleId::Dead001 | RuleId::Dead002));
+    for p2p in [0, 5] {
+        let costs = UniformCosts {
+            fwd: SimDuration::from_micros(3),
+            bwd: SimDuration::from_micros(7),
+            p2p: SimDuration::from_micros(p2p),
+        };
+        let runs = simulate_pp(s, &costs).is_ok();
+        if runs == rejected {
+            return Err(format!(
+                "p2p {p2p} µs: simulate_pp {} but the analyzer reports {:?}",
+                if runs { "runs" } else { "deadlocks" },
+                dead.iter().map(|d| d.render_human()).collect::<Vec<_>>()
+            ));
+        }
+    }
+    if rejected || program.len() > RACE_REFERENCE_MAX_OPS {
+        return Ok(());
+    }
+    let got = race::unordered_pairs(s, &program);
+    let want = reference_races(s);
+    if got != want {
+        return Err(format!("RACE001 pairs {got:?}, brute force {want:?}"));
+    }
+    Ok(())
+}
+
+/// Every unordered conflicting pair of compute ops in `s`'s
+/// [`lower_pp`] graph (with transfers), by the full transitive closure
+/// of its dependency and FIFO-stream edges. Sorted like
+/// [`race::unordered_pairs`]: by lane, then by the two op ids. The
+/// graph must be acyclic.
+fn reference_races(s: &PpSchedule) -> Vec<Race> {
+    let costs = UniformCosts {
+        fwd: SimDuration::from_micros(1),
+        bwd: SimDuration::from_micros(1),
+        p2p: SimDuration::from_micros(1),
+    };
+    let (ops, streams) = lowering_capacity(s);
+    let mut g: TaskGraph<PpSimOp> = TaskGraph::with_capacity(ops, streams);
+    lower_pp(&mut g, s, &costs, &[], |op| op);
+    let n = g.op_count();
+    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut last_on_stream: Vec<Option<usize>> = vec![None; g.stream_count()];
+    for op in g.op_ids() {
+        for st in g.op_streams(op) {
+            preds[op.index()].extend(last_on_stream[st.index()]);
+            last_on_stream[st.index()] = Some(op.index());
+        }
+        preds[op.index()].extend(g.op_deps(op).iter().map(|d| d.index()));
+    }
+    // ancestors[i]: bitset of every op with a path to op i.
+    fn close(i: usize, preds: &[Vec<usize>], ancestors: &mut [Vec<u64>], done: &mut [bool]) {
+        if done[i] {
+            return;
+        }
+        // Acyclic, so no op below `i` needs `i`'s set while it is out.
+        let mut set = std::mem::take(&mut ancestors[i]);
+        for &p in &preds[i] {
+            close(p, preds, ancestors, done);
+            for (t, f) in set.iter_mut().zip(&ancestors[p]) {
+                *t |= f;
+            }
+            set[p / 64] |= 1 << (p % 64);
+        }
+        ancestors[i] = set;
+        done[i] = true;
+    }
+    let mut ancestors = vec![vec![0u64; n.div_ceil(64)]; n];
+    let mut done = vec![false; n];
+    for i in 0..n {
+        close(i, &preds, &mut ancestors, &mut done);
+    }
+    let reaches = |a: usize, b: usize| ancestors[b][a / 64] >> (a % 64) & 1 == 1;
+
+    let last = s.num_stages() - 1;
+    let mut touches: Vec<(Lane, usize, bool)> = Vec::new();
+    for op in g.op_ids() {
+        let i = op.index();
+        match *g.op_meta(op) {
+            PpSimOp::Forward { stage, mb, .. } => {
+                touches.push((Lane::Act { stage, mb }, i, true));
+                if stage > 0 {
+                    touches.push((Lane::Act { stage: stage - 1, mb }, i, false));
+                }
+            }
+            PpSimOp::Backward { stage, mb, .. } => {
+                touches.push((Lane::Grad { stage, mb }, i, true));
+                touches.push((Lane::Act { stage, mb }, i, false));
+                if stage < last {
+                    touches.push((Lane::Grad { stage: stage + 1, mb }, i, false));
+                }
+            }
+            PpSimOp::Transfer => {}
+        }
+    }
+    touches.sort_unstable();
+    let mut races = Vec::new();
+    for members in touches.chunk_by(|x, y| x.0 == y.0) {
+        for (k, &(lane, a, a_writes)) in members.iter().enumerate() {
+            for &(_, b, b_writes) in &members[k + 1..] {
+                if (a_writes || b_writes) && !reaches(a, b) && !reaches(b, a) {
+                    races.push(Race {
+                        lane,
+                        a,
+                        a_writes,
+                        b,
+                        b_writes,
+                    });
+                }
+            }
+        }
+    }
+    races
 }

@@ -3,16 +3,22 @@
 //! and guided-search oracles over small exhaustive search spaces
 //! instead — their references are quadratic; the run-trace replay
 //! oracle over 8-GPU fault-boosted runs — its reference capture is
-//! `O(N)` in run length).
+//! `O(N)` in run length; the pipeline-rules oracle over every family
+//! at small shapes — its race reference is quadratic).
 
 use cluster_model::{FaultRates, FaultTimeline};
 use collectives::CommCostModel;
 use conformance::grid::config_grid;
 use conformance::oracles::{
-    oracle_fluid_fast_path, oracle_folded_vs_full, oracle_goodput_recomposition,
-    oracle_guided_frontier, oracle_memoized_costs, oracle_run_trace_replay,
-    oracle_search_frontier, oracle_tiered_trace,
+    check_pipeline_rules, oracle_fluid_fast_path, oracle_folded_vs_full,
+    oracle_goodput_recomposition, oracle_guided_frontier, oracle_memoized_costs,
+    oracle_pipeline_rules, oracle_run_trace_replay, oracle_search_frontier, oracle_tiered_trace,
 };
+use parallelism_core::analyze::{deadlock, RuleId};
+use parallelism_core::pp::schedule::{PpOp, PpSchedule, ScheduleKind};
+use parallelism_core::pp::sim::{simulate_pp, UniformCosts};
+use sim_engine::graph::GraphError;
+use sim_engine::time::SimDuration;
 use parallelism_core::search::{enumerate_configs, SearchSpec};
 use parallelism_core::{CheckpointPolicy, Dim, RunSimulator, ZeroMode};
 use trace_analysis::tiered::TierConfig;
@@ -200,4 +206,81 @@ fn goodput_recomposition_matches_across_grid() {
         }
     }
     assert!(combos >= 50, "only {combos} goodput combos ran");
+}
+
+#[test]
+fn pipeline_rules_match_execution_on_broken_schedules() {
+    // Oracle 12: every edit of every op of every family at small
+    // shapes. A shape a family cannot build is skipped.
+    let mut mutants = 0;
+    for kind in [
+        ScheduleKind::AllFwdAllBwd,
+        ScheduleKind::Interleaved1F1B,
+        ScheduleKind::Flexible { nc: 1 },
+        ScheduleKind::Flexible { nc: 2 },
+        ScheduleKind::Flexible { nc: 3 },
+    ] {
+        for (pp, v, nmb) in [(2, 1, 1), (2, 1, 2), (2, 2, 2), (3, 1, 3), (2, 2, 4), (3, 2, 3), (4, 1, 4)] {
+            let Ok(s) = PpSchedule::build(kind, pp, v, nmb) else {
+                continue;
+            };
+            mutants += oracle_pipeline_rules(&s, usize::MAX)
+                .unwrap_or_else(|e| panic!("{kind:?} pp={pp} v={v} nmb={nmb}: {e}"));
+        }
+    }
+    assert!(mutants >= 4000, "only {mutants} mutants");
+}
+
+fn costs(p2p: u64) -> UniformCosts {
+    UniformCosts {
+        fwd: SimDuration::from_micros(3),
+        bwd: SimDuration::from_micros(7),
+        p2p: SimDuration::from_micros(p2p),
+    }
+}
+
+#[test]
+fn duplicated_forward_deadlocks_in_the_analyzer_and_the_simulator() {
+    // Rank 0 runs F0.0 again after its backward. The simulator wires
+    // that last copy, so rank 1's forward waits behind rank 0's
+    // backward, which waits for rank 1's: four compute ops never run,
+    // and the two transfers between them when P2P takes time.
+    let mut s = PpSchedule::build(ScheduleKind::AllFwdAllBwd, 2, 1, 1).unwrap();
+    s.ranks[0].push(PpOp::Forward { chunk: 0, mb: 0 });
+    let diags = deadlock::check_schedule(&s);
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert_eq!(diags[0].rule, RuleId::Dead001);
+    assert_eq!(
+        diags[0].witness,
+        ["rank 0: B0.0", "rank 1: B0.0", "rank 1: F0.0", "rank 0: F0.0"]
+    );
+    for p2p in [0, 5] {
+        let GraphError::Deadlock(stuck) = simulate_pp(&s, &costs(p2p)).unwrap_err();
+        assert_eq!(stuck.len(), if p2p == 0 { 4 } else { 6 });
+    }
+    check_pipeline_rules(&s).unwrap();
+}
+
+#[test]
+fn missing_producer_is_dead002_and_a_simulator_error() {
+    // Rank 0 drops F0.1: rank 1's F0.1 waits for a forward no rank
+    // schedules. The analyzer names the wait; the simulator returns a
+    // deadlock instead of panicking.
+    let mut s = PpSchedule::build(ScheduleKind::AllFwdAllBwd, 2, 1, 2).unwrap();
+    s.ranks[0].retain(|op| *op != PpOp::Forward { chunk: 0, mb: 1 });
+    let diags = deadlock::check_schedule(&s);
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert_eq!(
+        diags[0].to_json_line(),
+        "{\"severity\":\"error\",\"rule\":\"DEAD002\",\"rank\":1,\"op\":\"F0.1\",\
+         \"message\":\"F0.1 waits for the forward of stage 0 mb 1, which no rank schedules \
+         — the wait never completes\",\"witness\":[]}"
+    );
+    for p2p in [0, 5] {
+        assert!(matches!(
+            simulate_pp(&s, &costs(p2p)),
+            Err(GraphError::Deadlock(stuck)) if !stuck.is_empty()
+        ));
+    }
+    check_pipeline_rules(&s).unwrap();
 }

@@ -1,149 +1,73 @@
 //! Static pipeline-deadlock detection (`DEAD001`/`DEAD002`).
 //!
-//! Builds the cross-rank wait-for graph a [`PpSchedule`] implies and
-//! looks for cycles — with no simulation. The graph mirrors exactly the
-//! dependencies `lower_pp` wires when the schedule executes:
+//! Reads the schedule's compiled [`PpProgram`] — the dependencies the
+//! simulator times — with no simulation. Each op waits for the previous
+//! op on its rank (program order on one compute stream) and for its
+//! data producer: `F(stage, mb)` with `stage > 0` for `F(stage−1, mb)`
+//! (activation receive), `B(stage, mb)` with `stage < last` for
+//! `B(stage+1, mb)` (gradient receive), and `B(last, mb)` for the local
+//! `F(last, mb)` (loss turn-around).
 //!
-//! * **program order** — each rank's ops run in list order on one
-//!   compute stream, so every op waits for its predecessor;
-//! * **activation receive** — `F(stage, mb)` with `stage > 0` waits for
-//!   `F(stage−1, mb)` on rank `(stage−1) mod pp` (the p2p send/recv
-//!   pair);
-//! * **gradient receive** — `B(stage, mb)` with `stage < last` waits
-//!   for `B(stage+1, mb)`;
-//! * **loss turn-around** — `B(last, mb)` waits for the local
-//!   `F(last, mb)`.
+//! * `DEAD002` — the producers compilation cannot resolve: waits on an
+//!   op no rank schedules.
+//! * `DEAD001` — the ops Kahn's order leaves out, when they hold a
+//!   cycle. The witness is the first cycle a depth-first search finds
+//!   over the stuck ops, visiting each op's stream edge before its
+//!   data edge.
 //!
-//! The step-end collective join point (the DP gradient sync every rank
-//! enters after its final op) is modelled as one virtual node waiting
-//! on each rank's last op; it has no successors, so it can stall but
-//! never close a cycle — every schedule deadlock is a cycle among the
-//! compute ops above, reported as an op-path witness.
+//! The step-end DP gradient sync every rank enters after its final op
+//! has no successors, so it can stall but never close a cycle: every
+//! schedule deadlock is a cycle among the compute ops above.
 
-use super::{Diagnostic, RuleId};
+use super::{op_at, Diagnostic, RuleId};
 use crate::pp::schedule::{PpOp, PpSchedule};
-use std::collections::HashMap;
+use crate::pp::sim::PpProgram;
 
 /// Cap on reported dangling-wait diagnostics (one broken schedule can
 /// dangle hundreds of waits; the first few identify the defect).
 const MAX_DANGLING: usize = 8;
 
-/// One node of the wait-for graph: `(pipeline rank, op index)` plus the
-/// virtual step-end join node.
-#[derive(Debug, Clone, Copy)]
-struct Node {
-    rank: u32,
-    op: PpOp,
+/// Compiles `sched` and checks it: see [`check_program`].
+pub fn check_schedule(sched: &PpSchedule) -> Vec<Diagnostic> {
+    check_program(sched, &super::compile(sched))
 }
 
-/// Checks `sched` for wait-for cycles and dangling waits.
+/// Checks `program`, compiled from `sched`, for dangling waits and
+/// wait-for cycles.
 ///
-/// Returns one `DEAD001` error (with the full cycle as witness) for the
-/// first cycle found, plus up to [`MAX_DANGLING`] `DEAD002` errors for
-/// waits on producers no rank schedules. A schedule produced by
+/// Returns up to [`MAX_DANGLING`] `DEAD002` errors for waits on
+/// producers no rank schedules, then one `DEAD001` error (with the full
+/// cycle as witness) for the first cycle found. A schedule produced by
 /// [`PpSchedule::build`] yields no diagnostics.
-pub fn check_schedule(sched: &PpSchedule) -> Vec<Diagnostic> {
+pub fn check_program(sched: &PpSchedule, program: &PpProgram) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
+    if program.is_complete() {
+        return diags;
+    }
     let last_stage = sched.num_stages() - 1;
-
-    // Node ids: per-rank ops flattened, then one virtual join node.
-    let mut nodes: Vec<Node> = Vec::new();
-    let mut rank_offsets: Vec<usize> = Vec::with_capacity(sched.ranks.len());
-    for (ppr, ops) in sched.ranks.iter().enumerate() {
-        rank_offsets.push(nodes.len());
-        for &op in ops {
-            nodes.push(Node {
-                rank: ppr as u32,
-                op,
-            });
-        }
-    }
-    let join = nodes.len();
-    let num_nodes = nodes.len() + 1;
-
-    // First occurrence of each (is_forward, stage, mb) across all
-    // ranks, for cross-rank producer lookup.
-    let mut producers: HashMap<(bool, u32, u32), usize> = HashMap::new();
-    for (id, n) in nodes.iter().enumerate() {
-        let stage = sched.stage_of(n.rank, n.op.chunk());
-        producers
-            .entry((n.op.is_forward(), stage, n.op.mb()))
-            .or_insert(id);
-    }
-
-    // waits[x] = nodes x waits for.
-    let mut waits: Vec<Vec<usize>> = vec![Vec::new(); num_nodes];
-    let mut dangling = 0usize;
-    let dangle = |diags: &mut Vec<Diagnostic>,
-                      dangling: &mut usize,
-                      n: &Node,
-                      wanted: String| {
-        if *dangling < MAX_DANGLING {
-            diags.push(
-                Diagnostic::error(
-                    RuleId::Dead002,
-                    format!(
-                        "{} waits for {wanted}, which no rank schedules — the wait never completes",
-                        n.op
-                    ),
-                )
-                .at_rank(n.rank)
-                .at_op(n.op.to_string()),
-            );
-        }
-        *dangling += 1;
-    };
-
-    for (ppr, ops) in sched.ranks.iter().enumerate() {
-        let base = rank_offsets[ppr];
-        for (i, &op) in ops.iter().enumerate() {
-            let id = base + i;
-            if i > 0 {
-                waits[id].push(id - 1);
+    for i in program.unresolved().take(MAX_DANGLING) {
+        let (rank, op) = op_at(sched, program, i);
+        let stage = sched.stage_of(rank, op.chunk());
+        let mb = op.mb();
+        let wanted = match op {
+            PpOp::Forward { .. } => format!("the forward of stage {} mb {mb}", stage - 1),
+            PpOp::Backward { .. } if stage < last_stage => {
+                format!("the backward of stage {} mb {mb}", stage + 1)
             }
-            let stage = sched.stage_of(ppr as u32, op.chunk());
-            let n = nodes[id];
-            match op {
-                PpOp::Forward { mb, .. } if stage > 0 => {
-                    match producers.get(&(true, stage - 1, mb)) {
-                        Some(&p) => waits[id].push(p),
-                        None => dangle(
-                            &mut diags,
-                            &mut dangling,
-                            &n,
-                            format!("the forward of stage {} mb {mb}", stage - 1),
-                        ),
-                    }
-                }
-                PpOp::Backward { mb, .. } if stage < last_stage => {
-                    match producers.get(&(false, stage + 1, mb)) {
-                        Some(&p) => waits[id].push(p),
-                        None => dangle(
-                            &mut diags,
-                            &mut dangling,
-                            &n,
-                            format!("the backward of stage {} mb {mb}", stage + 1),
-                        ),
-                    }
-                }
-                PpOp::Backward { mb, .. } => match producers.get(&(true, stage, mb)) {
-                    Some(&p) => waits[id].push(p),
-                    None => dangle(
-                        &mut diags,
-                        &mut dangling,
-                        &n,
-                        format!("the local forward of stage {stage} mb {mb}"),
-                    ),
-                },
-                PpOp::Forward { .. } => {}
-            }
-        }
-        // The step-end collective join point waits on every rank's last
-        // op (acyclic by construction — it has no successors).
-        if let Some(last) = ops.len().checked_sub(1) {
-            waits[join].push(base + last);
-        }
+            PpOp::Backward { .. } => format!("the local forward of stage {stage} mb {mb}"),
+        };
+        diags.push(
+            Diagnostic::error(
+                RuleId::Dead002,
+                format!(
+                    "{op} waits for {wanted}, which no rank schedules — the wait never completes"
+                ),
+            )
+            .at_rank(rank)
+            .at_op(op.to_string()),
+        );
     }
+    let dangling = program.unresolved().count();
     if dangling > MAX_DANGLING {
         diags.push(Diagnostic::error(
             RuleId::Dead002,
@@ -151,19 +75,15 @@ pub fn check_schedule(sched: &PpSchedule) -> Vec<Diagnostic> {
         ));
     }
 
-    if let Some(cycle) = find_cycle(&waits) {
-        let witness: Vec<String> = cycle
+    if let Some(cycle) = find_cycle(program) {
+        let witness = cycle
             .iter()
-            .map(|&id| {
-                if id == join {
-                    "step-end collective join".to_string()
-                } else {
-                    let n = nodes[id];
-                    format!("rank {}: {}", n.rank, n.op)
-                }
+            .map(|&i| {
+                let (rank, op) = op_at(sched, program, i);
+                format!("rank {rank}: {op}")
             })
             .collect();
-        let first = nodes[cycle[0]];
+        let (rank, op) = op_at(sched, program, cycle[0]);
         diags.push(
             Diagnostic::error(
                 RuleId::Dead001,
@@ -173,28 +93,33 @@ pub fn check_schedule(sched: &PpSchedule) -> Vec<Diagnostic> {
                     cycle.len()
                 ),
             )
-            .at_rank(first.rank)
-            .at_op(first.op.to_string())
+            .at_rank(rank)
+            .at_op(op.to_string())
             .with_witness(witness),
         );
     }
     diags
 }
 
-/// Iterative three-colour DFS over the wait-for graph; returns the
-/// first cycle found as a node path (each node waits for the next, and
-/// the last waits for the first).
-fn find_cycle(waits: &[Vec<usize>]) -> Option<Vec<usize>> {
+/// Iterative three-colour DFS over the ops Kahn's order left out, in
+/// program order; returns the first cycle found as an op path (each op
+/// waits for the next, and the last waits for the first). An op that
+/// runs waits only on ops that run, so it is never on a cycle and the
+/// search starts out treating it as finished.
+fn find_cycle(program: &PpProgram) -> Option<Vec<usize>> {
     #[derive(Clone, Copy, PartialEq)]
     enum Colour {
         White,
         Grey,
         Black,
     }
-    let mut colour = vec![Colour::White; waits.len()];
-    // Stack frames: (node, next child index). `path` mirrors the grey
-    // chain so a back-edge can be unwound into a cycle witness.
-    for root in 0..waits.len() {
+    let mut colour = vec![Colour::Black; program.len()];
+    for i in program.stuck() {
+        colour[i] = Colour::White;
+    }
+    // Stack frames: (op, next edge: 0 = stream, 1 = data). The stack
+    // is the grey chain, so a back edge unwinds into a cycle witness.
+    for root in 0..program.len() {
         if colour[root] != Colour::White {
             continue;
         }
@@ -202,25 +127,30 @@ fn find_cycle(waits: &[Vec<usize>]) -> Option<Vec<usize>> {
         colour[root] = Colour::Grey;
         while let Some(top) = stack.last_mut() {
             let node = top.0;
-            if top.1 < waits[node].len() {
-                let next = waits[node][top.1];
+            if top.1 < 2 {
+                let edge = top.1;
                 top.1 += 1;
+                let waited = if edge == 0 {
+                    program.stream_pred(node)
+                } else {
+                    program.data_pred(node)
+                };
+                let Some(next) = waited else {
+                    continue;
+                };
                 match colour[next] {
                     Colour::White => {
                         colour[next] = Colour::Grey;
                         stack.push((next, 0));
                     }
                     Colour::Grey => {
-                        // Back edge: the grey chain from `next` to the
-                        // top of the stack is the cycle.
                         let start = stack
                             .iter()
                             .position(|&(n, _)| n == next)
                             // lint: allow(unwrap) — grey nodes are on the stack by the DFS invariant
                             .expect("grey nodes are on the stack");
-                        // Stack order already reads "each node waits
-                        // for the next, and the last waits for the
-                        // first".
+                        // Stack order already reads "each op waits for
+                        // the next, and the last waits for the first".
                         return Some(stack[start..].iter().map(|&(n, _)| n).collect());
                     }
                     Colour::Black => {}

@@ -4,22 +4,24 @@
 //! only surface at scale: mismatched collectives hang like a bad NCCL
 //! call, PP send/recv cycles deadlock the pipeline, and memory plans
 //! that exceed HBM abort minutes into a run. This module statically
-//! rejects such plans in microseconds — **no timing-graph execution
-//! happens on the analysis path** (graph *building* is allowed, graph
-//! execution is not).
+//! rejects such plans in microseconds — **nothing is timed on the
+//! analysis path**: the pipeline rules read the schedule's compiled
+//! [`PpProgram`], the same dependency structure the simulator times,
+//! and no task graph is built or executed.
 //!
 //! Four rule families, each with stable rule IDs:
 //!
 //! * [`collective`] — `COLL001`: per-rank collective streams over each
 //!   process group must issue identical op sequences (kind, bytes,
 //!   group shape).
-//! * [`deadlock`] — `DEAD001`/`DEAD002`: the cross-rank wait-for graph
-//!   implied by PP p2p send/recv pairing must be acyclic and complete.
+//! * [`deadlock`] — `DEAD001`/`DEAD002`: every producer of the PP p2p
+//!   send/recv pairing must be scheduled, and every op must be in the
+//!   program's Kahn order (no wait-for cycle).
 //! * [`memory`] — `MEM001`/`MEM002`: an analytical per-rank peak-memory
 //!   bound must fit the GPU's HBM capacity (error) and the planner's
 //!   budget fraction (warning).
 //! * [`race`] — `RACE001`: two ops touching the same buffer lane must
-//!   be connected by an ordering edge in the task graph.
+//!   be ordered by the program's happens-before relation.
 //!
 //! Schedule parameters that cannot even build report as `PLAN001`.
 //!
@@ -35,6 +37,8 @@ pub mod deadlock;
 pub mod memory;
 pub mod race;
 
+use crate::pp::schedule::{PpOp, PpSchedule};
+use crate::pp::sim::{PpProgram, UniformCosts};
 use crate::step::StepModel;
 use std::fmt;
 
@@ -389,40 +393,31 @@ pub fn analyze_step(m: &StepModel) -> Report {
             return report;
         }
     };
-    report.diagnostics.extend(deadlock::check_schedule(&sched));
+    let program = compile(&sched);
+    report
+        .diagnostics
+        .extend(deadlock::check_program(&sched, &program));
     report
         .diagnostics
         .extend(collective::check_step(m, &sched));
     report.diagnostics.extend(memory::check_step(m, &sched));
-    report.diagnostics.extend(race::check_step(m, &sched));
+    report
+        .diagnostics
+        .extend(race::check_program(&sched, &program));
     report
 }
 
-/// Staged pre-flight rejector: the same rule families as
-/// [`analyze_step`], run cheapest-first with an early exit at the first
-/// error-severity diagnostic.
-///
-/// `None` means `analyze_step(m).has_errors()` would be `false` — the
-/// rule set is identical, only the traversal order and the early exit
-/// differ. Search funnels use this so a plan that already fails the
-/// O(pp·v) memory bound never pays for the collective-stream or
-/// race-reachability analyses, whose cost grows with group membership
-/// and schedule length.
-pub fn first_error(m: &StepModel) -> Option<Diagnostic> {
-    let sched = match m.schedule() {
-        Ok(s) => s,
-        Err(e) => return Some(Diagnostic::error(RuleId::Plan001, e.to_string())),
-    };
-    let stages: [Box<dyn Fn() -> Vec<Diagnostic>>; 4] = [
-        Box::new(|| memory::check_step(m, &sched)),
-        Box::new(|| deadlock::check_schedule(&sched)),
-        Box::new(|| collective::check_step(m, &sched)),
-        Box::new(|| race::check_step(m, &sched)),
-    ];
-    stages
-        .iter()
-        .flat_map(|stage| stage())
-        .find(|d| d.severity == Severity::Error)
+/// The program the pipeline rules read: `sched` compiled with free
+/// costs, whether or not it can execute.
+pub fn compile(sched: &PpSchedule) -> PpProgram {
+    PpProgram::build(sched, &UniformCosts::FREE)
+}
+
+/// The rank running `program`'s op `i` and the schedule op it is.
+fn op_at(sched: &PpSchedule, program: &PpProgram, i: usize) -> (u32, PpOp) {
+    let rank = program.rank_of(i);
+    let pos = i - program.rank_ops(rank).start;
+    (rank, sched.ranks[rank as usize][pos])
 }
 
 #[cfg(test)]

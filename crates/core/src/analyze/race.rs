@@ -1,33 +1,30 @@
-//! Write-race detection over un-executed task graphs (`RACE001`).
+//! Write-race detection over the compiled pipeline program (`RACE001`).
 //!
 //! Two ops touching the same **buffer lane** — one stage-micro-batch's
 //! activation or gradient buffer — with at least one write must be
-//! connected by an ordering edge, or their outcome depends on runtime
-//! scheduling. The ordering relation is the task graph's own: explicit
-//! dependency edges plus the FIFO order of ops sharing a stream. The
-//! check is purely structural — the graph is **built but never
-//! executed**.
+//! ordered by the program's happens-before relation, or their outcome
+//! depends on runtime scheduling. Happens-before is the transitive
+//! closure of the [`PpProgram`]'s stream and data edges. That is the
+//! engine's own ordering: a P2P transfer sits alone on its link stream
+//! and only adds latency to the edge it carries. The check is purely
+//! structural — nothing is timed.
 //!
-//! [`check_graph`] is generic over the graph's metadata so mutation
-//! tests can hand-build a racy graph; [`check_step`] lowers the step's
-//! pipeline schedule (exactly as the simulator would) and verifies the
-//! lowering orders every conflicting pair.
+//! Every writer of a lane runs the lane's own stage, so all of them
+//! share one rank's FIFO stream: two writes are always ordered, and
+//! every race is a read/write pair.
 
-use super::{Diagnostic, RuleId};
+use super::{op_at, Diagnostic, RuleId};
 use crate::pp::schedule::PpSchedule;
-use crate::pp::sim::{lower_pp, lowering_capacity, PpSimOp, UniformCosts};
-use crate::step::StepModel;
-use sim_engine::graph::{OpId, TaskGraph};
-use sim_engine::time::SimDuration;
+use crate::pp::sim::PpProgram;
 use std::fmt;
 
-/// Cap on reported races (one systematic lowering bug would otherwise
+/// Cap on reported races (one systematic scheduling bug would otherwise
 /// emit thousands of identical findings).
 const MAX_RACES: usize = 8;
 
 /// One logical buffer in the pipeline's memory plan. The derived
 /// order (activations before gradients, then stage, then micro-batch)
-/// fixes the report order of [`check_graph`] deterministically.
+/// fixes the report order of [`check_program`] deterministically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Lane {
     /// The activation buffer of `(stage, mb)`.
@@ -55,316 +52,239 @@ impl fmt::Display for Lane {
     }
 }
 
-/// One op's touch of a lane.
+/// Two conflicting accesses the program leaves unordered: ops `a < b`
+/// (program indices) both touch `lane`, and at least one writes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Access {
-    /// The lane touched.
+pub struct Race {
+    /// The lane both ops touch.
     pub lane: Lane,
-    /// `true` for writes.
-    pub write: bool,
+    /// The earlier op in program order.
+    pub a: usize,
+    /// `true` when `a` writes the lane.
+    pub a_writes: bool,
+    /// The later op in program order.
+    pub b: usize,
+    /// `true` when `b` writes the lane.
+    pub b_writes: bool,
 }
 
-impl Access {
-    /// A read access.
-    pub fn read(lane: Lane) -> Access {
-        Access { lane, write: false }
-    }
-    /// A write access.
-    pub fn write(lane: Lane) -> Access {
-        Access { lane, write: true }
-    }
-}
-
-/// The lanes a lowered pipeline op touches: a forward writes its
-/// stage's activation and reads the previous stage's; a backward
-/// writes its gradient, reads its activation and reads the next
-/// stage's gradient. Transfers are conduits — their ordering is
-/// carried by the dependency edges through them.
-pub fn pp_accesses(op: &PpSimOp, last_stage: u32) -> Vec<Access> {
-    match *op {
-        PpSimOp::Forward { stage, mb, .. } => {
-            let mut a = vec![Access::write(Lane::Act { stage, mb })];
-            if stage > 0 {
-                a.push(Access::read(Lane::Act { stage: stage - 1, mb }));
-            }
-            a
-        }
-        PpSimOp::Backward { stage, mb, .. } => {
-            let mut a = vec![
-                Access::write(Lane::Grad { stage, mb }),
-                Access::read(Lane::Act { stage, mb }),
-            ];
-            if stage < last_stage {
-                a.push(Access::read(Lane::Grad { stage: stage + 1, mb }));
-            }
-            a
-        }
-        PpSimOp::Transfer => Vec::new(),
-    }
-}
-
-/// Checks an (un-executed) task graph for unordered conflicting
-/// accesses. `accesses` maps each op's metadata to the lanes it
-/// touches; `describe` renders `(rank, op label)` for diagnostics.
-pub fn check_graph<M>(
-    g: &TaskGraph<M>,
-    accesses: impl Fn(&M) -> Vec<Access>,
-    describe: impl Fn(&M) -> (Option<u32>, String),
-) -> Vec<Diagnostic> {
-    let num_ops = g.op_ids().count();
-    // Predecessors in the ordering relation: dependency edges plus the
-    // immediate FIFO predecessor on each of the op's streams. Program
-    // order on every stream is `add_op` call order, so one pass over
-    // the ops in creation order recovers each FIFO predecessor.
-    let mut preds: Vec<Vec<OpId>> = vec![Vec::new(); num_ops];
-    let mut last_on_stream: Vec<Option<OpId>> = vec![None; g.stream_count()];
-    for op in g.op_ids() {
-        // Stream predecessors first, dependency edges last: the search
-        // below pops dependency edges first, resolving the common
-        // producer-via-transfer pairs in two hops instead of walking a
-        // whole compute stream's history.
-        for &s in g.op_streams(op) {
-            if let Some(prev) = last_on_stream[s.index()] {
-                preds[op.index()].push(prev);
-            }
-            last_on_stream[s.index()] = Some(op);
-        }
-        preds[op.index()].extend_from_slice(g.op_deps(op));
-    }
-
-    // Lane membership, grouped by sorting rather than hashing: one
-    // flat `(lane, op, write)` table ordered by (lane, creation order)
-    // is cheaper than a hash map at half a million entries and gives
-    // the deterministic lane order for free.
-    let mut touches: Vec<(Lane, OpId, bool)> = Vec::new();
-    for op in g.op_ids() {
-        for a in accesses(g.op_meta(op)) {
-            touches.push((a.lane, op, a.write));
-        }
-    }
-    touches.sort_unstable_by_key(|&(lane, op, _)| (lane, op.index()));
-
-    // `a` and `b` are ordered iff one is reachable from the other
-    // through the predecessor relation. Shared-stream pairs
-    // short-circuit via FIFO positions. The two directions are searched
-    // *simultaneously*, alternating one expansion each: in a valid
-    // lowering the connecting path is a couple of hops long but its
-    // direction is not known up front, and probing the wrong direction
-    // first would pay a full failed traversal of the graph for every
-    // pair. The `seen` stamps are reused across pairs (epoch per call)
-    // so no per-pair allocation happens.
-    let mut seen: Vec<(u32, u32)> = vec![(0, 0); num_ops];
-    let mut epoch = 0u32;
-    // The two search stacks live across pairs — `ordered` runs once per
-    // conflicting pair (millions on a production-size lowering), so a
-    // per-call allocation would dominate the whole check.
-    let mut towards_a: Vec<OpId> = Vec::new(); // walks preds from b, looking for a
-    let mut towards_b: Vec<OpId> = Vec::new(); // walks preds from a, looking for b
-    let mut ordered = |a: OpId, b: OpId| -> bool {
-        for &s in g.op_streams(a) {
-            if g.op_streams(b).contains(&s) {
-                return true; // FIFO streams totally order their ops
-            }
-        }
-        epoch += 1;
-        towards_a.clear();
-        towards_a.push(b);
-        towards_b.clear();
-        towards_b.push(a);
-        loop {
-            let mut progressed = false;
-            if let Some(x) = towards_a.pop() {
-                progressed = true;
-                if x == a {
-                    return true;
-                }
-                if seen[x.index()].0 != epoch {
-                    seen[x.index()].0 = epoch;
-                    towards_a.extend_from_slice(&preds[x.index()]);
-                }
-            }
-            if let Some(x) = towards_b.pop() {
-                progressed = true;
-                if x == b {
-                    return true;
-                }
-                if seen[x.index()].1 != epoch {
-                    seen[x.index()].1 = epoch;
-                    towards_b.extend_from_slice(&preds[x.index()]);
-                }
-            }
-            if !progressed {
-                return false;
-            }
-        }
+/// Checks `program`, compiled from `sched`, for unordered conflicting
+/// accesses: up to [`MAX_RACES`] `RACE001` errors, in lane order, plus
+/// a count of the rest. A program that cannot run is already rejected
+/// by `DEAD001`/`DEAD002` and yields no race findings.
+pub fn check_program(sched: &PpSchedule, program: &PpProgram) -> Vec<Diagnostic> {
+    let races = unordered_pairs(sched, program);
+    let describe = |i: usize| {
+        let (rank, op) = op_at(sched, program, i);
+        let stage = sched.stage_of(rank, op.chunk());
+        let dir = if op.is_forward() { 'F' } else { 'B' };
+        (rank, format!("rank {rank} {dir}[{stage}.{}]", op.mb()))
     };
-
-    let mut diags = Vec::new();
-    let mut races = 0usize;
-    for members in touches.chunk_by(|x, y| x.0 == y.0) {
-        let lane = &members[0].0;
-        for (i, &(_, a, wa)) in members.iter().enumerate() {
-            for &(_, b, wb) in &members[i + 1..] {
-                if !(wa || wb) || ordered(a, b) {
-                    continue;
-                }
-                races += 1;
-                if races > MAX_RACES {
-                    continue;
-                }
-                let (ra, da) = describe(g.op_meta(a));
-                let (rb, db) = describe(g.op_meta(b));
-                let kind = if wa && wb { "double-write" } else { "read/write" };
-                diags.push(
-                    Diagnostic::error(
-                        RuleId::Race001,
-                        format!(
-                            "unordered {kind} on {lane}: {da} and {db} have no ordering edge — \
-                             the result depends on runtime scheduling"
-                        ),
-                    )
-                    .at_rank(ra.or(rb).unwrap_or(0))
-                    .at_op(da.clone())
-                    .with_witness(vec![
-                        format!("{da} {} {lane}", if wa { "writes" } else { "reads" }),
-                        format!("{db} {} {lane}", if wb { "writes" } else { "reads" }),
-                    ]),
-                );
-            }
-        }
-    }
-    if races > MAX_RACES {
+    let touch = |writes: bool| if writes { "writes" } else { "reads" };
+    let mut diags: Vec<Diagnostic> = races
+        .iter()
+        .take(MAX_RACES)
+        .map(|r| {
+            let lane = r.lane;
+            let (rank, da) = describe(r.a);
+            let (_, db) = describe(r.b);
+            Diagnostic::error(
+                RuleId::Race001,
+                format!(
+                    "unordered read/write on {lane}: {da} and {db} have no ordering edge — \
+                     the result depends on runtime scheduling"
+                ),
+            )
+            .at_rank(rank)
+            .at_op(da.clone())
+            .with_witness(vec![
+                format!("{da} {} {lane}", touch(r.a_writes)),
+                format!("{db} {} {lane}", touch(r.b_writes)),
+            ])
+        })
+        .collect();
+    if races.len() > MAX_RACES {
         diags.push(Diagnostic::error(
             RuleId::Race001,
-            format!("{} more unordered pairs suppressed", races - MAX_RACES),
+            format!("{} more unordered pairs suppressed", races.len() - MAX_RACES),
         ));
     }
     diags
 }
 
-/// Lowers the step's pipeline schedule (without executing it) and
-/// checks the lowering for races. Costs are irrelevant to ordering;
-/// a non-zero p2p cost is used so transfers take their real form
-/// (dedicated link streams).
-pub fn check_step(m: &StepModel, sched: &PpSchedule) -> Vec<Diagnostic> {
-    let costs = UniformCosts {
-        fwd: SimDuration::from_micros(1),
-        bwd: SimDuration::from_micros(2),
-        p2p: SimDuration::from_micros(1),
+/// Every pair of conflicting accesses `program` leaves unordered, in
+/// lane order and then program order; empty when the program cannot
+/// run.
+///
+/// Exact, with O(ops) extra memory beyond the pairs themselves. Most
+/// pairs are ordered by a direct edge or a one-hop path, checked first.
+/// Each remaining pair is ordered iff the op earlier in Kahn's order
+/// happens before the later one. That is decided by one vector-clock
+/// column per rank `r`, computed along Kahn's order: `col[i]` counts
+/// the ops of rank `r` that happen before or at op `i`, and op `x` of
+/// rank `r` happens before `y` iff `col[y]` exceeds `x`'s position on
+/// its rank. Columns are computed one at a time, only for the ranks
+/// some unresolved pair needs.
+pub fn unordered_pairs(sched: &PpSchedule, program: &PpProgram) -> Vec<Race> {
+    if !program.is_complete() {
+        return Vec::new();
+    }
+    let n = program.len();
+    let stages = sched.num_stages() as usize;
+    let nmb = sched.nmb as usize;
+    // Every copy of each `(direction, stage, mb)` op, in program order:
+    // a CSR list over `slot = (backward·stages + stage)·nmb + mb`.
+    let slot_of = |i: usize| {
+        let (rank, op) = op_at(sched, program, i);
+        let stage = sched.stage_of(rank, op.chunk()) as usize;
+        (usize::from(!op.is_forward()) * stages + stage) * nmb + op.mb() as usize
     };
-    let (ops, streams) = lowering_capacity(sched);
-    let mut g: TaskGraph<PpSimOp> = TaskGraph::with_capacity(ops, streams);
-    lower_pp(&mut g, sched, &costs, &[], |op| op);
-    let last = sched.num_stages() - 1;
-    let _ = m; // the lowering is fully determined by the schedule
-    check_graph(
-        &g,
-        |op| pp_accesses(op, last),
-        |op| match *op {
-            PpSimOp::Forward { rank, stage, mb } => {
-                (Some(rank), format!("rank {rank} F[{stage}.{mb}]"))
+    let mut heads = vec![0u32; 2 * stages * nmb + 1];
+    for i in 0..n {
+        heads[slot_of(i) + 1] += 1;
+    }
+    for k in 1..heads.len() {
+        heads[k] += heads[k - 1];
+    }
+    let mut copies = vec![0u32; n];
+    let mut fill = heads.clone();
+    for i in 0..n {
+        let k = slot_of(i);
+        copies[fill[k] as usize] = i as u32;
+        fill[k] += 1;
+    }
+    drop(fill);
+    let of = |backward: bool, stage: usize, mb: usize| {
+        let k = (usize::from(backward) * stages + stage) * nmb + mb;
+        &copies[heads[k] as usize..heads[k + 1] as usize]
+    };
+
+    let mut topo = vec![0u32; n];
+    for (k, &i) in program.order().iter().enumerate() {
+        topo[i as usize] = k as u32;
+    }
+    let pos = |i: usize| i - program.rank_ops(program.rank_of(i)).start;
+    // Conflicting pairs no short path orders: (earlier, later) in
+    // Kahn's order, then the pair as reported.
+    let mut pending: Vec<(usize, usize, Race)> = Vec::new();
+    let mut members: Vec<(u32, bool)> = Vec::new();
+    // Lanes in `Lane` order. A forward writes its activation and reads
+    // the previous stage's; a backward writes its gradient and reads
+    // its activation and the next stage's gradient.
+    for (grad, stage, mb) in [false, true]
+        .into_iter()
+        .flat_map(|g| (0..stages).flat_map(move |s| (0..nmb).map(move |m| (g, s, m))))
+    {
+        members.clear();
+        let (stage32, mb32) = (stage as u32, mb as u32);
+        let (lane, writers, readers, more_readers) = if grad {
+            let prev = if stage > 0 { of(true, stage - 1, mb) } else { &[] };
+            let lane = Lane::Grad { stage: stage32, mb: mb32 };
+            (lane, of(true, stage, mb), prev, &[][..])
+        } else {
+            let next = if stage + 1 < stages { of(false, stage + 1, mb) } else { &[] };
+            let lane = Lane::Act { stage: stage32, mb: mb32 };
+            (lane, of(false, stage, mb), next, of(true, stage, mb))
+        };
+        members.extend(writers.iter().map(|&i| (i, true)));
+        members.extend(readers.iter().chain(more_readers).map(|&i| (i, false)));
+        members.sort_unstable();
+        for (k, &(a, a_writes)) in members.iter().enumerate() {
+            for &(b, b_writes) in &members[k + 1..] {
+                let (a, b) = (a as usize, b as usize);
+                let (x, y) = if topo[a] < topo[b] { (a, b) } else { (b, a) };
+                let near = program.rank_of(x) == program.rank_of(y)
+                    || program.data_pred(y).is_some_and(|d| {
+                        d == x || (program.rank_of(d) == program.rank_of(x) && pos(d) >= pos(x))
+                    });
+                if (a_writes || b_writes) && !near {
+                    let race = Race { lane, a, a_writes, b, b_writes };
+                    pending.push((x, y, race));
+                }
             }
-            PpSimOp::Backward { rank, stage, mb } => {
-                (Some(rank), format!("rank {rank} B[{stage}.{mb}]"))
+        }
+    }
+    if pending.is_empty() {
+        return Vec::new();
+    }
+
+    let mut ranks: Vec<u32> = pending.iter().map(|p| program.rank_of(p.0)).collect();
+    ranks.sort_unstable();
+    ranks.dedup();
+    let mut ordered = vec![false; pending.len()];
+    let mut col = vec![0u32; n];
+    for r in ranks {
+        for &i in program.order() {
+            let i = i as usize;
+            let from = |p: Option<usize>| p.map_or(0, |p| col[p]);
+            let mut c = from(program.stream_pred(i)).max(from(program.data_pred(i)));
+            if program.rank_of(i) == r {
+                c = c.max(pos(i) as u32 + 1);
             }
-            PpSimOp::Transfer => (None, "transfer".to_string()),
-        },
-    )
+            col[i] = c;
+        }
+        for (k, &(x, y, _)) in pending.iter().enumerate() {
+            if program.rank_of(x) == r {
+                ordered[k] = col[y] as usize > pos(x);
+            }
+        }
+    }
+    pending
+        .into_iter()
+        .zip(ordered)
+        .filter(|(_, ordered)| !ordered)
+        .map(|((_, _, race), _)| race)
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pp::schedule::ScheduleKind;
+    use crate::analyze::compile;
+    use crate::pp::schedule::{PpOp, ScheduleKind};
 
-    fn us(n: u64) -> SimDuration {
-        SimDuration::from_micros(n)
+    fn check(sched: &PpSchedule) -> Vec<Diagnostic> {
+        check_program(sched, &compile(sched))
     }
 
     #[test]
-    fn valid_lowerings_are_race_free() {
+    fn built_schedules_are_race_free() {
         for kind in [
             ScheduleKind::AllFwdAllBwd,
             ScheduleKind::Interleaved1F1B,
             ScheduleKind::Flexible { nc: 3 },
         ] {
             let sched = PpSchedule::build(kind, 4, 2, 8).unwrap();
-            let costs = UniformCosts {
-                fwd: us(1),
-                bwd: us(2),
-                p2p: us(1),
-            };
-            let (ops, streams) = lowering_capacity(&sched);
-            let mut g: TaskGraph<PpSimOp> = TaskGraph::with_capacity(ops, streams);
-            lower_pp(&mut g, &sched, &costs, &[], |op| op);
-            let last = sched.num_stages() - 1;
-            let diags = check_graph(
-                &g,
-                |op| pp_accesses(op, last),
-                |_| (None, "op".to_string()),
-            );
+            let diags = check(&sched);
             assert!(diags.is_empty(), "{kind:?}: {diags:?}");
         }
     }
 
+    /// Rank 0 runs `B0.0` twice. When its first copy follows `B0.1`,
+    /// a three-op path through rank 1 (`B[1.0]` → `B[1.1]` → `B[0.1]`)
+    /// orders it after the gradient it reads; right after `B0.0` nothing
+    /// does.
     #[test]
-    fn unordered_double_write_is_flagged() {
-        // Two writers of one lane on separate streams, no dep edge.
-        let mut g: TaskGraph<&'static str> = TaskGraph::new();
-        let s1 = g.add_stream();
-        let s2 = g.add_stream();
-        g.add_op("writer-a", us(1), [s1], []);
-        g.add_op("writer-b", us(1), [s2], []);
-        let lane = Lane::Act { stage: 0, mb: 0 };
-        let diags = check_graph(
-            &g,
-            |_| vec![Access::write(lane)],
-            |m| (None, m.to_string()),
+    fn a_path_through_another_rank_orders_the_pair() {
+        let base = PpSchedule::build(ScheduleKind::AllFwdAllBwd, 2, 1, 2).unwrap();
+        let b0 = PpOp::Backward { chunk: 0, mb: 0 };
+        let b1 = PpOp::Backward { chunk: 0, mb: 1 };
+        let f = |mb| PpOp::Forward { chunk: 0, mb };
+        let mut ordered = base.clone();
+        ordered.ranks[0] = vec![f(0), f(1), b1, b0, b0];
+        assert!(check(&ordered).is_empty());
+        let mut racy = base;
+        racy.ranks[0] = vec![f(0), f(1), b0, b0, b1];
+        let races = unordered_pairs(&racy, &compile(&racy));
+        assert_eq!(
+            races,
+            [Race {
+                lane: Lane::Grad { stage: 1, mb: 0 },
+                a: 2,
+                a_writes: false,
+                b: 7,
+                b_writes: true,
+            }]
         );
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].rule, RuleId::Race001);
-        assert!(diags[0].message.contains("double-write"));
-        assert!(diags[0].witness.iter().any(|w| w.contains("writer-b")));
-    }
-
-    #[test]
-    fn dep_edge_or_shared_stream_orders_the_pair() {
-        let mut g: TaskGraph<&'static str> = TaskGraph::new();
-        let s1 = g.add_stream();
-        let s2 = g.add_stream();
-        // Shared stream orders a/b; dep edge orders b/c.
-        let _a = g.add_op("a", us(1), [s1], []);
-        let b = g.add_op("b", us(1), [s1], []);
-        g.add_op("c", us(1), [s2], [b]);
-        let lane = Lane::Grad { stage: 1, mb: 2 };
-        let diags = check_graph(
-            &g,
-            |_| vec![Access::write(lane)],
-            |m| (None, m.to_string()),
-        );
-        assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn transitive_ordering_through_a_transfer_is_seen() {
-        // a → t → b across three streams (the lowering's p2p shape).
-        let mut g: TaskGraph<&'static str> = TaskGraph::new();
-        let (s1, s2, s3) = (g.add_stream(), g.add_stream(), g.add_stream());
-        let a = g.add_op("a", us(1), [s1], []);
-        let t = g.add_op("t", us(1), [s2], [a]);
-        g.add_op("b", us(1), [s3], [t]);
-        let lane = Lane::Act { stage: 3, mb: 1 };
-        let diags = check_graph(
-            &g,
-            |m| {
-                if *m == "t" {
-                    Vec::new()
-                } else {
-                    vec![Access::write(lane)]
-                }
-            },
-            |m| (None, m.to_string()),
-        );
-        assert!(diags.is_empty(), "{diags:?}");
     }
 }

@@ -1,10 +1,11 @@
 //! Timing pipeline schedules.
 //!
-//! [`PpProgram`] is the one pipeline-timing path: a schedule and its
-//! costs compiled once into flat per-compute-op arrays, then timed by a
-//! linear pass per set of per-rank compute scales. [`simulate_pp`],
-//! the folded step, the full-fidelity step (one pass per DP replica)
-//! and the pipeline trace all run it.
+//! [`PpProgram`] is the one pipeline dependency structure: a schedule
+//! and its costs compiled once into flat per-compute-op arrays. Timing
+//! runs it as a linear pass per set of per-rank compute scales
+//! ([`simulate_pp`], the folded step, the full-fidelity step with one
+//! pass per DP replica, and the pipeline trace), and the pre-flight
+//! deadlock and race rules read its edges and its Kahn order.
 //!
 //! [`lower_pp`] lowers the same schedule onto the timing-graph engine
 //! instead: each pipeline rank gets a compute stream, and every
@@ -12,10 +13,9 @@
 //! point-to-point op on its own link stream, so transfers overlap with
 //! compute and with each other — exposing P2P only where the schedule
 //! actually has to wait for data (Fig 3). That lowering is the
-//! reference the program is checked against, the input of the static
-//! race analysis, and the source of the exact
-//! [`GraphError::Deadlock`] op set when a schedule's op order cannot
-//! execute (e.g. a hand-built broken warm-up).
+//! reference the program is checked against, and the source of the
+//! exact [`GraphError::Deadlock`] op set when a schedule's op order
+//! cannot execute (e.g. a hand-built broken warm-up).
 
 use super::schedule::{PpOp, PpSchedule};
 use sim_engine::graph::{GraphError, OpId, StreamId, TaskGraph};
@@ -67,6 +67,16 @@ pub struct UniformCosts {
     pub bwd: SimDuration,
     /// P2P time between adjacent stages.
     pub p2p: SimDuration,
+}
+
+impl UniformCosts {
+    /// Every op and transfer free. The static analyses compile with it:
+    /// which op waits on which does not depend on durations.
+    pub const FREE: UniformCosts = UniformCosts {
+        fwd: SimDuration::ZERO,
+        bwd: SimDuration::ZERO,
+        p2p: SimDuration::ZERO,
+    };
 }
 
 impl PpCostModel for UniformCosts {
@@ -142,9 +152,9 @@ impl PpSimResult {
 /// [`PpProgram`] and runs one unscaled pass.
 ///
 /// # Errors
-/// Returns the engine's [`GraphError::Deadlock`] if the schedule's
-/// per-rank op orders cannot execute — the validation §3.1.1's flexible
-/// schedule generator is tested against.
+/// Returns [`GraphError::Deadlock`] (see [`PpProgram::compile`]) if the
+/// schedule's per-rank op orders cannot execute — the validation
+/// §3.1.1's flexible schedule generator is tested against.
 pub fn simulate_pp(
     schedule: &PpSchedule,
     costs: &dyn PpCostModel,
@@ -185,16 +195,19 @@ const NONE: u32 = u32::MAX;
 /// graph. Each op waits on at most two others: the previous op on its
 /// rank's compute stream, and its data producer (the previous stage's
 /// forward, the next stage's backward, or — for the last stage's
-/// backward — its own forward). In the engine lowering a P2P transfer
-/// sits alone on its own link stream, so it adds exactly its duration
-/// to that one edge. A pass over a topological order is therefore
-/// exact:
+/// backward — its own forward). When a schedule runs one op twice, only
+/// the last copy is wired, as in [`lower_pp`]. In the engine lowering a
+/// P2P transfer sits alone on its own link stream, so it adds exactly
+/// its duration to that one edge. A pass over a topological order is
+/// therefore exact:
 ///
 /// `end = max(end[stream pred], end[data pred] + latency) + scaled(base, rank scale)`
 ///
 /// and it reproduces `lower_pp` + [`TaskGraph::execute`] bit for bit
 /// (same integer nanoseconds, same scale rounding), without building
-/// or executing a graph.
+/// or executing a graph. The same reasoning makes the program's
+/// happens-before relation the engine's: a transfer never changes
+/// which ops reach which.
 #[derive(Debug, Clone)]
 pub struct PpProgram {
     pp: u32,
@@ -214,7 +227,11 @@ pub struct PpProgram {
     data_pred: Vec<u32>,
     /// P2P time on the data edge (zero for the loss turn-around).
     latency: Vec<SimDuration>,
-    /// A topological order of the ops (Kahn's algorithm).
+    /// Ops whose producer no rank schedules, in program order. They,
+    /// and every op that waits on them, never run.
+    unresolved: Vec<u32>,
+    /// Kahn's topological order of the ops that can run: every op when
+    /// the schedule executes, fewer when it deadlocks.
     order: Vec<u32>,
 }
 
@@ -252,13 +269,33 @@ impl PpProgram {
     /// Compiles `schedule` under `costs`.
     ///
     /// # Errors
-    /// If the op orders admit no execution, the schedule is lowered
-    /// with [`lower_pp`] and executed, so the error is the engine's own
-    /// [`GraphError::Deadlock`] with its exact set of stuck ops.
+    /// Returns [`GraphError::Deadlock`] if the op orders admit no
+    /// execution. When every producer is scheduled, the schedule is
+    /// lowered with [`lower_pp`] and executed, so the error is the
+    /// engine's own, with its exact set of stuck ops. When some op
+    /// waits on a producer no rank schedules, the engine cannot express
+    /// the wait, and the error names the compute ops that can never
+    /// start.
     pub fn compile(
         schedule: &PpSchedule,
         costs: &dyn PpCostModel,
     ) -> Result<PpProgram, GraphError> {
+        let p = PpProgram::build(schedule, costs);
+        if p.is_complete() {
+            Ok(p)
+        } else if p.unresolved.is_empty() {
+            Err(engine_deadlock(schedule, costs))
+        } else {
+            Err(GraphError::Deadlock(p.stuck().map(OpId::from_index).collect()))
+        }
+    }
+
+    /// Compiles `schedule` under `costs` whether or not it can execute:
+    /// missing and duplicated ops are accepted, and an op order that
+    /// deadlocks leaves its stuck ops out of [`order`](Self::order).
+    /// The pre-flight rules read such programs; only a
+    /// [complete](Self::is_complete) one may be [run](Self::run).
+    pub fn build(schedule: &PpSchedule, costs: &dyn PpCostModel) -> PpProgram {
         let n: usize = schedule.ranks.iter().map(Vec::len).sum();
         let stages = schedule.num_stages() as usize;
         let nmb = schedule.nmb as usize;
@@ -271,12 +308,14 @@ impl PpProgram {
             stream_pred: Vec::with_capacity(n),
             data_pred: vec![NONE; n],
             latency: vec![SimDuration::ZERO; n],
+            unresolved: Vec::new(),
             order: Vec::with_capacity(n),
         };
 
-        // Compute ops in per-rank program order.
-        let mut fwd_ids: Vec<Option<u32>> = vec![None; stages * nmb];
-        let mut bwd_ids: Vec<Option<u32>> = vec![None; stages * nmb];
+        // Compute ops in per-rank program order; the last copy of each
+        // `(stage, mb)` op is the one wired below.
+        let mut fwd_ids = vec![NONE; stages * nmb];
+        let mut bwd_ids = vec![NONE; stages * nmb];
         // Latest entry of `bases` per (stage, direction).
         let mut last_base = vec![NONE; stages * 2];
         for (ppr, ops) in schedule.ranks.iter().enumerate() {
@@ -290,7 +329,7 @@ impl PpProgram {
                     PpOp::Forward { .. } => (costs.fwd(stage, mb), &mut fwd_ids, 2 * stage),
                     PpOp::Backward { .. } => (costs.bwd(stage, mb), &mut bwd_ids, 2 * stage + 1),
                 };
-                slot[stage as usize * nmb + mb as usize] = Some(i);
+                slot[stage as usize * nmb + mb as usize] = i;
                 let b = &mut last_base[key as usize];
                 if *b == NONE || p.bases[*b as usize] != (ppr as u32, dur) {
                     *b = p.bases.len() as u32;
@@ -304,33 +343,47 @@ impl PpProgram {
         p.rank_start.push(n as u32);
 
         // Data edges, with the P2P time of the transfer each one
-        // crosses.
-        let id = |ids: &[Option<u32>], stage: usize, mb: usize| {
-            // lint: allow(unwrap) — assert_well_formed guarantees every (stage, mb) op exists
-            ids[stage * nmb + mb].expect("op scheduled") as usize
-        };
-        for stage in 0..stages {
-            for mb in 0..nmb {
-                let f = id(&fwd_ids, stage, mb);
-                let b = id(&bwd_ids, stage, mb);
-                if stage > 0 {
-                    p.data_pred[f] = id(&fwd_ids, stage - 1, mb) as u32;
-                    p.latency[f] = costs.p2p(stage as u32 - 1);
+        // crosses, in program order so unresolved producers are listed
+        // in that order.
+        let mut i = 0u32;
+        for (ppr, ops) in schedule.ranks.iter().enumerate() {
+            for op in ops {
+                let stage = schedule.stage_of(ppr as u32, op.chunk()) as usize;
+                let slot = stage * nmb + op.mb() as usize;
+                let (own, input) = match op {
+                    PpOp::Forward { .. } => (
+                        fwd_ids[slot],
+                        (stage > 0).then(|| (fwd_ids[slot - nmb], costs.p2p(stage as u32 - 1))),
+                    ),
+                    PpOp::Backward { .. } if stage == stages - 1 => {
+                        (bwd_ids[slot], Some((fwd_ids[slot], SimDuration::ZERO)))
+                    }
+                    PpOp::Backward { .. } => (
+                        bwd_ids[slot],
+                        Some((bwd_ids[slot + nmb], costs.p2p(stage as u32))),
+                    ),
+                };
+                match input {
+                    Some((NONE, _)) if own == i => p.unresolved.push(i),
+                    Some((producer, latency)) if own == i => {
+                        p.data_pred[i as usize] = producer;
+                        p.latency[i as usize] = latency;
+                    }
+                    _ => {}
                 }
-                if stage == stages - 1 {
-                    p.data_pred[b] = f as u32;
-                } else {
-                    p.data_pred[b] = id(&bwd_ids, stage + 1, mb) as u32;
-                    p.latency[b] = costs.p2p(stage as u32);
-                }
+                i += 1;
             }
         }
 
         // Kahn's algorithm. Every op has at most one stream successor
         // (the next op on its rank); data successors go in a CSR arena.
+        // An unresolved op keeps one wait that nothing meets.
         let mut unmet: Vec<u8> = (0..n)
             .map(|i| u8::from(p.stream_pred[i] != NONE) + u8::from(p.data_pred[i] != NONE))
             .collect();
+        for &i in &p.unresolved {
+            unmet[i as usize] += 1;
+        }
         let mut heads = vec![0u32; n + 1];
         for &d in &p.data_pred {
             if d != NONE {
@@ -365,10 +418,48 @@ impl PpProgram {
                 }
             }
         }
-        if p.order.len() < n {
-            return Err(engine_deadlock(schedule, costs));
+        p
+    }
+
+    /// `true` when every op runs: the schedule executes.
+    pub fn is_complete(&self) -> bool {
+        self.order.len() == self.rank.len()
+    }
+
+    /// Kahn's topological order of the ops that can run (all of them
+    /// when [complete](Self::is_complete)), as program indices.
+    pub fn order(&self) -> &[u32] {
+        &self.order
+    }
+
+    /// The ops that never run, in program order: those waiting on an
+    /// [unresolved](Self::unresolved) producer or on a cycle.
+    pub fn stuck(&self) -> impl Iterator<Item = usize> + '_ {
+        let mut runs = vec![false; self.rank.len()];
+        for &i in &self.order {
+            runs[i as usize] = true;
         }
-        Ok(p)
+        (0..self.rank.len()).filter(move |&i| !runs[i])
+    }
+
+    /// Ops waiting on a producer no rank schedules, in program order.
+    pub fn unresolved(&self) -> impl Iterator<Item = usize> + '_ {
+        self.unresolved.iter().map(|&i| i as usize)
+    }
+
+    /// The pipeline rank running op `i`.
+    pub fn rank_of(&self, i: usize) -> u32 {
+        self.rank[i]
+    }
+
+    /// The previous op on op `i`'s compute stream.
+    pub fn stream_pred(&self, i: usize) -> Option<usize> {
+        (self.stream_pred[i] != NONE).then_some(self.stream_pred[i] as usize)
+    }
+
+    /// The op producing op `i`'s input.
+    pub fn data_pred(&self, i: usize) -> Option<usize> {
+        (self.data_pred[i] != NONE).then_some(self.data_pred[i] as usize)
     }
 
     /// Number of compute ops.
@@ -427,7 +518,8 @@ impl PpProgram {
 }
 
 /// The engine's own [`GraphError::Deadlock`] for a schedule whose ops
-/// the topological sort could not all order.
+/// the topological sort could not all order, though every producer is
+/// scheduled.
 fn engine_deadlock(schedule: &PpSchedule, costs: &dyn PpCostModel) -> GraphError {
     let (ops, streams) = lowering_capacity(schedule);
     let mut g: TaskGraph<PpSimOp> = TaskGraph::with_capacity(ops, streams);
@@ -530,44 +622,36 @@ pub fn lower_pp<M>(
         }
     }
 
-    // Second pass: wire data dependencies through P2P transfer ops.
+    // Second pass: wire data dependencies. A transfer that takes time
+    // is an op on its own link stream (async send) between producer and
+    // consumer. An edge whose producer or consumer no rank schedules is
+    // left out; `PpProgram::compile` lowers only schedules whose every
+    // producer is scheduled.
+    let mut wire =
+        |g: &mut TaskGraph<M>, to: Option<OpId>, from: Option<OpId>, dur: SimDuration| {
+            let (Some(to), Some(from)) = (to, from) else {
+                return;
+            };
+            if dur.is_zero() {
+                g.add_dep(to, from);
+            } else {
+                let link = g.add_stream();
+                let t = g.add_op(meta(PpSimOp::Transfer), dur, [link], []);
+                g.add_dep(t, from);
+                g.add_dep(to, t);
+            }
+        };
     for stage in 0..schedule.num_stages() {
-        for mb in 0..schedule.nmb {
-            // lint: allow(unwrap) — assert_well_formed guarantees every (stage, mb) op exists
-            let f = fwd_ids[stage as usize][mb as usize].expect("forward scheduled");
-            // lint: allow(unwrap)
-            let b = bwd_ids[stage as usize][mb as usize].expect("backward scheduled");
+        for mb in 0..schedule.nmb as usize {
+            let s = stage as usize;
+            let (f, b) = (fwd_ids[s][mb], bwd_ids[s][mb]);
             if stage > 0 {
-                // Activation from stage−1: transfer on its own link
-                // stream (async send), consumer waits for it.
-                let producer =
-                    // lint: allow(unwrap) — assert_well_formed guarantees the producer exists
-                    fwd_ids[(stage - 1) as usize][mb as usize].expect("forward scheduled");
-                let dur = costs.p2p(stage - 1);
-                if dur.is_zero() {
-                    g.add_dep(f, producer);
-                } else {
-                    let link = g.add_stream();
-                    let t = g.add_op(meta(PpSimOp::Transfer), dur, [link], []);
-                    g.add_dep(t, producer);
-                    g.add_dep(f, t);
-                }
+                wire(g, f, fwd_ids[s - 1][mb], costs.p2p(stage - 1));
             }
             if stage == last_stage {
-                g.add_dep(b, f);
+                wire(g, b, f, SimDuration::ZERO);
             } else {
-                let producer =
-                    // lint: allow(unwrap) — assert_well_formed guarantees the producer exists
-                    bwd_ids[(stage + 1) as usize][mb as usize].expect("backward scheduled");
-                let dur = costs.p2p(stage);
-                if dur.is_zero() {
-                    g.add_dep(b, producer);
-                } else {
-                    let link = g.add_stream();
-                    let t = g.add_op(meta(PpSimOp::Transfer), dur, [link], []);
-                    g.add_dep(t, producer);
-                    g.add_dep(b, t);
-                }
+                wire(g, b, bwd_ids[s + 1][mb], costs.p2p(stage));
             }
         }
     }
@@ -822,6 +906,27 @@ mod tests {
             let expected = engine(&s, &uniform(p2p), &[]).unwrap_err();
             let GraphError::Deadlock(stuck) = &expected;
             assert!(!stuck.is_empty());
+            assert_eq!(PpProgram::compile(&s, &uniform(p2p)).unwrap_err(), expected);
+            assert_eq!(simulate_pp(&s, &uniform(p2p)).unwrap_err(), expected);
+        }
+    }
+
+    /// A schedule missing a producer compiles to a deadlock naming the
+    /// compute ops that can never start, instead of panicking. Rank 0
+    /// drops `F0.1`, so rank 1's `F0.1` waits forever, with every op
+    /// queued behind it on rank 1 and every backward on rank 0.
+    #[test]
+    fn missing_producer_is_a_deadlock() {
+        let mut s = PpSchedule::build(ScheduleKind::AllFwdAllBwd, 2, 1, 2).unwrap();
+        s.ranks[0].retain(|op| *op != PpOp::Forward { chunk: 0, mb: 1 });
+        for p2p in [0, 5] {
+            let program = PpProgram::build(&s, &uniform(p2p));
+            assert_eq!(program.unresolved().collect::<Vec<_>>(), [4]);
+            // Rank 0 runs F0.0 B0.0 B0.1 (ops 0-2); rank 1 runs F0.0
+            // F0.1 B0.0 B0.1 (ops 3-6).
+            let stuck = [1, 2, 4, 5, 6].map(OpId::from_index).to_vec();
+            assert_eq!(program.stuck().collect::<Vec<_>>(), [1, 2, 4, 5, 6]);
+            let expected = GraphError::Deadlock(stuck);
             assert_eq!(PpProgram::compile(&s, &uniform(p2p)).unwrap_err(), expected);
             assert_eq!(simulate_pp(&s, &uniform(p2p)).unwrap_err(), expected);
         }

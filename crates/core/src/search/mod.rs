@@ -513,7 +513,7 @@ enum Outcome {
 /// one candidate. Pure: depends only on `spec` and `cfg`.
 ///
 /// This is the *specification* of the per-candidate funnel — one full
-/// [`analyze::first_error`] pass, then the folded run. [`search`]
+/// [`analyze::analyze_step`] pass, then the folded run. [`search`]
 /// computes the same verdicts through the memoized [`AnalysisCache`];
 /// the conformance search-frontier oracle checks the two agree.
 #[cfg(test)]
@@ -521,7 +521,7 @@ fn score_one(spec: &SearchSpec, cfg: &ConfigPoint) -> Outcome {
     let Some(step) = spec.build_step(cfg) else {
         return Outcome::Rejected;
     };
-    if analyze::first_error(&step).is_some() {
+    if analyze::analyze_step(&step).has_errors() {
         return Outcome::Rejected;
     }
     score_survivor(spec, cfg)
@@ -557,9 +557,9 @@ fn kind_tag(k: ScheduleKind) -> (u8, u32) {
     }
 }
 
-/// Memo key of the schedule-shaped rules (deadlock, race): the lowered
-/// task graph is fully determined by `(kind, pp, v, nmb)` — ZeRO and
-/// recompute never enter the lowering.
+/// Memo key of the schedule-shaped rules (deadlock, race): the compiled
+/// pipeline program is fully determined by `(kind, pp, v, nmb)` — ZeRO
+/// and recompute never enter it.
 type SchedKey = ((u8, u32), u32, u32, u64);
 
 /// Memo key of the TP/CP collective verdict: mesh + schedule shape
@@ -590,7 +590,7 @@ fn fsdp_key(c: &ConfigPoint) -> FsdpKey {
 }
 
 /// `true` when no diagnostic is error-severity — the same predicate
-/// [`analyze::first_error`] rejects on.
+/// [`analyze::Report::has_errors`] rejects on.
 fn clean(diags: &[analyze::Diagnostic]) -> bool {
     !diags.iter().any(|d| d.severity == analyze::Severity::Error)
 }
@@ -895,9 +895,10 @@ pub fn search_outcomes(spec: &SearchSpec) -> Result<SearchOutcomes, PlanError> {
     // evaluated here.
     let sig = spec_fingerprint(spec);
     let cache = AnalysisCache {
-        sched: memoized_verdicts(&SCHED_VERDICTS, sig, sched_keys, spec, threads, |step, sched| {
-            clean(&analyze::deadlock::check_schedule(sched))
-                && clean(&analyze::race::check_step(step, sched))
+        sched: memoized_verdicts(&SCHED_VERDICTS, sig, sched_keys, spec, threads, |_, sched| {
+            let program = analyze::compile(sched);
+            clean(&analyze::deadlock::check_program(sched, &program))
+                && clean(&analyze::race::check_program(sched, &program))
         }),
         tp_cp: memoized_verdicts(&TP_CP_VERDICTS, sig, tp_cp_keys, spec, threads, |step, sched| {
             clean(&analyze::collective::check_step_tp_cp(step, sched))

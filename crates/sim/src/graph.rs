@@ -54,6 +54,12 @@ impl OpId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// The id of the `index`-th op added to a graph. Programs that time
+    /// a graph without building it name their ops this way.
+    pub fn from_index(index: usize) -> OpId {
+        OpId(index as u32)
+    }
 }
 
 impl fmt::Display for OpId {

@@ -801,7 +801,7 @@ mod tests {
         TraceEvent {
             rank: (i % 4) as u32,
             name: format!("e{i}"),
-            category: if i % 3 == 0 {
+            category: if i.is_multiple_of(3) {
                 EventCategory::Compute
             } else {
                 EventCategory::DpComm

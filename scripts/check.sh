@@ -13,10 +13,10 @@ cargo build --release --examples
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> llama3sim lint (hygiene LINT001-007 + concurrency LOCK001-003: lock hierarchy, condvar discipline, no compute under a guard)"
+echo "==> llama3sim lint (hygiene LINT001 + LINT004-007 + concurrency LOCK001-003: lock hierarchy, condvar discipline, no compute under a guard)"
 cargo run --release -q --bin llama3sim -- lint
 
 echo "==> interleave battery: exhaustive bounded-schedule model check of the coalescing protocol"

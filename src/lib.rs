@@ -82,7 +82,7 @@ pub mod prelude {
     pub use llm_model::masks::MaskSpec;
     pub use llm_model::{ModelLayout, TransformerConfig, VitConfig};
     pub use parallelism_core::analyze::{
-        analyze_step, first_error, Diagnostic, Report as AnalyzeReport, RuleId, Severity,
+        analyze_step, Diagnostic, Report as AnalyzeReport, RuleId, Severity,
     };
     pub use parallelism_core::cp::{relative_hfu, AllGatherCp, CpSharding};
     pub use parallelism_core::multimodal::{
