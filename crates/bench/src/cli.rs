@@ -8,7 +8,7 @@
 //! finishes with [`Flags::finish`] or [`Flags::query`], so unknown or
 //! leftover arguments fail the same way everywhere.
 
-use parallelism_core::query::{parse_num, QueryError};
+use parallelism_core::query::QueryError;
 
 /// A CLI-only flag: its name (spelled `--name`), the placeholder of its
 /// value (`None` for a bare switch) and its usage help.
@@ -83,14 +83,6 @@ impl Flags {
         Ok(Some(self.args.remove(i)))
     }
 
-    /// Consumes `--name VALUE` and parses it with the query grammar's
-    /// number parser (decimal or `0x` hex).
-    pub fn opt_num<T: TryFrom<u64>>(&mut self, flag: &CliFlag) -> Result<Option<T>, String> {
-        self.opt(flag)?
-            .map(|v| parse_num(&v).map_err(|e| format!("--{}: {e}", flag.name)))
-            .transpose()
-    }
-
     /// Hands every remaining argument to a query's flag parser.
     pub fn query<Q>(self, parse: fn(&[String]) -> Result<Q, QueryError>) -> Result<Q, String> {
         parse(&self.args).map_err(|e| e.message)
@@ -125,7 +117,7 @@ mod tests {
         let mut f = Flags::new(&args(&["--seed", "0xC0FFEE", "--json", "--cases", "9"]));
         assert!(f.switch(&JSON));
         assert!(!f.switch(&JSON), "consumed switches do not repeat");
-        assert_eq!(f.opt_num::<u64>(&CASES).unwrap(), Some(9));
+        assert_eq!(f.opt(&CASES).unwrap().as_deref(), Some("9"));
         let q = f.query(FuzzQuery::from_args).unwrap();
         assert_eq!(q.seed, 0xC0FFEE);
     }
@@ -136,8 +128,6 @@ mod tests {
         assert!(f.finish().unwrap_err().contains("--what"));
         let mut f = Flags::new(&args(&["--cases"]));
         assert!(f.opt(&CASES).unwrap_err().contains("requires a value"));
-        let mut f = Flags::new(&args(&["--cases", "many"]));
-        assert!(f.opt_num::<u64>(&CASES).unwrap_err().contains("bad number"));
         let f = Flags::new(&args(&["--json"]));
         assert!(f
             .query(FuzzQuery::from_args)

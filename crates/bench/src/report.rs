@@ -16,7 +16,9 @@ use std::fmt::Write as _;
 /// under the concurrent mixed grid workload); version 5 adds the
 /// `infer` tool (`BENCH_infer.json`: tokens/sec and SLO attainment
 /// over the three-traffic-shape grid) and the `workload` config key on
-/// the `search` snapshot.
+/// the `search` snapshot. Since then the `bench` and `serve` envelopes
+/// and every wall-clock metric have been dropped; the layout did not
+/// change, so neither did the version.
 pub const SCHEMA_VERSION: u32 = 5;
 
 /// One JSON value: either a raw literal (number, bool — already
@@ -56,14 +58,16 @@ impl Json {
 /// The shared envelope for machine-readable snapshot outputs:
 /// `{ schema_version, tool, config, metrics }`.
 ///
-/// * `tool` names the emitter (`"bench"`, `"goodput"`, `"search"`);
+/// * `tool` names the emitter (`"goodput"`, `"search"`, `"infer"`,
+///   `"trace"`);
 /// * `config` records what was run (model, cluster, seeds, flags) so a
 ///   diff across commits can tell an input change from a regression;
-/// * `metrics` holds the measured values, in insertion order.
+/// * `metrics` holds the computed values, in insertion order. They are
+///   deterministic: wall-clock timing belongs to `perfbench`.
 ///
-/// All three snapshot emitters build one of these; the envelope shape
-/// is asserted by tests, so tools consuming `BENCH_*.json` can rely on
-/// it regardless of which subcommand wrote the file.
+/// Every snapshot emitter builds one of these; the envelope shape is
+/// asserted by tests, so tools consuming `BENCH_*.json` can rely on it
+/// regardless of which subcommand wrote the file.
 #[derive(Debug, Clone)]
 pub struct Report {
     tool: String,

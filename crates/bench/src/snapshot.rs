@@ -1,12 +1,16 @@
 //! Library entry points for the snapshot subcommands (`llama3sim
 //! bench|goodput|search|infer|trace`).
 //!
-//! Each runner prints its human-readable summary to stdout, writes the
-//! machine-readable [`Report`](crate::report::Report) envelope next to
-//! the working directory (`BENCH_step_sim.json`, `BENCH_goodput.json`,
-//! `BENCH_search.json`), and returns a process exit code. With
-//! `--json` the envelope is also printed to stdout, after the human
-//! text, so scripted callers need not re-read the file.
+//! `bench` only prints its wall-clock spot timings. Each other runner
+//! prints its human-readable summary to stdout, writes the
+//! machine-readable [`Report`](crate::report::Report) envelope into the
+//! working directory (`BENCH_goodput.json`, `BENCH_search.json`,
+//! `BENCH_infer.json`, `BENCH_trace.json`), and returns a process exit
+//! code. The envelopes hold deterministic values only, so a re-run
+//! reproduces them byte for byte; timing is the `perfbench` harness's,
+//! with repeats and spread. With `--json` the envelope is also printed
+//! to stdout, after the human text, so scripted callers need not
+//! re-read the file.
 
 use crate::configs::production_8k_gpu_step;
 use crate::experiments::goodput as goodput_exp;
@@ -94,19 +98,6 @@ pub fn measure_perf() -> BenchResponse {
     }
 }
 
-/// Builds the `BENCH_step_sim.json` envelope from measured numbers.
-pub fn perf_envelope(r: &BenchResponse) -> Report {
-    Report::new("bench")
-        .config_str("plan_config", "llama3-405b @ 16384 GPUs, seq 8192")
-        .config_str("step_config", "llama3-405b @ 8192 GPUs, 16 micro-batches")
-        .metric("plan_405b_16k_gpus_ms", format!("{:.3}", r.plan_ms))
-        .metric("folded_8k_gpu_step_ms", format!("{:.3}", r.folded_ms))
-        .metric("full_8k_gpu_step_ms", format!("{:.3}", r.full_ms))
-        .metric("folded_speedup", format!("{:.2}", r.speedup()))
-        .metric("folded_report_identical", r.identical)
-        .metric("fluid_1k_transfers_ms", format!("{:.3}", r.fluid_ms))
-}
-
 /// Runs the seeded 24-hour 16 K-GPU 405B goodput simulation under
 /// production fault rates and flattens the report into the query
 /// response. This is the computation behind `Query::Goodput`.
@@ -154,7 +145,6 @@ pub fn goodput_envelope(r: &GoodputResponse) -> Report {
         .config_str("run_config", "llama3-405b @ 16384 GPUs, production fault rates")
         .config("seed", format!("{}", r.seed))
         .config("horizon_s", format!("{:.1}", r.wall_time_s))
-        .metric("sim_wall_ms", format!("{:.3}", r.sim_wall_ms))
         .metric("goodput", format!("{:.6}", r.goodput))
         .metric("effective_training_time_ratio", format!("{:.6}", r.goodput))
         .metric("steps_completed", r.steps_completed)
@@ -179,15 +169,14 @@ pub fn goodput_envelope(r: &GoodputResponse) -> Report {
 }
 
 /// Builds the `BENCH_search.json` envelope from a finished search.
-/// `baseline` is the `(exhaustive wall ms, frontier matches)` pair the
-/// `--guided` run measures; the caller appends the `expect` metric if
-/// one was asked.
+/// `frontier_matches` is whether a `--guided` run's frontier equals the
+/// exhaustive re-run's; the caller appends the `expect` metric if one
+/// was asked.
 pub fn search_envelope(
     q: &SearchQuery,
     spec: &SearchSpec,
     report: &SearchReport,
-    wall_ms: f64,
-    baseline: Option<(f64, bool)>,
+    frontier_matches: Option<bool>,
 ) -> Report {
     let mut envelope = Report::new("search")
         .config_str("model", format!("llama3-{}", q.model))
@@ -206,7 +195,6 @@ pub fn search_envelope(
     }
     envelope = envelope
         .metric_str("strategy", if q.guided { "guided" } else { "exhaustive" })
-        .metric("search_wall_ms", format!("{wall_ms:.3}"))
         .metric(
             "descent_steps",
             report.guided.map_or(0, |g| g.descent_steps),
@@ -228,11 +216,8 @@ pub fn search_envelope(
         .metric("scored", report.counts.scored)
         .metric("refined", report.counts.refined)
         .metric("frontier_len", report.frontier.len());
-    if let Some((ex_ms, matches)) = baseline {
-        envelope = envelope
-            .metric("exhaustive_wall_ms", format!("{ex_ms:.3}"))
-            .metric("speedup_vs_exhaustive", format!("{:.2}", ex_ms / wall_ms.max(1e-9)))
-            .metric("frontier_matches_exhaustive", matches);
+    if let Some(matches) = frontier_matches {
+        envelope = envelope.metric("frontier_matches_exhaustive", matches);
     }
     if let Some(best) = &report.best_step_time {
         envelope = envelope
@@ -273,8 +258,8 @@ fn compute_infer(q: &InferQuery) -> Result<InferResponse, String> {
 /// traffic shapes. Per shape: offered/completed/dropped counts,
 /// fleet tokens/sec, p50/p99 TTFT and TPOT, SLO attainment and
 /// goodput — the serving analogue of the training snapshot's step
-/// time + goodput pair. `wall_ms` is the only wall-clock metric.
-pub fn infer_envelope(q: &InferQuery, rows: &[InferResponse], wall_ms: f64) -> Report {
+/// time + goodput pair.
+pub fn infer_envelope(q: &InferQuery, rows: &[InferResponse]) -> Report {
     let mut envelope = Report::new("infer")
         .config_str("model", format!("llama3-{}", q.model))
         .config("gpus", q.gpus)
@@ -294,7 +279,6 @@ pub fn infer_envelope(q: &InferQuery, rows: &[InferResponse], wall_ms: f64) -> R
             ),
         );
     }
-    envelope = envelope.metric("sim_wall_ms", format!("{wall_ms:.3}"));
     for r in rows {
         let tag = r.traffic.tag();
         envelope = envelope
@@ -381,12 +365,11 @@ pub fn run_infer(query: &InferQuery, grid: bool, json: bool) -> i32 {
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     println!("simulated in {wall_ms:.0} ms");
     let code = i32::from(rows.iter().all(|r| r.report.completed == 0));
-    emit(&infer_envelope(query, &rows, wall_ms), "BENCH_infer.json", json).max(code)
+    emit(&infer_envelope(query, &rows), "BENCH_infer.json", json).max(code)
 }
 
-/// Builds the `BENCH_trace.json` envelope from a trace response. Every
-/// field is deterministic (the trace query carries no wall-clock), so
-/// the envelope can be golden-pinned byte-for-byte.
+/// Builds the `BENCH_trace.json` envelope from a trace response. The
+/// envelope can be golden-pinned byte-for-byte.
 pub fn trace_envelope(q: &TraceQuery, r: &TraceResponse) -> Report {
     let mut envelope = Report::new("trace")
         .config_str("model", format!("llama3-{}", q.model))

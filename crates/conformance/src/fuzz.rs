@@ -12,8 +12,9 @@
 //! model store. [`InferCaseSpec`] is the third: a seeded serving
 //! scenario (traffic shape, arrival rate, mesh, KV paging, batch cap)
 //! whose continuous-batching simulation is cross-checked against the
-//! independent naive rewalk of conformance oracle 10. All families
-//! shrink through the same greedy [`minimize_with`] machinery.
+//! independent naive rewalk of conformance oracle 10. Each family
+//! implements [`FuzzFamily`], and one generic [`sweep`] samples,
+//! checks and shrinks all three through [`minimize_with`].
 //!
 //! Sampling draws from the vendored proptest [`TestRng`] (xoshiro256++)
 //! so a `(seed, case index)` pair replays exactly. Every drawn spec is
@@ -139,37 +140,6 @@ impl fmt::Display for CaseSpec {
 }
 
 impl CaseSpec {
-    /// Draws one spec from the shared fuzz stream and normalizes it.
-    pub fn sample(rng: &mut TestRng) -> CaseSpec {
-        let bs = 1 + rng.below(12) as u32;
-        let kind = match rng.below(3) {
-            0 => ScheduleKind::AllFwdAllBwd,
-            1 => ScheduleKind::Interleaved1F1B,
-            _ => ScheduleKind::Flexible {
-                nc: 1 + rng.below(u64::from(bs)) as u32,
-            },
-        };
-        let spec = CaseSpec {
-            gpu: GpuChoice::ALL[rng.below(GpuChoice::ALL.len() as u64) as usize],
-            layers_per_stage: 1 + rng.below(2) as u32,
-            tp: 1 << rng.below(4),
-            cp: 1 + rng.below(2) as u32,
-            pp: 1 << rng.below(3),
-            dp: 1 << rng.below(3),
-            v: 1 + rng.below(3) as u32,
-            bs,
-            seq: 4096 << rng.below(2),
-            kind,
-            zero: match rng.below(3) {
-                0 => ZeroMode::Zero1,
-                1 => ZeroMode::Zero2,
-                _ => ZeroMode::Zero3,
-            },
-            recompute: rng.below(2) == 1,
-        };
-        spec.normalized()
-    }
-
     /// Repairs cross-field constraints so the spec always builds:
     /// positive dimensions, a multiple-of-8 GPU count (TP doubles until
     /// it fits), `seq` divisible by `2·cp`, and a schedule kind valid
@@ -276,6 +246,88 @@ impl CaseSpec {
         }
     }
 
+    /// Renders this spec as a ready-to-paste `#[test]` function that
+    /// reproduces the failure by calling [`CaseSpec::check`].
+    pub fn as_test_snippet(&self, seed: u64, case: u64, shrink_steps: u32) -> String {
+        let kind = match self.kind {
+            ScheduleKind::AllFwdAllBwd => "ScheduleKind::AllFwdAllBwd".to_string(),
+            ScheduleKind::Interleaved1F1B => "ScheduleKind::Interleaved1F1B".to_string(),
+            ScheduleKind::Flexible { nc } => format!("ScheduleKind::Flexible {{ nc: {nc} }}"),
+        };
+        format!(
+            r#"// Found by `llama3sim fuzz --seed {seed:#x}` (case {case}, {shrink_steps} shrink steps).
+#[test]
+fn conformance_counterexample_seed_{seed:x}_case_{case}() {{
+    use conformance::fuzz::{{CaseSpec, FuzzFamily, GpuChoice}};
+    use parallelism_core::{{ScheduleKind, ZeroMode}};
+    let spec = CaseSpec {{
+        gpu: {gpu},
+        layers_per_stage: {layers_per_stage},
+        tp: {tp},
+        cp: {cp},
+        pp: {pp},
+        dp: {dp},
+        v: {v},
+        bs: {bs},
+        seq: {seq},
+        kind: {kind},
+        zero: ZeroMode::{zero:?},
+        recompute: {recompute},
+    }};
+    if let Err(msg) = spec.check() {{
+        panic!("conformance violation: {{msg}}");
+    }}
+}}
+"#,
+            gpu = self.gpu.literal(),
+            layers_per_stage = self.layers_per_stage,
+            tp = self.tp,
+            cp = self.cp,
+            pp = self.pp,
+            dp = self.dp,
+            v = self.v,
+            bs = self.bs,
+            seq = self.seq,
+            zero = self.zero,
+            recompute = self.recompute,
+        )
+    }
+}
+
+impl FuzzFamily for CaseSpec {
+    const HEARTBEAT: u64 = 500;
+
+    /// Draws one spec from the shared fuzz stream and normalizes it.
+    fn sample(rng: &mut TestRng) -> CaseSpec {
+        let bs = 1 + rng.below(12) as u32;
+        let kind = match rng.below(3) {
+            0 => ScheduleKind::AllFwdAllBwd,
+            1 => ScheduleKind::Interleaved1F1B,
+            _ => ScheduleKind::Flexible {
+                nc: 1 + rng.below(u64::from(bs)) as u32,
+            },
+        };
+        let spec = CaseSpec {
+            gpu: GpuChoice::ALL[rng.below(GpuChoice::ALL.len() as u64) as usize],
+            layers_per_stage: 1 + rng.below(2) as u32,
+            tp: 1 << rng.below(4),
+            cp: 1 + rng.below(2) as u32,
+            pp: 1 << rng.below(3),
+            dp: 1 << rng.below(3),
+            v: 1 + rng.below(3) as u32,
+            bs,
+            seq: 4096 << rng.below(2),
+            kind,
+            zero: match rng.below(3) {
+                0 => ZeroMode::Zero1,
+                1 => ZeroMode::Zero2,
+                _ => ZeroMode::Zero3,
+            },
+            recompute: rng.below(2) == 1,
+        };
+        spec.normalized()
+    }
+
     /// Runs the full conformance battery on this spec: the pre-flight
     /// static analyzer (which must report zero errors on a normalized
     /// spec), schedule invariants, no-deadlock execution, the pipeline
@@ -289,7 +341,7 @@ impl CaseSpec {
     /// grid tests instead — they price a whole training day and clear
     /// the process-global cost cache, which would dominate a
     /// multi-thousand-case sweep.
-    pub fn check(&self) -> Result<(), String> {
+    fn check(&self) -> Result<(), String> {
         let ctx = |label: &'static str| {
             let spec = *self;
             move |e: String| format!("[{spec}] {label}: {e}")
@@ -365,7 +417,7 @@ impl CaseSpec {
     /// halved, and the categorical knobs reset to their simplest value.
     /// Every candidate is re-normalized; candidates equal to `self` are
     /// dropped, so shrinking always terminates.
-    pub fn shrink(&self) -> Vec<CaseSpec> {
+    fn shrink(&self) -> Vec<CaseSpec> {
         let mut out = Vec::new();
         let mut push = |c: CaseSpec| {
             let c = c.normalized();
@@ -405,53 +457,6 @@ impl CaseSpec {
         });
         out
     }
-
-    /// Renders this spec as a ready-to-paste `#[test]` function that
-    /// reproduces the failure by calling [`CaseSpec::check`].
-    pub fn as_test_snippet(&self, seed: u64, case: u64, shrink_steps: u32) -> String {
-        let kind = match self.kind {
-            ScheduleKind::AllFwdAllBwd => "ScheduleKind::AllFwdAllBwd".to_string(),
-            ScheduleKind::Interleaved1F1B => "ScheduleKind::Interleaved1F1B".to_string(),
-            ScheduleKind::Flexible { nc } => format!("ScheduleKind::Flexible {{ nc: {nc} }}"),
-        };
-        format!(
-            r#"// Found by `llama3sim fuzz --seed {seed:#x}` (case {case}, {shrink_steps} shrink steps).
-#[test]
-fn conformance_counterexample_seed_{seed:x}_case_{case}() {{
-    use conformance::fuzz::{{CaseSpec, GpuChoice}};
-    use parallelism_core::{{ScheduleKind, ZeroMode}};
-    let spec = CaseSpec {{
-        gpu: {gpu},
-        layers_per_stage: {layers_per_stage},
-        tp: {tp},
-        cp: {cp},
-        pp: {pp},
-        dp: {dp},
-        v: {v},
-        bs: {bs},
-        seq: {seq},
-        kind: {kind},
-        zero: ZeroMode::{zero:?},
-        recompute: {recompute},
-    }};
-    if let Err(msg) = spec.check() {{
-        panic!("conformance violation: {{msg}}");
-    }}
-}}
-"#,
-            gpu = self.gpu.literal(),
-            layers_per_stage = self.layers_per_stage,
-            tp = self.tp,
-            cp = self.cp,
-            pp = self.pp,
-            dp = self.dp,
-            v = self.v,
-            bs = self.bs,
-            seq = self.seq,
-            zero = self.zero,
-            recompute = self.recompute,
-        )
-    }
 }
 
 /// Greedily minimizes a failing spec of any case family: repeatedly
@@ -480,10 +485,68 @@ pub fn minimize_with<S: Clone>(
     (spec, steps)
 }
 
-/// Greedily minimizes a failing [`CaseSpec`] via [`minimize_with`] over
-/// [`CaseSpec::shrink`] and [`CaseSpec::check`].
-pub fn minimize(spec: CaseSpec) -> (CaseSpec, u32) {
-    minimize_with(spec, CaseSpec::shrink, |c| c.check().is_err())
+/// One fuzz case family: how to draw a case, check it and shrink a
+/// failing one.
+pub trait FuzzFamily: Copy + fmt::Display {
+    /// Clean cases between two `progress` calls of [`sweep`].
+    const HEARTBEAT: u64;
+    /// Draws one normalized case from the shared fuzz stream.
+    fn sample(rng: &mut TestRng) -> Self;
+    /// Runs the family's invariants and oracles on the case.
+    ///
+    /// # Errors
+    /// The first violation, naming the case.
+    fn check(&self) -> Result<(), String>;
+    /// Strictly-smaller candidate cases for greedy shrinking.
+    fn shrink(&self) -> Vec<Self>;
+}
+
+/// A failing case from [`sweep`], greedily minimized.
+#[derive(Debug, Clone)]
+pub struct Counterexample<S> {
+    /// Index of the failing case in the sweep.
+    pub case: u64,
+    /// The original (pre-shrink) violation message.
+    pub message: String,
+    /// The greedily minimized failing spec.
+    pub min_spec: S,
+    /// The minimized spec's violation message.
+    pub min_message: String,
+    /// Accepted shrink steps.
+    pub shrink_steps: u32,
+}
+
+/// Runs a seeded sweep of family `S`: samples `cases` specs, checks
+/// each, and on the first violation greedily shrinks it via
+/// [`minimize_with`]. Returns `None` on a clean sweep. `progress` is
+/// called with the clean-case count every [`FuzzFamily::HEARTBEAT`]
+/// cases. The sweep is a pure function of `args`.
+pub fn sweep<S: FuzzFamily>(
+    args: &FuzzQuery,
+    mut progress: impl FnMut(u64),
+) -> Option<Counterexample<S>> {
+    let FuzzQuery { cases, seed } = *args;
+    let mut rng = TestRng::new(seed);
+    for case in 0..cases {
+        let spec = S::sample(&mut rng);
+        if let Err(message) = spec.check() {
+            let (min_spec, shrink_steps) = minimize_with(spec, S::shrink, |c| c.check().is_err());
+            let min_message = min_spec
+                .check()
+                .expect_err("minimize must preserve the failure");
+            return Some(Counterexample {
+                case,
+                message,
+                min_spec,
+                min_message,
+                shrink_steps,
+            });
+        }
+        if (case + 1).is_multiple_of(S::HEARTBEAT) {
+            progress(case + 1);
+        }
+    }
+    None
 }
 
 /// One tiered-trace fuzz case: a seeded script of append/seek/zoom/
@@ -515,18 +578,6 @@ impl fmt::Display for TraceOpSpec {
 }
 
 impl TraceOpSpec {
-    /// Draws one spec from the shared fuzz stream and normalizes it.
-    pub fn sample(rng: &mut TestRng) -> TraceOpSpec {
-        TraceOpSpec {
-            seed: rng.next_u64(),
-            ops: 1 + rng.below(24) as u32,
-            tier0: 1 << (3 + rng.below(4)),
-            chunk: 1 + rng.below(8) as u32,
-            ranks: 1 + rng.below(6) as u32,
-        }
-        .normalized()
-    }
-
     /// Repairs cross-field constraints: positive knobs, tier 0 at least
     /// two chunks wide (mirroring the store's own normalization so the
     /// spec literal matches the geometry that actually ran).
@@ -536,6 +587,22 @@ impl TraceOpSpec {
         self.ranks = self.ranks.clamp(1, 64);
         self.tier0 = self.tier0.max(2 * self.chunk);
         self
+    }
+}
+
+impl FuzzFamily for TraceOpSpec {
+    const HEARTBEAT: u64 = 500;
+
+    /// Draws one spec from the shared fuzz stream and normalizes it.
+    fn sample(rng: &mut TestRng) -> TraceOpSpec {
+        TraceOpSpec {
+            seed: rng.next_u64(),
+            ops: 1 + rng.below(24) as u32,
+            tier0: 1 << (3 + rng.below(4)),
+            chunk: 1 + rng.below(8) as u32,
+            ranks: 1 + rng.below(6) as u32,
+        }
+        .normalized()
     }
 
     /// Runs the op script against a [`TieredTrace`] and a full-resolution
@@ -550,7 +617,7 @@ impl TraceOpSpec {
     ///   hold, and at the end per-rank busy time is conserved exactly,
     ///   the appended count matches, and residency stays within the
     ///   `O(B · log N)` bound.
-    pub fn check(&self) -> Result<(), String> {
+    fn check(&self) -> Result<(), String> {
         let ctx = |label: &'static str| {
             let spec = *self;
             move |e: String| format!("[{spec}] {label}: {e}")
@@ -683,7 +750,7 @@ impl TraceOpSpec {
 
     /// Strictly-smaller candidates for greedy shrinking: every knob
     /// halved, re-normalized, duplicates dropped.
-    pub fn shrink(&self) -> Vec<TraceOpSpec> {
+    fn shrink(&self) -> Vec<TraceOpSpec> {
         let mut out = Vec::new();
         let mut push = |c: TraceOpSpec| {
             let c = c.normalized();
@@ -746,22 +813,6 @@ impl fmt::Display for InferCaseSpec {
 }
 
 impl InferCaseSpec {
-    /// Draws one spec from the shared fuzz stream and normalizes it.
-    pub fn sample(rng: &mut TestRng) -> InferCaseSpec {
-        InferCaseSpec {
-            seed: rng.next_u64(),
-            shape: TrafficShape::ALL[rng.below(TrafficShape::ALL.len() as u64) as usize],
-            requests_per_day: 1_000 + rng.below(200_000),
-            horizon_s: 60 + rng.below(840) as u32,
-            tp: 1 << rng.below(3),
-            pp: 1 << rng.below(2),
-            replicas: 1 + rng.below(4) as u32,
-            block_tokens: 1 << rng.below(7),
-            max_batch: 1 + rng.below(64) as u32,
-        }
-        .normalized()
-    }
-
     /// Repairs cross-field constraints: positive knobs, `tp` rounded
     /// down to a power of two within the NVLink domain, and rates and
     /// horizons clamped to the range the sweep prices in milliseconds
@@ -779,11 +830,31 @@ impl InferCaseSpec {
         self.horizon_s = self.horizon_s.clamp(60, 900);
         self
     }
+}
+
+impl FuzzFamily for InferCaseSpec {
+    const HEARTBEAT: u64 = 10;
+
+    /// Draws one spec from the shared fuzz stream and normalizes it.
+    fn sample(rng: &mut TestRng) -> InferCaseSpec {
+        InferCaseSpec {
+            seed: rng.next_u64(),
+            shape: TrafficShape::ALL[rng.below(TrafficShape::ALL.len() as u64) as usize],
+            requests_per_day: 1_000 + rng.below(200_000),
+            horizon_s: 60 + rng.below(840) as u32,
+            tp: 1 << rng.below(3),
+            pp: 1 << rng.below(2),
+            replicas: 1 + rng.below(4) as u32,
+            block_tokens: 1 << rng.below(7),
+            max_batch: 1 + rng.below(64) as u32,
+        }
+        .normalized()
+    }
 
     /// Materializes the serving scenario and runs conformance oracle 10
     /// on it; also asserts the seeded arrival trace itself regenerates
     /// bit-identically.
-    pub fn check(&self) -> Result<(), String> {
+    fn check(&self) -> Result<(), String> {
         let ctx = |label: &'static str| {
             let spec = *self;
             move |e: String| format!("[{spec}] {label}: {e}")
@@ -810,7 +881,7 @@ impl InferCaseSpec {
     /// Strictly-smaller candidates for greedy shrinking: every knob
     /// halved, the shape reset to steady, re-normalized, duplicates
     /// dropped.
-    pub fn shrink(&self) -> Vec<InferCaseSpec> {
+    fn shrink(&self) -> Vec<InferCaseSpec> {
         let mut out = Vec::new();
         let mut push = |c: InferCaseSpec| {
             let c = c.normalized();
@@ -831,120 +902,6 @@ impl InferCaseSpec {
     }
 }
 
-/// A shrunk inference counterexample from [`run_infer_sweep`].
-#[derive(Debug, Clone)]
-pub struct InferCounterexample {
-    /// Index of the failing case in the sweep.
-    pub case: u64,
-    /// The original (pre-shrink) violation message.
-    pub message: String,
-    /// The greedily minimized failing spec.
-    pub min_spec: InferCaseSpec,
-    /// The minimized spec's violation message.
-    pub min_message: String,
-    /// Accepted shrink steps.
-    pub shrink_steps: u32,
-}
-
-/// Runs the seeded inference sweep: samples `cases` serving scenarios,
-/// runs [`InferCaseSpec::check`] on each, and on the first violation
-/// greedily shrinks it via [`minimize_with`]. Returns `None` on a clean
-/// sweep. `progress` is called with the clean-case count every 10 cases
-/// (each case prices a full serving horizon, so sweeps are shorter than
-/// the step-model family's).
-pub fn run_infer_sweep(
-    args: &FuzzQuery,
-    mut progress: impl FnMut(u64),
-) -> Option<InferCounterexample> {
-    let FuzzQuery { cases, seed } = *args;
-    let mut rng = TestRng::new(seed);
-    for case in 0..cases {
-        let spec = InferCaseSpec::sample(&mut rng);
-        if let Err(message) = spec.check() {
-            let (min_spec, shrink_steps) =
-                minimize_with(spec, InferCaseSpec::shrink, |c| c.check().is_err());
-            let min_message = min_spec
-                .check()
-                .expect_err("minimize must preserve the failure");
-            return Some(InferCounterexample {
-                case,
-                message,
-                min_spec,
-                min_message,
-                shrink_steps,
-            });
-        }
-        if (case + 1).is_multiple_of(10) {
-            progress(case + 1);
-        }
-    }
-    None
-}
-
-/// A shrunk trace-store counterexample from [`run_trace_sweep`].
-#[derive(Debug, Clone)]
-pub struct TraceCounterexample {
-    /// Index of the failing case in the sweep.
-    pub case: u64,
-    /// The original (pre-shrink) violation message.
-    pub message: String,
-    /// The greedily minimized failing spec.
-    pub min_spec: TraceOpSpec,
-    /// The minimized spec's violation message.
-    pub min_message: String,
-    /// Accepted shrink steps.
-    pub shrink_steps: u32,
-}
-
-/// Runs the seeded tiered-trace sweep: samples `cases` op scripts, runs
-/// [`TraceOpSpec::check`] on each, and on the first violation greedily
-/// shrinks it via [`minimize_with`]. Returns `None` on a clean sweep.
-pub fn run_trace_sweep(
-    args: &FuzzQuery,
-    mut progress: impl FnMut(u64),
-) -> Option<TraceCounterexample> {
-    let FuzzQuery { cases, seed } = *args;
-    let mut rng = TestRng::new(seed);
-    for case in 0..cases {
-        let spec = TraceOpSpec::sample(&mut rng);
-        if let Err(message) = spec.check() {
-            let (min_spec, shrink_steps) =
-                minimize_with(spec, TraceOpSpec::shrink, |c| c.check().is_err());
-            let min_message = min_spec
-                .check()
-                .expect_err("minimize must preserve the failure");
-            return Some(TraceCounterexample {
-                case,
-                message,
-                min_spec,
-                min_message,
-                shrink_steps,
-            });
-        }
-        if (case + 1).is_multiple_of(500) {
-            progress(case + 1);
-        }
-    }
-    None
-}
-
-/// A shrunk sweep counterexample, ready to render or re-check.
-#[derive(Debug, Clone)]
-pub struct SweepCounterexample {
-    /// Index of the failing case in the sweep.
-    pub case: u64,
-    /// The original (pre-shrink) violation message.
-    pub message: String,
-    /// The greedily minimized failing spec.
-    pub min_spec: CaseSpec,
-    /// The minimized spec's violation message.
-    pub min_message: String,
-    /// Accepted shrink steps.
-    pub shrink_steps: u32,
-    /// Ready-to-paste `#[test]` reproducing the failure.
-    pub snippet: String,
-}
-
 /// The structured result of a seeded sweep: what ran and the first
 /// (shrunk) violation, if any. This is the data the query API's fuzz
 /// response is built from.
@@ -956,7 +913,7 @@ pub struct SweepOutcome {
     /// The sweep seed.
     pub seed: u64,
     /// The first violation, already minimized; `None` on a clean sweep.
-    pub counterexample: Option<SweepCounterexample>,
+    pub counterexample: Option<Counterexample<CaseSpec>>,
 }
 
 impl SweepOutcome {
@@ -972,49 +929,23 @@ impl SweepOutcome {
                 min_display: ce.min_spec.to_string(),
                 min_message: ce.min_message,
                 shrink_steps: ce.shrink_steps,
-                snippet: ce.snippet,
+                snippet: ce
+                    .min_spec
+                    .as_test_snippet(self.seed, ce.case, ce.shrink_steps),
             }),
         }
     }
 }
 
-/// Runs the seeded sweep: samples `cases` random specs, runs the full
-/// invariant + oracle battery on each, and on the first violation
-/// greedily shrinks it. `progress` is called with the clean-case count
-/// every 500 cases (the CLI prints a heartbeat; the server passes a
-/// no-op).
-pub fn run_sweep(args: &FuzzQuery, mut progress: impl FnMut(u64)) -> SweepOutcome {
-    let FuzzQuery { cases, seed } = *args;
-    let mut rng = TestRng::new(seed);
-    for case in 0..cases {
-        let spec = CaseSpec::sample(&mut rng);
-        if let Err(message) = spec.check() {
-            let (min_spec, shrink_steps) = minimize(spec);
-            let min_message = min_spec
-                .check()
-                .expect_err("minimize must preserve the failure");
-            let snippet = min_spec.as_test_snippet(seed, case, shrink_steps);
-            return SweepOutcome {
-                cases,
-                seed,
-                counterexample: Some(SweepCounterexample {
-                    case,
-                    message,
-                    min_spec,
-                    min_message,
-                    shrink_steps,
-                    snippet,
-                }),
-            };
-        }
-        if (case + 1).is_multiple_of(500) {
-            progress(case + 1);
-        }
-    }
+/// Runs the seeded [`CaseSpec`] sweep: the full invariant + oracle
+/// battery on `cases` random specs, the first violation greedily
+/// shrunk. `progress` is called with the clean-case count every 500
+/// cases (the CLI prints a heartbeat; the server passes a no-op).
+pub fn run_sweep(args: &FuzzQuery, progress: impl FnMut(u64)) -> SweepOutcome {
     SweepOutcome {
-        cases,
-        seed,
-        counterexample: None,
+        cases: args.cases,
+        seed: args.seed,
+        counterexample: sweep(args, progress),
     }
 }
 

@@ -21,6 +21,8 @@
 //!    references, the continuous-batching inference engine vs an
 //!    independent naive rewalk, and the pipeline deadlock and race
 //!    rules vs execution and a brute-force closure).
+//!    [`lowering`] holds their engine reference for pipeline
+//!    schedules: the schedule lowered onto the task-graph engine.
 //! 3. [`fuzz`] — seeded random `(model, mesh, schedule, options)`
 //!    sampling with greedy dimension-halving shrinking, driven by
 //!    `llama3sim fuzz`; counterexamples are emitted as ready-to-paste
@@ -36,4 +38,5 @@
 pub mod fuzz;
 pub mod grid;
 pub mod invariants;
+pub mod lowering;
 pub mod oracles;

@@ -49,6 +49,7 @@
 //!     on a battery of swapped, duplicated, dropped and moved ops.
 
 use crate::invariants::CheckResult;
+use crate::lowering::{execute_pp, lower_pp, lowering_capacity, PpSimOp};
 use cluster_model::faults::ClusterHealth;
 use cluster_model::jitter::{JitterKind, JitterModel};
 use collectives::cost::{clear_cost_cache, CommCostModel};
@@ -62,14 +63,13 @@ use parallelism_core::search::{enumerate_configs, search, SearchSpec, SearchStra
 use parallelism_core::analyze::race::{self, Lane, Race};
 use parallelism_core::analyze::{self, deadlock, RuleId};
 use parallelism_core::pp::sim::{
-    lower_pp, lowering_capacity, simulate_pp, PpCostModel, PpProgram, PpSimOp, PpTiming,
-    TableCosts, UniformCosts,
+    simulate_pp, PpCostModel, PpProgram, PpTiming, TableCosts, UniformCosts,
 };
 use parallelism_core::pp::PpSchedule;
 use parallelism_core::step::{ExposedComm, SimFidelity, SimOptions, StepModel, StepReport};
 use parallelism_core::Dim;
 use sim_engine::fluid::{FluidNet, Transfer, TransferOutcome};
-use sim_engine::graph::{ExecutedGraph, TaskGraph};
+use sim_engine::graph::{ExecutedGraph, GraphError, TaskGraph};
 use sim_engine::time::{SimDuration, SimTime};
 use trace_analysis::synth::{synth_trace, SynthSpec};
 use trace_analysis::tiered::{SliceReplay, TierConfig, TieredTrace, WindowStats};
@@ -436,10 +436,8 @@ pub fn program_vs_engine(
         PpProgram::compile(schedule, costs).map_err(|e| format!("program compile: {e:?}"))?;
     let mut t = PpTiming::default();
     program.run(rank_scale, &mut t);
-    let (ops, streams) = lowering_capacity(schedule);
-    let mut g: TaskGraph<PpSimOp> = TaskGraph::with_capacity(ops, streams);
-    lower_pp(&mut g, schedule, costs, rank_scale, |op| op);
-    let run = g.execute().map_err(|e| format!("graph execution: {e:?}"))?;
+    let run =
+        execute_pp(schedule, costs, rank_scale).map_err(|e| format!("graph execution: {e:?}"))?;
     for (i, rec) in run.records()[..program.len()].iter().enumerate() {
         if matches!(rec.meta, PpSimOp::Transfer) {
             return Err(format!(
@@ -1365,10 +1363,12 @@ pub fn oracle_pipeline_rules(base: &PpSchedule, max_mutants: usize) -> Result<us
 }
 
 /// One schedule of oracle 12: `DEAD001` or `DEAD002` fires exactly when
-/// [`simulate_pp`] fails, with zero and with non-zero P2P; and on a
-/// schedule that runs, with at most [`RACE_REFERENCE_MAX_OPS`] ops,
-/// `RACE001`'s unordered pairs are exactly those of a brute-force
-/// reachability closure over the [`lower_pp`] task graph.
+/// [`simulate_pp`] fails, with zero and with non-zero P2P; a failure
+/// with every producer scheduled names the ops the engine leaves
+/// unexecuted ([`engine_deadlock_matches_program`]); and on a schedule
+/// that runs, with at most [`RACE_REFERENCE_MAX_OPS`] ops, `RACE001`'s
+/// unordered pairs are exactly those of a brute-force reachability
+/// closure over the [`lower_pp`] task graph.
 pub fn check_pipeline_rules(s: &PpSchedule) -> CheckResult {
     let program = analyze::compile(s);
     let dead = deadlock::check_program(s, &program);
@@ -1389,6 +1389,9 @@ pub fn check_pipeline_rules(s: &PpSchedule) -> CheckResult {
                 dead.iter().map(|d| d.render_human()).collect::<Vec<_>>()
             ));
         }
+        if !runs && program.unresolved().next().is_none() {
+            engine_deadlock_matches_program(s, &costs).map_err(|e| format!("p2p {p2p} µs: {e}"))?;
+        }
     }
     if rejected || program.len() > RACE_REFERENCE_MAX_OPS {
         return Ok(());
@@ -1397,6 +1400,32 @@ pub fn check_pipeline_rules(s: &PpSchedule) -> CheckResult {
     let want = reference_races(s);
     if got != want {
         return Err(format!("RACE001 pairs {got:?}, brute force {want:?}"));
+    }
+    Ok(())
+}
+
+/// A deadlocked schedule whose every producer is scheduled: the op set
+/// of [`simulate_pp`]'s `GraphError::Deadlock` must equal the compute
+/// ops the engine leaves unexecuted when it runs the [`lower_pp`]
+/// graph. The engine also names the stuck transfers; the program has
+/// none to name.
+pub fn engine_deadlock_matches_program(s: &PpSchedule, costs: &dyn PpCostModel) -> CheckResult {
+    let Err(GraphError::Deadlock(program)) = simulate_pp(s, costs) else {
+        return Err("simulate_pp runs the schedule".into());
+    };
+    let run = execute_pp(s, costs, &[]);
+    let Err(GraphError::Deadlock(engine)) = run else {
+        return Err(format!(
+            "the engine runs the schedule, the program leaves {program:?} stuck"
+        ));
+    };
+    // Compute ops come first in the lowering, in program order.
+    let n = s.ranks.iter().map(Vec::len).sum::<usize>();
+    let compute: Vec<_> = engine.into_iter().filter(|op| op.index() < n).collect();
+    if compute != program {
+        return Err(format!(
+            "program names stuck ops {program:?}, the engine {compute:?}"
+        ));
     }
     Ok(())
 }

@@ -7,14 +7,14 @@
 //! than the trace-store family's but still covers all three traffic
 //! shapes many times over.
 
-use conformance::fuzz::run_infer_sweep;
+use conformance::fuzz::{sweep, InferCaseSpec};
 use parallelism_core::query::FuzzQuery;
 
 #[test]
 fn infer_battery_40_cases_is_clean() {
     let args = FuzzQuery { cases: 40, seed: 1 };
     let mut heartbeats = 0u32;
-    let ce = run_infer_sweep(&args, |_clean| heartbeats += 1);
+    let ce = sweep::<InferCaseSpec>(&args, |_clean| heartbeats += 1);
     if let Some(ce) = ce {
         panic!(
             "counterexample at case {} (shrunk in {} steps to [{}]):\n  {}\n  {}",
@@ -32,6 +32,6 @@ fn infer_sweep_replays_identically() {
         cases: 6,
         seed: 0xBEEF,
     };
-    assert!(run_infer_sweep(&args, |_| {}).is_none());
-    assert!(run_infer_sweep(&args, |_| {}).is_none());
+    assert!(sweep::<InferCaseSpec>(&args, |_| {}).is_none());
+    assert!(sweep::<InferCaseSpec>(&args, |_| {}).is_none());
 }

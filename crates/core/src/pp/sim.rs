@@ -4,50 +4,19 @@
 //! and its costs compiled once into flat per-compute-op arrays. Timing
 //! runs it as a linear pass per set of per-rank compute scales
 //! ([`simulate_pp`], the folded step, the full-fidelity step with one
-//! pass per DP replica, and the pipeline trace), and the pre-flight
-//! deadlock and race rules read its edges and its Kahn order.
-//!
-//! [`lower_pp`] lowers the same schedule onto the timing-graph engine
-//! instead: each pipeline rank gets a compute stream, and every
-//! cross-stage activation (or gradient) transfer becomes a
-//! point-to-point op on its own link stream, so transfers overlap with
-//! compute and with each other — exposing P2P only where the schedule
-//! actually has to wait for data (Fig 3). That lowering is the
-//! reference the program is checked against, and the source of the
-//! exact [`GraphError::Deadlock`] op set when a schedule's op order
-//! cannot execute (e.g. a hand-built broken warm-up).
+//! pass per DP replica, and the pipeline trace), the pre-flight
+//! deadlock and race rules read its edges and its Kahn order, and a
+//! schedule whose op order cannot execute is reported from the ops that
+//! order leaves out. The conformance crate lowers the same schedule
+//! onto the timing-graph engine, with every cross-stage transfer as an
+//! op on its own link stream (Fig 3), and checks the program against it.
 
 use super::schedule::{PpOp, PpSchedule};
-use sim_engine::graph::{GraphError, OpId, StreamId, TaskGraph};
+use sim_engine::graph::{GraphError, OpId};
 use sim_engine::time::{SimDuration, SimTime};
 use std::ops::Range;
 
-/// Metadata attached to each op in the lowered graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PpSimOp {
-    /// Forward compute of `(stage, mb)` on `rank`.
-    Forward {
-        /// Pipeline rank.
-        rank: u32,
-        /// Global stage index.
-        stage: u32,
-        /// Micro-batch.
-        mb: u32,
-    },
-    /// Backward compute of `(stage, mb)` on `rank`.
-    Backward {
-        /// Pipeline rank.
-        rank: u32,
-        /// Global stage index.
-        stage: u32,
-        /// Micro-batch.
-        mb: u32,
-    },
-    /// P2P transfer between adjacent ranks.
-    Transfer,
-}
-
-/// Per-op costs for the lowering.
+/// Per-op costs of a pipeline schedule.
 pub trait PpCostModel {
     /// Forward compute time of global stage `stage` for micro-batch `mb`.
     fn fwd(&self, stage: u32, mb: u32) -> SimDuration;
@@ -190,24 +159,22 @@ const NONE: u32 = u32::MAX;
 /// arrays, timed by one linear pass per set of per-rank compute scales.
 ///
 /// Ops are numbered rank-major in program order: rank 0's ops in the
-/// order it runs them, then rank 1's, and so on. That is also the
-/// [`OpId`] order of the compute ops [`lower_pp`] adds to an empty
-/// graph. Each op waits on at most two others: the previous op on its
-/// rank's compute stream, and its data producer (the previous stage's
-/// forward, the next stage's backward, or — for the last stage's
-/// backward — its own forward). When a schedule runs one op twice, only
-/// the last copy is wired, as in [`lower_pp`]. In the engine lowering a
-/// P2P transfer sits alone on its own link stream, so it adds exactly
-/// its duration to that one edge. A pass over a topological order is
-/// therefore exact:
+/// order it runs them, then rank 1's, and so on. Each op waits on at
+/// most two others: the previous op on its rank's compute stream, and
+/// its data producer (the previous stage's forward, the next stage's
+/// backward, or — for the last stage's backward — its own forward).
+/// When a schedule runs one op twice, only the last copy is wired. A
+/// P2P transfer has a link of its own, so it adds exactly its duration
+/// to that one edge. A pass over a topological order is therefore
+/// exact:
 ///
 /// `end = max(end[stream pred], end[data pred] + latency) + scaled(base, rank scale)`
 ///
-/// and it reproduces `lower_pp` + [`TaskGraph::execute`] bit for bit
-/// (same integer nanoseconds, same scale rounding), without building
-/// or executing a graph. The same reasoning makes the program's
-/// happens-before relation the engine's: a transfer never changes
-/// which ops reach which.
+/// in integer nanoseconds, and it equals the event engine's timing of
+/// the same schedule with each transfer as an op on its own link
+/// stream, bit for bit, without building or executing a graph. The
+/// same reasoning makes the program's happens-before relation the
+/// engine's: a transfer never changes which ops reach which.
 #[derive(Debug, Clone)]
 pub struct PpProgram {
     pp: u32,
@@ -270,12 +237,9 @@ impl PpProgram {
     ///
     /// # Errors
     /// Returns [`GraphError::Deadlock`] if the op orders admit no
-    /// execution. When every producer is scheduled, the schedule is
-    /// lowered with [`lower_pp`] and executed, so the error is the
-    /// engine's own, with its exact set of stuck ops. When some op
-    /// waits on a producer no rank schedules, the engine cannot express
-    /// the wait, and the error names the compute ops that can never
-    /// start.
+    /// execution, naming the [stuck](Self::stuck) compute ops: those on
+    /// a wait cycle, those waiting on a producer no rank schedules, and
+    /// every op queued behind either.
     pub fn compile(
         schedule: &PpSchedule,
         costs: &dyn PpCostModel,
@@ -283,10 +247,10 @@ impl PpProgram {
         let p = PpProgram::build(schedule, costs);
         if p.is_complete() {
             Ok(p)
-        } else if p.unresolved.is_empty() {
-            Err(engine_deadlock(schedule, costs))
         } else {
-            Err(GraphError::Deadlock(p.stuck().map(OpId::from_index).collect()))
+            Err(GraphError::Deadlock(
+                p.stuck().map(OpId::from_index).collect(),
+            ))
         }
     }
 
@@ -478,9 +442,8 @@ impl PpProgram {
     }
 
     /// Times one pass into `t`. `rank_scale[r]` multiplies rank `r`'s
-    /// compute durations (per-rank jitter or throttling), rounded
-    /// exactly as [`lower_pp`] rounds them; an empty slice means no
-    /// scaling, and transfers are never scaled.
+    /// compute durations (per-rank jitter or throttling); an empty
+    /// slice means no scaling, and transfers are never scaled.
     pub fn run(&self, rank_scale: &[f64], t: &mut PpTiming) {
         let n = self.rank.len();
         t.dur.clear();
@@ -517,146 +480,14 @@ impl PpProgram {
     }
 }
 
-/// The engine's own [`GraphError::Deadlock`] for a schedule whose ops
-/// the topological sort could not all order, though every producer is
-/// scheduled.
-fn engine_deadlock(schedule: &PpSchedule, costs: &dyn PpCostModel) -> GraphError {
-    let (ops, streams) = lowering_capacity(schedule);
-    let mut g: TaskGraph<PpSimOp> = TaskGraph::with_capacity(ops, streams);
-    lower_pp(&mut g, schedule, costs, &[], |op| op);
-    match g.execute() {
-        Err(e) => e,
-        // The engine runs an op once its stream and data predecessors
-        // have run — exactly the sort's rule.
-        Ok(_) => unreachable!("a schedule the sort cannot order deadlocks on the engine"),
-    }
-}
-
-/// Graph capacity (ops, streams) needed to lower one copy of `schedule`:
-/// 2 compute ops per (stage, micro-batch) plus up to 2 transfers each;
-/// one compute stream per rank plus one link stream per transfer.
-pub fn lowering_capacity(schedule: &PpSchedule) -> (usize, usize) {
-    let ops = schedule.num_stages() as usize * schedule.nmb as usize * 4;
-    (ops, schedule.pp as usize + ops / 2)
-}
-
-/// Handle to one pipeline instance lowered into a task graph by
-/// [`lower_pp`].
-#[derive(Debug, Clone)]
-pub struct PpLowering {
-    /// One compute stream per pipeline rank, in rank order.
-    pub compute_streams: Vec<StreamId>,
-}
-
 fn scaled(d: SimDuration, scale: f64) -> SimDuration {
     // Exact when unscaled: the DP-folding identity relies on a 1.0
-    // multiplier reproducing the duration bit-for-bit. Shared by
-    // `PpProgram::run` and `lower_pp`, so both round alike.
+    // multiplier reproducing the duration bit-for-bit.
     if scale == 1.0 {
         d
     } else {
         d.scale(scale)
     }
-}
-
-/// Lowers one instance of `schedule` under `costs` into `g`, which may
-/// already hold other instances (the conformance reference for the
-/// full-fidelity step adds one per DP replica plus cross-replica DP
-/// collectives). Step timing itself runs [`PpProgram`]; this lowering
-/// is its engine-executed reference.
-///
-/// `rank_scale[r]` multiplies rank `r`'s *compute* durations (per-rank
-/// jitter/straggler injection); an empty slice means no scaling, and
-/// transfers are never scaled. `meta` wraps each op's [`PpSimOp`] into
-/// the graph's metadata type, letting callers tag ops with a replica
-/// index.
-pub fn lower_pp<M>(
-    g: &mut TaskGraph<M>,
-    schedule: &PpSchedule,
-    costs: &dyn PpCostModel,
-    rank_scale: &[f64],
-    mut meta: impl FnMut(PpSimOp) -> M,
-) -> PpLowering {
-    let pp = schedule.pp;
-    let last_stage = schedule.num_stages() - 1;
-    let compute_streams = g.add_streams(pp as usize);
-
-    // First pass: create compute ops in per-rank program order.
-    let mut fwd_ids: Vec<Vec<Option<OpId>>> =
-        vec![vec![None; schedule.nmb as usize]; schedule.num_stages() as usize];
-    let mut bwd_ids: Vec<Vec<Option<OpId>>> =
-        vec![vec![None; schedule.nmb as usize]; schedule.num_stages() as usize];
-    for (ppr, ops) in schedule.ranks.iter().enumerate() {
-        let stream = compute_streams[ppr];
-        let scale = rank_scale.get(ppr).copied().unwrap_or(1.0);
-        for op in ops {
-            let stage = schedule.stage_of(ppr as u32, op.chunk());
-            match op {
-                PpOp::Forward { mb, .. } => {
-                    let id = g.add_op(
-                        meta(PpSimOp::Forward {
-                            rank: ppr as u32,
-                            stage,
-                            mb: *mb,
-                        }),
-                        scaled(costs.fwd(stage, *mb), scale),
-                        [stream],
-                        [],
-                    );
-                    fwd_ids[stage as usize][*mb as usize] = Some(id);
-                }
-                PpOp::Backward { mb, .. } => {
-                    let id = g.add_op(
-                        meta(PpSimOp::Backward {
-                            rank: ppr as u32,
-                            stage,
-                            mb: *mb,
-                        }),
-                        scaled(costs.bwd(stage, *mb), scale),
-                        [stream],
-                        [],
-                    );
-                    bwd_ids[stage as usize][*mb as usize] = Some(id);
-                }
-            }
-        }
-    }
-
-    // Second pass: wire data dependencies. A transfer that takes time
-    // is an op on its own link stream (async send) between producer and
-    // consumer. An edge whose producer or consumer no rank schedules is
-    // left out; `PpProgram::compile` lowers only schedules whose every
-    // producer is scheduled.
-    let mut wire =
-        |g: &mut TaskGraph<M>, to: Option<OpId>, from: Option<OpId>, dur: SimDuration| {
-            let (Some(to), Some(from)) = (to, from) else {
-                return;
-            };
-            if dur.is_zero() {
-                g.add_dep(to, from);
-            } else {
-                let link = g.add_stream();
-                let t = g.add_op(meta(PpSimOp::Transfer), dur, [link], []);
-                g.add_dep(t, from);
-                g.add_dep(to, t);
-            }
-        };
-    for stage in 0..schedule.num_stages() {
-        for mb in 0..schedule.nmb as usize {
-            let s = stage as usize;
-            let (f, b) = (fwd_ids[s][mb], bwd_ids[s][mb]);
-            if stage > 0 {
-                wire(g, f, fwd_ids[s - 1][mb], costs.p2p(stage - 1));
-            }
-            if stage == last_stage {
-                wire(g, b, f, SimDuration::ZERO);
-            } else {
-                wire(g, b, bwd_ids[s + 1][mb], costs.p2p(stage));
-            }
-        }
-    }
-
-    PpLowering { compute_streams }
 }
 
 #[cfg(test)]
@@ -817,65 +648,6 @@ mod tests {
         assert_eq!(r.makespan, us(100) * 4 + us(200) * 4);
     }
 
-    /// Lowers `s` onto the engine with `scales` and executes it.
-    fn engine(
-        s: &PpSchedule,
-        costs: &dyn PpCostModel,
-        scales: &[f64],
-    ) -> Result<sim_engine::graph::ExecutedGraph<PpSimOp>, GraphError> {
-        let (ops, streams) = lowering_capacity(s);
-        let mut g: TaskGraph<PpSimOp> = TaskGraph::with_capacity(ops, streams);
-        lower_pp(&mut g, s, costs, scales, |op| op);
-        g.execute()
-    }
-
-    /// The compiled program reproduces the engine's start and end of
-    /// every compute op bit for bit, for every schedule family, with
-    /// zero and non-zero P2P, imbalanced stages, and unit or
-    /// non-uniform per-rank scales.
-    #[test]
-    fn program_matches_engine_op_for_op() {
-        let kinds = [
-            ScheduleKind::AllFwdAllBwd,
-            ScheduleKind::Interleaved1F1B,
-            ScheduleKind::Flexible { nc: 1 },
-            ScheduleKind::Flexible { nc: 3 },
-            ScheduleKind::Flexible { nc: 8 },
-        ];
-        for kind in kinds {
-            for (pp, v) in [(1u32, 2u32), (2, 1), (4, 2), (3, 3)] {
-                let nmb = 8 * pp;
-                let s = PpSchedule::build(kind, pp, v, nmb).unwrap();
-                let stages = (pp * v) as usize;
-                for p2p in [0, 7] {
-                    let costs = TableCosts {
-                        fwd: (0..stages).map(|i| us(90 + 13 * i as u64)).collect(),
-                        bwd: (0..stages).map(|i| us(170 + 29 * i as u64)).collect(),
-                        p2p: us(p2p),
-                    };
-                    let program = PpProgram::compile(&s, &costs).unwrap();
-                    assert_eq!(program.len(), stages * nmb as usize * 2);
-                    let mut t = PpTiming::default();
-                    let skewed: Vec<f64> = (0..pp).map(|r| 1.0 + 0.037 * f64::from(r)).collect();
-                    for scales in [&[][..], &skewed] {
-                        program.run(scales, &mut t);
-                        let run = engine(&s, &costs, scales).unwrap();
-                        let ctx = format!("{kind:?} pp={pp} v={v} p2p={p2p} scales={scales:?}");
-                        for (i, rec) in run.records()[..program.len()].iter().enumerate() {
-                            assert_ne!(rec.meta, PpSimOp::Transfer, "{ctx}: op {i}");
-                            assert_eq!(
-                                (rec.start, rec.end),
-                                (t.start[i], t.end[i]),
-                                "{ctx}: op {i}"
-                            );
-                        }
-                        assert_eq!(run.makespan(), t.makespan, "{ctx}");
-                    }
-                }
-            }
-        }
-    }
-
     /// Re-running a program reuses the timing buffers and gives the
     /// same answer; a scale of exactly 1 is the unscaled pass.
     #[test]
@@ -888,27 +660,6 @@ mod tests {
         assert!(b.makespan > a.makespan);
         program.run(&[1.0; 4], &mut b);
         assert_eq!((a.start, a.end, a.compute), (b.start, b.end, b.compute));
-    }
-
-    /// A hand-broken schedule — rank 0 runs micro-batch 0's backward
-    /// before the forward it depends on — is a deadlock, reported with
-    /// exactly the op set the engine reports for the lowered graph.
-    #[test]
-    fn broken_schedule_reports_the_engine_deadlock() {
-        for p2p in [0, 5] {
-            let mut s = PpSchedule::build(ScheduleKind::Flexible { nc: 2 }, 2, 1, 4).unwrap();
-            let b0 = s.ranks[0]
-                .iter()
-                .position(|op| matches!(op, PpOp::Backward { mb: 0, .. }))
-                .unwrap();
-            let op = s.ranks[0].remove(b0);
-            s.ranks[0].insert(0, op);
-            let expected = engine(&s, &uniform(p2p), &[]).unwrap_err();
-            let GraphError::Deadlock(stuck) = &expected;
-            assert!(!stuck.is_empty());
-            assert_eq!(PpProgram::compile(&s, &uniform(p2p)).unwrap_err(), expected);
-            assert_eq!(simulate_pp(&s, &uniform(p2p)).unwrap_err(), expected);
-        }
     }
 
     /// A schedule missing a producer compiles to a deadlock naming the

@@ -93,8 +93,8 @@ pub enum AnalyzeMode {
     /// Sweep the 64-config conformance grid.
     Grid,
     /// Analyze a single grid configuration by index (0-based). Used by
-    /// the serve benchmark and the conformance oracle to replay the
-    /// grid one query at a time.
+    /// the serve conformance oracle to replay the grid one query at a
+    /// time.
     GridIndex(usize),
 }
 

@@ -43,7 +43,7 @@
 //!
 //! On failure the explorer **shrinks** the schedule greedily (zeroing
 //! and truncating forced choices while the failure still reproduces,
-//! like `CaseSpec::minimize` in the conformance fuzzer) and reports the
+//! like `minimize_with` in the conformance fuzzer) and reports the
 //! minimal schedule plus a human-readable trace of every scheduling
 //! decision on the failing path — a ready-to-commit regression input
 //! for [`Explorer::replay`].

@@ -1,7 +1,7 @@
 //! A tiny blocking HTTP/1.1 client for talking to the serve daemon —
-//! used by `--self-test`, the serve benchmark, the conformance oracle
-//! and `scripts/check.sh`'s smoke test. One connection per
-//! [`ServeClient`]; requests on it are serial keep-alive.
+//! used by `--self-test` (`scripts/check.sh`'s smoke test), the
+//! conformance oracle and the perfbench `daemon` workload. One
+//! connection per [`ServeClient`]; requests on it are serial keep-alive.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;

@@ -39,11 +39,19 @@ const MAX_BODY_BYTES: usize = 64 * 1024;
 /// Socket-read poll interval; shutdown latency is bounded by it.
 const POLL: Duration = Duration::from_millis(100);
 
+/// Accept-loop poll interval: how long a new connection can wait to be
+/// accepted.
+const ACCEPT_POLL: Duration = Duration::from_millis(5);
+
 /// Idle polls before a keep-alive connection is dropped (~10 s).
 const IDLE_POLLS: u32 = 100;
 
 /// A running server. Dropping it (or calling [`Server::stop`]) stops
-/// the accept loop and joins every connection thread.
+/// the accept loop and joins every connection thread. Handles of
+/// connection threads that have already finished are dropped on the
+/// next accept, which releases their stacks, so a long-running daemon
+/// holds one handle per live connection, not one per connection ever
+/// served.
 pub struct Server {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
@@ -79,12 +87,11 @@ impl Server {
                             let handle = std::thread::spawn(move || {
                                 serve_connection(stream, &dispatcher, &shutdown);
                             });
-                            lock_or_recover(&conns).push(handle);
+                            let mut conns = lock_or_recover(&conns);
+                            conns.retain(|h| !h.is_finished());
+                            conns.push(handle);
                         }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(POLL);
-                        }
-                        Err(_) => std::thread::sleep(POLL),
+                        Err(_) => std::thread::sleep(ACCEPT_POLL),
                     }
                 }
             })
@@ -340,6 +347,26 @@ mod tests {
         assert!(
             parse_head(&format!("GET / HTTP/1.1\r\nContent-Length: {}\r\n", MAX_BODY_BYTES + 1))
                 .is_err()
+        );
+    }
+
+    /// Sequential short-lived connections do not accumulate thread
+    /// handles: finished ones are pruned on each accept.
+    #[test]
+    fn finished_connections_are_pruned() {
+        let server = Server::start("127.0.0.1:0", Arc::new(Dispatcher::new())).unwrap();
+        let addr = server.addr().to_string();
+        let list = Query::Analyze(parallelism_core::query::AnalyzeMode::List).to_wire();
+        let mut peak = 0;
+        for _ in 0..500 {
+            let mut client = crate::client::ServeClient::connect(&addr).unwrap();
+            assert_eq!(client.query(&list).unwrap().0, 200);
+            drop(client);
+            peak = peak.max(lock_or_recover(&server.conns).len());
+        }
+        assert!(
+            peak <= 8,
+            "{peak} connection handles held after 500 closed connections"
         );
     }
 

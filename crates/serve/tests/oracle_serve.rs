@@ -3,15 +3,17 @@
 //! conformance grid, the HTTP daemon's response must be byte-identical
 //! to a direct `Dispatcher::dispatch` — both on a cold cache (first
 //! pass computes every config) and on the shared warm cache (second
-//! pass must serve memoized responses, still identical).
+//! pass must serve memoized responses, still identical) — and so must
+//! every reply to concurrent clients replaying a mixed grid + search
+//! workload.
 //!
 //! It lives here rather than in `crates/conformance` because the
 //! dependency arrow points the other way: serve sits above conformance
 //! in the workspace layering.
 
-use parallelism_core::query::{AnalyzeMode, Query};
+use parallelism_core::query::{AnalyzeMode, Query, SearchQuery};
 use serve::{Dispatcher, ServeClient, Server};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 const GRID_CONFIGS: usize = 64;
 
@@ -59,4 +61,108 @@ fn oracle_serve_matches_direct_dispatch_cold_and_warm() {
     );
 
     server.stop();
+}
+
+/// Concurrent socket clients replaying [`mixed_workload`].
+const CLIENTS: usize = 8;
+
+fn small_search(max_cp: u32) -> SearchQuery {
+    SearchQuery {
+        model: "8b".into(),
+        gpus: 8,
+        seq: 8192,
+        layers: 4,
+        budget: 131_072,
+        max_cp,
+        ..SearchQuery::default()
+    }
+}
+
+/// The mixed workload every client replays, in order: one wide search
+/// (the herd coalesces onto a single funnel run), the full 64-config
+/// conformance grid, two narrower searches (frontier reuse) and a
+/// `threads` variant (canonical-hash normalization).
+fn mixed_workload() -> Vec<Query> {
+    let mut queries = vec![Query::Search(small_search(4))];
+    queries.extend((0..GRID_CONFIGS).map(|i| Query::Analyze(AnalyzeMode::GridIndex(i))));
+    queries.push(Query::Search(small_search(2)));
+    queries.push(Query::Search(small_search(1)));
+    queries.push(Query::Search(SearchQuery {
+        threads: 2,
+        ..small_search(4)
+    }));
+    queries
+}
+
+#[test]
+fn workload_is_mixed_and_parseable() {
+    let w: Vec<String> = mixed_workload().iter().map(Query::to_wire).collect();
+    assert_eq!(w.len(), 68);
+    for line in &w {
+        Query::parse_wire(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+    }
+    // The threads variant canonicalizes onto the wide search.
+    let wide = Query::parse_wire(&w[0]).unwrap();
+    let threaded = Query::parse_wire(&w[67]).unwrap();
+    assert_ne!(w[0], w[67]);
+    assert_eq!(wide.canonical_hash(), threaded.canonical_hash());
+}
+
+/// Concurrent clients on one daemon: every reply to the mixed workload
+/// is HTTP 200 and byte-identical to a cold direct dispatch, the wide
+/// search runs the funnel once for the whole herd, and the two narrower
+/// searches reuse its frontier.
+#[test]
+fn concurrent_clients_replay_the_mixed_workload_byte_identically() {
+    let dispatcher = Arc::new(Dispatcher::new());
+    let mut server =
+        Server::start("127.0.0.1:0", Arc::clone(&dispatcher)).expect("bind ephemeral port");
+    let addr = server.addr().to_string();
+    let reference = Dispatcher::new();
+    let workload: Arc<Vec<(String, String)>> = Arc::new(
+        mixed_workload()
+            .iter()
+            .map(|q| {
+                let direct = reference
+                    .dispatch(q)
+                    .expect("direct dispatch")
+                    .render_wire();
+                (q.to_wire(), direct)
+            })
+            .collect(),
+    );
+
+    let start = Arc::new(Barrier::new(CLIENTS));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let (addr, workload, start) = (addr.clone(), Arc::clone(&workload), Arc::clone(&start));
+            std::thread::spawn(move || {
+                let mut client = ServeClient::connect(&addr).expect("connect");
+                start.wait();
+                for (line, direct) in workload.iter() {
+                    let (status, body) = client.query(line).expect("query");
+                    assert_eq!(status, 200, "client {c}: {line}");
+                    assert_eq!(
+                        &body, direct,
+                        "client {c}: {line} diverges from direct dispatch"
+                    );
+                }
+            })
+        })
+        .collect();
+    for c in clients {
+        c.join().expect("client thread");
+    }
+    server.stop();
+
+    let s = dispatcher.stats();
+    assert_eq!(s.queries, (CLIENTS * workload.len()) as u64);
+    assert_eq!(
+        s.searches_computed, 1,
+        "the wide search must run once for the herd"
+    );
+    assert_eq!(
+        s.frontier_reuses, 2,
+        "each narrower search reuses the wide frontier once"
+    );
 }

@@ -34,13 +34,10 @@ fi
 echo "==> serve smoke: start, 3 queries over a socket, clean shutdown"
 cargo run --release -q --bin llama3sim -- serve --self-test
 
-echo "==> serve bench: 32 concurrent clients on the mixed grid+search workload (writes BENCH_serve.json)"
-cargo run --release -q --bin llama3sim -- serve --bench --clients 32
-
 echo "==> pre-flight analysis across the conformance grid (zero errors expected)"
 cargo run --release -q --bin llama3sim -- analyze --grid
 
-echo "==> step-simulation bench: folded and full 405B/8K-GPU reports must be bit-identical (writes BENCH_step_sim.json)"
+echo "==> step-simulation spot check: folded and full 405B/8K-GPU reports must be bit-identical"
 cargo run --release -q --bin llama3sim -- bench
 
 echo "==> conformance fuzz smoke (200 cases)"
@@ -49,16 +46,19 @@ cargo run --release -q --bin llama3sim -- fuzz --cases 200 --seed 0xC0FFEE
 echo "==> trace smoke: 24 h 405B/16K run in O(log N) memory, three window seeks replay-exact vs the O(N) reference (writes BENCH_trace.json)"
 cargo run --release -q --bin llama3sim -- trace --smoke
 
-echo "==> goodput perf snapshot (writes BENCH_goodput.json)"
+echo "==> goodput snapshot: seeded 24 h 405B/16K run under production fault rates (writes BENCH_goodput.json)"
 cargo run --release -q --bin llama3sim -- goodput
 
 echo "==> infer smoke: 405B/16K continuous-batching day across all three traffic shapes, thread-count invariant (writes BENCH_infer.json)"
 cargo run --release -q --bin llama3sim -- infer --grid --json
 
-echo "==> auto-parallelism search smoke: Table 2's 405B/16K mesh must be on the cp=1 frontier (writes BENCH_search.json)"
+echo "==> auto-parallelism search smoke: Table 2's 405B/16K mesh must be on the cp=1 frontier"
 cargo run --release -q --bin llama3sim -- search --max-cp 1 --expect 8,1,16,128
 
-echo "==> guided search smoke: gradient-guided strategy must recover the same cp=1 frontier point"
+echo "==> guided search smoke: gradient-guided strategy must recover the same cp=1 frontier point (writes BENCH_search.json)"
 cargo run --release -q --bin llama3sim -- search --guided --max-cp 1 --expect 8,1,16,128
+
+echo "==> committed BENCH_*.json envelopes must equal the ones regenerated above"
+git diff --exit-code -- 'BENCH_*.json'
 
 echo "==> all checks passed"

@@ -19,9 +19,7 @@
 
 use analyzer::NAMED_CONFIGS;
 use bench_harness::cli::{CliFlag, Flags, JSON};
-use bench_harness::snapshot::{
-    emit, goodput_envelope, perf_envelope, run_infer, search_envelope, trace_envelope,
-};
+use bench_harness::snapshot::{emit, goodput_envelope, run_infer, search_envelope, trace_envelope};
 use conformance::fuzz::run_sweep;
 use parallelism_core::query::{
     AnalyzeMode, FuzzQuery, InferQuery, Query, Record, Response, SearchQuery, TraceQuery,
@@ -72,9 +70,9 @@ const COMMANDS: [Command; 9] = [
     },
     Command {
         name: "bench",
-        about: "performance snapshot -> BENCH_step_sim.json",
+        about: "wall-clock spot timings (stdout only); exit 1 unless folded == full",
         query_flags: Vec::new,
-        cli_flags: &[JSON],
+        cli_flags: &[],
         run: run_bench,
     },
     Command {
@@ -186,15 +184,8 @@ fn run_fuzz(rest: &[String]) -> Result<i32, String> {
     Ok(response.exit_code())
 }
 
-fn json_only(rest: &[String]) -> Result<bool, String> {
-    let mut f = Flags::new(rest);
-    let json = f.switch(&JSON);
-    f.finish()?;
-    Ok(json)
-}
-
 fn run_bench(rest: &[String]) -> Result<i32, String> {
-    let json = json_only(rest)?;
+    Flags::new(rest).finish()?;
     let response = Dispatcher::new()
         .dispatch(&Query::Bench)
         .map_err(|e| e.to_string())?;
@@ -202,13 +193,17 @@ fn run_bench(rest: &[String]) -> Result<i32, String> {
         return Err("bench dispatch returned a non-bench response".to_string());
     };
     println!("{}", response.render_human());
-    let code = emit(&perf_envelope(r), "BENCH_step_sim.json", json);
-    assert!(r.identical, "folded and full reports diverged");
-    Ok(code)
+    if !r.identical {
+        eprintln!("error: folded and full reports diverged");
+        return Ok(1);
+    }
+    Ok(0)
 }
 
 fn run_goodput(rest: &[String]) -> Result<i32, String> {
-    let json = json_only(rest)?;
+    let mut f = Flags::new(rest);
+    let json = f.switch(&JSON);
+    f.finish()?;
     let response = Dispatcher::new()
         .dispatch(&Query::Goodput)
         .map_err(|e| e.to_string())?;
@@ -246,9 +241,9 @@ fn run_search(rest: &[String]) -> Result<i32, String> {
     println!("{}", response.render_human());
     println!("searched in {wall_ms:.0} ms");
 
-    // With --guided, also time the exhaustive baseline so the snapshot
-    // pins the measured speedup and whether the frontiers agree.
-    let baseline = if query.guided {
+    // With --guided, also run (and time) the exhaustive baseline; the
+    // snapshot pins whether the frontiers agree.
+    let frontier_matches = if query.guided {
         let ex_query = SearchQuery {
             guided: false,
             ..query.clone()
@@ -268,7 +263,7 @@ fn run_search(rest: &[String]) -> Result<i32, String> {
                     "exhaustive baseline in {ex_ms:.0} ms ({:.1}x speedup, frontier match: {matches})",
                     ex_ms / wall_ms.max(1e-9)
                 );
-                Some((ex_ms, matches))
+                Some(matches)
             }
             Ok(_) => {
                 return Err("search dispatch returned a non-search response".to_string());
@@ -285,7 +280,7 @@ fn run_search(rest: &[String]) -> Result<i32, String> {
     };
 
     let spec = query.to_spec().map_err(|e| e.to_string())?;
-    let mut envelope = search_envelope(&query, &spec, &r.report, wall_ms, baseline);
+    let mut envelope = search_envelope(&query, &spec, &r.report, frontier_matches);
     let mut code = 0;
     if let Some((tp, cp, pp, dp)) = query.expect {
         let hit = r.expect_hit == Some(true);

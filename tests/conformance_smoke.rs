@@ -4,7 +4,7 @@
 //! oracles end-to-end. The deep sweeps stay in the CLI
 //! (`scripts/check.sh` runs 200 cases; CI acceptance runs 2000).
 
-use conformance::fuzz::CaseSpec;
+use conformance::fuzz::{CaseSpec, FuzzFamily};
 use proptest::test_runner::TestRng;
 
 #[test]
