@@ -18,8 +18,10 @@ use std::fmt::Write as _;
 /// over the three-traffic-shape grid) and the `workload` config key on
 /// the `search` snapshot. Since then the `bench` and `serve` envelopes
 /// and every wall-clock metric have been dropped; the layout did not
-/// change, so neither did the version.
-pub const SCHEMA_VERSION: u32 = 5;
+/// change, so neither did the version. Version 6 drops the guided-search
+/// metrics of version 3 and `frontier_matches_exhaustive` from the
+/// `search` snapshot and adds its `pruned` count.
+pub const SCHEMA_VERSION: u32 = 6;
 
 /// One JSON value: either a raw literal (number, bool — already
 /// formatted by the caller, so formatting precision is part of the
@@ -263,7 +265,7 @@ mod tests {
         let j = r.render_json();
         // The four envelope fields, in order, with schema_version first.
         let pos = |needle: &str| j.find(needle).unwrap_or_else(|| panic!("missing {needle} in {j}"));
-        assert!(pos("\"schema_version\": 5") < pos("\"tool\": \"search\""));
+        assert!(pos("\"schema_version\": 6") < pos("\"tool\": \"search\""));
         assert!(pos("\"tool\"") < pos("\"config\": {"));
         assert!(pos("\"config\"") < pos("\"metrics\": {"));
         assert!(j.contains("\"model\": \"llama3-405b\""));

@@ -169,15 +169,8 @@ pub fn goodput_envelope(r: &GoodputResponse) -> Report {
 }
 
 /// Builds the `BENCH_search.json` envelope from a finished search.
-/// `frontier_matches` is whether a `--guided` run's frontier equals the
-/// exhaustive re-run's; the caller appends the `expect` metric if one
-/// was asked.
-pub fn search_envelope(
-    q: &SearchQuery,
-    spec: &SearchSpec,
-    report: &SearchReport,
-    frontier_matches: Option<bool>,
-) -> Report {
+/// The caller appends the `expect` metric if one was asked.
+pub fn search_envelope(q: &SearchQuery, spec: &SearchSpec, report: &SearchReport) -> Report {
     let mut envelope = Report::new("search")
         .config_str("model", format!("llama3-{}", q.model))
         .config_str("workload", spec.workload.tag())
@@ -194,31 +187,14 @@ pub fn search_envelope(
         envelope = envelope.config("token_budget", q.budget);
     }
     envelope = envelope
-        .metric_str("strategy", if q.guided { "guided" } else { "exhaustive" })
-        .metric(
-            "descent_steps",
-            report.guided.map_or(0, |g| g.descent_steps),
-        )
-        .metric(
-            "candidates_verified",
-            report
-                .guided
-                .map_or(report.counts.candidates, |g| g.candidates_verified),
-        )
-        .metric(
-            "evals_saved_pct",
-            format!("{:.2}", report.guided.map_or(0.0, |g| g.evals_saved_pct)),
-        )
         .metric("meshes_enumerated", report.counts.meshes_enumerated)
         .metric("meshes_admitted", report.counts.meshes_admitted)
         .metric("candidates", report.counts.candidates)
         .metric("rejected_preflight", report.counts.rejected_preflight)
+        .metric("pruned", report.counts.pruned)
         .metric("scored", report.counts.scored)
         .metric("refined", report.counts.refined)
         .metric("frontier_len", report.frontier.len());
-    if let Some(matches) = frontier_matches {
-        envelope = envelope.metric("frontier_matches_exhaustive", matches);
-    }
     if let Some(best) = &report.best_step_time {
         envelope = envelope
             .metric_str("best_config", best.config.to_string())

@@ -33,8 +33,8 @@ use crate::invariants::{
     check_step_report, check_trace_monotone,
 };
 use crate::oracles::{
-    oracle_continuous_batching, oracle_fluid_fast_path, oracle_folded_vs_full,
-    oracle_pipeline_rules, program_vs_engine,
+    oracle_collective_streams, oracle_continuous_batching, oracle_fluid_fast_path,
+    oracle_folded_vs_full, oracle_pipeline_rules, oracle_step_time_bound, program_vs_engine,
 };
 use cluster_model::{Cluster, GlobalRank, GpuSpec};
 use llm_model::{MaskSpec, ModelLayout, PrecisionPolicy, TransformerConfig};
@@ -379,6 +379,8 @@ impl FuzzFamily for CaseSpec {
         check_executed_graph(&run).map_err(ctx("executed graph"))?;
 
         check_memory_model(&m).map_err(ctx("memory model"))?;
+        oracle_collective_streams(&m).map_err(ctx("oracle collective-streams"))?;
+        oracle_step_time_bound(&m).map_err(ctx("oracle step-time bound"))?;
         let outcome = m
             .run(&SimOptions::new().trace(true))
             .map_err(|e| ctx("step run")(e.to_string()))?;

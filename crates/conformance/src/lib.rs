@@ -12,15 +12,16 @@
 //!    schedules, executed task graphs, process groups, memory models
 //!    and traces.
 //! 2. [`oracles`] — a generic [`oracles::assert_equivalent`] harness
-//!    plus the ten differential oracles (folded vs full fidelity and
-//!    traced vs untraced runs, memoized vs uncached collective costs,
-//!    fluid fast path vs the general max-min solver, `RunSimulator`
-//!    day totals vs an independent naive recomposition, the pruned
-//!    search funnel vs exhaustive enumeration, guided vs exhaustive
-//!    search, tiered-trace replay and aggregates vs full-resolution
-//!    references, the continuous-batching inference engine vs an
-//!    independent naive rewalk, and the pipeline deadlock and race
-//!    rules vs execution and a brute-force closure).
+//!    plus the eleven differential oracles (folded vs full fidelity
+//!    and traced vs untraced runs, memoized vs uncached collective
+//!    costs, fluid fast path vs the general max-min solver,
+//!    `RunSimulator` day totals vs an independent naive recomposition,
+//!    the bounded search walk vs unpruned exhaustive scoring,
+//!    tiered-trace replay and aggregates vs full-resolution references,
+//!    the continuous-batching inference engine vs an independent naive
+//!    rewalk, the pipeline deadlock and race rules vs execution and a
+//!    brute-force closure, `COLL001` per pp coordinate vs per member,
+//!    and the search's step-time bound vs the folded run).
 //!    [`lowering`] holds their engine reference for pipeline
 //!    schedules: the schedule lowered onto the task-graph engine.
 //! 3. [`fuzz`] — seeded random `(model, mesh, schedule, options)`

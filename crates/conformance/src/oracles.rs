@@ -1,10 +1,11 @@
 //! Differential oracles: run the fast path and the reference path on
 //! the same input and demand equivalence.
 //!
-//! The generic entry point is [`assert_equivalent`]; the ten concrete
-//! oracles cover every fast path added so far. They keep the numbers
-//! they were introduced under; number 4 (the retired `simulate*`
-//! wrappers vs `StepModel::run`) is not reused, and number 11 is the
+//! The generic entry point is [`assert_equivalent`]; the eleven
+//! concrete oracles cover every fast path added so far. They keep the
+//! numbers they were introduced under; numbers 4 (the retired
+//! `simulate*` wrappers vs `StepModel::run`) and 7 (the retired guided
+//! search vs the exhaustive one) are not reused, and number 11 is the
 //! serve crate's:
 //!
 //! 1. [`oracle_folded_vs_full`] — DP-symmetry folding vs the full
@@ -19,12 +20,10 @@
 //!    shortcut vs the general max-min event loop.
 //! 5. [`oracle_goodput_recomposition`] — `RunSimulator::simulate` vs an
 //!    independent step-by-step walk of the same fault timeline.
-//! 6. [`oracle_search_frontier`] — the pruned auto-parallelism search
-//!    funnel vs exhaustive scoring plus quadratic-dominance frontier
-//!    recovery.
-//! 7. [`oracle_guided_frontier`] — the gradient-guided candidate
-//!    strategy vs the exhaustive one on the same spec: identical
-//!    frontier, bit-identical objectives, consistent savings stats.
+//! 6. [`oracle_search_frontier`] — the bounded auto-parallelism
+//!    search walk vs unpruned, unmemoized scoring plus a
+//!    quadratic-dominance frontier, across thread counts and `max_cp`
+//!    narrowing.
 //! 8. [`oracle_run_trace_replay`] — `RunSimulator::simulate_traced`'s
 //!    tiered store + anchored replay vs an `O(N)` full-resolution
 //!    capture of the same run: bit-identical goodput report,
@@ -47,6 +46,12 @@
 //!     and `RACE001` rules, read off the compiled pipeline program, vs
 //!     execution and a brute-force closure over the [`lower_pp`] graph
 //!     on a battery of swapped, duplicated, dropped and moved ops.
+//! 13. [`oracle_collective_streams`] — `COLL001` deriving one stream
+//!     per (family, pp coordinate) vs the per-member
+//!     `check_plan(&extract_plan(..))`, diagnostic for diagnostic.
+//! 14. [`oracle_step_time_bound`] — the search walk's key vs the folded
+//!     run: the step-time bound never exceeds the step time, and the
+//!     pruning memory is the reported peak memory.
 
 use crate::invariants::CheckResult;
 use crate::lowering::{execute_pp, lower_pp, lowering_capacity, PpSimOp};
@@ -59,9 +64,12 @@ use parallelism_core::infer::{
 };
 use parallelism_core::run::{GoodputLoss, GoodputReport, RunSimulator};
 use parallelism_core::Request;
-use parallelism_core::search::{enumerate_configs, search, SearchSpec, SearchStrategy};
+use parallelism_core::search::{
+    enumerate_configs, finish_search, prune_key, restrict_max_cp, search, search_outcomes,
+    Outcome, SearchSpec,
+};
 use parallelism_core::analyze::race::{self, Lane, Race};
-use parallelism_core::analyze::{self, deadlock, RuleId};
+use parallelism_core::analyze::{self, collective, deadlock, RuleId};
 use parallelism_core::pp::sim::{
     simulate_pp, PpCostModel, PpProgram, PpTiming, TableCosts, UniformCosts,
 };
@@ -578,20 +586,33 @@ pub fn oracle_goodput_recomposition(sim: &RunSimulator) -> CheckResult {
     assert_equivalent("goodput vs naive recomposition", &reference, &naive, 1e-9)
 }
 
-/// Oracle 6 — the staged search funnel vs exhaustive enumeration. The
-/// pruned [`search`] pipeline takes two shortcuts the reference here
-/// refuses: candidates are rejected at the *first* pre-flight error
-/// (the remaining rule families never run), and the Pareto frontier is
-/// recovered by one incremental sweep of the sorted objectives. The
-/// reference instead scores **every** admitted candidate — running the
-/// full analyzer and treating any error as rejection — and recomputes
-/// the frontier by quadratic pairwise dominance. The funnel must agree
-/// exactly: same rejected/scored split, and the same frontier as a
-/// multiset of `(config, step time, peak memory)`. Pruning may never
-/// drop a frontier point. Meant for small grids; refuses above 1024
-/// candidates.
+/// Oracle 6 — the bounded search walk vs exhaustive enumeration. The
+/// [`search`] funnel takes three shortcuts the reference here refuses:
+/// the graph-shaped rules are memoized by shape, a candidate is
+/// rejected at the first failing rule family, and the bounded walk
+/// prunes candidates an earlier-scored point dominates without
+/// analyzing or running them. The reference instead scores **every**
+/// admitted candidate — running the full analyzer and treating any
+/// error as rejection — and recomputes the frontier by quadratic
+/// pairwise dominance. The funnel must agree:
+///
+/// * `rejected_preflight + pruned + scored == candidates`;
+/// * a funnel rejection is a reference rejection, and every scored
+///   point is bit-identical to the reference's;
+/// * every pruned candidate's walk key is dominated by a reference
+///   point (faster than its bound, no more memory), and a pruned
+///   candidate the reference scores is strictly dominated;
+/// * the frontier is the reference frontier, as a multiset of
+///   `(config, step time, peak memory)`;
+/// * the whole report, counts included, is identical at 1, 2 and 8
+///   threads;
+/// * for every narrower power-of-two `max_cp`, [`restrict_max_cp`] of
+///   the wide outcomes finishes to exactly a direct search.
+///
+/// Meant for small grids; refuses above 1024 candidates.
 pub fn oracle_search_frontier(spec: &SearchSpec) -> CheckResult {
     let report = search(spec).map_err(|e| format!("search failed: {e}"))?;
+    let outcomes = search_outcomes(spec).map_err(|e| format!("search failed: {e}"))?;
 
     let (admitted, _) = enumerate_configs(spec);
     if admitted.len() > 1024 {
@@ -600,43 +621,61 @@ pub fn oracle_search_frontier(spec: &SearchSpec) -> CheckResult {
             admitted.len()
         ));
     }
-    let mut rejected = 0usize;
-    let mut scored: Vec<(String, u64, u64)> = Vec::new();
-    for cfg in &admitted {
-        let Some(step) = spec.build_step(cfg) else {
-            rejected += 1;
-            continue;
-        };
-        if parallelism_core::analyze::analyze_step(&step).has_errors() {
-            rejected += 1;
-            continue;
-        }
-        let Ok(outcome) = step.run(&SimOptions::default()) else {
-            rejected += 1;
-            continue;
-        };
-        scored.push((
-            cfg.to_string(),
-            outcome.report.step_time.as_nanos(),
-            outcome.report.max_peak_memory(),
-        ));
-    }
+    // The unmemoized, unpruned reference: `None` = rejected.
+    let reference: Vec<Option<(u64, u64)>> = admitted
+        .iter()
+        .map(|cfg| {
+            let step = spec.build_step(cfg)?;
+            if parallelism_core::analyze::analyze_step(&step).has_errors() {
+                return None;
+            }
+            let r = step.run(&SimOptions::default()).ok()?.report;
+            Some((r.step_time.as_nanos(), r.max_peak_memory()))
+        })
+        .collect();
+    let scored: Vec<(String, u64, u64)> = admitted
+        .iter()
+        .zip(&reference)
+        .filter_map(|(c, r)| r.map(|(t, m)| (c.to_string(), t, m)))
+        .collect();
 
     let c = &report.counts;
-    if c.candidates != admitted.len() {
+    if c.candidates != admitted.len() || outcomes.candidates.len() != admitted.len() {
         return Err(format!(
             "funnel saw {} candidates, enumeration yields {}",
             c.candidates,
             admitted.len()
         ));
     }
-    if c.rejected_preflight != rejected || c.scored != scored.len() {
-        return Err(format!(
-            "funnel split {} rejected / {} scored, full analyzer says {rejected} / {}",
-            c.rejected_preflight,
-            c.scored,
-            scored.len()
-        ));
+    if c.rejected_preflight + c.pruned + c.scored != c.candidates {
+        return Err(format!("funnel counts do not add up: {c:?}"));
+    }
+    for ((cand, cfg), r) in outcomes.candidates.iter().zip(&admitted).zip(&reference) {
+        if cand.config != *cfg {
+            return Err(format!("funnel order: {} where enumeration has {cfg}", cand.config));
+        }
+        match (&cand.outcome, r) {
+            (Outcome::Rejected, None) => {}
+            (Outcome::Scored(p), Some((t, m)))
+                if p.step_time.as_nanos() == *t && p.peak_memory == *m => {}
+            (Outcome::Pruned, r) => {
+                let key = cand.key.ok_or_else(|| format!("{cfg}: pruned without a walk key"))?;
+                let (bound, memory) = (key.bound.as_nanos(), key.memory);
+                if !scored.iter().any(|q| q.1 < bound && q.2 <= memory) {
+                    return Err(format!(
+                        "{cfg}: pruned, but no reference point beats bound {bound} ns at ≤ {memory} B"
+                    ));
+                }
+                if let Some((t, m)) = r {
+                    if !scored.iter().any(|q| q.1 < *t && q.2 <= *m) {
+                        return Err(format!("{cfg}: pruned, but no reference point dominates it"));
+                    }
+                }
+            }
+            (o, r) => {
+                return Err(format!("{cfg}: funnel says {o:?}, reference says {r:?}"));
+            }
+        }
     }
 
     // A point survives iff nothing is ≤ in both objectives and < in at
@@ -647,7 +686,7 @@ pub fn oracle_search_frontier(spec: &SearchSpec) -> CheckResult {
             .iter()
             .any(|q| q.1 <= p.1 && q.2 <= p.2 && (q.1 < p.1 || q.2 < p.2))
     };
-    let mut reference: Vec<(String, u64, u64)> =
+    let mut frontier_ref: Vec<(String, u64, u64)> =
         scored.iter().filter(|p| !dominated(p)).cloned().collect();
     let mut funnel: Vec<(String, u64, u64)> = report
         .frontier
@@ -655,97 +694,79 @@ pub fn oracle_search_frontier(spec: &SearchSpec) -> CheckResult {
         .map(|p| (p.config.to_string(), p.step_time.as_nanos(), p.peak_memory))
         .collect();
     let key = |p: &(String, u64, u64)| (p.1, p.2, p.0.clone());
-    reference.sort_by_key(key);
+    frontier_ref.sort_by_key(key);
     funnel.sort_by_key(key);
-    if reference != funnel {
-        let missing: Vec<&String> = reference
+    if frontier_ref != funnel {
+        let missing: Vec<&String> = frontier_ref
             .iter()
             .filter(|p| !funnel.contains(p))
             .map(|p| &p.0)
             .collect();
         let spurious: Vec<&String> = funnel
             .iter()
-            .filter(|p| !reference.contains(p))
+            .filter(|p| !frontier_ref.contains(p))
             .map(|p| &p.0)
             .collect();
         return Err(format!(
             "frontier mismatch: exhaustive reference has {} points, funnel has {}; \
              dropped by pruning: {missing:?}; not on the true frontier: {spurious:?}",
-            reference.len(),
+            frontier_ref.len(),
             funnel.len()
         ));
+    }
+
+    for threads in [1, 2, 8] {
+        let again = search(&spec.clone().threads(threads))
+            .map_err(|e| format!("search at {threads} threads failed: {e}"))?;
+        if again != report {
+            return Err(format!("report differs at {threads} threads: {:?}", again.counts));
+        }
+    }
+
+    let mut max_cp = 1;
+    while max_cp < spec.max_cp {
+        let narrow = spec.clone().max_cp(max_cp);
+        let derived = finish_search(&narrow, &restrict_max_cp(&outcomes, &narrow))
+            .map_err(|e| format!("narrowed finish failed: {e}"))?;
+        let direct = search(&narrow).map_err(|e| format!("narrow search failed: {e}"))?;
+        if derived != direct {
+            return Err(format!(
+                "max_cp={max_cp}: narrowed reuse {:?} differs from a direct search {:?}",
+                derived.counts, direct.counts
+            ));
+        }
+        max_cp *= 2;
     }
     Ok(())
 }
 
-/// Oracle 7 — the gradient-guided search strategy vs the exhaustive
-/// one. Guided search may only change *which* candidates are verified,
-/// never what a verified candidate scores or which points win: on the
-/// same spec the two strategies must produce the same frontier configs
-/// with bit-identical step times and peak memory, and the guided stats
-/// must account exactly for the candidate split. Meant for small grids
-/// (where the guided strategy verifies everything by design); refuses
-/// above 256 candidates.
-pub fn oracle_guided_frontier(spec: &SearchSpec) -> CheckResult {
-    let (admitted, _) = enumerate_configs(spec);
-    if admitted.len() > 256 {
-        return Err(format!(
-            "guided-vs-exhaustive reference wants a small grid; {} candidates is too many",
-            admitted.len()
-        ));
-    }
-    let mut exhaustive_spec = spec.clone();
-    exhaustive_spec.strategy = SearchStrategy::Exhaustive;
-    let mut guided_spec = spec.clone();
-    guided_spec.strategy = SearchStrategy::Guided;
-    let exhaustive = search(&exhaustive_spec).map_err(|e| format!("exhaustive search failed: {e}"))?;
-    let guided = search(&guided_spec).map_err(|e| format!("guided search failed: {e}"))?;
-
-    if exhaustive.guided.is_some() {
-        return Err("exhaustive run carries guided stats".into());
-    }
-    let stats = guided.guided.ok_or("guided run reported no stats")?;
-    if stats.exhaustive_candidates != exhaustive.counts.candidates {
-        return Err(format!(
-            "guided stats claim {} exhaustive candidates, exhaustive run saw {}",
-            stats.exhaustive_candidates, exhaustive.counts.candidates
-        ));
-    }
-    if stats.candidates_verified != guided.counts.candidates {
-        return Err(format!(
-            "guided stats claim {} verified candidates, funnel saw {}",
-            stats.candidates_verified, guided.counts.candidates
-        ));
-    }
-    if !(0.0..=100.0).contains(&stats.evals_saved_pct) {
-        return Err(format!("evals_saved_pct out of range: {}", stats.evals_saved_pct));
-    }
-
-    if exhaustive.frontier.len() != guided.frontier.len() {
-        return Err(format!(
-            "frontier size: exhaustive {} vs guided {}",
-            exhaustive.frontier.len(),
-            guided.frontier.len()
-        ));
-    }
-    for (e, g) in exhaustive.frontier.iter().zip(&guided.frontier) {
-        if e.config != g.config {
-            return Err(format!("frontier config: {} vs {}", e.config, g.config));
-        }
-        assert_equivalent(
-            &format!("frontier point {}", e.config),
-            &e.step_time,
-            &g.step_time,
-            0.0,
-        )?;
-        assert_equivalent(
-            &format!("frontier point {} memory", e.config),
-            &e.peak_memory,
-            &g.peak_memory,
-            0.0,
-        )?;
-    }
-    Ok(())
+/// The candidates with `cp ≤ max_cp` that the walk of `spec` pruned
+/// although no point it scored at `cp ≤ max_cp` beats their walk key:
+/// only wider points pruned them, so narrowing to `max_cp` must settle
+/// them afresh. Oracle 6's narrowing check is only as strong as the
+/// specs it runs on contain such candidates.
+pub fn pruned_only_by_wider_cp(spec: &SearchSpec, max_cp: u32) -> Result<Vec<String>, String> {
+    let out = search_outcomes(spec).map_err(|e| format!("search failed: {e}"))?;
+    let narrow_points: Vec<(SimDuration, u64)> = out
+        .candidates
+        .iter()
+        .filter(|c| c.config.cp <= max_cp)
+        .filter_map(|c| match &c.outcome {
+            Outcome::Scored(p) => Some((p.step_time, p.peak_memory)),
+            _ => None,
+        })
+        .collect();
+    Ok(out
+        .candidates
+        .iter()
+        .filter(|c| c.config.cp <= max_cp && c.outcome == Outcome::Pruned)
+        .filter(|c| {
+            c.key.is_some_and(|k| {
+                !narrow_points.iter().any(|&(t, m)| t < k.bound && m <= k.memory)
+            })
+        })
+        .map(|c| c.config.to_string())
+        .collect())
 }
 
 /// Oracle 8 — tiered run tracing vs the plain walk. Simulating with
@@ -1517,4 +1538,67 @@ fn reference_races(s: &PpSchedule) -> Vec<Race> {
         }
     }
     races
+}
+
+/// Oracle 13 — `COLL001` as the search and the analyzer run it
+/// ([`collective::check_step`]: one stream derivation per (family, pp
+/// coordinate)) vs the per-member reference
+/// `check_plan(&extract_plan(..))`, which derives and compares every
+/// member's stream. The two must report the same diagnostics in the
+/// same order: rule, message, rank, op and witness.
+pub fn oracle_collective_streams(m: &StepModel) -> CheckResult {
+    let sched = m.schedule().map_err(|e| format!("schedule build: {e}"))?;
+    let lines = |d: Vec<analyze::Diagnostic>| -> Vec<String> {
+        d.iter().map(analyze::Diagnostic::to_json_line).collect()
+    };
+    let fast = lines(collective::check_step(m, &sched));
+    let reference = lines(collective::check_plan(&collective::extract_plan(m, &sched)));
+    if fast != reference {
+        return Err(format!(
+            "COLL001 per pp coordinate {fast:?} vs per member {reference:?}"
+        ));
+    }
+    Ok(())
+}
+
+/// Oracle 14 — the search walk's key vs the folded run. For a plan the
+/// memory rule passes, [`prune_key`]'s bound must not exceed the folded
+/// step time (else pruning could drop a frontier point) and its memory
+/// must equal the reported `max_peak_memory()` (else pruning could
+/// compare the wrong objective). A plan the memory rule rejects must
+/// carry an `MEM001` error; its bound must hold all the same.
+pub fn oracle_step_time_bound(m: &StepModel) -> CheckResult {
+    let sched = m.schedule().map_err(|e| format!("schedule build: {e}"))?;
+    let report = m
+        .run(&SimOptions::default())
+        .map_err(|e| format!("folded run: {e}"))?
+        .report;
+    let bound = m.step_time_bound();
+    if bound > report.step_time {
+        return Err(format!(
+            "step-time bound {bound} exceeds the folded step time {}",
+            report.step_time
+        ));
+    }
+    match prune_key(m, &sched) {
+        Some(key) => {
+            if key.bound != bound {
+                return Err(format!("walk key bound {} vs step_time_bound {bound}", key.bound));
+            }
+            if key.memory != report.max_peak_memory() {
+                return Err(format!(
+                    "walk key memory {} vs reported peak memory {}",
+                    key.memory,
+                    report.max_peak_memory()
+                ));
+            }
+        }
+        None => {
+            let mem = analyze::memory::check_step(m, &sched);
+            if !mem.iter().any(|d| d.rule == RuleId::Mem001) {
+                return Err("no walk key, but the memory rule reports no MEM001".into());
+            }
+        }
+    }
+    Ok(())
 }

@@ -1,7 +1,7 @@
 //! Runs the differential oracles over the deterministic
 //! ≥ 50-configuration grid from `conformance::grid` (the search-funnel
-//! and guided-search oracles over small exhaustive search spaces
-//! instead — their references are quadratic; the run-trace replay
+//! oracle over small exhaustive search spaces instead — its reference
+//! is quadratic; the run-trace replay
 //! oracle over 8-GPU fault-boosted runs — its reference capture is
 //! `O(N)` in run length; the pipeline-rules oracle over every family
 //! at small shapes — its race reference is quadratic).
@@ -10,9 +10,10 @@ use cluster_model::{FaultRates, FaultTimeline};
 use collectives::CommCostModel;
 use conformance::grid::config_grid;
 use conformance::oracles::{
-    check_pipeline_rules, oracle_fluid_fast_path, oracle_folded_vs_full,
-    oracle_goodput_recomposition, oracle_guided_frontier, oracle_memoized_costs,
-    oracle_pipeline_rules, oracle_run_trace_replay, oracle_search_frontier, oracle_tiered_trace,
+    check_pipeline_rules, oracle_collective_streams, oracle_fluid_fast_path,
+    oracle_folded_vs_full, oracle_goodput_recomposition, oracle_memoized_costs,
+    oracle_pipeline_rules, oracle_run_trace_replay, oracle_search_frontier,
+    oracle_step_time_bound, oracle_tiered_trace, pruned_only_by_wider_cp,
 };
 use parallelism_core::analyze::{deadlock, RuleId};
 use parallelism_core::pp::schedule::{PpOp, PpSchedule, ScheduleKind};
@@ -70,14 +71,13 @@ fn fluid_fast_path_matches_general_across_grid() {
 fn search_funnel_matches_exhaustive_reference() {
     // Small 8B search spaces whose exhaustive reference stays ≤ 256
     // candidates: every (cluster size, sequence, thread count) combo
-    // must produce the same rejected/scored split and the same Pareto
-    // frontier as full-analyzer scoring plus quadratic dominance.
+    // must settle each candidate as the unpruned reference does (or
+    // prune it under a dominating point), give the same Pareto
+    // frontier as full-analyzer scoring plus quadratic dominance, the
+    // same report at 1, 2 and 8 threads, and the same report when
+    // narrowed from the wide outcomes.
     for (ngpu, gbs, threads) in [(8u32, 16u64, 1usize), (8, 16, 3), (16, 32, 2)] {
-        let mut spec = SearchSpec::llama3_8b(ngpu, 8_192);
-        spec.input.model = spec.input.model.with_layers(4);
-        spec.input.token_budget = gbs * 8_192;
-        spec.zero_modes = vec![ZeroMode::Zero1, ZeroMode::Zero3];
-        let spec = spec.max_cp(2).threads(threads);
+        let spec = small_search(ngpu, gbs).max_cp(2).threads(threads);
         let (admitted, _) = enumerate_configs(&spec);
         assert!(
             !admitted.is_empty() && admitted.len() <= 256,
@@ -90,25 +90,45 @@ fn search_funnel_matches_exhaustive_reference() {
 }
 
 #[test]
-fn guided_search_matches_exhaustive_reference() {
-    // On grids small enough that the guided strategy verifies every
-    // candidate, guided and exhaustive searches must agree exactly:
-    // same frontier configs, bit-identical step times and memory, and
-    // savings stats that account for the full candidate split.
-    for (ngpu, gbs, threads) in [(8u32, 16u64, 1usize), (8, 16, 3), (16, 32, 2)] {
-        let mut spec = SearchSpec::llama3_8b(ngpu, 8_192);
-        spec.input.model = spec.input.model.with_layers(4);
-        spec.input.token_budget = gbs * 8_192;
-        spec.zero_modes = vec![ZeroMode::Zero1, ZeroMode::Zero3];
-        let spec = spec.max_cp(2).threads(threads);
-        let (admitted, _) = enumerate_configs(&spec);
-        assert!(
-            !admitted.is_empty() && admitted.len() <= 256,
-            "want a small but non-trivial grid, got {} candidates",
-            admitted.len()
-        );
-        oracle_guided_frontier(&spec)
-            .unwrap_or_else(|e| panic!("{ngpu} GPUs, gbs {gbs}, {threads} threads: {e}"));
+fn narrowed_search_scores_what_only_wider_cp_pruned() {
+    // A wide walk whose pruning at cp ≤ 1 leans on cp > 1 points: the
+    // narrowed reuse must score those candidates afresh and still
+    // equal a direct search (oracle 6's narrowing check).
+    let spec = small_search(16, 32).max_cp(4);
+    let rescued = pruned_only_by_wider_cp(&spec, 1).unwrap();
+    assert!(!rescued.is_empty(), "no candidate is pruned only by cp > 1 points");
+    oracle_search_frontier(&spec).unwrap();
+}
+
+/// A small 8B search problem: 4 layers, `gbs` sequences of 8K tokens,
+/// ZeRO-1 and ZeRO-3.
+fn small_search(ngpu: u32, gbs: u64) -> SearchSpec {
+    let mut spec = SearchSpec::llama3_8b(ngpu, 8_192);
+    spec.input.model = spec.input.model.with_layers(4);
+    spec.input.token_budget = gbs * 8_192;
+    spec.zero_modes = vec![ZeroMode::Zero1, ZeroMode::Zero3];
+    spec
+}
+
+#[test]
+fn collective_streams_match_per_member_check_across_grid() {
+    // Oracle 13: COLL001 with one derivation per pp coordinate reports
+    // what the per-member check reports, on every grid config.
+    let grid = config_grid();
+    assert!(grid.len() >= 50);
+    for spec in &grid {
+        oracle_collective_streams(&spec.build()).unwrap_or_else(|e| panic!("[{spec}] {e}"));
+    }
+}
+
+#[test]
+fn step_time_bound_is_sound_across_grid() {
+    // Oracle 14: the walk's bound never exceeds the folded step time,
+    // and its memory is the reported peak, on every grid config.
+    let grid = config_grid();
+    assert!(grid.len() >= 50);
+    for spec in &grid {
+        oracle_step_time_bound(&spec.build()).unwrap_or_else(|e| panic!("[{spec}] {e}"));
     }
 }
 

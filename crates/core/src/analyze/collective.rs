@@ -387,10 +387,10 @@ pub fn check_plan(plan: &CollectivePlan) -> Vec<Diagnostic> {
 }
 
 /// Extracts and checks in one call. Reports exactly what
-/// `check_plan(&extract_plan(m, sched))` would, but streams the
-/// comparison — each member's stream is derived, compared against the
-/// group's first member and dropped, so at most two streams are live
-/// at a time instead of one per member of every group.
+/// `check_plan(&extract_plan(m, sched))` would, but derives one stream
+/// per (family, pp coordinate): a member's stream depends on its
+/// coordinates only through `coords.pp`, so only members at another pp
+/// coordinate than the group's first are derived and compared.
 pub fn check_step(m: &StepModel, sched: &PpSchedule) -> Vec<Diagnostic> {
     check_groups(m, sched, |_| true)
 }
@@ -422,8 +422,16 @@ fn check_groups(
         let Some((&first, rest)) = group.ranks().split_first() else {
             continue;
         };
+        let ref_pp = m.mesh.coords_of(first).pp;
         let ref_stream = member_stream(m, sched, family, first, &group, leaf);
         for &r in rest {
+            // Every derivation reads a member only through its pp
+            // coordinate, so a member sharing the reference's pp
+            // issues the reference stream: one derivation per (family,
+            // pp coordinate). `check_plan` still compares every member.
+            if m.mesh.coords_of(r).pp == ref_pp {
+                continue;
+            }
             let stream = member_stream(m, sched, family, r, &group, leaf);
             if let Some(d) = diff_streams(&label, first, &ref_stream, r, &stream) {
                 diags.push(d);

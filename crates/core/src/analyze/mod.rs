@@ -67,8 +67,8 @@ impl fmt::Display for Severity {
 
 /// Stable identifiers for the analysis rules. The string forms
 /// (`DEAD001`, ...) are part of the tool's output contract: tests and
-/// CI grep for them, so they never change meaning. `LINT002` and
-/// `LINT003` are retired and never reused.
+/// CI grep for them, so they never change meaning. `LINT002`,
+/// `LINT003` and `LINT004` are retired and never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RuleId {
     /// Schedule/plan parameters failed validation before any analysis
@@ -93,9 +93,6 @@ pub enum RuleId {
     Race001,
     /// `.unwrap()` / `.expect(` in library code (source lint).
     Lint001,
-    /// Concrete `f64` arithmetic inside a `Scalar`-generic cost module
-    /// (source lint).
-    Lint004,
     /// Wire-protocol surface referenced below `parallelism-core`
     /// (source lint).
     Lint005,
@@ -128,7 +125,6 @@ impl RuleId {
             RuleId::Mem002 => "MEM002",
             RuleId::Race001 => "RACE001",
             RuleId::Lint001 => "LINT001",
-            RuleId::Lint004 => "LINT004",
             RuleId::Lint005 => "LINT005",
             RuleId::Lint006 => "LINT006",
             RuleId::Lint007 => "LINT007",
@@ -149,7 +145,6 @@ impl RuleId {
             RuleId::Mem002 => "static peak-memory bound exceeds the HBM budget fraction",
             RuleId::Race001 => "unordered accesses to one buffer lane",
             RuleId::Lint001 => "unwrap/expect in library code",
-            RuleId::Lint004 => "concrete f64 arithmetic in a Scalar-generic cost module",
             RuleId::Lint005 => "wire-protocol surface referenced below parallelism-core",
             RuleId::Lint006 => "unbounded full-resolution event buffer outside the tiered store",
             RuleId::Lint007 => "inference-engine surface referenced below parallelism-core",

@@ -48,8 +48,7 @@ pub use run::{
 };
 pub use search::{
     finish_search, restrict_max_cp, search, search_outcomes, verdict_cache_stats, ConfigPoint,
-    FunnelCounts, GuidedStats, SearchOutcomes, SearchPoint, SearchReport, SearchSpec,
-    SearchStrategy,
+    FunnelCounts, SearchOutcomes, SearchPoint, SearchReport, SearchSpec,
 };
 pub use sim_engine::error::SimError;
 pub use workload::traffic::{Request, TrafficShape, TrafficSpec};

@@ -15,9 +15,10 @@
 //! encoder emits keys in one fixed order, which makes
 //! [`Query::canonical_wire`] a canonical form: two queries are the
 //! same computation iff their canonical lines are equal. The canonical
-//! form also normalizes out pure *execution hints* (today: the scoring
-//! `threads` knob), so a thundering herd that only disagrees about
-//! thread counts coalesces onto one computation.
+//! form also normalizes out pure *execution hints* (the `threads`
+//! knob, and search's `guided` key, kept parseable as a no-op), so a
+//! thundering herd that only disagrees about them coalesces onto one
+//! computation.
 //!
 //! Each record-shaped kind (`search`, `trace`, `infer`, `fuzz`, and
 //! `analyze` through a flat key record) has one [`Field`] table, in
@@ -37,7 +38,7 @@
 use crate::analyze;
 use crate::fsdp::ZeroMode;
 use crate::infer::{InferPlan, InferReport, InferSpec, InferenceModel};
-use crate::search::{SearchReport, SearchSpec, SearchStrategy};
+use crate::search::{SearchReport, SearchSpec};
 use crate::step::Workload;
 use collectives::CacheStats;
 use sim_engine::time::SimDuration;
@@ -138,7 +139,8 @@ pub struct SearchQuery {
     pub zero: Vec<ZeroMode>,
     /// Report whether this `tp,cp,pp,dp` mesh is on the frontier.
     pub expect: Option<(u32, u32, u32, u32)>,
-    /// Use the gradient-guided candidate strategy.
+    /// Accepted for v1 compatibility and ignored: the search has one
+    /// strategy. Like `threads`, the canonical form normalizes it out.
     pub guided: bool,
     /// Which workload to rank meshes for: training (step time, peak
     /// HBM) or inference (p99 TTFT, peak HBM).
@@ -191,9 +193,6 @@ impl SearchQuery {
         }
         if !self.zero.is_empty() {
             spec.zero_modes = self.zero.clone();
-        }
-        if self.guided {
-            spec.strategy = SearchStrategy::Guided;
         }
         spec.workload = self.workload;
         Ok(spec.threads(self.threads).goodput_head(self.goodput_head))
@@ -707,7 +706,7 @@ impl Record for SearchQuery {
         Field {
             key: "guided",
             arg: Arg::Switch,
-            help: "gradient-guided candidates, timed against the exhaustive baseline",
+            help: "accepted and ignored (one search strategy; not hashed)",
             parse: |q, v| {
                 q.guided = parse_bool(v)?;
                 Ok(())
@@ -938,13 +937,15 @@ impl Query {
     }
 
     /// The canonical wire form: [`Query::to_wire`] with execution
-    /// hints (the `threads` knob) normalized out. Two queries describe
-    /// the same computation iff their canonical lines are equal.
+    /// hints (the `threads` knob) and the no-op `guided` key normalized
+    /// out. Two queries describe the same computation iff their
+    /// canonical lines are equal.
     pub fn canonical_wire(&self) -> String {
         match self {
             Query::Search(s) => {
                 let mut c = s.clone();
                 c.threads = 0;
+                c.guided = false;
                 Query::Search(c).to_wire()
             }
             Query::Infer(i) => {
@@ -1644,7 +1645,8 @@ mod tests {
     /// Drives every row of `Q`'s table with its non-default `samples`
     /// value: the wire line is exactly `kind key=value` and parses
     /// back, `--flag value` parses to the same record, and the
-    /// canonical hash sees the value unless the key is `threads`.
+    /// canonical hash sees the value unless the key is a hint
+    /// (`threads`, or search's no-op `guided`).
     fn check_every_row<Q>(wrap: fn(Q) -> Query, samples: &[(&str, &str)])
     where
         Q: Record + Clone + PartialEq + fmt::Debug,
@@ -1677,7 +1679,8 @@ mod tests {
 
             let plain = wrap(q.clone()).canonical_hash();
             let default = wrap(Q::default()).canonical_hash();
-            assert_eq!(plain == default, key == "threads", "{key}={value}");
+            let hint = key == "threads" || key == "guided";
+            assert_eq!(plain == default, hint, "{key}={value}");
             if has_threads && key != "threads" {
                 let hinted = Q::decode(&[(key, value), ("threads", "7")]).unwrap();
                 assert_eq!(wrap(hinted).canonical_hash(), plain, "{key}={value}");

@@ -16,27 +16,29 @@
 //! 1. **Admission** — pure arithmetic: divisibility of the mesh into
 //!    the cluster, `gbs % dp == 0`, `pp ≤ layers`,
 //!    `seq % 2·cp == 0`. No model is built.
-//! 2. **Pre-flight rejection** — the static analyzer
-//!    ([`crate::analyze::analyze_step`]'s rule families) runs over
-//!    each admitted candidate with **no timing-graph execution**; any
-//!    error-severity diagnostic (unbuildable schedule, deadlock,
-//!    collective mismatch, OOM by the sound static memory bound)
-//!    rejects the candidate. Only the memory bound is evaluated fresh
-//!    per candidate (it is µs-cheap and depends on every axis); the
-//!    graph-shaped rules are **memoized by their true inputs** —
-//!    deadlock and race verdicts by the lowered schedule shape
-//!    `(kind, pp, v, nmb)`, TP/CP collective verdicts by mesh +
-//!    schedule (their stream derivations read neither ZeRO nor
-//!    recompute), FSDP collective verdicts by mesh + schedule + ZeRO —
-//!    so the up-to-18 ZeRO/recompute/schedule variants of one mesh
-//!    share the expensive analyses. `score_one` is the unmemoized
-//!    per-candidate specification of stages 2–3; the conformance
-//!    oracle `oracle_search_frontier` pins [`search`] against it.
-//! 3. **Scoring** — survivors run the folded fast simulation
-//!    ([`crate::step::StepModel::run`] at
+//! 2. **Memory and bound** — the static memory rule
+//!    ([`crate::analyze::memory`], µs-cheap, depends on every axis)
+//!    rejects each admitted candidate that overflows HBM. Every
+//!    survivor gets a [`PruneKey`]: the sound step-time lower bound
+//!    [`StepModel::step_time_bound`] and its exact peak memory.
+//! 3. **Bounded walk** — survivors are visited in `(bound, enumeration
+//!    index)` order, in fixed waves of [`WAVE`]. A candidate is
+//!    *pruned* — no analysis, no folded run — when an earlier wave
+//!    scored a point faster than its bound with no more memory: that
+//!    point strictly dominates it, so it can never reach the frontier.
+//!    The rest of the wave runs the graph-shaped pre-flight rules
+//!    (deadlock, race, collective ordering; any error rejects) and then
+//!    the folded fast simulation ([`crate::step::StepModel::run`] at
 //!    [`crate::step::SimFidelity::Folded`]), in parallel on scoped
-//!    threads. Results are folded back in enumeration order, so the
-//!    report is bit-identical for any thread count.
+//!    threads. The graph-shaped verdicts are **memoized by their true
+//!    inputs** — deadlock and race by the schedule shape `(kind, pp, v,
+//!    nmb)`, TP/CP collectives by mesh + schedule (their stream
+//!    derivations read neither ZeRO nor recompute), FSDP collectives by
+//!    mesh + schedule + ZeRO — in process-wide memos. The wave size is
+//!    a constant, so the walk, its counts and the report are
+//!    bit-identical for any thread count. `score_one` is the unpruned,
+//!    unmemoized per-candidate specification; the conformance oracle
+//!    `oracle_search_frontier` pins [`search`] against it.
 //! 4. **Goodput refinement** (optional) — the first
 //!    [`SearchSpec::goodput_head`] frontier points are re-run through
 //!    the seeded fault-timeline goodput simulation.
@@ -46,17 +48,13 @@
 //! the report — two runs of [`search`] on the same [`SearchSpec`]
 //! produce bit-identical [`SearchReport`]s.
 
-pub mod guided;
-
-pub use guided::GuidedStats;
-
 use crate::analyze;
 use crate::fsdp::ZeroMode;
 use crate::infer::{InferPlan, InferSpec, InferenceModel};
 use crate::mesh::Mesh4D;
 use crate::planner::{PlanError, PlannerInput};
 use crate::pp::balance::{BalancePolicy, StageAssignment};
-use crate::pp::schedule::ScheduleKind;
+use crate::pp::schedule::{PpSchedule, ScheduleKind};
 use crate::run::{CheckpointPolicy, RunSimulator};
 use crate::step::{SimOptions, StepModel, Workload};
 use cluster_model::faults::{FaultRates, FaultTimeline};
@@ -66,26 +64,10 @@ use collectives::{CacheStats, ShardedCache};
 use llm_model::masks::MaskSpec;
 use llm_model::{ModelLayout, TransformerConfig};
 use sim_engine::time::SimDuration;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::LazyLock;
 use workload::traffic::{TrafficShape, TrafficSpec};
-
-/// How candidates reach the verification funnel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SearchStrategy {
-    /// Enumerate and verify every admissible configuration — the
-    /// conformance oracle against which [`Guided`](Self::Guided) is
-    /// pinned.
-    #[default]
-    Exhaustive,
-    /// Differentiate the analytic cost model ([`crate::costs`] at
-    /// [`numerics::Dual`]), descend a continuous relaxation of
-    /// `(tp, cp, pp, dp, nmb)` in log2-space, and verify only the
-    /// lattice-rounded neighbourhood of the descent trajectories —
-    /// same frontier, a fraction of the folded evaluations. See
-    /// [`guided`].
-    Guided,
-}
 
 /// What to search: the planning problem plus the bounds of the
 /// configuration space and the funnel options.
@@ -116,8 +98,6 @@ pub struct SearchSpec {
     /// Scoring threads. `0` means "available parallelism". The report
     /// is bit-identical for any value.
     pub threads: usize,
-    /// Candidate-generation strategy (default exhaustive).
-    pub strategy: SearchStrategy,
     /// Which workload the funnel scores. [`Workload::Training`] ranks
     /// configurations by (step time, peak HBM); [`Workload::Inference`]
     /// enumerates `tp × pp × replicas` serving meshes and ranks them by
@@ -140,7 +120,6 @@ impl SearchSpec {
             goodput_horizon_s: 24.0 * 3600.0,
             seed: 0x0060_01D9,
             threads: 0,
-            strategy: SearchStrategy::default(),
             workload: Workload::Training,
         }
     }
@@ -197,12 +176,6 @@ impl SearchSpec {
     /// Enables goodput refinement of the first `head` frontier points.
     pub fn goodput_head(mut self, head: usize) -> SearchSpec {
         self.goodput_head = head;
-        self
-    }
-
-    /// Selects the gradient-guided candidate strategy.
-    pub fn guided(mut self) -> SearchSpec {
-        self.strategy = SearchStrategy::Guided;
         self
     }
 
@@ -344,6 +317,9 @@ pub struct FunnelCounts {
     pub candidates: usize,
     /// Candidates rejected by the static pre-flight analyzer.
     pub rejected_preflight: usize,
+    /// Candidates the bounded walk skipped: an already-scored point
+    /// strictly dominates each of them.
+    pub pruned: usize,
     /// Candidates scored by the folded simulation.
     pub scored: usize,
     /// Frontier points refined with the goodput simulation.
@@ -365,9 +341,6 @@ pub struct SearchReport {
     pub best_memory: Option<SearchPoint>,
     /// The highest-goodput refined configuration, if refinement ran.
     pub best_goodput: Option<SearchPoint>,
-    /// Guided-strategy statistics, present iff
-    /// [`SearchStrategy::Guided`] generated the candidates.
-    pub guided: Option<GuidedStats>,
 }
 
 impl SearchReport {
@@ -384,26 +357,15 @@ impl SearchReport {
         let c = &self.counts;
         let mut out = format!(
             "funnel: {} meshes → {} admitted → {} candidates → {} scored \
-             ({} preflight-rejected, {} goodput-refined)\n",
+             ({} preflight-rejected, {} pruned, {} goodput-refined)\n",
             c.meshes_enumerated,
             c.meshes_admitted,
             c.candidates,
             c.scored,
             c.rejected_preflight,
+            c.pruned,
             c.refined
         );
-        if let Some(g) = &self.guided {
-            out.push_str(&format!(
-                "guided: {} trajectories · {} descent steps → {} meshes, \
-                 {}/{} candidates verified ({:.1}% of evals saved)\n",
-                g.starts,
-                g.descent_steps,
-                g.meshes_selected,
-                g.candidates_verified,
-                g.exhaustive_candidates,
-                g.evals_saved_pct
-            ));
-        }
         out.push_str(&format!("frontier ({} points, step time ↑):\n", self.frontier.len()));
         for p in &self.frontier {
             out.push_str(&format!(
@@ -503,19 +465,110 @@ fn powers_of_two_up_to(max: u32) -> impl Iterator<Item = u32> {
     (0..31u32).map(|s| 1u32 << s).take_while(move |&p| p <= max)
 }
 
-/// Outcome of the per-candidate funnel stages 2–3.
-enum Outcome {
+/// What the funnel did with one admitted candidate.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Outcome {
+    /// Rejected by a pre-flight rule (or, for the inference workload,
+    /// by the HBM fit).
     Rejected,
+    /// Skipped by the bounded walk: an earlier wave scored a point
+    /// faster than the candidate's bound with no more memory.
+    Pruned,
+    /// Scored by the folded simulation.
     Scored(SearchPoint),
 }
 
-/// Runs stages 2 (pre-flight rejection) and 3 (folded scoring) over
-/// one candidate. Pure: depends only on `spec` and `cfg`.
+/// What the bounded walk orders and prunes a candidate by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PruneKey {
+    /// [`StepModel::step_time_bound`]: no folded run of the candidate
+    /// is faster.
+    pub bound: SimDuration,
+    /// The candidate's peak memory, `max(StepModel::peak_memory())` —
+    /// exactly the `peak_memory` scoring would report.
+    pub memory: u64,
+}
+
+/// One admitted candidate and what the funnel did with it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Candidate {
+    /// The configuration.
+    pub config: ConfigPoint,
+    /// The walk key, present iff the candidate passed the memory rule
+    /// and entered the bounded walk (never for the inference
+    /// workload, which is not walked).
+    pub key: Option<PruneKey>,
+    /// The candidate's fate.
+    pub outcome: Outcome,
+}
+
+/// Pass 1 of the funnel for one candidate: `None` when the static
+/// memory rule rejects it (an `MEM001` error), else its walk key. Reads
+/// one [`analyze::memory::rank_bounds`] pass: the rule's per-rank
+/// bounds minus their staging buffers are `StepModel::peak_memory()`.
+pub fn prune_key(step: &StepModel, sched: &PpSchedule) -> Option<PruneKey> {
+    let capacity = step.cluster.gpu.hbm_capacity;
+    let bounds = analyze::memory::rank_bounds(step, sched);
+    if bounds.iter().any(|b| b.total() > capacity) {
+        return None;
+    }
+    Some(PruneKey {
+        bound: step.step_time_bound(),
+        memory: bounds.iter().map(|b| b.total() - b.comm_bytes).max().unwrap_or(0),
+    })
+}
+
+/// Candidates per wave of the bounded walk. A constant, not an option:
+/// pruning only reads points scored in earlier waves, so a fixed wave
+/// size makes the walk — and every count — independent of the thread
+/// count.
+pub const WAVE: usize = 8;
+
+/// The bounded walk over candidates `0..keys.len()`: visits those with
+/// a key in `(bound, index)` order, [`WAVE`] at a time, prunes each one
+/// an earlier wave's scored point strictly dominates, and hands the
+/// rest of the wave to `resolve` (one [`Outcome::Rejected`] or
+/// [`Outcome::Scored`] per index, in order). Candidates without a key
+/// are [`Outcome::Rejected`].
+fn walk(
+    keys: &[Option<PruneKey>],
+    mut resolve: impl FnMut(&[usize]) -> Vec<Outcome>,
+) -> Vec<Outcome> {
+    let mut order: Vec<(PruneKey, usize)> = keys
+        .iter()
+        .enumerate()
+        .filter_map(|(i, k)| k.map(|k| (k, i)))
+        .collect();
+    order.sort_by_key(|&(k, i)| (k.bound, i));
+    let mut out = vec![Outcome::Rejected; keys.len()];
+    let mut scored: Vec<(SimDuration, u64)> = Vec::new();
+    for wave in order.chunks(WAVE) {
+        let mut live = Vec::with_capacity(wave.len());
+        for &(k, i) in wave {
+            if scored.iter().any(|&(t, m)| t < k.bound && m <= k.memory) {
+                out[i] = Outcome::Pruned;
+            } else {
+                live.push(i);
+            }
+        }
+        for (i, o) in live.iter().zip(resolve(&live)) {
+            if let Outcome::Scored(p) = &o {
+                scored.push((p.step_time, p.peak_memory));
+            }
+            out[*i] = o;
+        }
+    }
+    out
+}
+
+/// Runs the pre-flight rules and then the folded run over one
+/// candidate, unmemoized and unpruned. Pure: depends only on `spec`
+/// and `cfg`.
 ///
 /// This is the *specification* of the per-candidate funnel — one full
 /// [`analyze::analyze_step`] pass, then the folded run. [`search`]
-/// computes the same verdicts through the memoized [`AnalysisCache`];
-/// the conformance search-frontier oracle checks the two agree.
+/// computes the same verdicts through the memoized [`Resolver`]; the
+/// conformance search-frontier oracle checks the two agree.
 #[cfg(test)]
 fn score_one(spec: &SearchSpec, cfg: &ConfigPoint) -> Outcome {
     let Some(step) = spec.build_step(cfg) else {
@@ -527,8 +580,7 @@ fn score_one(spec: &SearchSpec, cfg: &ConfigPoint) -> Outcome {
     score_survivor(spec, cfg)
 }
 
-/// Stage 3 alone: the folded run of a candidate that passed (or is
-/// assumed to pass) the pre-flight stage.
+/// The folded run of a candidate that passed the pre-flight rules.
 fn score_survivor(spec: &SearchSpec, cfg: &ConfigPoint) -> Outcome {
     let Some(step) = spec.build_step(cfg) else {
         return Outcome::Rejected;
@@ -595,19 +647,10 @@ fn clean(diags: &[analyze::Diagnostic]) -> bool {
     !diags.iter().any(|d| d.severity == analyze::Severity::Error)
 }
 
-/// Pre-flight verdicts shared across the ZeRO/recompute/schedule
-/// variants of each mesh. Each map holds `key → passed` for every key
-/// reachable from a memory-passing candidate.
-struct AnalysisCache {
-    sched: std::collections::HashMap<SchedKey, bool>,
-    tp_cp: std::collections::HashMap<TpCpKey, bool>,
-    fsdp: std::collections::HashMap<FsdpKey, bool>,
-}
-
-/// The process-wide stage-2 verdict memos, shared by every search on
-/// every thread (CLI sweeps and serve clients alike). Keys are the
-/// per-spec fingerprint plus the same shape keys the per-call cache
-/// always used; verdicts are pure booleans, so cross-call sharing
+/// The process-wide verdict memos of the graph-shaped pre-flight
+/// rules, shared by every search on every thread (CLI sweeps and serve
+/// clients alike). Keys are the per-spec fingerprint plus the shape
+/// keys above; verdicts are pure booleans, so cross-call sharing
 /// cannot change any report.
 static SCHED_VERDICTS: LazyLock<ShardedCache<(u64, SchedKey), bool>> =
     LazyLock::new(ShardedCache::new);
@@ -616,8 +659,8 @@ static TP_CP_VERDICTS: LazyLock<ShardedCache<(u64, TpCpKey), bool>> =
 static FSDP_VERDICTS: LazyLock<ShardedCache<(u64, FsdpKey), bool>> =
     LazyLock::new(ShardedCache::new);
 
-/// Snapshot of the shared stage-2 verdict memos, in `(schedule-shape,
-/// TP/CP, FSDP)` order.
+/// Snapshot of the shared verdict memos, in `(schedule-shape, TP/CP,
+/// FSDP)` order.
 pub fn verdict_cache_stats() -> [CacheStats; 3] {
     [
         SCHED_VERDICTS.stats(),
@@ -644,76 +687,130 @@ fn spec_fingerprint(spec: &SearchSpec) -> u64 {
     h.finish()
 }
 
-/// Resolves one key family through its shared memo: looks every key up
-/// (counting hits/misses), evaluates only the misses — in sorted key
-/// order, chunked over `threads`, exactly as the un-memoized path —
-/// and publishes the fresh verdicts for later searches.
-fn memoized_verdicts<K: Copy + Ord + std::hash::Hash + Send + Sync>(
-    global: &ShardedCache<(u64, K), bool>,
-    sig: u64,
-    keys: std::collections::BTreeMap<K, ConfigPoint>,
-    spec: &SearchSpec,
-    threads: usize,
-    eval: impl Fn(&StepModel, &crate::pp::schedule::PpSchedule) -> bool + Sync,
-) -> std::collections::HashMap<K, bool> {
-    let mut local = std::collections::HashMap::with_capacity(keys.len());
-    let mut misses: std::collections::BTreeMap<K, ConfigPoint> = Default::default();
-    for (k, c) in keys {
-        match global.get(&(sig, k)) {
-            Some(v) => {
-                local.insert(k, v);
-            }
-            None => {
-                misses.insert(k, c);
-            }
-        }
+/// `f` over `items` on up to `threads` scoped threads, in contiguous
+/// chunks re-joined in order, so the result is the sequential map's.
+fn par_map<T: Sync, R: Send>(items: &[T], threads: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    if threads <= 1 || items.len() <= 1 {
+        return items.iter().map(f).collect();
     }
-    let fresh = eval_keys(spec, misses, threads, eval);
-    for (&k, &v) in &fresh {
-        global.insert((sig, k), v);
-    }
-    local.extend(fresh);
-    local
-}
-
-/// Evaluates the distinct memo keys in sorted order, chunked across
-/// `threads` scoped threads. `eval` must be pure, so the resulting map
-/// is independent of the chunking.
-fn eval_keys<K: Copy + Ord + std::hash::Hash + Send + Sync>(
-    spec: &SearchSpec,
-    keys: std::collections::BTreeMap<K, ConfigPoint>,
-    threads: usize,
-    eval: impl Fn(&StepModel, &crate::pp::schedule::PpSchedule) -> bool + Sync,
-) -> std::collections::HashMap<K, bool> {
-    let list: Vec<(K, ConfigPoint)> = keys.into_iter().collect();
-    let chunk_len = list.len().div_ceil(threads.max(1)).max(1);
-    let verdicts: Vec<bool> = std::thread::scope(|s| {
-        let handles: Vec<_> = list
+    let chunk_len = items.len().div_ceil(threads);
+    std::thread::scope(|s| {
+        let handles: Vec<_> = items
             .chunks(chunk_len)
-            .map(|chunk| {
-                s.spawn(|| {
-                    chunk
-                        .iter()
-                        .map(|(_, c)| {
-                            let Some(step) = spec.build_step(c) else {
-                                return false;
-                            };
-                            let Ok(sched) = step.schedule() else {
-                                return false;
-                            };
-                            eval(&step, &sched)
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
+            .map(|chunk| s.spawn(|| chunk.iter().map(&f).collect::<Vec<_>>()))
             .collect();
         handles
             .into_iter()
             // lint: allow(unwrap) — propagating a worker panic is the intended behaviour
-            .flat_map(|h| h.join().expect("search analysis thread panicked"))
+            .flat_map(|h| h.join().expect("search worker thread panicked"))
             .collect()
+    })
+}
+
+/// The spec a [`Resolver`] settles candidates of, its verdict-memo
+/// fingerprint and its thread count.
+#[derive(Clone, Copy)]
+struct Ctx<'a> {
+    spec: &'a SearchSpec,
+    sig: u64,
+    threads: usize,
+}
+
+/// Resolves one verdict family for `cands` into `local`: keys already
+/// there are skipped, the rest are looked up in the shared memo
+/// (counting hits and misses), and only the misses are evaluated — in
+/// sorted key order, over the context's threads — and published for
+/// later searches.
+fn resolve_verdicts<K: Copy + Ord + std::hash::Hash + Send + Sync>(
+    cx: Ctx<'_>,
+    global: &ShardedCache<(u64, K), bool>,
+    local: &mut HashMap<K, bool>,
+    cands: &[ConfigPoint],
+    key: impl Fn(&ConfigPoint) -> K,
+    eval: impl Fn(&StepModel, &PpSchedule) -> bool + Sync,
+) {
+    let mut misses: BTreeMap<K, ConfigPoint> = BTreeMap::new();
+    for c in cands {
+        let k = key(c);
+        if local.contains_key(&k) || misses.contains_key(&k) {
+            continue;
+        }
+        match global.get(&(cx.sig, k)) {
+            Some(v) => {
+                local.insert(k, v);
+            }
+            None => {
+                misses.insert(k, *c);
+            }
+        }
+    }
+    let misses: Vec<(K, ConfigPoint)> = misses.into_iter().collect();
+    let fresh = par_map(&misses, cx.threads, |(_, c)| {
+        cx.spec
+            .build_step(c)
+            .and_then(|step| step.schedule().ok().map(|sched| eval(&step, &sched)))
+            .unwrap_or(false)
     });
-    list.iter().map(|&(k, _)| k).zip(verdicts).collect()
+    for (&(k, _), v) in misses.iter().zip(fresh) {
+        global.insert((cx.sig, k), v);
+        local.insert(k, v);
+    }
+}
+
+/// Settles the candidates the walk does not prune: the graph-shaped
+/// pre-flight verdicts through the shared memos (each distinct shape
+/// once per process), then the folded run of every candidate that
+/// passes them.
+struct Resolver<'a> {
+    cx: Ctx<'a>,
+    sched: HashMap<SchedKey, bool>,
+    tp_cp: HashMap<TpCpKey, bool>,
+    fsdp: HashMap<FsdpKey, bool>,
+}
+
+impl<'a> Resolver<'a> {
+    fn new(spec: &'a SearchSpec) -> Resolver<'a> {
+        let threads = match spec.threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        };
+        Resolver {
+            cx: Ctx {
+                spec,
+                sig: spec_fingerprint(spec),
+                threads,
+            },
+            sched: HashMap::new(),
+            tp_cp: HashMap::new(),
+            fsdp: HashMap::new(),
+        }
+    }
+
+    fn resolve(&mut self, cands: &[ConfigPoint]) -> Vec<Outcome> {
+        let cx = self.cx;
+        let spec = cx.spec;
+        resolve_verdicts(cx, &SCHED_VERDICTS, &mut self.sched, cands, |c| sched_key(spec, c), |_, sched| {
+            let program = analyze::compile(sched);
+            clean(&analyze::deadlock::check_program(sched, &program))
+                && clean(&analyze::race::check_program(sched, &program))
+        });
+        resolve_verdicts(cx, &TP_CP_VERDICTS, &mut self.tp_cp, cands, tp_cp_key, |step, sched| {
+            clean(&analyze::collective::check_step_tp_cp(step, sched))
+        });
+        resolve_verdicts(cx, &FSDP_VERDICTS, &mut self.fsdp, cands, fsdp_key, |step, sched| {
+            clean(&analyze::collective::check_step_fsdp(step, sched))
+        });
+        let passed = |c: &ConfigPoint| {
+            self.sched[&sched_key(spec, c)] && self.tp_cp[&tp_cp_key(c)] && self.fsdp[&fsdp_key(c)]
+        };
+        par_map(cands, cx.threads, |c| {
+            if passed(c) {
+                score_survivor(spec, c)
+            } else {
+                Outcome::Rejected
+            }
+        })
+    }
 }
 
 /// The Pareto frontier over (step time, peak memory), both minimized.
@@ -741,66 +838,100 @@ fn pareto_frontier(points: &[SearchPoint]) -> Vec<SearchPoint> {
     frontier
 }
 
-/// Everything funnel stages 1–3 produce for one spec: per admitted
-/// candidate, in enumeration order, the configuration and either its
-/// scored point or `None` for a pre-flight rejection.
+/// Everything funnel stages 1–3 produce for one spec: every admitted
+/// candidate, in enumeration order, with its fate.
 ///
-/// Splitting the funnel here lets a caller finish the same outcome set
-/// under a *narrower* spec (see [`restrict_max_cp`]) without
-/// re-running enumeration, analysis or scoring — the serve
-/// dispatcher's frontier-reuse path across `max_cp` knob turns.
+/// Splitting the funnel here lets a caller finish the same candidate
+/// set under a *narrower* spec (see [`restrict_max_cp`]) without
+/// re-running enumeration or the candidates already settled — the
+/// serve dispatcher's frontier-reuse path across `max_cp` knob turns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchOutcomes {
     /// `(tp, cp, pp)` tuples visited by the enumerator.
     pub meshes_enumerated: usize,
     /// Tuples that passed the arithmetic admission stage.
     pub meshes_admitted: usize,
-    /// Admitted candidates in enumeration order, each with its
-    /// stage-2/3 outcome (`Some` = scored, `None` = rejected).
-    pub outcomes: Vec<(ConfigPoint, Option<SearchPoint>)>,
-    /// Guided-strategy statistics, when that strategy generated the
-    /// candidates.
-    pub guided: Option<GuidedStats>,
+    /// Admitted candidates in enumeration order.
+    pub candidates: Vec<Candidate>,
 }
 
-/// Derives the stage-1–3 outcome set of a narrower-CP spec from a
-/// wider one: drops every candidate with `cp > narrow.max_cp` and
-/// recomputes the enumeration counts arithmetically (the enumerator
-/// visits exactly the product of the per-axis power-of-two counts).
-///
-/// Only sound when `wide` came from an [`SearchStrategy::Exhaustive`]
-/// run of a spec identical to `narrow` in every field except a
-/// greater-or-equal `max_cp` — the guided strategy's candidate
-/// selection depends on the whole space, so its outcome sets never
-/// restrict. [`finish_search`] on the result is bit-identical to a
-/// direct [`search`] of `narrow`.
-pub fn restrict_max_cp(wide: &SearchOutcomes, narrow: &SearchSpec) -> SearchOutcomes {
-    let outcomes: Vec<(ConfigPoint, Option<SearchPoint>)> = wide
-        .outcomes
-        .iter()
-        .filter(|(c, _)| c.cp <= narrow.max_cp)
-        .cloned()
-        .collect();
-    let meshes_enumerated = powers_of_two_up_to(narrow.tp_bound()).count()
-        * powers_of_two_up_to(narrow.max_cp).count()
-        * powers_of_two_up_to(narrow.pp_bound()).count();
-    let meshes_admitted = {
-        let mut meshes: Vec<(u32, u32, u32)> =
-            outcomes.iter().map(|(c, _)| (c.tp, c.cp, c.pp)).collect();
-        meshes.dedup();
-        meshes.len()
-    };
-    SearchOutcomes {
-        meshes_enumerated,
-        meshes_admitted,
-        outcomes,
-        guided: None,
+/// Distinct consecutive `(tp, cp, pp)` meshes of candidates in
+/// enumeration order.
+fn count_meshes<'a>(configs: impl Iterator<Item = &'a ConfigPoint>) -> usize {
+    let mut meshes: Vec<(u32, u32, u32)> = configs.map(|c| (c.tp, c.cp, c.pp)).collect();
+    meshes.dedup();
+    meshes.len()
+}
+
+/// The `(tp, cp, pp)` tuples the enumerator of `spec`'s workload
+/// visits: the product of its per-axis power-of-two counts. The
+/// serving enumerator has no CP axis, and caps TP at the node.
+fn meshes_visited(spec: &SearchSpec) -> usize {
+    let pp = powers_of_two_up_to(spec.pp_bound()).count();
+    match spec.workload {
+        Workload::Training => {
+            powers_of_two_up_to(spec.tp_bound()).count()
+                * powers_of_two_up_to(spec.max_cp).count()
+                * pp
+        }
+        Workload::Inference => {
+            powers_of_two_up_to(spec.tp_bound().min(spec.input.gpus_per_node)).count() * pp
+        }
     }
 }
 
-/// Runs funnel stages 1–3 (enumeration, admission, memoized pre-flight
-/// rejection, folded scoring) and returns the deterministic outcome
-/// set. [`search`] is this plus [`finish_search`].
+/// Derives the stage-1–3 outcomes of a narrower-CP spec from a wider
+/// one: drops every candidate with `cp > narrow.max_cp`, recomputes
+/// the enumeration counts, and replays the bounded walk over the
+/// narrowed set. The replay reuses every candidate the wide walk
+/// settled and scores what it pruned and the narrow walk does not — a
+/// candidate pruned only by points with `cp > narrow.max_cp`.
+///
+/// Sound when `wide` came from a spec identical to `narrow` in every
+/// field except a greater-or-equal `max_cp`: [`finish_search`] on the
+/// result is bit-identical to a direct [`search`] of `narrow`.
+pub fn restrict_max_cp(wide: &SearchOutcomes, narrow: &SearchSpec) -> SearchOutcomes {
+    let kept: Vec<&Candidate> = wide
+        .candidates
+        .iter()
+        .filter(|c| c.config.cp <= narrow.max_cp)
+        .collect();
+    let keys: Vec<Option<PruneKey>> = kept.iter().map(|c| c.key).collect();
+    let mut resolver = Resolver::new(narrow);
+    let outcomes = walk(&keys, |live| {
+        let fresh: Vec<ConfigPoint> = live
+            .iter()
+            .filter(|&&i| kept[i].outcome == Outcome::Pruned)
+            .map(|&i| kept[i].config)
+            .collect();
+        let mut fresh = resolver.resolve(&fresh).into_iter();
+        live.iter()
+            .map(|&i| match &kept[i].outcome {
+                // lint: allow(unwrap) — `fresh` holds one outcome per pruned live candidate
+                Outcome::Pruned => fresh.next().expect("one outcome per candidate"),
+                settled => settled.clone(),
+            })
+            .collect()
+    });
+    SearchOutcomes {
+        meshes_enumerated: meshes_visited(narrow),
+        meshes_admitted: count_meshes(kept.iter().map(|c| &c.config)),
+        // A candidate outside the walk keeps its wide outcome.
+        candidates: kept
+            .iter()
+            .zip(outcomes)
+            .map(|(c, walked)| Candidate {
+                config: c.config,
+                key: c.key,
+                outcome: if c.key.is_some() { walked } else { c.outcome.clone() },
+            })
+            .collect(),
+    }
+}
+
+/// Runs funnel stages 1–3 (enumeration, admission, the memory rule and
+/// bound, the bounded walk) and returns the deterministic outcome set.
+/// [`search`] is this plus [`finish_search`].
 ///
 /// # Errors
 /// Returns [`PlanError::BadInput`] for a malformed spec (zero
@@ -827,139 +958,50 @@ pub fn search_outcomes(spec: &SearchSpec) -> Result<SearchOutcomes, PlanError> {
     }
 
     // Stage 1: enumeration + admission (pure arithmetic).
-    let (enumerated, meshes_enumerated) = enumerate_configs(spec);
-    let meshes_admitted = {
-        let mut meshes: Vec<(u32, u32, u32)> =
-            enumerated.iter().map(|c| (c.tp, c.cp, c.pp)).collect();
-        meshes.dedup();
-        meshes.len()
-    };
+    let (admitted, meshes_enumerated) = enumerate_configs(spec);
 
-    // Stage 1½ (guided only): descend the differentiable surrogate and
-    // keep the lattice-rounded neighbourhood of the trajectories. The
-    // selection is an order-preserving subset of the enumeration, so
-    // the stages below run unchanged.
-    let (admitted, guided_stats, prescored) = match spec.strategy {
-        SearchStrategy::Exhaustive => (enumerated, None, Default::default()),
-        SearchStrategy::Guided => {
-            let sel = guided::select_candidates(spec, enumerated);
-            // The anchors were already scored once during selection;
-            // `score_survivor` is pure, so pass 3 replays the stored
-            // result instead of running the same folded simulation
-            // twice. Pre-flight still gates them like any candidate.
-            let pre: std::collections::HashMap<ConfigPoint, SearchPoint> =
-                sel.prescored.into_iter().collect();
-            (sel.candidates, Some(sel.stats), pre)
-        }
-    };
-
-    // Stages 2–3: pre-flight rejection and folded scoring. The memory
-    // bound runs fresh per candidate (µs); the graph-shaped analyses
-    // are evaluated once per distinct memo key and shared across each
-    // mesh's ZeRO/recompute/schedule variants; survivors then run the
-    // folded simulation in parallel over contiguous chunks of the
-    // enumeration order. Every pass re-joins results in chunk order,
-    // so the outcome is identical to the sequential sweep for any
-    // thread count.
-    let threads = if spec.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        spec.threads
-    }
-    .clamp(1, admitted.len().max(1));
-    let chunk_len = admitted.len().div_ceil(threads).max(1);
-
-    // Pass 1 (serial): memory verdict per candidate; collect the
-    // distinct analysis keys of the memory survivors.
-    let mut mem_ok: Vec<bool> = Vec::with_capacity(admitted.len());
-    let mut sched_keys: std::collections::BTreeMap<SchedKey, ConfigPoint> = Default::default();
-    let mut tp_cp_keys: std::collections::BTreeMap<TpCpKey, ConfigPoint> = Default::default();
-    let mut fsdp_keys: std::collections::BTreeMap<FsdpKey, ConfigPoint> = Default::default();
-    for c in &admitted {
-        let ok = spec.build_step(c).is_some_and(|step| {
-            step.schedule()
-                .map(|sched| clean(&analyze::memory::check_step(&step, &sched)))
-                .unwrap_or(false)
-        });
-        mem_ok.push(ok);
-        if ok {
-            sched_keys.entry(sched_key(spec, c)).or_insert(*c);
-            tp_cp_keys.entry(tp_cp_key(c)).or_insert(*c);
-            fsdp_keys.entry(fsdp_key(c)).or_insert(*c);
-        }
-    }
-
-    // Pass 2 (parallel over keys): the expensive graph analyses, each
-    // distinct shape exactly once per *process* — verdicts resolve
-    // through the shared memos first, and only the misses are
-    // evaluated here.
-    let sig = spec_fingerprint(spec);
-    let cache = AnalysisCache {
-        sched: memoized_verdicts(&SCHED_VERDICTS, sig, sched_keys, spec, threads, |_, sched| {
-            let program = analyze::compile(sched);
-            clean(&analyze::deadlock::check_program(sched, &program))
-                && clean(&analyze::race::check_program(sched, &program))
-        }),
-        tp_cp: memoized_verdicts(&TP_CP_VERDICTS, sig, tp_cp_keys, spec, threads, |step, sched| {
-            clean(&analyze::collective::check_step_tp_cp(step, sched))
-        }),
-        fsdp: memoized_verdicts(&FSDP_VERDICTS, sig, fsdp_keys, spec, threads, |step, sched| {
-            clean(&analyze::collective::check_step_fsdp(step, sched))
-        }),
-    };
-
-    // Pass 3 (parallel over candidates): combine verdicts by lookup,
-    // run the folded simulation for full survivors.
-    let outcomes: Vec<Outcome> = std::thread::scope(|s| {
-        let cache = &cache;
-        let prescored = &prescored;
-        let handles: Vec<_> = admitted
-            .chunks(chunk_len)
-            .zip(mem_ok.chunks(chunk_len))
-            .map(|(chunk, mem)| {
-                s.spawn(move || {
-                    chunk
-                        .iter()
-                        .zip(mem)
-                        .map(|(c, &mem_ok)| {
-                            let passed = mem_ok
-                                && cache.sched.get(&sched_key(spec, c)).copied().unwrap_or(false)
-                                && cache.tp_cp.get(&tp_cp_key(c)).copied().unwrap_or(false)
-                                && cache.fsdp.get(&fsdp_key(c)).copied().unwrap_or(false);
-                            if passed {
-                                prescored.get(c).map_or_else(
-                                    || score_survivor(spec, c),
-                                    |p| Outcome::Scored(p.clone()),
-                                )
-                            } else {
-                                Outcome::Rejected
-                            }
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // lint: allow(unwrap) — propagating a worker panic is the intended behaviour
-            .flat_map(|h| h.join().expect("search scoring thread panicked"))
-            .collect()
-    });
-
-    let outcomes = admitted
-        .into_iter()
-        .zip(outcomes)
-        .map(|(c, o)| match o {
-            Outcome::Rejected => (c, None),
-            Outcome::Scored(p) => (c, Some(p)),
+    // Stage 2 (serial): the memory rule and the walk key. A mesh's
+    // ZeRO × recompute variants share its (at most three) schedules,
+    // so each is built once per mesh.
+    let mut schedules: HashMap<SchedKey, Option<PpSchedule>> = HashMap::new();
+    let mut mesh = None;
+    let keys: Vec<Option<PruneKey>> = admitted
+        .iter()
+        .map(|c| {
+            if mesh != Some((c.tp, c.cp, c.pp)) {
+                mesh = Some((c.tp, c.cp, c.pp));
+                schedules.clear();
+            }
+            let step = spec.build_step(c)?;
+            let sched = schedules
+                .entry(sched_key(spec, c))
+                .or_insert_with(|| step.schedule().ok())
+                .as_ref()?;
+            prune_key(&step, sched)
         })
         .collect();
+    drop(schedules);
+
+    // Stage 3: the bounded walk.
+    let mut resolver = Resolver::new(spec);
+    let outcomes = walk(&keys, |live| {
+        let cands: Vec<ConfigPoint> = live.iter().map(|&i| admitted[i]).collect();
+        resolver.resolve(&cands)
+    });
 
     Ok(SearchOutcomes {
         meshes_enumerated,
-        meshes_admitted,
-        outcomes,
-        guided: guided_stats,
+        meshes_admitted: count_meshes(admitted.iter()),
+        candidates: admitted
+            .into_iter()
+            .zip(keys)
+            .zip(outcomes)
+            .map(|((config, key), outcome)| Candidate {
+                config,
+                key,
+                outcome,
+            })
+            .collect(),
     })
 }
 
@@ -1021,7 +1063,7 @@ fn infer_outcomes(spec: &SearchSpec) -> Result<SearchOutcomes, PlanError> {
     // Stages 2–3: HBM-fit rejection and probe-trace scoring. The space
     // is tiny (≤ tens of candidates), so candidates run serially and
     // each simulation parallelizes internally over replicas.
-    let outcomes = admitted
+    let candidates = admitted
         .into_iter()
         .map(|c| {
             let plan = InferPlan::new(c.tp, c.pp, c.dp);
@@ -1038,15 +1080,18 @@ fn infer_outcomes(spec: &SearchSpec) -> Result<SearchOutcomes, PlanError> {
                     goodput: None,
                 }
             });
-            (c, point)
+            Candidate {
+                config: c,
+                key: None,
+                outcome: point.map_or(Outcome::Rejected, Outcome::Scored),
+            }
         })
         .collect();
 
     Ok(SearchOutcomes {
         meshes_enumerated: visited,
         meshes_admitted,
-        outcomes,
-        guided: None,
+        candidates,
     })
 }
 
@@ -1062,11 +1107,13 @@ fn infer_outcomes(spec: &SearchSpec) -> Result<SearchOutcomes, PlanError> {
 pub fn finish_search(spec: &SearchSpec, out: &SearchOutcomes) -> Result<SearchReport, PlanError> {
     let input = &spec.input;
     let mut rejected_preflight = 0usize;
+    let mut pruned = 0usize;
     let mut scored = Vec::new();
-    for (_, outcome) in &out.outcomes {
-        match outcome {
-            None => rejected_preflight += 1,
-            Some(p) => scored.push(p.clone()),
+    for c in &out.candidates {
+        match &c.outcome {
+            Outcome::Rejected => rejected_preflight += 1,
+            Outcome::Pruned => pruned += 1,
+            Outcome::Scored(p) => scored.push(p.clone()),
         }
     }
 
@@ -1128,8 +1175,9 @@ pub fn finish_search(spec: &SearchSpec, out: &SearchOutcomes) -> Result<SearchRe
         counts: FunnelCounts {
             meshes_enumerated: out.meshes_enumerated,
             meshes_admitted: out.meshes_admitted,
-            candidates: out.outcomes.len(),
+            candidates: out.candidates.len(),
             rejected_preflight,
+            pruned,
             scored: scored.len(),
             refined,
         },
@@ -1137,7 +1185,6 @@ pub fn finish_search(spec: &SearchSpec, out: &SearchOutcomes) -> Result<SearchRe
         best_step_time,
         best_memory,
         best_goodput,
-        guided: out.guided,
     })
 }
 
@@ -1173,8 +1220,8 @@ mod tests {
         let report = search(&small_spec()).unwrap();
         let c = report.counts;
         assert!(c.meshes_enumerated >= c.meshes_admitted);
-        assert!(c.candidates >= c.scored + c.rejected_preflight);
-        assert_eq!(c.candidates, c.scored + c.rejected_preflight);
+        assert_eq!(c.candidates, c.scored + c.pruned + c.rejected_preflight);
+        assert!(c.pruned > 0, "{c:?}");
         assert!(!report.frontier.is_empty());
         // Frontier is sorted by step time and strictly improves memory
         // except at exact objective ties.
@@ -1273,21 +1320,52 @@ mod tests {
 
     #[test]
     fn restricting_max_cp_matches_a_direct_search() {
-        let mut wide_spec = small_spec();
-        wide_spec.max_cp = 4;
-        let wide = search_outcomes(&wide_spec).unwrap();
-        for max_cp in [1u32, 2, 4] {
-            let mut narrow_spec = wide_spec.clone();
-            narrow_spec.max_cp = max_cp;
-            let derived = restrict_max_cp(&wide, &narrow_spec);
-            let direct = search_outcomes(&narrow_spec).unwrap();
-            assert_eq!(derived, direct, "max_cp={max_cp}");
-            assert_eq!(
-                finish_search(&narrow_spec, &derived).unwrap(),
-                search(&narrow_spec).unwrap(),
-                "max_cp={max_cp}"
-            );
+        // Training narrowing replays the walk; the serving enumerator
+        // has no CP axis, so its count must not scale with `max_cp`.
+        for spec in [small_spec(), small_spec().inference()] {
+            let wide_spec = spec.max_cp(4);
+            let wide = search_outcomes(&wide_spec).unwrap();
+            for max_cp in [1u32, 2, 4] {
+                let narrow_spec = wide_spec.clone().max_cp(max_cp);
+                let derived = restrict_max_cp(&wide, &narrow_spec);
+                let direct = search_outcomes(&narrow_spec).unwrap();
+                assert_eq!(meshes_visited(&narrow_spec), direct.meshes_enumerated);
+                assert_eq!(derived, direct, "max_cp={max_cp}");
+                assert_eq!(
+                    finish_search(&narrow_spec, &derived).unwrap(),
+                    search(&narrow_spec).unwrap(),
+                    "max_cp={max_cp}"
+                );
+            }
         }
+    }
+
+    /// Checks the walk key of every memory-passing candidate of `spec`
+    /// that runs: the bound never exceeds the folded step time and the
+    /// memory is the reported peak. Returns the number checked.
+    fn check_bounds(spec: &SearchSpec) -> usize {
+        let (configs, _) = enumerate_configs(spec);
+        let mut checked = 0;
+        for c in &configs {
+            let step = spec.build_step(c).unwrap();
+            let Some(key) = prune_key(&step, &step.schedule().unwrap()) else {
+                continue;
+            };
+            let Ok(run) = step.run(&SimOptions::default()) else {
+                continue;
+            };
+            assert!(key.bound <= run.report.step_time, "{c}: {key:?} vs {:?}", run.report.step_time);
+            assert_eq!(key.memory, run.report.max_peak_memory(), "{c}");
+            checked += 1;
+        }
+        checked
+    }
+
+    #[test]
+    #[ignore = "release-scale: every memory-passing 405B/16K candidate; run by scripts/check.sh"]
+    fn full_space_bound_is_sound() {
+        let spec = SearchSpec::llama3_405b(16_384, 8_192);
+        assert!(check_bounds(&spec) >= 1_000);
     }
 
     #[test]
@@ -1319,6 +1397,7 @@ mod tests {
         let c = report.counts;
         assert!(c.meshes_admitted > 1, "{c:?}");
         assert_eq!(c.candidates, c.scored + c.rejected_preflight);
+        assert_eq!(c.pruned, 0, "inference is not walked");
         assert_eq!(c.refined, 0, "inference skips goodput refinement");
         assert!(!report.frontier.is_empty());
         for p in &report.frontier {

@@ -500,6 +500,45 @@ impl StepModel {
             + comm.reduce_scatter(&fsdp_group, rs_bytes / fsdp_group.len() as u64)
     }
 
+    /// A sound lower bound on the folded step time, in closed form over
+    /// the stage costs; no schedule is built. For every schedule the
+    /// pipeline program can run:
+    ///
+    /// `step_time ≥ max_r (Σ_{s<r} (fwd[s] + bwd[s] + 2·p2p) + work(r)) + dp_exposed`
+    ///
+    /// where `work(r)` is the summed cost of pipeline rank `r`'s own
+    /// ops, `nmb · Σ_c (fwd + bwd)` over its `v` stages:
+    ///
+    /// * *serial rank stream* — rank `r` runs its ops one after another;
+    /// * *fill chain* — every op on rank `r` waits for its micro-batch's
+    ///   forward to cross stages `0..r`, one P2P hop each;
+    /// * *drain chain* — rank `r`'s last op is a backward (each forward's
+    ///   own backward runs later on the same rank), and its micro-batch's
+    ///   backward must then cross stages `r−1..0`;
+    /// * the exposed DP collective starts when the pipeline drains.
+    ///
+    /// Unscaled program durations are the stage costs bit for bit, so
+    /// the sums are exact in integer nanoseconds.
+    pub fn step_time_bound(&self) -> SimDuration {
+        let t = self.stage_times();
+        let p2p = self.p2p_time();
+        let pp = self.mesh.pp();
+        let mut hops = SimDuration::ZERO;
+        let mut bound = SimDuration::ZERO;
+        for r in 0..pp {
+            let per_mb: SimDuration = (0..self.assignment.v)
+                .map(|c| {
+                    let s = (c * pp + r) as usize;
+                    t.fwd[s] + t.bwd[s]
+                })
+                .sum();
+            bound = bound.max(hops + per_mb * u64::from(self.nmb()));
+            let r = r as usize;
+            hops += t.fwd[r] + t.bwd[r] + p2p * 2;
+        }
+        bound + self.dp_exposed()
+    }
+
     /// Total model FLOPs of one step across the cluster (forward +
     /// backward, frozen layers counted at reduced backward cost) — the
     /// numerator of TFLOPs/GPU.

@@ -1,8 +1,8 @@
 //! Fixture: one violation per hygiene rule, in rule order, so the
 //! fixture test pins every rule ID and location at once. Linted under
 //! the path `crates/collectives/src/fixture.rs` (a wire-free substrate
-//! crate) so LINT005 applies; LINT004 is path-scoped to the cost
-//! modules and exercised separately in `rules::tests`.
+//! crate) so LINT005 applies. LINT004 is retired with the
+//! number-generic cost modules it policed; its ID is not reused.
 
 fn unwrap_site(y: Result<u32, ()>) -> u32 {
     y.unwrap()

@@ -1,7 +1,7 @@
 //! # lint
 //!
 //! Repo-local static analysis: the source hygiene rules (`LINT001`,
-//! `LINT004`–`LINT007`) and the concurrency rules (`LOCK001`–`LOCK003`)
+//! `LINT005`–`LINT007`) and the concurrency rules (`LOCK001`–`LOCK003`)
 //! behind `llama3sim lint`. Dependency-free by design — the scanner is a
 //! string/comment-aware token model ([`model::SourceModel`]), not a
 //! full parser, so it runs in milliseconds over the whole workspace

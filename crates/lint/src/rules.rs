@@ -1,8 +1,9 @@
-//! The repo hygiene rules (`LINT001`, `LINT004`–`LINT007`), scanned
+//! The repo hygiene rules (`LINT001`, `LINT005`–`LINT007`), scanned
 //! over a [`SourceModel`] so string literals and block comments cannot
-//! fool the token scans. `LINT002` and `LINT003` are retired: they
-//! policed the deprecated `simulate*` wrappers and the per-subcommand
-//! CLI argument structs, both gone. Their IDs are not reused.
+//! fool the token scans. `LINT002`, `LINT003` and `LINT004` are
+//! retired: they policed the deprecated `simulate*` wrappers, the
+//! per-subcommand CLI argument structs and the number-generic cost
+//! modules of the guided search, all gone. Their IDs are not reused.
 //!
 //! Each rule reports a [`Diagnostic`] whose `op` field carries the
 //! 1-based `path:line` location and whose witness is the offending
@@ -13,14 +14,8 @@ use parallelism_core::analyze::{Diagnostic, RuleId};
 
 /// Marker suppressing LINT001 on the same or previous line.
 pub const UNWRAP_MARKER: &str = "lint: allow(unwrap)";
-/// Marker suppressing LINT004 on the same or previous line.
-pub const SCALAR_MARKER: &str = "lint: allow(f64)";
 /// Marker suppressing LINT006 on the same or previous line.
 pub const TRACE_VEC_MARKER: &str = "lint: allow(trace-vec)";
-
-/// Modules whose cost expressions must stay generic over `Scalar` —
-/// the LINT004 target set.
-const SCALAR_COST_PATHS: [&str; 2] = ["crates/core/src/costs.rs", "crates/numerics/src/costs.rs"];
 
 /// Crates below `parallelism-core` in the workspace layering — the
 /// LINT005 target set. (`core` itself defines the protocol; `analyzer`,
@@ -65,10 +60,9 @@ fn finding(rule: RuleId, model: &SourceModel, idx: usize, message: &str) -> Diag
         .with_witness(vec![model.lines()[idx].raw.trim().to_string()])
 }
 
-/// Runs the five hygiene rules over one file, appending findings.
+/// Runs the four hygiene rules over one file, appending findings.
 pub fn check_hygiene(model: &SourceModel, out: &mut Vec<Diagnostic>) {
     let path = model.path();
-    let scalar_costs_module = SCALAR_COST_PATHS.iter().any(|p| path.ends_with(p));
     let wire_free_crate = WIRE_FREE_CRATES.iter().any(|p| path.starts_with(p));
     let trace_vec_banned = !path.starts_with(TRACE_VEC_HOME);
 
@@ -125,41 +119,7 @@ pub fn check_hygiene(model: &SourceModel, out: &mut Vec<Diagnostic>) {
                  site `// lint: allow(trace-vec)` with a reason)",
             ));
         }
-
-        if scalar_costs_module && contains_f64_token(code) && !model.marked(idx, SCALAR_MARKER) {
-            out.push(finding(
-                RuleId::Lint004,
-                model,
-                idx,
-                "concrete `f64` arithmetic in a Scalar-generic cost module (write \
-                 the expression over `S: Scalar` so duals price it too, or mark a deliberate \
-                 site `// lint: allow(f64)` with a reason)",
-            ));
-        }
     }
-}
-
-/// Whether `code` contains `f64` as a standalone token (not as part of
-/// a longer identifier such as `as_secs_f64`).
-fn contains_f64_token(code: &str) -> bool {
-    let bytes = code.as_bytes();
-    let mut from = 0;
-    while let Some(pos) = code[from..].find("f64") {
-        let start = from + pos;
-        let end = start + 3;
-        let before_ok =
-            start == 0 || !(bytes[start - 1].is_ascii_alphanumeric() || bytes[start - 1] == b'_');
-        let after_ok =
-            end == bytes.len() || !(bytes[end].is_ascii_alphanumeric() || bytes[end] == b'_');
-        // `1e15f64` style literal suffixes count: the char before is a
-        // digit, but the token is still concrete-float arithmetic.
-        let literal_suffix = start > 0 && bytes[start - 1].is_ascii_digit();
-        if (before_ok || literal_suffix) && after_ok {
-            return true;
-        }
-        from = end;
-    }
-    false
 }
 
 #[cfg(test)]
@@ -224,24 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn flags_f64_in_scalar_cost_modules_only() {
-        let src = "pub fn f(x: f64) -> f64 {\n    x * 2.0\n}\n";
-        let v = lint_path("crates/core/src/costs.rs", src);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, RuleId::Lint004);
-        assert!(v[0].message.contains("Scalar-generic cost module"), "{v:?}");
-        let elsewhere = lint_path("crates/core/src/step.rs", src);
-        assert!(elsewhere.is_empty(), "{elsewhere:?}");
-    }
-
-    #[test]
-    fn f64_marker_tests_and_comments_are_exempt() {
-        let src = "// doc mentioning f64 freely\npub fn g<S: Scalar>(x: S) -> S {\n    x\n}\n// lint: allow(f64) — fixture\nfn fixture() -> f64 { 1.0 }\n#[cfg(test)]\nmod tests {\n    fn t() { let _: f64 = 1e15f64; }\n}\n";
-        let v = lint_path("crates/numerics/src/costs.rs", src);
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
     fn flags_wire_protocol_types_below_core_only() {
         let src = "use parallelism_core::query::Query;\nfn f() {}\n";
         let v = lint_path("crates/collectives/src/cost.rs", src);
@@ -297,15 +239,5 @@ mod tests {
             "fn f() {\n    // lint: allow(trace-vec) — oracle reference\n    let buf: Vec<TraceEvent> = Vec::new();\n}\n",
         );
         assert!(ok.is_empty(), "{ok:?}");
-    }
-
-    #[test]
-    fn f64_token_matching_is_word_boundary_aware() {
-        assert!(contains_f64_token("let x: f64 = 1.0;"));
-        assert!(contains_f64_token("(1e15f64 / 2.0)"));
-        assert!(contains_f64_token("y as f64"));
-        assert!(!contains_f64_token("t.as_secs_f64()"));
-        assert!(!contains_f64_token("let f64x = 3;"));
-        assert!(!contains_f64_token("nothing here"));
     }
 }

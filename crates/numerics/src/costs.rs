@@ -1,29 +1,23 @@
-//! Closed-form cost primitives, generic over [`Scalar`].
+//! Closed-form cost primitives.
 //!
 //! These are the innermost real-arithmetic expressions of the α–β
-//! collective model and the roofline kernel model, written once so the
-//! exhaustive search prices them in plain floats and the guided search
-//! differentiates them with [`crate::dual::Dual`]. Call sites that
-//! need today's bit-identical float behaviour instantiate them at the
-//! float type; the expressions use the exact operation order of the
-//! code they replaced.
-//!
-//! Repo rule (enforced by `llama3sim lint`'s LINT004): no
-//! direct float arithmetic in this module — every quantity is an `S`
-//! and every constant enters through [`Scalar::lit`], so the two
-//! pricing paths cannot silently diverge.
-
-use crate::scalar::Scalar;
+//! collective model and the roofline kernel model, written once and
+//! shared by the collective cost model and the step model. Each keeps
+//! the exact operation order of the code it replaced, so prices stay
+//! bit-identical. Each is `#[inline]` so callers in other crates can
+//! fold it into their own arithmetic.
 
 /// Wire time of moving `bytes` over a link of effective bandwidth
 /// `bw` (bytes/s): `bytes / bw`.
-pub fn transfer_s<S: Scalar>(bytes: S, bw: S) -> S {
+#[inline]
+pub fn transfer_s(bytes: f64, bw: f64) -> f64 {
     bytes / bw
 }
 
 /// Serial ring-phase wire time: `steps` steps each moving `bytes`
 /// over effective bandwidth `bw`, i.e. `steps · bytes / bw`.
-pub fn ring_transfer_s<S: Scalar>(steps: S, bytes: S, bw: S) -> S {
+#[inline]
+pub fn ring_transfer_s(steps: f64, bytes: f64, bw: f64) -> f64 {
     steps * bytes / bw
 }
 
@@ -31,41 +25,45 @@ pub fn ring_transfer_s<S: Scalar>(steps: S, bytes: S, bw: S) -> S {
 /// bytes / hbm_bw)` — compute-bound or memory-bound, whichever
 /// dominates. Launch overhead is layered on by the caller (it is a
 /// count, not real arithmetic).
-pub fn kernel_busy_s<S: Scalar>(flops: S, eff_flops: S, bytes: S, hbm_bw: S) -> S {
+#[inline]
+pub fn kernel_busy_s(flops: f64, eff_flops: f64, bytes: f64, hbm_bw: f64) -> f64 {
     (flops / eff_flops).max(bytes / hbm_bw)
 }
 
 /// Shards a linear quantity (flops, bytes) evenly over `ways` ranks.
-pub fn linear_shard<S: Scalar>(x: S, ways: S) -> S {
+#[inline]
+pub fn linear_shard(x: f64, ways: f64) -> f64 {
     x / ways
 }
 
 /// The paper's closed-form pipeline-bubble ratio estimate
 /// `(pp − 1) / nmb / v` (§3.1.1).
-pub fn bubble_ratio<S: Scalar>(pp: S, nmb: S, v: S) -> S {
-    (pp - S::lit(1.0)) / nmb / v
+#[inline]
+pub fn bubble_ratio(pp: f64, nmb: f64, v: f64) -> f64 {
+    (pp - 1.0) / nmb / v
 }
 
 /// Model TFLOPs per GPU: `flops / seconds / ngpus / 1e12`.
-pub fn tflops_per_gpu<S: Scalar>(flops: S, seconds: S, ngpus: S) -> S {
-    flops / seconds / ngpus / S::lit(1e12)
+#[inline]
+pub fn tflops_per_gpu(flops: f64, seconds: f64, ngpus: f64) -> f64 {
+    flops / seconds / ngpus / 1e12
 }
 
 /// Attention kernel flops from the attended-pair count:
 /// `flops_per_pair_per_headdim · head_dim · num_heads · pairs`.
-pub fn attention_pair_flops<S: Scalar>(
-    flops_per_pair_per_headdim: S,
-    head_dim: S,
-    num_heads: S,
-    pairs: S,
-) -> S {
+#[inline]
+pub fn attention_pair_flops(
+    flops_per_pair_per_headdim: f64,
+    head_dim: f64,
+    num_heads: f64,
+    pairs: f64,
+) -> f64 {
     flops_per_pair_per_headdim * head_dim * num_heads * pairs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dual::Dual;
 
     #[test]
     fn expressions_match_plain_float_arithmetic() {
@@ -85,27 +83,5 @@ mod tests {
             attention_pair_flops(4.0, 128.0, 64.0, 1e8),
             4.0 * 128.0 * 64.0 * 1e8
         );
-    }
-
-    #[test]
-    fn duals_differentiate_the_same_expressions() {
-        // ∂/∂bytes transfer = 1/bw.
-        let t = transfer_s(Dual::<1>::var(8e9, 0), Dual::constant(4e9));
-        assert!((t.d[0] - 1.0 / 4e9).abs() < 1e-24);
-        // Compute-bound roofline: sensitive to flops, not bytes.
-        let busy = kernel_busy_s(
-            Dual::<2>::var(1e15, 0),
-            Dual::constant(5e14),
-            Dual::<2>::var(1e9, 1),
-            Dual::constant(3e12),
-        );
-        assert!(busy.d[0] > 0.0 && busy.d[1] == 0.0);
-        // ∂/∂pp bubble = 1/(nmb·v).
-        let b = bubble_ratio(
-            Dual::<1>::var(16.0, 0),
-            Dual::constant(128.0),
-            Dual::constant(8.0),
-        );
-        assert!((b.d[0] - 1.0 / (128.0 * 8.0)).abs() < 1e-15);
     }
 }

@@ -8,11 +8,8 @@
 //! training loop demonstrating why Llama 3 accumulates gradients in
 //! FP32.
 //!
-//! The crate also hosts the differentiable-arithmetic substrate of the
-//! gradient-guided auto-parallelism search: forward-mode dual numbers
-//! ([`dual::Dual`]), the [`scalar::Scalar`] trait that lets one cost
-//! expression price both `f64` and duals, and the shared closed-form
-//! cost primitives ([`costs`]).
+//! The crate also hosts the shared closed-form cost primitives of the
+//! collective and step models ([`costs`]).
 //!
 //! ```
 //! use numerics::bf16::Bf16;
@@ -26,17 +23,13 @@
 pub mod attention;
 pub mod bf16;
 pub mod costs;
-pub mod dual;
 pub mod gemm;
 pub mod parity;
 pub mod reduce;
-pub mod scalar;
 pub mod tensor;
 pub mod training;
 
 pub use bf16::Bf16;
-pub use dual::Dual;
 pub use gemm::GemmPrecision;
 pub use parity::{diagnose, Diagnosis};
-pub use scalar::Scalar;
 pub use tensor::Matrix;

@@ -3,108 +3,12 @@
 use llm_model::masks::MaskSpec;
 use numerics::attention::{attention_direct, cp_allgather_attention};
 use numerics::bf16::Bf16;
-use numerics::costs::{
-    attention_pair_flops, bubble_ratio, kernel_busy_s, linear_shard, ring_transfer_s,
-    tflops_per_gpu, transfer_s,
-};
-use numerics::dual::Dual;
 use numerics::gemm::{gemm, gemm_k_split, gemm_matched_chunks, GemmPrecision};
 use numerics::reduce::{reduce, reduce_exact, ReduceOrder, ReducePrecision};
 use numerics::tensor::Matrix;
 use proptest::prelude::*;
 
-/// Checks every Dual partial of an `N`-ary cost expression against a
-/// central finite difference of its `f64` evaluation, to 1e-6 relative.
-fn partials_match_fd<const N: usize>(
-    dual_f: impl Fn([Dual<N>; N]) -> Dual<N>,
-    float_f: impl Fn([f64; N]) -> f64,
-    x: [f64; N],
-) -> Result<(), TestCaseError> {
-    let out = dual_f(std::array::from_fn(|i| Dual::var(x[i], i)));
-    prop_assert!(out.v.is_finite(), "non-finite value at {x:?}");
-    for i in 0..N {
-        let h = (x[i].abs() * 3e-4).max(1e-7);
-        let mut hi = x;
-        hi[i] += h;
-        let mut lo = x;
-        lo[i] -= h;
-        let fd = (float_f(hi) - float_f(lo)) / (2.0 * h);
-        // Scale by the largest of: both derivative estimates, the
-        // value's own magnitude (partials near a cancellation are
-        // meaningless below the value's noise floor), and 1.
-        let scale = out.d[i].abs().max(fd.abs()).max(1e-6 * out.v.abs()).max(1.0);
-        prop_assert!(
-            (out.d[i] - fd).abs() <= 1e-6 * scale,
-            "∂/∂x{i} at {x:?}: dual {} vs fd {fd}",
-            out.d[i]
-        );
-    }
-    Ok(())
-}
-
 proptest! {
-    /// Every cost-expression partial produced by forward-mode duals
-    /// matches a central finite difference of the f64 evaluation to
-    /// 1e-6 relative, over inputs spanning six orders of magnitude —
-    /// the guarantee that lets the guided search trust its gradients.
-    #[test]
-    fn cost_partials_match_finite_differences(
-        la in -2.0f64..7.0,
-        lb in -2.0f64..7.0,
-        lc in 0.1f64..3.0,
-        ld in 0.1f64..3.0,
-    ) {
-        let (a, b) = (10f64.powf(la), 10f64.powf(lb));
-        let (c, d) = (10f64.powf(lc), 10f64.powf(ld));
-        partials_match_fd(|[x, w]| transfer_s(x, w), |[x, w]| transfer_s(x, w), [a, b])?;
-        partials_match_fd(
-            |[s, x, w]| ring_transfer_s(s, x, w),
-            |[s, x, w]| ring_transfer_s(s, x, w),
-            [c, a, b],
-        )?;
-        partials_match_fd(|[x, n]| linear_shard(x, n), |[x, n]| linear_shard(x, n), [a, c])?;
-        partials_match_fd(
-            |[p, n, v]| bubble_ratio(p, n, v),
-            |[p, n, v]| bubble_ratio(p, n, v),
-            [c, d, 1.0f64.max(c / 2.0)],
-        )?;
-        partials_match_fd(
-            |[f, t, g]| tflops_per_gpu(f, t, g),
-            |[f, t, g]| tflops_per_gpu(f, t, g),
-            [a * 1e9, b.max(1e-3), c],
-        )?;
-        partials_match_fd(
-            |[k, hd, nh, pr]| attention_pair_flops(k, hd, nh, pr),
-            |[k, hd, nh, pr]| attention_pair_flops(k, hd, nh, pr),
-            [c, d * 32.0, c * 4.0, a],
-        )?;
-    }
-
-    /// The roofline max() is piecewise-smooth: away from the kink where
-    /// the compute and memory branches cross, dual partials must match
-    /// finite differences exactly like any other expression.
-    #[test]
-    fn kernel_busy_partials_match_fd_away_from_the_roofline_kink(
-        lf in 6.0f64..15.0,
-        le in 12.0f64..15.0,
-        lby in 3.0f64..12.0,
-        lbw in 10.0f64..13.0,
-    ) {
-        let (flops, eff) = (10f64.powf(lf), 10f64.powf(le));
-        let (bytes, bw) = (10f64.powf(lby), 10f64.powf(lbw));
-        let compute = flops / eff;
-        let mem = bytes / bw;
-        // Skip draws that land on the kink itself (the vendored
-        // proptest has no prop_assume; the kink set has measure zero).
-        if (compute - mem).abs() > 1e-2 * compute.max(mem) {
-            partials_match_fd(
-                |[f, e, by, w]| kernel_busy_s(f, e, by, w),
-                |[f, e, by, w]| kernel_busy_s(f, e, by, w),
-                [flops, eff, bytes, bw],
-            )?;
-        }
-    }
-
     /// BF16 round-trip through f32 is idempotent (a BF16 value
     /// re-quantizes to itself), and quantization error is within half a
     /// ulp of the 8-bit significand.

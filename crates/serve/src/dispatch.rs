@@ -11,12 +11,13 @@
 //!    first is still computing block on one shared flight instead of
 //!    recomputing: a thundering herd of N clients costs one search.
 //!    The canonical hash normalizes execution hints (the `threads`
-//!    knob) away first.
-//! 3. **Frontier reuse.** Exhaustive searches that differ only in
-//!    `max_cp` (or in the finishing knobs `goodput_head` / `expect` /
-//!    `threads`) share funnel stages 1–3: the dispatcher keeps the
-//!    widest [`SearchOutcomes`] per search family and derives narrower
-//!    reports via [`restrict_max_cp`] + [`finish_search`].
+//!    knob, and search's no-op `guided` key) away first.
+//! 3. **Frontier reuse.** Searches that differ only in `max_cp` (or in
+//!    the finishing knobs `goodput_head` / `expect`, or in hints)
+//!    share funnel stages 1–3: the dispatcher keeps the widest
+//!    [`SearchOutcomes`] per search family and derives narrower reports
+//!    via [`restrict_max_cp`] (which replays the bounded walk) +
+//!    [`finish_search`].
 //!
 //! `bench` and `goodput` responses carry wall-clock measurements, so
 //! they are computed fresh on every dispatch and never cached or
@@ -203,16 +204,6 @@ impl Dispatcher {
         q: &SearchQuery,
         spec: &SearchSpec,
     ) -> Result<Arc<SearchOutcomes>, QueryError> {
-        // The guided strategy prunes candidates along its descent path,
-        // so its outcome set is not a function of the family alone:
-        // never reuse across (or into) guided runs.
-        if q.guided {
-            self.counters.searches_computed.fetch_add(1, Ordering::Relaxed);
-            return search_outcomes(spec)
-                .map(Arc::new)
-                .map_err(|e| QueryError::new(format!("search failed: {e}")));
-        }
-
         let family = search_family_key(q);
         {
             let cache = lock_or_recover(&self.outcomes);
@@ -277,16 +268,14 @@ impl Dispatcher {
 }
 
 /// The search family: the canonical wire line with every
-/// finishing-stage knob (`max_cp`, `head`, `expect`, and the `threads`
-/// hint) zeroed out. Two queries in one family share funnel stages
-/// 1–3 exactly.
+/// finishing-stage knob (`max_cp`, `head`, `expect`) zeroed out. Two
+/// queries in one family share funnel stages 1–3 exactly.
 fn search_family_key(q: &SearchQuery) -> String {
     let mut family = q.clone();
     family.max_cp = 0;
     family.goodput_head = 0;
     family.expect = None;
-    family.threads = 0;
-    Query::Search(family).to_wire()
+    Query::Search(family).canonical_wire()
 }
 
 /// GPUs per node for trace fault timelines: the paper's 8-GPU hosts,

@@ -1,17 +1,18 @@
-//! The serve conformance oracle (oracle 11, numbered after the ten in
+//! The serve conformance oracle (oracle 11; the others live in
 //! `conformance::oracles`): for every config in the 64-point
 //! conformance grid, the HTTP daemon's response must be byte-identical
 //! to a direct `Dispatcher::dispatch` — both on a cold cache (first
 //! pass computes every config) and on the shared warm cache (second
 //! pass must serve memoized responses, still identical) — and so must
 //! every reply to concurrent clients replaying a mixed grid + search
-//! workload.
+//! workload, and every search reply narrowed from a wider one.
 //!
 //! It lives here rather than in `crates/conformance` because the
 //! dependency arrow points the other way: serve sits above conformance
 //! in the workspace layering.
 
 use parallelism_core::query::{AnalyzeMode, Query, SearchQuery};
+use parallelism_core::Workload;
 use serve::{Dispatcher, ServeClient, Server};
 use std::sync::{Arc, Barrier};
 
@@ -75,6 +76,34 @@ fn small_search(max_cp: u32) -> SearchQuery {
         budget: 131_072,
         max_cp,
         ..SearchQuery::default()
+    }
+}
+
+#[test]
+fn narrowed_search_replies_equal_a_direct_dispatch() {
+    // A dispatcher that answered a wider `max_cp` derives the narrower
+    // reply from the cached outcomes: for training that replays the
+    // bounded walk, and the serving enumerator has no CP axis at all.
+    // Either way the bytes must equal a fresh dispatcher's.
+    let infer = |max_cp| SearchQuery {
+        model: "8b".into(),
+        gpus: 64,
+        max_cp,
+        workload: Workload::Inference,
+        ..SearchQuery::default()
+    };
+    for (wide, narrow) in [
+        (infer(4), infer(2)),
+        (small_search(4), small_search(2)),
+        (small_search(4), small_search(1)),
+    ] {
+        let reused = Dispatcher::new();
+        reused.dispatch(&Query::Search(wide)).expect("wide search");
+        let narrow = Query::Search(narrow);
+        let derived = reused.dispatch(&narrow).expect("narrowed search").render_wire();
+        assert_eq!(reused.stats().frontier_reuses, 1, "{}", narrow.to_wire());
+        let direct = Dispatcher::new().dispatch(&narrow).expect("direct search").render_wire();
+        assert_eq!(derived, direct, "{}", narrow.to_wire());
     }
 }
 

@@ -16,7 +16,7 @@ cargo test -q --workspace
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> llama3sim lint (hygiene LINT001 + LINT004-007 + concurrency LOCK001-003: lock hierarchy, condvar discipline, no compute under a guard)"
+echo "==> llama3sim lint (hygiene LINT001 + LINT005-007 + concurrency LOCK001-003: lock hierarchy, condvar discipline, no compute under a guard)"
 cargo run --release -q --bin llama3sim -- lint
 
 echo "==> interleave battery: exhaustive bounded-schedule model check of the coalescing protocol"
@@ -52,11 +52,11 @@ cargo run --release -q --bin llama3sim -- goodput
 echo "==> infer smoke: 405B/16K continuous-batching day across all three traffic shapes, thread-count invariant (writes BENCH_infer.json)"
 cargo run --release -q --bin llama3sim -- infer --grid --json
 
-echo "==> auto-parallelism search smoke: Table 2's 405B/16K mesh must be on the cp=1 frontier"
+echo "==> auto-parallelism search smoke: Table 2's 405B/16K mesh must be on the cp=1 frontier (writes BENCH_search.json)"
 cargo run --release -q --bin llama3sim -- search --max-cp 1 --expect 8,1,16,128
 
-echo "==> guided search smoke: gradient-guided strategy must recover the same cp=1 frontier point (writes BENCH_search.json)"
-cargo run --release -q --bin llama3sim -- search --guided --max-cp 1 --expect 8,1,16,128
+echo "==> full 405B/16K search: the walk's step-time bound holds on every memory-passing candidate"
+cargo test --release -q -p parallelism-core --lib search::tests::full_space_bound_is_sound -- --ignored
 
 echo "==> committed BENCH_*.json envelopes must equal the ones regenerated above"
 git diff --exit-code -- 'BENCH_*.json'

@@ -241,46 +241,8 @@ fn run_search(rest: &[String]) -> Result<i32, String> {
     println!("{}", response.render_human());
     println!("searched in {wall_ms:.0} ms");
 
-    // With --guided, also run (and time) the exhaustive baseline; the
-    // snapshot pins whether the frontiers agree.
-    let frontier_matches = if query.guided {
-        let ex_query = SearchQuery {
-            guided: false,
-            ..query.clone()
-        };
-        let t1 = Instant::now();
-        match d.dispatch(&Query::Search(ex_query)) {
-            Ok(Response::Search(ex)) => {
-                let ex_ms = t1.elapsed().as_secs_f64() * 1e3;
-                let matches = ex.report.frontier.len() == r.report.frontier.len()
-                    && ex
-                        .report
-                        .frontier
-                        .iter()
-                        .zip(&r.report.frontier)
-                        .all(|(a, b)| a.config == b.config && a.step_time == b.step_time);
-                println!(
-                    "exhaustive baseline in {ex_ms:.0} ms ({:.1}x speedup, frontier match: {matches})",
-                    ex_ms / wall_ms.max(1e-9)
-                );
-                Some(matches)
-            }
-            Ok(_) => {
-                return Err("search dispatch returned a non-search response".to_string());
-            }
-            Err(e) => {
-                let msg = e.to_string();
-                let msg = msg.strip_prefix("search failed: ").unwrap_or(&msg);
-                eprintln!("error: exhaustive baseline failed: {msg}");
-                return Ok(1);
-            }
-        }
-    } else {
-        None
-    };
-
     let spec = query.to_spec().map_err(|e| e.to_string())?;
-    let mut envelope = search_envelope(&query, &spec, &r.report, frontier_matches);
+    let mut envelope = search_envelope(&query, &spec, &r.report);
     let mut code = 0;
     if let Some((tp, cp, pp, dp)) = query.expect {
         let hit = r.expect_hit == Some(true);
