@@ -7,8 +7,33 @@
 //! Every subcommand consumes its flags through a [`Flags`] cursor and
 //! finishes with [`Flags::finish`] or [`Flags::query`], so unknown or
 //! leftover arguments fail the same way everywhere.
+//!
+//! All CLI stdout goes through [`out`] and [`outln`], which end the
+//! process quietly when the reader closes the pipe early.
 
 use parallelism_core::query::QueryError;
+use std::fmt::Display;
+use std::io::{ErrorKind, Write};
+
+/// Writes `text` to stdout and flushes. When the reader has gone away
+/// (`BrokenPipe`) the process exits with code 0 and prints nothing, as
+/// a command-line filter does; any other write error is reported on
+/// stderr and exits with code 1.
+pub fn out(text: impl Display) {
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = write!(stdout, "{text}").and_then(|()| stdout.flush()) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// [`out`] with a trailing newline.
+pub fn outln(text: impl Display) {
+    out(format_args!("{text}\n"));
+}
 
 /// A CLI-only flag: its name (spelled `--name`), the placeholder of its
 /// value (`None` for a bare switch) and its usage help.

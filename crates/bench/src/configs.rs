@@ -100,7 +100,8 @@ pub fn production_long_context(seed: u64) -> StepModel {
 
 /// An 8 K-GPU 405B short-context step (tp 8 / cp 1 / pp 16 / dp 64,
 /// bs 16, seq 8192) — the folded-vs-full fidelity comparison
-/// configuration used by the perf snapshot.
+/// configuration of the determinism tests and the `perfbench`
+/// `train_step` workload.
 pub fn production_8k_gpu_step(bs: u32) -> StepModel {
     let cfg = TransformerConfig::llama3_405b().with_layers(128);
     let layout = ModelLayout::text(cfg);

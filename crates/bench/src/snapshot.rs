@@ -1,45 +1,24 @@
 //! Library entry points for the snapshot subcommands (`llama3sim
-//! bench|goodput|search|infer|trace`).
+//! goodput|search|infer|trace`).
 //!
-//! `bench` only prints its wall-clock spot timings. Each other runner
-//! prints its human-readable summary to stdout, writes the
+//! Each runner prints its human-readable summary to stdout, writes the
 //! machine-readable [`Report`](crate::report::Report) envelope into the
 //! working directory (`BENCH_goodput.json`, `BENCH_search.json`,
 //! `BENCH_infer.json`, `BENCH_trace.json`), and returns a process exit
-//! code. The envelopes hold deterministic values only, so a re-run
-//! reproduces them byte for byte; timing is the `perfbench` harness's,
-//! with repeats and spread. With `--json` the envelope is also printed
-//! to stdout, after the human text, so scripted callers need not
-//! re-read the file.
+//! code. Answers and envelopes hold deterministic values only, so a
+//! re-run reproduces them byte for byte; timing is the `perfbench`
+//! harness's, with repeats and spread. With `--json` the envelope is
+//! also printed to stdout, after the human text, so scripted callers
+//! need not re-read the file.
 
-use crate::configs::production_8k_gpu_step;
+use crate::cli::{out, outln};
 use crate::experiments::goodput as goodput_exp;
 use crate::report::Report;
-use parallelism_core::planner::{plan, PlannerInput};
 use parallelism_core::query::{
-    BenchResponse, GoodputResponse, InferQuery, InferResponse, Response, SearchQuery, TraceQuery,
-    TraceResponse,
+    GoodputResponse, InferQuery, InferResponse, SearchQuery, TraceQuery, TraceResponse,
 };
 use parallelism_core::search::{SearchReport, SearchSpec};
-use parallelism_core::step::{SimFidelity, SimOptions};
-use parallelism_core::TrafficShape;
-use sim_engine::fluid::{FluidNet, Transfer};
-use sim_engine::time::SimTime;
-use std::time::Instant;
-
-/// Median wall-clock milliseconds of `iters` runs of `f`.
-fn time_ms<T>(iters: u32, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut samples = Vec::with_capacity(iters as usize);
-    let mut last = None;
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        let out = std::hint::black_box(f());
-        samples.push(t0.elapsed().as_secs_f64() * 1e3);
-        last = Some(out);
-    }
-    samples.sort_by(f64::total_cmp);
-    (samples[samples.len() / 2], last.unwrap())
-}
+use parallelism_core::SimError;
 
 /// Writes `report` to `path`, prints the `wrote {path}` confirmation
 /// line and, with `json`, the envelope itself. Returns the exit code.
@@ -48,113 +27,41 @@ pub fn emit(report: &Report, path: &str, json: bool) -> i32 {
         eprintln!("error: writing {path}: {e}");
         return 1;
     }
-    println!("wrote {path}");
+    outln(format_args!("wrote {path}"));
     if json {
-        print!("{}", report.render_json());
+        out(report.render_json());
     }
     0
 }
 
-/// Measures the `bench` numbers: wall-clock timings of the simulator's
-/// hot paths. This is the computation behind `Query::Bench`; the
-/// payload is inherently wall-clock, so the serve dispatcher computes
-/// it fresh on every dispatch.
-pub fn measure_perf() -> BenchResponse {
-    // 1. Planning throughput: the full §5.1 sweep at production scale.
-    let (plan_ms, p) = time_ms(5, || {
-        plan(&PlannerInput::llama3_405b(16_384, 8_192)).expect("405B@16K must be plannable")
-    });
-
-    // 2. Folded vs full step simulation on the 8 K-GPU 405B step.
-    let step = production_8k_gpu_step(16);
-    let folded_opts = SimOptions::new().fidelity(SimFidelity::Folded);
-    let full_opts = SimOptions::new().fidelity(SimFidelity::Full);
-    let (folded_ms, folded) = time_ms(5, || step.run(&folded_opts).expect("valid step").report);
-    let (full_ms, full) = time_ms(3, || step.run(&full_opts).expect("valid step").report);
-
-    // 3. Fluid solver on 1 024 transfers, one per link (the disjoint
-    //    single-link fast path).
-    let mut net = FluidNet::new();
-    let links: Vec<_> = (0..1024).map(|_| net.add_link(50e9)).collect();
-    let transfers: Vec<Transfer> = links
-        .iter()
-        .enumerate()
-        .map(|(i, &l)| Transfer {
-            route: vec![l],
-            bytes: (1 + i as u64 % 64) as f64 * (1 << 20) as f64,
-            start: SimTime::from_nanos(i as u64 * 100),
-        })
-        .collect();
-    let (fluid_ms, outcomes) = time_ms(9, || net.run(transfers.clone()).expect("valid transfers"));
-
-    BenchResponse {
-        plan_ms,
-        plan_mesh: p.mesh.to_string(),
-        folded_ms,
-        full_ms,
-        identical: folded == full,
-        fluid_ms,
-        fluid_outcomes: outcomes.len(),
-    }
-}
-
 /// Runs the seeded 24-hour 16 K-GPU 405B goodput simulation under
-/// production fault rates and flattens the report into the query
-/// response. This is the computation behind `Query::Goodput`.
-///
-/// # Panics
-/// Panics if the simulated day exceeds the 60 s interactivity budget —
-/// the snapshot's acceptance bar.
-pub fn measure_goodput() -> GoodputResponse {
-    let t0 = Instant::now();
-    let run = goodput_exp::production_run(900.0).expect("production run must build");
-    let report = run.simulate().expect("production run must simulate");
-    let sim_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    // The acceptance bar: a full simulated day at 16 K GPUs must be
-    // interactive, not an overnight job.
-    assert!(
-        sim_ms < 60_000.0,
-        "24 h goodput sim took {sim_ms:.0} ms (budget 60 s)"
-    );
-
-    GoodputResponse {
-        sim_wall_ms: sim_ms,
+/// production fault rates: the deterministic computation behind
+/// `Query::Goodput`. Errs only if the production run fails to simulate.
+pub fn measure_goodput() -> Result<GoodputResponse, SimError> {
+    let report = goodput_exp::production_run(900.0)?.simulate()?;
+    Ok(GoodputResponse {
         seed: goodput_exp::SEED,
-        wall_time_s: report.wall_time_s,
-        goodput: report.goodput,
-        steps_completed: report.steps_completed,
-        restarts: report.restarts,
-        healthy_step_s: report.healthy_step_s,
-        loss_checkpoint_s: report.loss.checkpoint_s,
-        loss_detect_s: report.loss.detect_s,
-        loss_restart_s: report.loss.restart_s,
-        loss_rework_s: report.loss.rework_s,
-        loss_degraded_s: report.loss.degraded_s,
-        checkpoint_bytes_per_rank: report.checkpoint_bytes_per_rank,
-        checkpoint_write_s: report.checkpoint_write_s,
-        checkpoint_interval_s: report.checkpoint_interval_s,
-        young_daly_interval_s: report.young_daly_interval_s,
-        mtbf_s: report.mtbf_s,
-    }
+        report,
+    })
 }
 
 /// Builds the `BENCH_goodput.json` envelope from a measured run.
-pub fn goodput_envelope(r: &GoodputResponse) -> Report {
+pub fn goodput_envelope(g: &GoodputResponse) -> Report {
+    let r = &g.report;
     Report::new("goodput")
         .config_str("run_config", "llama3-405b @ 16384 GPUs, production fault rates")
-        .config("seed", format!("{}", r.seed))
+        .config("seed", format!("{}", g.seed))
         .config("horizon_s", format!("{:.1}", r.wall_time_s))
         .metric("goodput", format!("{:.6}", r.goodput))
         .metric("effective_training_time_ratio", format!("{:.6}", r.goodput))
         .metric("steps_completed", r.steps_completed)
         .metric("restarts", r.restarts)
         .metric("healthy_step_s", format!("{:.6}", r.healthy_step_s))
-        .metric("loss_checkpoint_s", format!("{:.3}", r.loss_checkpoint_s))
-        .metric("loss_detect_s", format!("{:.3}", r.loss_detect_s))
-        .metric("loss_restart_s", format!("{:.3}", r.loss_restart_s))
-        .metric("loss_rework_s", format!("{:.3}", r.loss_rework_s))
-        .metric("loss_degraded_s", format!("{:.3}", r.loss_degraded_s))
+        .metric("loss_checkpoint_s", format!("{:.3}", r.loss.checkpoint_s))
+        .metric("loss_detect_s", format!("{:.3}", r.loss.detect_s))
+        .metric("loss_restart_s", format!("{:.3}", r.loss.restart_s))
+        .metric("loss_rework_s", format!("{:.3}", r.loss.rework_s))
+        .metric("loss_degraded_s", format!("{:.3}", r.loss.degraded_s))
         .metric("checkpoint_bytes_per_rank", r.checkpoint_bytes_per_rank)
         .metric("checkpoint_write_s", format!("{:.3}", r.checkpoint_write_s))
         .metric(
@@ -212,22 +119,6 @@ pub fn search_envelope(q: &SearchQuery, spec: &SearchSpec, report: &SearchReport
             .metric("best_goodput", format!("{:.6}", g.goodput.unwrap_or(0.0)));
     }
     envelope
-}
-
-/// Computes one infer query directly (the same computation the serve
-/// dispatcher caches): resolve the mesh, generate the seeded trace,
-/// simulate to drain.
-fn compute_infer(q: &InferQuery) -> Result<InferResponse, String> {
-    let model = q.to_model().map_err(|e| e.message)?;
-    let requests = q.traffic_spec().generate();
-    let report = model.simulate(&requests);
-    Ok(InferResponse {
-        model: q.model.clone(),
-        plan: model.spec.plan,
-        traffic: q.traffic,
-        offered: requests.len() as u64,
-        report,
-    })
 }
 
 /// Builds the `BENCH_infer.json` envelope from one or more simulated
@@ -288,60 +179,6 @@ pub fn infer_envelope(q: &InferQuery, rows: &[InferResponse]) -> Report {
             );
     }
     envelope
-}
-
-/// The `infer` subcommand: price a serving workload (or, with `grid`,
-/// the full three-shape traffic envelope) and write `BENCH_infer.json`;
-/// `json` also prints the envelope.
-pub fn run_infer(query: &InferQuery, grid: bool, json: bool) -> i32 {
-    let shapes: Vec<TrafficShape> = if grid {
-        TrafficShape::ALL.to_vec()
-    } else {
-        vec![query.traffic]
-    };
-    let t0 = Instant::now();
-    let mut rows = Vec::with_capacity(shapes.len());
-    for shape in shapes {
-        let q = InferQuery {
-            traffic: shape,
-            ..query.clone()
-        };
-        match compute_infer(&q) {
-            Ok(r) => {
-                println!("{}", Response::Infer(Box::new(r.clone())).render_human());
-                println!();
-                // Grid runs double as the thread-invariance smoke: the
-                // first shape is re-simulated single-threaded and must
-                // reproduce the report bit-identically.
-                if grid && rows.is_empty() {
-                    let serial = InferQuery { threads: 1, ..q.clone() };
-                    match compute_infer(&serial) {
-                        Ok(s) if s.report == r.report => {
-                            println!("thread-invariance check: serial re-simulation bit-identical");
-                            println!();
-                        }
-                        Ok(_) => {
-                            eprintln!("error: infer: threads=1 re-simulation diverged from threads={}", q.threads);
-                            return 1;
-                        }
-                        Err(e) => {
-                            eprintln!("error: infer: {e}");
-                            return 1;
-                        }
-                    }
-                }
-                rows.push(r);
-            }
-            Err(e) => {
-                eprintln!("error: infer: {e}");
-                return 1;
-            }
-        }
-    }
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    println!("simulated in {wall_ms:.0} ms");
-    let code = i32::from(rows.iter().all(|r| r.report.completed == 0));
-    emit(&infer_envelope(query, &rows), "BENCH_infer.json", json).max(code)
 }
 
 /// Builds the `BENCH_trace.json` envelope from a trace response. The

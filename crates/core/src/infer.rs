@@ -449,9 +449,9 @@ pub struct RequestOutcome {
     pub prompt_tokens: u64,
     /// Tokens generated (equals the request's `output_tokens`).
     pub output_tokens: u64,
-    /// Instant the prefill pass finished — the first output token.
+    /// Simulated time the prefill pass finished — the first output token.
     pub first_token_ns: u64,
-    /// Instant the last output token was generated.
+    /// Simulated time the last output token was generated.
     pub finish_ns: u64,
 }
 

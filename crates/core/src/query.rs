@@ -38,6 +38,7 @@
 use crate::analyze;
 use crate::fsdp::ZeroMode;
 use crate::infer::{InferPlan, InferReport, InferSpec, InferenceModel};
+use crate::run::GoodputReport;
 use crate::search::{SearchReport, SearchSpec};
 use crate::step::Workload;
 use collectives::CacheStats;
@@ -53,7 +54,10 @@ use workload::traffic::{TrafficShape, TrafficSpec};
 ///   `workload=` key on `search`. Purely additive, so the magic token
 ///   below stays at `llama3sim/1` and every v1 line (and its canonical
 ///   encoding) is byte-identical under v2.
-pub const QUERY_API_VERSION: u32 = 2;
+/// - **v3** — every kind but `stats` is a pure function of its query:
+///   the wall-clock `bench` kind is gone (now an unknown kind) and the
+///   `goodput` answer carries no wall-clock. Other lines are unchanged.
+pub const QUERY_API_VERSION: u32 = 3;
 
 /// The magic token opening every wire line, `llama3sim/<wire-format>`.
 /// This tracks the *line format*, which has not changed; see
@@ -412,8 +416,6 @@ pub enum Query {
     Analyze(AnalyzeMode),
     /// Seeded conformance fuzz sweep.
     Fuzz(FuzzQuery),
-    /// Wall-clock performance snapshot of the simulator's hot paths.
-    Bench,
     /// The seeded 24 h production goodput simulation.
     Goodput,
     /// The Pareto auto-parallelism search.
@@ -911,7 +913,6 @@ impl Query {
         match self {
             Query::Analyze(_) => "analyze",
             Query::Fuzz(_) => "fuzz",
-            Query::Bench => "bench",
             Query::Goodput => "goodput",
             Query::Search(_) => "search",
             Query::Stats => "stats",
@@ -931,7 +932,7 @@ impl Query {
             Query::Search(q) => q.encode(&mut out),
             Query::Trace(q) => q.encode(&mut out),
             Query::Infer(q) => q.encode(&mut out),
-            Query::Bench | Query::Goodput | Query::Stats => {}
+            Query::Goodput | Query::Stats => {}
         }
         out
     }
@@ -997,11 +998,10 @@ impl Query {
             "search" => SearchQuery::decode(&pairs).map(Query::Search),
             "trace" => TraceQuery::decode(&pairs).map(Query::Trace),
             "infer" => InferQuery::decode(&pairs).map(Query::Infer),
-            "bench" => bare(Query::Bench),
             "goodput" => bare(Query::Goodput),
             "stats" => bare(Query::Stats),
             other => Err(QueryError::new(format!(
-                "unknown query kind {other:?} (want analyze|fuzz|bench|goodput|search|stats|trace|infer)"
+                "unknown query kind {other:?} (want analyze|fuzz|goodput|search|stats|trace|infer)"
             ))),
         }
     }
@@ -1140,96 +1140,22 @@ impl FuzzResponse {
     }
 }
 
-/// The `bench` response payload: wall-clock timings of the simulator's
-/// hot paths. Inherently nondeterministic — the only response kind
-/// whose payload is wall-clock, which is why the serve dispatcher
-/// never caches it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchResponse {
-    /// Median §5.1 planning sweep at 405B@16K, milliseconds.
-    pub plan_ms: f64,
-    /// The planner's chosen mesh, display form.
-    pub plan_mesh: String,
-    /// Median folded 8K-GPU step simulation, milliseconds.
-    pub folded_ms: f64,
-    /// Median full-fidelity step simulation, milliseconds.
-    pub full_ms: f64,
-    /// Whether folded and full reports were bit-identical.
-    pub identical: bool,
-    /// Median fluid solve of 1 024 transfers, milliseconds.
-    pub fluid_ms: f64,
-    /// Outcome count of the fluid solve.
-    pub fluid_outcomes: usize,
-}
-
-impl BenchResponse {
-    /// Full-over-folded speedup.
-    pub fn speedup(&self) -> f64 {
-        self.full_ms / self.folded_ms
-    }
-
-    fn render_human(&self) -> String {
-        format!(
-            "plan 405B @ 16K GPUs        {:9.2} ms   ({})\n\
-             folded 8K-GPU 405B step     {:9.2} ms\n\
-             full   8K-GPU 405B step     {:9.2} ms   ({:.1}x, identical: {})\n\
-             fluid solve 1K transfers    {:9.2} ms   ({} outcomes)",
-            self.plan_ms,
-            self.plan_mesh,
-            self.folded_ms,
-            self.full_ms,
-            self.speedup(),
-            self.identical,
-            self.fluid_ms,
-            self.fluid_outcomes
-        )
-    }
-}
-
 /// The `goodput` response payload: the seeded 24 h production run.
+/// Fully deterministic (no wall-clock), so the serve dispatcher caches
+/// and coalesces it like any other pure computation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GoodputResponse {
-    /// Wall-clock of the simulation itself, milliseconds.
-    pub sim_wall_ms: f64,
     /// The fault-timeline seed.
     pub seed: u64,
-    /// Simulated wall time, seconds.
-    pub wall_time_s: f64,
-    /// Goodput (effective-training-time ratio).
-    pub goodput: f64,
-    /// Steps whose work survived to the end of the run.
-    pub steps_completed: u64,
-    /// Job restarts.
-    pub restarts: u32,
-    /// Healthy step time, seconds.
-    pub healthy_step_s: f64,
-    /// Checkpoint write stalls, seconds.
-    pub loss_checkpoint_s: f64,
-    /// Failure-detection lag, seconds.
-    pub loss_detect_s: f64,
-    /// Reschedule plus restore, seconds.
-    pub loss_restart_s: f64,
-    /// Re-executed steps, seconds.
-    pub loss_rework_s: f64,
-    /// Degraded-mode overhead, seconds.
-    pub loss_degraded_s: f64,
-    /// Checkpoint shard size per rank, bytes.
-    pub checkpoint_bytes_per_rank: u64,
-    /// One checkpoint write stall, seconds.
-    pub checkpoint_write_s: f64,
-    /// Configured checkpoint interval, seconds.
-    pub checkpoint_interval_s: f64,
-    /// Young/Daly optimal interval, seconds.
-    pub young_daly_interval_s: f64,
-    /// Mean time between fatal faults, seconds.
-    pub mtbf_s: f64,
+    /// The run's goodput report.
+    pub report: GoodputReport,
 }
 
 impl GoodputResponse {
     fn render_human(&self) -> String {
+        let r = &self.report;
         format!(
             "24 h, 16K GPUs, 405B, seed {:#x}\n\
-             simulated in                {:9.2} ms\n\
              goodput                     {:9.4}\n\
              effective training time     {:9.4}\n\
              steps completed             {:9}\n\
@@ -1240,24 +1166,22 @@ impl GoodputResponse {
              lost to degradation         {:9.0} s\n\
              Young/Daly interval         {:9.0} s (simulated: {:.0} s)",
             self.seed,
-            self.sim_wall_ms,
-            self.goodput,
-            self.goodput,
-            self.steps_completed,
-            self.restarts,
-            self.loss_checkpoint_s,
-            self.loss_rework_s,
-            self.loss_detect_s + self.loss_restart_s,
-            self.loss_degraded_s,
-            self.young_daly_interval_s,
-            self.checkpoint_interval_s
+            r.goodput,
+            r.effective_training_time_ratio(),
+            r.steps_completed,
+            r.restarts,
+            r.loss.checkpoint_s,
+            r.loss.rework_s,
+            r.loss.detect_s + r.loss.restart_s,
+            r.loss.degraded_s,
+            r.young_daly_interval_s,
+            r.checkpoint_interval_s
         )
     }
 }
 
-/// The `search` response payload. Carries no wall-clock — timings are
-/// measured by the caller around the dispatch, so two dispatches of
-/// one query are byte-identical.
+/// The `search` response payload. Carries no wall-clock, so two
+/// dispatches of one query are byte-identical.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchResponse {
     /// The deterministic search report.
@@ -1392,8 +1316,6 @@ pub enum Response {
     Analyze(AnalyzeResponse),
     /// Answer to [`Query::Fuzz`].
     Fuzz(FuzzResponse),
-    /// Answer to [`Query::Bench`].
-    Bench(BenchResponse),
     /// Answer to [`Query::Goodput`].
     Goodput(GoodputResponse),
     /// Answer to [`Query::Search`].
@@ -1412,7 +1334,6 @@ impl Response {
         match self {
             Response::Analyze(_) => "analyze",
             Response::Fuzz(_) => "fuzz",
-            Response::Bench(_) => "bench",
             Response::Goodput(_) => "goodput",
             Response::Search(_) => "search",
             Response::Stats(_) => "stats",
@@ -1421,14 +1342,13 @@ impl Response {
         }
     }
 
-    /// The human rendering — for the deterministic kinds, byte-for-byte
-    /// what the pre-query CLI printed (minus wall-clock and envelope
-    /// lines, which stay with the caller). No trailing newline.
+    /// The human rendering — byte-for-byte what the CLI prints, minus
+    /// the envelope lines, which stay with the caller. No trailing
+    /// newline.
     pub fn render_human(&self) -> String {
         match self {
             Response::Analyze(r) => r.render_human(),
             Response::Fuzz(r) => r.render_human(),
-            Response::Bench(r) => r.render_human(),
             Response::Goodput(r) => r.render_human(),
             Response::Search(r) => r.report.render_human(),
             Response::Stats(r) => r.render_human(),
@@ -1476,7 +1396,6 @@ mod tests {
             Query::Analyze(AnalyzeMode::Grid),
             Query::Analyze(AnalyzeMode::Config("scaled_405b".into())),
             Query::Analyze(AnalyzeMode::GridIndex(17)),
-            Query::Bench,
             Query::Goodput,
             Query::Stats,
             Query::Fuzz(FuzzQuery { cases: 40, seed: 7 }),
@@ -1569,7 +1488,8 @@ mod tests {
             "llama3sim/1 analyze mode=config",
             "llama3sim/1 analyze mode=what",
             "llama3sim/1 fuzz cases",
-            "llama3sim/1 bench cases=1",
+            "llama3sim/1 goodput cases=1",
+            "llama3sim/1 bench",
             "llama3sim/1 trace mode=zoomy",
             "llama3sim/1 trace window=5",
             "llama3sim/1 trace window=9,3",
@@ -1594,6 +1514,9 @@ mod tests {
         ] {
             assert!(Query::parse_wire(bad).is_err(), "{bad:?} should not parse");
         }
+        // The wall-clock `bench` kind is gone from the wire.
+        let bench = Query::parse_wire("llama3sim/1 bench").unwrap_err();
+        assert!(bench.message.starts_with("unknown query kind"), "{}", bench.message);
     }
 
     #[test]

@@ -37,12 +37,10 @@ use parallelism_core::analyze::Diagnostic;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Sources exempt from every rule (relative to the repo root):
-/// figure-generation experiment scripts and the snapshot entry points
-/// behind `llama3sim bench|goodput|search|infer|trace` — bin-style code
-/// living in a library module, where aborting on bad data is the
-/// contract.
-const ALLOWED_PATHS: [&str; 2] = ["crates/bench/src/experiments", "crates/bench/src/snapshot.rs"];
+/// Sources exempt from every rule (relative to the repo root): the
+/// figure-generation experiment scripts — bin-style code living in a
+/// library module, where aborting on bad data is the contract.
+const ALLOWED_PATHS: [&str; 1] = ["crates/bench/src/experiments"];
 
 /// The result of linting a file set.
 #[derive(Debug, Default)]

@@ -12,7 +12,7 @@
 use crate::client::ServeClient;
 use crate::dispatch::Dispatcher;
 use crate::http::Server;
-use bench_harness::cli::{CliFlag, Flags};
+use bench_harness::cli::{outln, CliFlag, Flags};
 use parallelism_core::query::{AnalyzeMode, InferQuery, Query, Response, SearchQuery};
 use parallelism_core::TrafficShape;
 use std::sync::Arc;
@@ -82,10 +82,10 @@ fn serve_forever(addr: &str) -> i32 {
             return 1;
         }
     };
-    println!(
+    outln(format_args!(
         "llama3sim serve: listening on {} (POST /v1/query, GET /v1/stats, GET /healthz)",
         server.addr()
-    );
+    ));
     loop {
         std::thread::sleep(std::time::Duration::from_secs(3600));
     }
@@ -170,10 +170,10 @@ fn self_test() -> i32 {
     }
     drop(client);
     server.stop();
-    println!(
+    outln(format_args!(
         "serve self-test: {} queries on {addr} byte-identical to direct dispatch; clean shutdown",
         queries.len()
-    );
+    ));
     0
 }
 

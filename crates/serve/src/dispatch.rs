@@ -4,9 +4,9 @@
 //! answers a [`Query`] through [`Dispatcher::dispatch`], which layers
 //! three reuse mechanisms over the raw computations:
 //!
-//! 1. **Response cache.** Deterministic responses (`analyze`, `fuzz`,
-//!    `search`, `trace`, `infer`) are memoized by [`Query::canonical_hash`] in a
-//!    bounded FIFO map, so a repeated question is a lookup.
+//! 1. **Response cache.** Every answer but `stats` is a pure function
+//!    of its query, memoized by [`Query::canonical_hash`] in a bounded
+//!    FIFO map, so a repeated question is a lookup.
 //! 2. **In-flight coalescing.** Identical queries arriving while the
 //!    first is still computing block on one shared flight instead of
 //!    recomputing: a thundering herd of N clients costs one search.
@@ -19,9 +19,9 @@
 //!    via [`restrict_max_cp`] (which replays the bounded walk) +
 //!    [`finish_search`].
 //!
-//! `bench` and `goodput` responses carry wall-clock measurements, so
-//! they are computed fresh on every dispatch and never cached or
-//! coalesced; `stats` reads counters and is likewise always fresh.
+//! `stats` reads live counters, so it is the one kind computed fresh on
+//! every dispatch and never cached or coalesced. No answer carries
+//! wall-clock: timing is measured outside, by `perfbench/`.
 //!
 //! Underneath all of this sit the process-global memo layers (the
 //! collective-cost cache and the three pre-flight verdict caches), so
@@ -29,7 +29,7 @@
 //! priced.
 
 use analyzer::{analyze_grid, analyze_step, named_step, NAMED_CONFIGS};
-use bench_harness::snapshot::{measure_goodput, measure_perf};
+use bench_harness::snapshot::measure_goodput;
 use cluster_model::faults::{FaultRates, FaultTimeline};
 use collectives::cost_cache_stats;
 use conformance::fuzz::run_sweep;
@@ -103,11 +103,9 @@ impl Dispatcher {
         }
     }
 
-    /// Answers one query. Deterministic kinds (`analyze`, `fuzz`,
-    /// `search`, `trace`, `infer`) are served from the response cache
-    /// when possible, coalesced onto an identical in-flight computation
-    /// otherwise; wall-clock kinds (`bench`, `goodput`) and `stats`
-    /// always compute fresh.
+    /// Answers one query. `stats` reads the live counters; every other
+    /// kind is served from the response cache when possible, coalesced
+    /// onto an identical in-flight computation otherwise.
     ///
     /// # Errors
     /// [`QueryError`] on an unanswerable query (unknown config name,
@@ -115,18 +113,12 @@ impl Dispatcher {
     pub fn dispatch(&self, query: &Query) -> Result<Response, QueryError> {
         self.counters.queries.fetch_add(1, Ordering::Relaxed);
         match query {
-            Query::Bench => Ok(Response::Bench(measure_perf())),
-            Query::Goodput => Ok(Response::Goodput(measure_goodput())),
             Query::Stats => Ok(Response::Stats(self.stats())),
-            Query::Analyze(_)
-            | Query::Fuzz(_)
-            | Query::Search(_)
-            | Query::Trace(_)
-            | Query::Infer(_) => self.cached_dispatch(query),
+            _ => self.cached_dispatch(query),
         }
     }
 
-    /// The deterministic-kind path: response cache, then coalescing,
+    /// The cached path: response cache, then coalescing,
     /// then computation. A follower whose leader panicked re-dispatches
     /// once (the retry leads its own flight or follows a healthy one)
     /// and reports a [`QueryError`] if the flight fails again.
@@ -166,18 +158,19 @@ impl Dispatcher {
         ))
     }
 
-    /// Runs the underlying computation for a deterministic query.
+    /// Runs the underlying computation for a query.
     fn compute(&self, query: &Query) -> Result<Response, QueryError> {
         match query {
             Query::Analyze(mode) => Ok(Response::Analyze(compute_analyze(mode)?)),
             Query::Fuzz(f) => Ok(Response::Fuzz(run_sweep(f, |_| {}).into_response())),
+            Query::Goodput => measure_goodput()
+                .map(Response::Goodput)
+                .map_err(|e| QueryError::new(format!("goodput: {e}"))),
             Query::Search(s) => self.compute_search(s),
+            // `dispatch` answers `stats` live; the arm keeps this total.
+            Query::Stats => Ok(Response::Stats(self.stats())),
             Query::Trace(t) => Ok(Response::Trace(compute_trace(t)?)),
             Query::Infer(i) => Ok(Response::Infer(Box::new(compute_infer(i)?))),
-            // The wall-clock and stats kinds never reach the cached path.
-            Query::Bench | Query::Goodput | Query::Stats => {
-                Err(QueryError::new("internal: non-cacheable kind in compute"))
-            }
         }
     }
 
@@ -594,6 +587,15 @@ mod tests {
         let s = d.stats();
         assert_eq!(s.queries, 2);
         assert_eq!(s.response_hits, 1);
+    }
+
+    #[test]
+    fn goodput_is_cached_like_any_pure_answer() {
+        let d = Dispatcher::new();
+        let first = d.dispatch(&Query::Goodput).unwrap();
+        let second = d.dispatch(&Query::Goodput).unwrap();
+        assert_eq!(first.render_wire(), second.render_wire());
+        assert_eq!(d.stats().response_hits, 1);
     }
 
     #[test]

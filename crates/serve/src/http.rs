@@ -7,8 +7,9 @@
 //!
 //! The parser sits on a network-facing trust boundary and is
 //! deliberately paranoid: request heads are capped at 16 KiB and
-//! bodies at 64 KiB, unknown methods and paths are rejected without
-//! dispatch, and the query payload is a single line handed to
+//! bodies at 64 KiB, a body is framed by `Content-Length` alone
+//! (ambiguous framing gets 400), unknown methods and paths are rejected
+//! without dispatch, and the query payload is a single line handed to
 //! [`Query::parse_wire`], which validates every token. Nothing from
 //! the wire is ever interpolated into a filesystem path or command.
 //!
@@ -131,6 +132,7 @@ impl Drop for Server {
 }
 
 /// One parsed request head.
+#[derive(Debug)]
 struct RequestHead {
     method: String,
     path: String,
@@ -178,6 +180,9 @@ fn find_blank_line(buf: &[u8]) -> Option<usize> {
 }
 
 /// Parses the request line and the headers this server cares about.
+/// The body must be framed by `Content-Length` alone (RFC 9112 §6.3):
+/// a `Transfer-Encoding` header, or two `Content-Length` headers that
+/// disagree, leave the body's end ambiguous and are rejected.
 fn parse_head(head: &str) -> Result<RequestHead, String> {
     let mut lines = head.split("\r\n");
     let request_line = lines.next().unwrap_or("");
@@ -188,7 +193,7 @@ fn parse_head(head: &str) -> Result<RequestHead, String> {
     if method.is_empty() || path.is_empty() || !version.starts_with("HTTP/1.") {
         return Err(format!("malformed request line {request_line:?}"));
     }
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     let mut keep_alive = true;
     for line in lines {
         let Some((name, value)) = line.split_once(':') else {
@@ -197,13 +202,20 @@ fn parse_head(head: &str) -> Result<RequestHead, String> {
         let name = name.trim().to_ascii_lowercase();
         let value = value.trim();
         if name == "content-length" {
-            content_length = value
+            let len = value
                 .parse()
                 .map_err(|_| format!("bad content-length {value:?}"))?;
+            if content_length.is_some_and(|prev| prev != len) {
+                return Err("conflicting content-length headers".to_string());
+            }
+            content_length = Some(len);
+        } else if name == "transfer-encoding" {
+            return Err(format!("unsupported transfer-encoding {value:?}"));
         } else if name == "connection" && value.eq_ignore_ascii_case("close") {
             keep_alive = false;
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Err(format!(
             "body of {content_length} bytes exceeds the {MAX_BODY_BYTES}-byte cap"
@@ -348,6 +360,16 @@ mod tests {
             parse_head(&format!("GET / HTTP/1.1\r\nContent-Length: {}\r\n", MAX_BODY_BYTES + 1))
                 .is_err()
         );
+        // Ambiguous framing (RFC 9112 §6.3): conflicting lengths and any
+        // transfer coding are rejected; an identical duplicate is not.
+        let conflict = "POST /v1/query HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 12\r\n";
+        assert!(parse_head(conflict).unwrap_err().contains("conflicting"));
+        let chunked = "POST /v1/query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n";
+        assert!(parse_head(chunked).unwrap_err().contains("transfer-encoding"));
+        let both = "POST /v1/query HTTP/1.1\r\nContent-Length: 5\r\nTransfer-Encoding: chunked\r\n";
+        assert!(parse_head(both).is_err());
+        let twice = "POST /v1/query HTTP/1.1\r\nContent-Length: 12\r\ncontent-length: 12\r\n";
+        assert_eq!(parse_head(twice).unwrap().content_length, 12);
     }
 
     /// Sequential short-lived connections do not accumulate thread

@@ -5,7 +5,8 @@
 //! shared [`serve::Dispatcher`] executes it, and the payload prints
 //! through the same [`Response`] renderers the HTTP daemon serves —
 //! so `llama3sim search ...` and `POST /v1/query` are byte-identical
-//! by construction.
+//! by construction. Every answer is a pure function of its query, and
+//! the CLI prints no timings: wall-clock lives in `perfbench/`.
 //!
 //! There is one grammar. A query's flags come from its field table:
 //! wire key `k` is flag `--k` (with `_` written as `-`) and takes
@@ -18,15 +19,17 @@
 //! those same tables.
 
 use analyzer::NAMED_CONFIGS;
-use bench_harness::cli::{CliFlag, Flags, JSON};
-use bench_harness::snapshot::{emit, goodput_envelope, run_infer, search_envelope, trace_envelope};
+use bench_harness::cli::{out, outln, CliFlag, Flags, JSON};
+use bench_harness::snapshot::{
+    emit, goodput_envelope, infer_envelope, search_envelope, trace_envelope,
+};
 use conformance::fuzz::run_sweep;
 use parallelism_core::query::{
     AnalyzeMode, FuzzQuery, InferQuery, Query, Record, Response, SearchQuery, TraceQuery,
 };
+use parallelism_core::TrafficShape;
 use serve::cli::ServeArgs;
 use serve::Dispatcher;
-use std::time::Instant;
 
 /// One subcommand: its summary, its flags and its runner.
 struct Command {
@@ -53,7 +56,7 @@ const INFER_GRID: CliFlag = CliFlag {
     help: "sweep all three traffic shapes into one envelope",
 };
 
-const COMMANDS: [Command; 9] = [
+const COMMANDS: [Command; 8] = [
     Command {
         name: "analyze",
         about: "pre-flight static analysis (no simulation)",
@@ -67,13 +70,6 @@ const COMMANDS: [Command; 9] = [
         query_flags: FuzzQuery::usage,
         cli_flags: &[],
         run: run_fuzz,
-    },
-    Command {
-        name: "bench",
-        about: "wall-clock spot timings (stdout only); exit 1 unless folded == full",
-        query_flags: Vec::new,
-        cli_flags: &[],
-        run: run_bench,
     },
     Command {
         name: "goodput",
@@ -159,10 +155,10 @@ fn run_analyze(rest: &[String]) -> Result<i32, String> {
     if json && !list {
         let jsonl = payload.render_jsonl();
         if !jsonl.is_empty() {
-            println!("{jsonl}");
+            outln(jsonl);
         }
     } else {
-        println!("{}", response.render_human());
+        outln(response.render_human());
     }
     Ok(response.exit_code())
 }
@@ -180,24 +176,8 @@ fn run_fuzz(rest: &[String]) -> Result<i32, String> {
         eprintln!("{diag}");
     }
     let response = Response::Fuzz(payload);
-    println!("{}", response.render_human());
+    outln(response.render_human());
     Ok(response.exit_code())
-}
-
-fn run_bench(rest: &[String]) -> Result<i32, String> {
-    Flags::new(rest).finish()?;
-    let response = Dispatcher::new()
-        .dispatch(&Query::Bench)
-        .map_err(|e| e.to_string())?;
-    let Response::Bench(r) = &response else {
-        return Err("bench dispatch returned a non-bench response".to_string());
-    };
-    println!("{}", response.render_human());
-    if !r.identical {
-        eprintln!("error: folded and full reports diverged");
-        return Ok(1);
-    }
-    Ok(0)
 }
 
 fn run_goodput(rest: &[String]) -> Result<i32, String> {
@@ -210,8 +190,7 @@ fn run_goodput(rest: &[String]) -> Result<i32, String> {
     let Response::Goodput(r) = &response else {
         return Err("goodput dispatch returned a non-goodput response".to_string());
     };
-    println!("{}", response.render_human());
-    println!();
+    outln(format_args!("{}\n", response.render_human()));
     Ok(emit(&goodput_envelope(r), "BENCH_goodput.json", json))
 }
 
@@ -219,9 +198,7 @@ fn run_search(rest: &[String]) -> Result<i32, String> {
     let mut f = Flags::new(rest);
     let json = f.switch(&JSON);
     let query = f.query(SearchQuery::from_args)?;
-    let d = Dispatcher::new();
-    let t0 = Instant::now();
-    let response = match d.dispatch(&Query::Search(query.clone())) {
+    let response = match Dispatcher::new().dispatch(&Query::Search(query.clone())) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
@@ -234,12 +211,10 @@ fn run_search(rest: &[String]) -> Result<i32, String> {
             });
         }
     };
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let Response::Search(r) = &response else {
         return Err("search dispatch returned a non-search response".to_string());
     };
-    println!("{}", response.render_human());
-    println!("searched in {wall_ms:.0} ms");
+    outln(response.render_human());
 
     let spec = query.to_spec().map_err(|e| e.to_string())?;
     let mut envelope = search_envelope(&query, &spec, &r.report);
@@ -248,7 +223,7 @@ fn run_search(rest: &[String]) -> Result<i32, String> {
         let hit = r.expect_hit == Some(true);
         envelope = envelope.metric("expected_mesh_on_frontier", hit);
         if hit {
-            println!("expected mesh tp{tp}·cp{cp}·pp{pp}·dp{dp} is on the frontier");
+            outln(format_args!("expected mesh tp{tp}·cp{cp}·pp{pp}·dp{dp} is on the frontier"));
         } else {
             eprintln!("error: expected mesh tp{tp}·cp{cp}·pp{pp}·dp{dp} is NOT on the frontier");
             code = 1;
@@ -262,7 +237,46 @@ fn run_infer_cmd(rest: &[String]) -> Result<i32, String> {
     let grid = f.switch(&INFER_GRID);
     let json = f.switch(&JSON);
     let query = f.query(InferQuery::from_args)?;
-    Ok(run_infer(&query, grid, json))
+    let shapes = if grid {
+        TrafficShape::ALL.to_vec()
+    } else {
+        vec![query.traffic]
+    };
+    let d = Dispatcher::new();
+    let mut rows = Vec::with_capacity(shapes.len());
+    for traffic in shapes {
+        let q = InferQuery {
+            traffic,
+            ..query.clone()
+        };
+        let response = match d.dispatch(&Query::Infer(q.clone())) {
+            Ok(r) => r,
+            Err(e) => {
+                eprintln!("error: infer: {e}");
+                return Ok(1);
+            }
+        };
+        outln(format_args!("{}\n", response.render_human()));
+        let Response::Infer(r) = response else {
+            return Err("infer dispatch returned a non-infer response".to_string());
+        };
+        // Grid runs double as the thread-invariance smoke: the first
+        // shape is re-simulated single-threaded, on a fresh dispatcher
+        // (`canonical_hash` ignores `threads`, so `d` would answer from
+        // its cache), and must reproduce the report bit-identically.
+        if grid && rows.is_empty() {
+            let serial = Dispatcher::new().dispatch(&Query::Infer(InferQuery { threads: 1, ..q }));
+            if !matches!(&serial, Ok(Response::Infer(s)) if s.report == r.report) {
+                let threads = query.threads;
+                eprintln!("error: infer: threads=1 re-simulation diverged from threads={threads}");
+                return Ok(1);
+            }
+            outln("thread-invariance check: serial re-simulation bit-identical\n");
+        }
+        rows.push(*r);
+    }
+    let code = i32::from(rows.iter().all(|r| r.report.completed == 0));
+    Ok(emit(&infer_envelope(&query, &rows), "BENCH_infer.json", json).max(code))
 }
 
 fn run_trace(rest: &[String]) -> Result<i32, String> {
@@ -279,7 +293,7 @@ fn run_trace(rest: &[String]) -> Result<i32, String> {
     let Response::Trace(r) = &response else {
         return Err("trace dispatch returned a non-trace response".to_string());
     };
-    println!("{}", response.render_human());
+    outln(response.render_human());
     let code = emit(&trace_envelope(&query, r), "BENCH_trace.json", json);
     Ok(code.max(response.exit_code()))
 }
@@ -291,9 +305,9 @@ fn run_lint(rest: &[String]) -> Result<i32, String> {
     let report = lint::lint_repo(&lint::repo_root());
     for d in &report.diagnostics {
         if json {
-            println!("{}", d.to_json_line());
+            outln(d.to_json_line());
         } else {
-            println!("{}", d.render_human());
+            outln(d.render_human());
         }
     }
     if report.clean() {
@@ -317,7 +331,7 @@ fn main() {
             2
         }
         Some((cmd, _)) if cmd == "--help" || cmd == "-h" || cmd == "help" => {
-            print!("{}", usage());
+            out(usage());
             0
         }
         Some((cmd, rest)) => match COMMANDS.iter().find(|c| c.name == cmd) {

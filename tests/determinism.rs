@@ -67,6 +67,22 @@ fn step_simulation_is_deterministic() {
     assert_eq!(a.exposed, b.exposed);
 }
 
+/// DP-symmetry folding is exact: the folded 8K-GPU 405B step reports
+/// bit-for-bit what the full-fidelity simulation of every rank does.
+#[test]
+fn folded_and_full_8k_gpu_reports_are_identical() {
+    use bench_harness::configs::production_8k_gpu_step;
+    use llama3_parallelism::core::step::{SimFidelity, SimOptions};
+
+    let step = production_8k_gpu_step(16);
+    let folded = step.run(&SimOptions::new()).expect("valid step").report;
+    let full = step
+        .run(&SimOptions::new().fidelity(SimFidelity::Full))
+        .expect("valid step")
+        .report;
+    assert_eq!(folded, full);
+}
+
 /// A small 4D step shared by the fault/goodput determinism tests.
 fn fault_test_step(
     cfg: llama3_parallelism::model::TransformerConfig,

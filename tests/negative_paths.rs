@@ -5,6 +5,8 @@
 
 use llama3_parallelism::cluster::{JitterKind, JitterModel};
 use llama3_parallelism::prelude::*;
+use std::io::Read;
+use std::process::{Command, Stdio};
 
 #[test]
 fn mesh_rejects_zero_dimensions_naming_the_shape() {
@@ -53,4 +55,30 @@ fn jitter_rejects_bad_amplitudes_naming_the_value() {
 fn valid_inputs_still_construct() {
     assert!(Mesh4D::try_new(8, 1, 4, 2).is_ok());
     assert!(Cluster::try_llama3(64).is_ok());
+}
+
+/// A reader that closes the pipe early (`llama3sim trace | head -c
+/// 100`) ends the CLI quietly instead of panicking on the failed write.
+/// The day-long 8B chrome export is ~95 KiB, more than a 64 KiB pipe
+/// buffer holds, so the CLI is still writing when the pipe closes.
+#[test]
+fn cli_exits_quietly_when_stdout_closes_early() {
+    let scratch = std::env::temp_dir().join(format!("llama3sim_epipe_{}", std::process::id()));
+    std::fs::create_dir_all(&scratch).expect("create scratch dir");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_llama3sim"))
+        .args(["trace", "--model", "8b", "--gpus", "8"])
+        .current_dir(&scratch)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run llama3sim");
+    let mut stdout = child.stdout.take().expect("piped stdout");
+    let mut head = [0u8; 100];
+    stdout.read_exact(&mut head).expect("read the first bytes");
+    drop(stdout);
+    let out = child.wait_with_output().expect("wait for llama3sim");
+    let _ = std::fs::remove_dir_all(&scratch);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "CLI panicked: {stderr}");
+    assert!(!stderr.contains("panicked"), "CLI panicked: {stderr}");
 }
