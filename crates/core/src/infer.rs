@@ -414,6 +414,12 @@ impl InferCosts {
     /// the roofline max of GEMV compute and (weights + KV) bandwidth;
     /// stages execute serially (no decode micro-batching), plus TP
     /// collectives and `pp − 1` single-token hand-offs.
+    ///
+    /// This is the reference price. [`simulate_replica`] pays it as
+    /// [`decode_batch_time`](Self::decode_batch_time) once per decode
+    /// run plus [`decode_roofline_time`](Self::decode_roofline_time)
+    /// per iteration; every term is rounded to whole nanoseconds on its
+    /// own, so the two sums are equal exactly.
     pub fn decode_iter_time(&self, batch: u64, kv_tokens: u64) -> SimDuration {
         let mut total = SimDuration::ZERO;
         let hidden_shard =
@@ -435,6 +441,42 @@ impl InferCosts {
         }
         let boundary = (batch * memory::boundary_activation_bytes_per_token(&self.model)) as f64;
         total + SimDuration::from_secs_f64((self.pp - 1) as f64 * self.p2p.at(boundary) * 1e-9)
+    }
+
+    /// The terms of [`decode_iter_time`](Self::decode_iter_time) that
+    /// depend on `batch` alone: every stage's kernel launches and TP
+    /// collectives, and the `pp − 1` hand-offs.
+    fn decode_batch_time(&self, batch: u64) -> SimDuration {
+        let mut total = SimDuration::ZERO;
+        let hidden_shard = (batch * 2 * self.model.hidden_dim).div_ceil(self.tp.tp as u64) as f64;
+        for d in &self.decode {
+            let comm_ns = if self.tp.tp > 1 {
+                d.collectives * self.ag.at(hidden_shard)
+            } else {
+                0.0
+            };
+            total = total
+                + self.gpu.kernel_launch_overhead * u64::from(d.launches)
+                + SimDuration::from_secs_f64(comm_ns * 1e-9);
+        }
+        let boundary = (batch * memory::boundary_activation_bytes_per_token(&self.model)) as f64;
+        total + SimDuration::from_secs_f64((self.pp - 1) as f64 * self.p2p.at(boundary) * 1e-9)
+    }
+
+    /// The rest of [`decode_iter_time`](Self::decode_iter_time): each
+    /// stage's launch-free roofline over its GEMV flops and its weight
+    /// and KV bytes.
+    fn decode_roofline_time(&self, batch: u64, kv_tokens: u64) -> SimDuration {
+        let mut total = SimDuration::ZERO;
+        for d in &self.decode {
+            let cost = KernelCost {
+                flops: d.flops_per_seq * batch as f64 + d.flops_per_kv_token * kv_tokens as f64,
+                bytes: d.weight_bytes + d.bytes_per_kv_token * kv_tokens as f64,
+                launches: 0,
+            };
+            total += self.gpu.gemm_time(cost, Dtype::Bf16);
+        }
+        total
     }
 }
 
@@ -501,6 +543,14 @@ struct Active {
 /// Runs one replica's continuous-batching loop over its time-ordered
 /// request slice. Deterministic and single-threaded; the policy is
 /// deliberately simple enough for conformance to re-walk naively.
+///
+/// Decode iterations run in bulk: from a decode step up to the first
+/// completion (or, with an empty queue, up to the iteration after which
+/// the next arrival is visible) admission cannot change, so the walk
+/// prices those iterations in a tight loop and settles each sequence's
+/// context once. Every iteration still pays exactly
+/// [`InferCosts::decode_iter_time`], so the result is bit-identical to
+/// stepping one iteration at a time.
 pub fn simulate_replica(costs: &InferCosts, max_batch: usize, requests: &[Request]) -> ReplicaResult {
     let max_batch = max_batch.max(1);
     let capacity = costs.block_capacity();
@@ -575,34 +625,49 @@ pub fn simulate_replica(costs: &InferCosts, max_batch: usize, requests: &[Reques
             continue;
         }
 
-        if !active.is_empty() {
-            let t = costs.decode_iter_time(active.len() as u64, kv_tokens);
-            now += t.as_nanos();
-            busy += t;
-            decode_iters += 1;
-            let mut s = 0;
-            while s < active.len() {
-                let a = &mut active[s];
-                a.remaining -= 1;
-                a.context += 1;
-                kv_tokens += 1;
-                if a.remaining == 0 {
-                    let r = &requests[a.idx];
-                    kv_tokens -= a.context;
-                    free += a.blocks;
-                    outcomes.push(RequestOutcome {
-                        id: r.id,
-                        arrival_ns: r.arrival_ns,
-                        prompt_tokens: r.prompt_tokens,
-                        output_tokens: r.output_tokens,
-                        first_token_ns: first_token[a.idx],
-                        finish_ns: now,
-                    });
-                    active.remove(s);
-                } else {
-                    s += 1;
-                }
+        // A decode run: nothing is admitted until the first resident
+        // sequence finishes (after `run` iterations) or, with an empty
+        // queue, until the next arrival is visible, so the batch stays
+        // fixed and only the resident KV grows. Each iteration keeps
+        // its own price.
+        if let Some(run) = active.iter().map(|a| a.remaining).min() {
+            let batch = active.len() as u64;
+            let arrival = if waiting.is_empty() {
+                requests.get(next).map_or(u64::MAX, |r| r.arrival_ns)
+            } else {
+                u64::MAX
+            };
+            let fixed = costs.decode_batch_time(batch);
+            let start = now;
+            let mut k = 0;
+            while k < run && now < arrival {
+                let t = fixed + costs.decode_roofline_time(batch, kv_tokens);
+                debug_assert_eq!(t, costs.decode_iter_time(batch, kv_tokens));
+                now += t.as_nanos();
+                kv_tokens += batch;
+                k += 1;
             }
+            busy += SimDuration::from_nanos(now - start);
+            decode_iters += k;
+            active.retain_mut(|a| {
+                a.remaining -= k;
+                a.context += k;
+                if a.remaining > 0 {
+                    return true;
+                }
+                let r = &requests[a.idx];
+                kv_tokens -= a.context;
+                free += a.blocks;
+                outcomes.push(RequestOutcome {
+                    id: r.id,
+                    arrival_ns: r.arrival_ns,
+                    prompt_tokens: r.prompt_tokens,
+                    output_tokens: r.output_tokens,
+                    first_token_ns: first_token[a.idx],
+                    finish_ns: now,
+                });
+                false
+            });
             continue;
         }
 
@@ -937,6 +1002,32 @@ mod tests {
         for o in &res.outcomes {
             assert!(o.first_token_ns > o.arrival_ns);
             assert!(o.finish_ns >= o.first_token_ns);
+        }
+    }
+
+    #[test]
+    fn hoisted_decode_price_equals_the_reference() {
+        // The replica walk pays `decode_batch_time` once per run and
+        // `decode_roofline_time` per iteration; in release builds no
+        // assertion compares them with `decode_iter_time`, this does.
+        let gpu = GpuSpec::h100_sxm_hbm3();
+        let plans = [
+            (TransformerConfig::llama3_405b(), 16_384),
+            (TransformerConfig::llama3_8b(), 64),
+        ];
+        for (cfg, ngpu) in plans {
+            let plan = InferPlan::auto(&cfg, &gpu, ngpu, 8).unwrap();
+            let costs = InferCosts::new(&InferSpec::new(cfg, gpu.clone(), 8, plan)).unwrap();
+            for batch in [1u64, 2, 3, 7, 31, 64, 129, 255, 256] {
+                let fixed = costs.decode_batch_time(batch);
+                for kv in [0u64, 1, 17, 4_096, 65_537, 1_000_003, 33_554_432] {
+                    assert_eq!(
+                        fixed + costs.decode_roofline_time(batch, kv),
+                        costs.decode_iter_time(batch, kv),
+                        "{plan:?} batch {batch} kv {kv}"
+                    );
+                }
+            }
         }
     }
 

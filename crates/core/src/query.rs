@@ -15,10 +15,9 @@
 //! encoder emits keys in one fixed order, which makes
 //! [`Query::canonical_wire`] a canonical form: two queries are the
 //! same computation iff their canonical lines are equal. The canonical
-//! form also normalizes out pure *execution hints* (the `threads`
-//! knob, and search's `guided` key, kept parseable as a no-op), so a
-//! thundering herd that only disagrees about them coalesces onto one
-//! computation.
+//! form also normalizes out the pure *execution hint* (the `threads`
+//! knob), so a thundering herd that only disagrees about it coalesces
+//! onto one computation.
 //!
 //! Each record-shaped kind (`search`, `trace`, `infer`, `fuzz`, and
 //! `analyze` through a flat key record) has one [`Field`] table, in
@@ -57,25 +56,50 @@ use workload::traffic::{TrafficShape, TrafficSpec};
 /// - **v3** — every kind but `stats` is a pure function of its query:
 ///   the wall-clock `bench` kind is gone (now an unknown kind) and the
 ///   `goodput` answer carries no wall-clock. Other lines are unchanged.
-pub const QUERY_API_VERSION: u32 = 3;
+/// - **v4** — the no-op `guided` search key is gone (now an unknown
+///   key, and `--guided` an unknown flag). Other lines are unchanged.
+pub const QUERY_API_VERSION: u32 = 4;
 
 /// The magic token opening every wire line, `llama3sim/<wire-format>`.
 /// This tracks the *line format*, which has not changed; see
 /// [`QUERY_API_VERSION`] for the schema revision.
 pub const WIRE_MAGIC: &str = "llama3sim/1";
 
-/// A malformed or unanswerable query.
+/// A malformed or unanswerable query, or a fault in answering it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryError {
     /// What went wrong, suitable for the wire error line.
     pub message: String,
+    /// Whose fault it is.
+    pub class: ErrorClass,
+}
+
+/// Whose fault a [`QueryError`] is: HTTP answers a client fault with
+/// 400 and a server fault with 500.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ErrorClass {
+    /// The query itself is wrong: it does not parse, names an unknown
+    /// model or config, or asks for a plan that cannot exist.
+    Client,
+    /// A well-formed query the server failed to answer: the computation
+    /// panicked, or a simulation it runs failed.
+    Server,
 }
 
 impl QueryError {
-    /// A new error with the given message.
+    /// A client fault with the given message.
     pub fn new(message: impl Into<String>) -> QueryError {
         QueryError {
             message: message.into(),
+            class: ErrorClass::Client,
+        }
+    }
+
+    /// A server fault with the given message.
+    pub fn server(message: impl Into<String>) -> QueryError {
+        QueryError {
+            message: message.into(),
+            class: ErrorClass::Server,
         }
     }
 }
@@ -143,9 +167,6 @@ pub struct SearchQuery {
     pub zero: Vec<ZeroMode>,
     /// Report whether this `tp,cp,pp,dp` mesh is on the frontier.
     pub expect: Option<(u32, u32, u32, u32)>,
-    /// Accepted for v1 compatibility and ignored: the search has one
-    /// strategy. Like `threads`, the canonical form normalizes it out.
-    pub guided: bool,
     /// Which workload to rank meshes for: training (step time, peak
     /// HBM) or inference (p99 TTFT, peak HBM).
     pub workload: Workload,
@@ -164,7 +185,6 @@ impl Default for SearchQuery {
             max_cp: 0,
             zero: Vec::new(),
             expect: None,
-            guided: false,
             workload: Workload::Training,
         }
     }
@@ -435,8 +455,6 @@ pub enum Query {
 pub(crate) enum Arg {
     /// `--k VALUE`; the string is VALUE's placeholder in the usage text.
     Value(&'static str),
-    /// A bare `--k` switch, meaning `k=true`.
-    Switch,
     /// One bare switch per listed variant: `--v` means `k=v`.
     Variants(&'static [&'static str]),
     /// No flag: the key exists only on the wire.
@@ -469,7 +487,6 @@ impl<Q> Field<Q> {
     fn match_flag(&self, arg: &str) -> Option<(&'static str, Option<&'static str>)> {
         match self.arg {
             Arg::Value(_) if self.flag() == arg => Some((self.key, None)),
-            Arg::Switch if self.flag() == arg => Some((self.key, Some("true"))),
             Arg::Variants(vs) => {
                 let v = vs.iter().find(|&&v| arg.strip_prefix("--") == Some(v))?;
                 Some((self.key, Some(*v)))
@@ -559,7 +576,6 @@ pub trait Record: Default + 'static {
             .filter_map(|f| {
                 let flags = match f.arg {
                     Arg::Value(placeholder) => format!("{} {placeholder}", f.flag()),
-                    Arg::Switch => f.flag(),
                     Arg::Variants(vs) => {
                         let each: Vec<String> = vs.iter().map(|v| format!("--{v}")).collect();
                         each.join(" | ")
@@ -567,7 +583,7 @@ pub trait Record: Default + 'static {
                     Arg::WireOnly => return None,
                 };
                 let default = (f.render)(&d);
-                let help = if default.is_empty() || f.arg == Arg::Switch {
+                let help = if default.is_empty() {
                     f.help.to_string()
                 } else {
                     format!("{} (default {default})", f.help)
@@ -597,14 +613,6 @@ pub fn parse_num<T: TryFrom<u64>>(v: &str) -> Result<T, String> {
 /// Parses a comma-separated list, rejecting it if any element fails.
 fn parse_list<T>(v: &str, item: fn(&str) -> Result<T, String>) -> Result<Vec<T>, String> {
     v.split(',').map(|p| item(p.trim())).collect()
-}
-
-fn parse_bool(v: &str) -> Result<bool, String> {
-    match v {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        other => Err(format!("want true|false, got {other:?}")),
-    }
 }
 
 fn parse_zero(v: &str) -> Result<ZeroMode, String> {
@@ -704,16 +712,6 @@ impl Record for SearchQuery {
                 q.expect
                     .map_or(String::new(), |(tp, cp, pp, dp)| format!("{tp},{cp},{pp},{dp}"))
             },
-        },
-        Field {
-            key: "guided",
-            arg: Arg::Switch,
-            help: "accepted and ignored (one search strategy; not hashed)",
-            parse: |q, v| {
-                q.guided = parse_bool(v)?;
-                Ok(())
-            },
-            render: |q| q.guided.to_string(),
         },
         Field {
             key: "workload",
@@ -937,16 +935,14 @@ impl Query {
         out
     }
 
-    /// The canonical wire form: [`Query::to_wire`] with execution
-    /// hints (the `threads` knob) and the no-op `guided` key normalized
-    /// out. Two queries describe the same computation iff their
-    /// canonical lines are equal.
+    /// The canonical wire form: [`Query::to_wire`] with the execution
+    /// hint (the `threads` knob) normalized out. Two queries describe
+    /// the same computation iff their canonical lines are equal.
     pub fn canonical_wire(&self) -> String {
         match self {
             Query::Search(s) => {
                 let mut c = s.clone();
                 c.threads = 0;
-                c.guided = false;
                 Query::Search(c).to_wire()
             }
             Query::Infer(i) => {
@@ -1451,11 +1447,12 @@ mod tests {
     #[test]
     fn v1_training_lines_are_byte_identical_under_v2() {
         // The schema bump to v2 is additive: every v1 training line
-        // must re-encode to exactly itself.
+        // must re-encode to exactly itself. (v4 dropped the no-op
+        // `guided` key, so v1 lines carrying it no longer parse.)
         for line in [
             "llama3sim/1 search",
             "llama3sim/1 search model=8b gpus=8 max_cp=2",
-            "llama3sim/1 search gpus=8192 zero=zero1,zero3 expect=8,1,16,128 guided=true",
+            "llama3sim/1 search gpus=8192 zero=zero1,zero3 expect=8,1,16,128",
             "llama3sim/1 trace model=8b gpus=8 seq=4096 horizon=3600 seed=9",
             "llama3sim/1 analyze mode=grid",
             "llama3sim/1 fuzz cases=40 seed=7",
@@ -1484,7 +1481,7 @@ mod tests {
             "llama3sim/1 search gpus=8 gpus=8",
             "llama3sim/1 search expect=1,2",
             "llama3sim/1 search zero=zero9",
-            "llama3sim/1 search guided=maybe",
+            "llama3sim/1 search guided=true",
             "llama3sim/1 analyze mode=config",
             "llama3sim/1 analyze mode=what",
             "llama3sim/1 fuzz cases",
@@ -1568,8 +1565,8 @@ mod tests {
     /// Drives every row of `Q`'s table with its non-default `samples`
     /// value: the wire line is exactly `kind key=value` and parses
     /// back, `--flag value` parses to the same record, and the
-    /// canonical hash sees the value unless the key is a hint
-    /// (`threads`, or search's no-op `guided`).
+    /// canonical hash sees the value unless the key is the `threads`
+    /// hint.
     fn check_every_row<Q>(wrap: fn(Q) -> Query, samples: &[(&str, &str)])
     where
         Q: Record + Clone + PartialEq + fmt::Debug,
@@ -1594,7 +1591,6 @@ mod tests {
             let flag = row.flag();
             let args: Vec<String> = match row.arg {
                 Arg::Value(_) => vec![flag, value.to_string()],
-                Arg::Switch => vec![flag],
                 Arg::Variants(_) => vec![format!("--{value}")],
                 Arg::WireOnly => continue,
             };
@@ -1602,8 +1598,7 @@ mod tests {
 
             let plain = wrap(q.clone()).canonical_hash();
             let default = wrap(Q::default()).canonical_hash();
-            let hint = key == "threads" || key == "guided";
-            assert_eq!(plain == default, hint, "{key}={value}");
+            assert_eq!(plain == default, key == "threads", "{key}={value}");
             if has_threads && key != "threads" {
                 let hinted = Q::decode(&[(key, value), ("threads", "7")]).unwrap();
                 assert_eq!(wrap(hinted).canonical_hash(), plain, "{key}={value}");
@@ -1627,7 +1622,6 @@ mod tests {
                 ("max_cp", "2"),
                 ("zero", "zero1,zero3"),
                 ("expect", "8,1,16,128"),
-                ("guided", "true"),
                 ("workload", "infer"),
             ],
         );
@@ -1676,7 +1670,7 @@ mod tests {
             &["--max_cp", "2"],
             &["--goodput-head", "2"],
             &["--expect", "1,2,3,4,x"],
-            &["--guided", "true"],
+            &["--guided"],
             &["gpus=8"],
         ] {
             assert!(SearchQuery::from_args(&args(bad)).is_err(), "{bad:?} should not parse");

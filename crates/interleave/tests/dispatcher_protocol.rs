@@ -8,14 +8,16 @@
 //! model of them.
 //!
 //! Each test drives a protocol scenario through every schedule up to
-//! preemption bound 2–3 and asserts the three contract properties from
+//! preemption bound 2–3 and asserts the contract properties from
 //! `serve::coalesce`:
 //!
 //! * deadlock freedom (the explorer reports any all-blocked state),
 //! * no lost notifications (`timeout_executions == 0`: no follower
-//!   ever needed its bounded `wait_timeout` fallback), and
+//!   ever needed its bounded `wait_timeout` fallback),
 //! * byte-identical coalesced responses (leader and followers return
-//!   the same value).
+//!   the same value), and
+//! * with the response cache in front (`serve::cached_run_or_follow`),
+//!   one computation per key in every schedule.
 //!
 //! The `broken_*` tests are the mutation check: deliberately wrong
 //! protocol variants must make the explorer produce a failure with a
@@ -27,7 +29,7 @@
 use collectives::ShardedCache;
 use interleave::check::{spawn, Explorer, FailureKind};
 use interleave::sync::{lock_or_recover, Condvar, Mutex};
-use serve::{BoundedFifoCache, FlightMap, FlightOutcome};
+use serve::{cached_run_or_follow, BoundedFifoCache, CachedOutcome, FlightMap, FlightOutcome};
 use std::sync::Arc;
 
 /// Renders an outcome for byte-comparison across threads.
@@ -219,9 +221,107 @@ fn trace_query_racing_search_query_distinct_keys() {
     assert_eq!(report.timeout_executions, 0, "lost notification");
 }
 
+/// One requester's path through the response cache and the flight
+/// table, counting computations: the shape `Dispatcher::cached_dispatch`
+/// runs for every cacheable query.
+type CachedDispatch =
+    fn(&Mutex<BoundedFifoCache<String>>, &FlightMap<Result<String, String>>, &Mutex<u32>) -> String;
+
+const CACHED_KEY: u64 = 0xcac4e;
+
+fn cached_dispatch(
+    responses: &Mutex<BoundedFifoCache<String>>,
+    flights: &FlightMap<Result<String, String>>,
+    computed: &Mutex<u32>,
+) -> String {
+    let outcome = cached_run_or_follow(responses, flights, CACHED_KEY, || {
+        *lock_or_recover(computed) += 1;
+        Ok("response-bytes".to_string())
+    });
+    match outcome {
+        CachedOutcome::Hit(r) | CachedOutcome::Computed(r) | CachedOutcome::Followed(r) => {
+            r.unwrap_or_else(|e| e)
+        }
+        CachedOutcome::LeaderFailed => "LEADER_FAILED".to_string(),
+    }
+}
+
+/// Two requesters for one cacheable key: whatever the schedule, both
+/// get the same bytes and the answer is computed exactly once, because
+/// it stays in the response cache once the first flight closes.
+fn computes_once_scenario(dispatch: CachedDispatch) {
+    let responses = Arc::new(Mutex::new(BoundedFifoCache::<String>::new(4)));
+    let flights = Arc::new(FlightMap::<Result<String, String>>::new());
+    let computed = Arc::new(Mutex::new(0u32));
+    let (r2, f2, c2) = (
+        Arc::clone(&responses),
+        Arc::clone(&flights),
+        Arc::clone(&computed),
+    );
+    let t = spawn(move || assert_eq!(dispatch(&r2, &f2, &c2), "response-bytes"));
+    assert_eq!(dispatch(&responses, &flights, &computed), "response-bytes");
+    t.join().expect("no panic in the second requester");
+    let n = *lock_or_recover(&computed);
+    assert_eq!(
+        n, 1,
+        "computed {n} times: a caller led a second flight after the first closed"
+    );
+    assert_eq!(flights.open(), 0, "every flight must be cleared");
+}
+
+#[test]
+fn cached_dispatch_computes_once_in_every_schedule() {
+    let report = Explorer::new(2)
+        .max_executions(50_000)
+        .check(|| computes_once_scenario(cached_dispatch));
+    report.assert_ok();
+    assert_eq!(report.timeout_executions, 0, "lost notification");
+}
+
 // ---------------------------------------------------------------------
 // Mutation checks: broken protocol variants the battery must catch.
 // ---------------------------------------------------------------------
+
+/// The cache-then-flight composition without the leader's re-check: a
+/// caller that misses the cache just before the first leader fills it,
+/// and opens its flight just after that flight closes, computes again.
+fn broken_cached_dispatch(
+    responses: &Mutex<BoundedFifoCache<String>>,
+    flights: &FlightMap<Result<String, String>>,
+    computed: &Mutex<u32>,
+) -> String {
+    if let Some(hit) = lock_or_recover(responses).get(CACHED_KEY) {
+        return hit;
+    }
+    let outcome = flights.run_or_follow(CACHED_KEY, || {
+        *lock_or_recover(computed) += 1;
+        let v = "response-bytes".to_string();
+        lock_or_recover(responses).insert(CACHED_KEY, v.clone());
+        Ok(v)
+    });
+    match outcome {
+        FlightOutcome::Led(r) | FlightOutcome::Followed(r) => r.unwrap_or_else(|e| e),
+        FlightOutcome::LeaderFailed => "LEADER_FAILED".to_string(),
+    }
+}
+
+#[test]
+fn broken_cache_recheck_is_caught_with_replayable_schedule() {
+    let report = Explorer::new(2).check(|| computes_once_scenario(broken_cached_dispatch));
+    let failure = report
+        .failure
+        .expect("the second computation must be found");
+    assert!(
+        matches!(&failure.kind, FailureKind::Panic(m) if m.contains("computed 2 times")),
+        "{failure}"
+    );
+    let replayed = Explorer::new(2)
+        .replay(&failure.schedule, || {
+            computes_once_scenario(broken_cached_dispatch)
+        })
+        .expect("the minimized schedule must reproduce the second computation");
+    assert_eq!(replayed.kind, failure.kind);
+}
 
 /// A deliberately broken flight: the follower samples the slot, drops
 /// the lock, and parks *unboundedly* without re-checking — the exact

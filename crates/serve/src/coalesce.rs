@@ -195,6 +195,56 @@ impl<V: Clone> FlightMap<V> {
     }
 }
 
+/// How [`cached_run_or_follow`] answered.
+pub enum CachedOutcome<V> {
+    /// The response cache held the answer, either before the flight or
+    /// on the leader's re-check inside it.
+    Hit(V),
+    /// This thread led the flight and computed the answer.
+    Computed(V),
+    /// This thread coalesced onto another thread's flight.
+    Followed(V),
+    /// The flight's leader panicked; re-dispatch.
+    LeaderFailed,
+}
+
+/// The response cache composed with coalescing: one computation per key
+/// while the answer stays cached.
+///
+/// A caller can miss the cache just before a leader inserts, then reach
+/// [`FlightMap::run_or_follow`] just after that leader's flight closes,
+/// and so lead a second flight. The leader therefore checks the cache
+/// again before computing. The leader inserts before its flight closes,
+/// so the re-check always sees the first leader's answer.
+pub fn cached_run_or_follow<T: Clone, E: Clone>(
+    responses: &Mutex<BoundedFifoCache<T>>,
+    flights: &FlightMap<Result<T, E>>,
+    key: u64,
+    compute: impl FnOnce() -> Result<T, E>,
+) -> CachedOutcome<Result<T, E>> {
+    if let Some(hit) = lock_or_recover(responses).get(key) {
+        return CachedOutcome::Hit(Ok(hit));
+    }
+    let mut rechecked_hit = false;
+    let outcome = flights.run_or_follow(key, || {
+        if let Some(hit) = lock_or_recover(responses).get(key) {
+            rechecked_hit = true;
+            return Ok(hit);
+        }
+        let result = compute();
+        if let Ok(value) = &result {
+            lock_or_recover(responses).insert(key, value.clone());
+        }
+        result
+    });
+    match outcome {
+        FlightOutcome::Led(result) if rechecked_hit => CachedOutcome::Hit(result),
+        FlightOutcome::Led(result) => CachedOutcome::Computed(result),
+        FlightOutcome::Followed(result) => CachedOutcome::Followed(result),
+        FlightOutcome::LeaderFailed => CachedOutcome::LeaderFailed,
+    }
+}
+
 /// A bounded FIFO-eviction map: newest-in wins, oldest-in evicted.
 /// Insertion order — not recency — decides eviction, which keeps the
 /// structure O(1) without an access queue; the workloads this backs

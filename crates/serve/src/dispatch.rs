@@ -10,10 +10,12 @@
 //! 2. **In-flight coalescing.** Identical queries arriving while the
 //!    first is still computing block on one shared flight instead of
 //!    recomputing: a thundering herd of N clients costs one search.
-//!    The canonical hash normalizes execution hints (the `threads`
-//!    knob, and search's no-op `guided` key) away first.
+//!    The canonical hash normalizes the `threads` execution hint away
+//!    first. The leader re-checks the response cache before computing,
+//!    so a caller that missed the cache just before the previous
+//!    leader filled it does not compute again.
 //! 3. **Frontier reuse.** Searches that differ only in `max_cp` (or in
-//!    the finishing knobs `goodput_head` / `expect`, or in hints)
+//!    the finishing knobs `goodput_head` / `expect`, or in `threads`)
 //!    share funnel stages 1–3: the dispatcher keeps the widest
 //!    [`SearchOutcomes`] per search family and derives narrower reports
 //!    via [`restrict_max_cp`] (which replays the bounded walk) +
@@ -43,7 +45,7 @@ use parallelism_core::search::{
     finish_search, restrict_max_cp, search_outcomes, verdict_cache_stats, SearchOutcomes,
     SearchSpec,
 };
-use crate::coalesce::{BoundedFifoCache, FlightMap, FlightOutcome};
+use crate::coalesce::{cached_run_or_follow, BoundedFifoCache, CachedOutcome, FlightMap};
 use interleave::sync::{lock_or_recover, AtomicU64, Mutex};
 use trace_analysis::chrome::to_chrome_json;
 use trace_analysis::tiered::{TierConfig, WindowStats, CATEGORIES};
@@ -108,8 +110,10 @@ impl Dispatcher {
     /// onto an identical in-flight computation otherwise.
     ///
     /// # Errors
-    /// [`QueryError`] on an unanswerable query (unknown config name,
-    /// out-of-range grid index, unknown model, unplannable search).
+    /// A client-class [`QueryError`] on an unanswerable query (unknown
+    /// config name, out-of-range grid index, unknown model, unplannable
+    /// search); a server-class one when a simulation fails or the
+    /// computation panics twice.
     pub fn dispatch(&self, query: &Query) -> Result<Response, QueryError> {
         self.counters.queries.fetch_add(1, Ordering::Relaxed);
         match query {
@@ -118,42 +122,32 @@ impl Dispatcher {
         }
     }
 
-    /// The cached path: response cache, then coalescing,
-    /// then computation. A follower whose leader panicked re-dispatches
-    /// once (the retry leads its own flight or follows a healthy one)
-    /// and reports a [`QueryError`] if the flight fails again.
+    /// The cached path: response cache, then coalescing, then
+    /// computation ([`cached_run_or_follow`]). A follower whose leader
+    /// panicked re-dispatches once (the retry leads its own flight or
+    /// follows a healthy one) and reports a server-side [`QueryError`]
+    /// if the flight fails again.
     fn cached_dispatch(&self, query: &Query) -> Result<Response, QueryError> {
+        let key = query.canonical_hash();
         for _attempt in 0..2 {
-            let key = query.canonical_hash();
-            if let Some(hit) = lock_or_recover(&self.responses).get(key) {
-                self.counters.response_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(hit);
-            }
-
-            // The leader fills the response cache *inside* the flight
-            // (before the flight clears), so a request arriving after
-            // the flight closes hits the cache instead of recomputing.
-            let outcome = self.flights.run_or_follow(key, || {
-                let result = self.compute(query);
-                if let Ok(response) = &result {
-                    lock_or_recover(&self.responses).insert(key, response.clone());
-                }
-                result
-            });
+            let outcome =
+                cached_run_or_follow(&self.responses, &self.flights, key, || self.compute(query));
             match outcome {
-                FlightOutcome::Led(result) => return result,
-                FlightOutcome::Followed(result) => {
+                CachedOutcome::Hit(result) => {
+                    self.counters.response_hits.fetch_add(1, Ordering::Relaxed);
+                    return result;
+                }
+                CachedOutcome::Computed(result) => return result,
+                CachedOutcome::Followed(result) => {
                     self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
                     return result;
                 }
-                FlightOutcome::LeaderFailed => {
-                    // Loop for the single retry; the panicked leader's
-                    // own unwind already cleared the flight.
-                    continue;
-                }
+                // Loop for the single retry; the panicked leader's own
+                // unwind already cleared the flight.
+                CachedOutcome::LeaderFailed => continue,
             }
         }
-        Err(QueryError::new(
+        Err(QueryError::server(
             "computation panicked twice; giving up (see server logs)",
         ))
     }
@@ -165,7 +159,7 @@ impl Dispatcher {
             Query::Fuzz(f) => Ok(Response::Fuzz(run_sweep(f, |_| {}).into_response())),
             Query::Goodput => measure_goodput()
                 .map(Response::Goodput)
-                .map_err(|e| QueryError::new(format!("goodput: {e}"))),
+                .map_err(|e| QueryError::server(format!("goodput: {e}"))),
             Query::Search(s) => self.compute_search(s),
             // `dispatch` answers `stats` live; the arm keeps this total.
             Query::Stats => Ok(Response::Stats(self.stats())),
@@ -315,7 +309,7 @@ fn compute_trace(q: &TraceQuery) -> Result<TraceResponse, QueryError> {
     };
     let traced = sim
         .simulate_traced(cfg)
-        .map_err(|e| QueryError::new(format!("trace: {e}")))?;
+        .map_err(|e| QueryError::server(format!("trace: {e}")))?;
 
     let (ok, body) = match q.mode {
         TraceMode::Chrome => (true, render_trace_chrome(q, &sim, &traced)?),
@@ -348,7 +342,7 @@ fn render_trace_chrome(
             .to_trace(),
         None => traced.store.sampled(q.zoom),
     };
-    to_chrome_json(&trace).map_err(|e| QueryError::new(format!("trace: chrome export: {e}")))
+    to_chrome_json(&trace).map_err(|e| QueryError::server(format!("trace: chrome export: {e}")))
 }
 
 /// Renders one per-category busy array as a JSON object, chrome-export
@@ -441,7 +435,7 @@ fn render_trace_smoke(
 ) -> Result<(bool, String), QueryError> {
     let (reference, full_report) = sim
         .trace_events()
-        .map_err(|e| QueryError::new(format!("trace: {e}")))?;
+        .map_err(|e| QueryError::server(format!("trace: {e}")))?;
     let store = &traced.store;
     let mut ok = true;
     let mut out = String::new();

@@ -18,11 +18,13 @@
 //! * `GET /healthz` — liveness probe, plain `ok`.
 //! * `GET /v1/stats` — dispatcher + memo-layer counters (wire format).
 //! * `POST /v1/query` — body is one wire-format query line; the
-//!   response body is the wire-format response. Malformed queries get
-//!   HTTP 400 with a wire-format error line.
+//!   response body is the wire-format response. A malformed or
+//!   unanswerable query gets HTTP 400 with a wire-format error line; a
+//!   fault in answering a valid one (a failed simulation, a computation
+//!   that panicked twice) gets 500.
 
 use crate::dispatch::Dispatcher;
-use parallelism_core::query::{Query, QueryError, Response};
+use parallelism_core::query::{ErrorClass, Query, QueryError, Response};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use interleave::sync::{lock_or_recover, Mutex};
@@ -268,6 +270,26 @@ fn write_response(stream: &mut TcpStream, status: u16, reason: &str, body: &str)
     stream.write_all(head.as_bytes()).is_ok() && stream.write_all(body.as_bytes()).is_ok()
 }
 
+/// Answers one wire query line: 200 with the response, 400 when the
+/// query is at fault, 500 when the server is.
+fn answer(dispatcher: &Dispatcher, line: &str) -> (u16, &'static str, String) {
+    match Query::parse_wire(line).and_then(|q| dispatcher.dispatch(&q)) {
+        Ok(r) => (200, "OK", r.render_wire()),
+        Err(e) => {
+            let (status, reason) = error_status(&e);
+            (status, reason, Response::render_wire_error(&e))
+        }
+    }
+}
+
+/// The HTTP status of a query error, by whose fault it is.
+fn error_status(e: &QueryError) -> (u16, &'static str) {
+    match e.class {
+        ErrorClass::Client => (400, "Bad Request"),
+        ErrorClass::Server => (500, "Internal Server Error"),
+    }
+}
+
 /// Serves keep-alive requests on one connection until the peer leaves,
 /// the idle budget lapses, or the server shuts down.
 fn serve_connection(mut stream: TcpStream, dispatcher: &Dispatcher, shutdown: &AtomicBool) {
@@ -313,16 +335,8 @@ fn serve_connection(mut stream: TcpStream, dispatcher: &Dispatcher, shutdown: &A
             },
             ("POST", "/v1/query") => {
                 let text = String::from_utf8_lossy(&body);
-                let line = text.lines().next().unwrap_or("");
-                match Query::parse_wire(line).and_then(|q| dispatcher.dispatch(&q)) {
-                    Ok(r) => write_response(&mut stream, 200, "OK", &r.render_wire()),
-                    Err(e) => write_response(
-                        &mut stream,
-                        400,
-                        "Bad Request",
-                        &Response::render_wire_error(&e),
-                    ),
-                }
+                let (status, reason, body) = answer(dispatcher, text.lines().next().unwrap_or(""));
+                write_response(&mut stream, status, reason, &body)
             }
             _ => write_response(
                 &mut stream,
@@ -390,6 +404,24 @@ mod tests {
             peak <= 8,
             "{peak} connection handles held after 500 closed connections"
         );
+    }
+
+    #[test]
+    fn client_faults_are_400_and_server_faults_500() {
+        let d = Dispatcher::new();
+        let list = Query::Analyze(parallelism_core::query::AnalyzeMode::List).to_wire();
+        assert_eq!(answer(&d, &list).0, 200);
+        for bad in [
+            "",
+            "llama3sim/1 nonsense",
+            "llama3sim/1 analyze config=no_such_config",
+            "llama3sim/1 infer model=nope",
+        ] {
+            let (status, reason, body) = answer(&d, bad);
+            assert_eq!((status, reason), (400, "Bad Request"), "{bad:?} -> {body}");
+        }
+        let fault = QueryError::server("computation panicked twice; giving up");
+        assert_eq!(error_status(&fault), (500, "Internal Server Error"));
     }
 
     #[test]

@@ -46,8 +46,8 @@ cargo run --release -q --bin llama3sim -- trace --smoke
 echo "==> goodput snapshot: seeded 24 h 405B/16K run under production fault rates, within a 60 s budget (writes BENCH_goodput.json)"
 timeout 60 cargo run --release -q --bin llama3sim -- goodput
 
-echo "==> infer smoke: 405B/16K continuous-batching day across all three traffic shapes, thread-count invariant (writes BENCH_infer.json)"
-cargo run --release -q --bin llama3sim -- infer --grid --json
+echo "==> infer smoke: 405B/16K continuous-batching day across all three traffic shapes, thread-count invariant, within a 60 s budget (writes BENCH_infer.json)"
+timeout 60 cargo run --release -q --bin llama3sim -- infer --grid --json
 
 echo "==> auto-parallelism search smoke: Table 2's 405B/16K mesh must be on the cp=1 frontier (writes BENCH_search.json)"
 cargo run --release -q --bin llama3sim -- search --max-cp 1 --expect 8,1,16,128
