@@ -62,7 +62,12 @@ fn b_before_f_swap_is_caught_by_dead001() {
     let diags = deadlock::check_schedule(&sched);
     assert!(!diags.is_empty(), "the cycle went undetected");
     for d in &diags {
-        assert_eq!(d.rule, RuleId::Dead001, "unexpected rule: {}", d.render_human());
+        assert_eq!(
+            d.rule,
+            RuleId::Dead001,
+            "unexpected rule: {}",
+            d.render_human()
+        );
     }
     let cycle = &diags[0];
     assert_eq!(cycle.severity, Severity::Error);
@@ -94,7 +99,10 @@ fn extra_all_gather_is_caught_by_coll001() {
     assert_eq!(d.severity, Severity::Error);
     assert_eq!(d.rank, Some(victim), "witness must name the divergent rank");
     assert!(d.message.contains("tp group"), "{}", d.message);
-    assert!(d.witness.iter().any(|w| w.contains(&format!("rank {victim}"))));
+    assert!(d
+        .witness
+        .iter()
+        .any(|w| w.contains(&format!("rank {victim}"))));
 }
 
 /// Defect 3: disabling recomputation and shrinking HBM leaves an
@@ -110,13 +118,22 @@ fn oversized_activation_plan_is_caught_by_mem001() {
     let report = analyze_step(&m);
     assert!(report.has_errors());
     for d in report.errors() {
-        assert_eq!(d.rule, RuleId::Mem001, "unexpected rule: {}", d.render_human());
+        assert_eq!(
+            d.rule,
+            RuleId::Mem001,
+            "unexpected rule: {}",
+            d.render_human()
+        );
     }
     let first = report.errors().next().unwrap();
     // Rank 0 holds the deepest in-flight activation stack, so it is
     // named first; its global rank is 0 at tp=cp=dp=0 coordinates.
     assert_eq!(first.rank, Some(0));
-    assert!(first.message.contains("pipeline rank 0"), "{}", first.message);
+    assert!(
+        first.message.contains("pipeline rank 0"),
+        "{}",
+        first.message
+    );
     assert!(first.witness.iter().any(|w| w.contains("activations")));
     assert!(first.witness.iter().any(|w| w.contains("total")));
 }
@@ -141,6 +158,12 @@ fn duplicated_forward_is_caught_by_race001() {
     assert_eq!(d.rank, Some(0));
     assert!(d.message.contains("read/write"), "{}", d.message);
     assert!(d.message.contains("act[0.0]"), "{}", d.message);
-    assert!(d.witness.iter().any(|w| w == "rank 0 F[0.0] writes act[0.0]"));
-    assert!(d.witness.iter().any(|w| w == "rank 1 F[1.0] reads act[0.0]"));
+    assert!(d
+        .witness
+        .iter()
+        .any(|w| w == "rank 0 F[0.0] writes act[0.0]"));
+    assert!(d
+        .witness
+        .iter()
+        .any(|w| w == "rank 1 F[1.0] reads act[0.0]"));
 }

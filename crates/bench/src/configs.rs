@@ -1,4 +1,3 @@
-
 //! Shared experiment configurations.
 
 use cluster_model::topology::Cluster;
@@ -150,7 +149,9 @@ mod tests {
             BalancePolicy::Uniform,
             false,
         )
-        .run(&SimOptions::default()).expect("valid step config").report;
+        .run(&SimOptions::default())
+        .expect("valid step config")
+        .report;
         assert!(r.tflops_per_gpu > 100.0);
     }
 

@@ -14,11 +14,26 @@ use parallelism_core::SimOptions;
 pub fn run() -> String {
     let mut t = Table::new(
         "§7.3 — end-to-end 405B on 16K GPUs",
-        &["phase", "TFLOPs/GPU", "paper", "mid-rank bubble", "paper bubble"],
+        &[
+            "phase",
+            "TFLOPs/GPU",
+            "paper",
+            "mid-rank bubble",
+            "paper bubble",
+        ],
     );
-    let short = production_short_context(16).run(&SimOptions::default()).expect("valid step config").report;
-    let short_2pp = production_short_context(32).run(&SimOptions::default()).expect("valid step config").report;
-    let long = production_long_context(11).run(&SimOptions::default()).expect("valid step config").report;
+    let short = production_short_context(16)
+        .run(&SimOptions::default())
+        .expect("valid step config")
+        .report;
+    let short_2pp = production_short_context(32)
+        .run(&SimOptions::default())
+        .expect("valid step config")
+        .report;
+    let long = production_long_context(11)
+        .run(&SimOptions::default())
+        .expect("valid step config")
+        .report;
     // Rank 8 sits mid-pipeline: full stages, none of the light
     // first/last stages whose small compute inflates idle/compute.
     let mid = 8usize;
@@ -78,7 +93,10 @@ mod tests {
     #[test]
     fn short_context_tflops_near_paper() {
         // Paper: 400 TFLOPs/GPU; calibrated model lands within ~12 %.
-        let r = production_short_context(16).run(&SimOptions::default()).expect("valid step config").report;
+        let r = production_short_context(16)
+            .run(&SimOptions::default())
+            .expect("valid step config")
+            .report;
         assert!(
             (350.0..460.0).contains(&r.tflops_per_gpu),
             "TFLOPs {}",
@@ -89,7 +107,10 @@ mod tests {
     #[test]
     fn long_context_tflops_near_paper() {
         // Paper: 380 TFLOPs/GPU.
-        let r = production_long_context(11).run(&SimOptions::default()).expect("valid step config").report;
+        let r = production_long_context(11)
+            .run(&SimOptions::default())
+            .expect("valid step config")
+            .report;
         assert!(
             (330.0..430.0).contains(&r.tflops_per_gpu),
             "TFLOPs {}",
@@ -100,8 +121,14 @@ mod tests {
     #[test]
     fn mid_rank_bubbles_match_paper_shape() {
         // Paper: 12 % at bs = pp, 5 % at bs = 2·pp.
-        let bs_pp = production_short_context(16).run(&SimOptions::default()).expect("valid step config").report;
-        let bs_2pp = production_short_context(32).run(&SimOptions::default()).expect("valid step config").report;
+        let bs_pp = production_short_context(16)
+            .run(&SimOptions::default())
+            .expect("valid step config")
+            .report;
+        let bs_2pp = production_short_context(32)
+            .run(&SimOptions::default())
+            .expect("valid step config")
+            .report;
         assert!(
             (0.08..0.20).contains(&bs_pp.bubble_ratio[8]),
             "bs=pp mid bubble {}",
@@ -116,8 +143,14 @@ mod tests {
 
     #[test]
     fn long_context_slightly_below_short() {
-        let s = production_short_context(16).run(&SimOptions::default()).expect("valid step config").report;
-        let l = production_long_context(11).run(&SimOptions::default()).expect("valid step config").report;
+        let s = production_short_context(16)
+            .run(&SimOptions::default())
+            .expect("valid step config")
+            .report;
+        let l = production_long_context(11)
+            .run(&SimOptions::default())
+            .expect("valid step config")
+            .report;
         assert!(l.tflops_per_gpu < s.tflops_per_gpu * 1.05);
         assert!(
             l.tflops_per_gpu > s.tflops_per_gpu * 0.7,
@@ -129,18 +162,26 @@ mod tests {
 
     #[test]
     fn doubling_bs_roughly_halves_the_bubble() {
-        let bs_pp = production_short_context(16).run(&SimOptions::default()).expect("valid step config").report;
-        let bs_2pp = production_short_context(32).run(&SimOptions::default()).expect("valid step config").report;
+        let bs_pp = production_short_context(16)
+            .run(&SimOptions::default())
+            .expect("valid step config")
+            .report;
+        let bs_2pp = production_short_context(32)
+            .run(&SimOptions::default())
+            .expect("valid step config")
+            .report;
         let r = bs_2pp.bubble_ratio[8] / bs_pp.bubble_ratio[8];
         assert!((0.3..0.8).contains(&r), "ratio {r}");
     }
 
     #[test]
     fn cp_exposure_single_digit_share_with_dominant_sync_wait() {
-        let long = production_long_context(11).run(&SimOptions::default()).expect("valid step config").report;
+        let long = production_long_context(11)
+            .run(&SimOptions::default())
+            .expect("valid step config")
+            .report;
         let step = long.step_time.as_secs_f64();
-        let cp =
-            long.exposed.cp.as_secs_f64() + long.exposed.cp_sync_wait.as_secs_f64();
+        let cp = long.exposed.cp.as_secs_f64() + long.exposed.cp_sync_wait.as_secs_f64();
         let share = cp / step;
         assert!((0.01..0.2).contains(&share), "CP share {share}");
         let wait = long.exposed.cp_sync_wait.as_secs_f64() / cp;

@@ -33,9 +33,18 @@ pub fn run() -> String {
         "Fig 10b — training throughput (paper: balance +6.5 % TFLOPs; turning recompute off +17.5 %)",
         &["configuration", "TFLOPs/GPU", "max peak memory"],
     );
-    let r_uni = uni.run(&SimOptions::default()).expect("valid step config").report;
-    let r_bal = bal.run(&SimOptions::default()).expect("valid step config").report;
-    let r_rc = uni_rc.run(&SimOptions::default()).expect("valid step config").report;
+    let r_uni = uni
+        .run(&SimOptions::default())
+        .expect("valid step config")
+        .report;
+    let r_bal = bal
+        .run(&SimOptions::default())
+        .expect("valid step config")
+        .report;
+    let r_rc = uni_rc
+        .run(&SimOptions::default())
+        .expect("valid step config")
+        .report;
     thr.row(&[
         "no balance + recompute".to_string(),
         format!("{:.1}", r_rc.tflops_per_gpu),
@@ -81,8 +90,14 @@ mod tests {
     #[test]
     fn balance_cuts_max_memory_and_raises_tflops() {
         let kind = ScheduleKind::Flexible { nc: 4 };
-        let uni = scaled_405b_step(kind, BalancePolicy::Uniform, false).run(&SimOptions::default()).expect("valid step config").report;
-        let bal = scaled_405b_step(kind, BalancePolicy::DropFirstAndLast, false).run(&SimOptions::default()).expect("valid step config").report;
+        let uni = scaled_405b_step(kind, BalancePolicy::Uniform, false)
+            .run(&SimOptions::default())
+            .expect("valid step config")
+            .report;
+        let bal = scaled_405b_step(kind, BalancePolicy::DropFirstAndLast, false)
+            .run(&SimOptions::default())
+            .expect("valid step config")
+            .report;
         assert!(bal.max_peak_memory() < uni.max_peak_memory());
         assert!(bal.tflops_per_gpu > uni.tflops_per_gpu);
     }
@@ -92,8 +107,14 @@ mod tests {
         // Paper: +6.5 % from balance alone, +17.5 % once balance lets
         // recomputation be turned off.
         let kind = ScheduleKind::Flexible { nc: 4 };
-        let rc = scaled_405b_step(kind, BalancePolicy::Uniform, true).run(&SimOptions::default()).expect("valid step config").report;
-        let bal = scaled_405b_step(kind, BalancePolicy::DropFirstAndLast, false).run(&SimOptions::default()).expect("valid step config").report;
+        let rc = scaled_405b_step(kind, BalancePolicy::Uniform, true)
+            .run(&SimOptions::default())
+            .expect("valid step config")
+            .report;
+        let bal = scaled_405b_step(kind, BalancePolicy::DropFirstAndLast, false)
+            .run(&SimOptions::default())
+            .expect("valid step config")
+            .report;
         let gain = bal.tflops_per_gpu / rc.tflops_per_gpu - 1.0;
         assert!(gain > 0.08, "gain vs recompute {:.3}", gain);
     }

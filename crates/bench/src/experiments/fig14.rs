@@ -34,7 +34,13 @@ pub fn rank_times(groups: usize, cp: u32, seq: u64, seed: u64) -> Vec<(f64, f64)
             let pairs = sharding.rank_pairs(seq, &mask, r);
             let cost = flops::attention_kernel_fwd(&cfg, tokens, seq, pairs);
             let attn = gpu
-                .attention_time(KernelCost { launches: 2, ..cost }, Dtype::Bf16)
+                .attention_time(
+                    KernelCost {
+                        launches: 2,
+                        ..cost
+                    },
+                    Dtype::Bf16,
+                )
                 .as_secs_f64()
                 * 3.0;
             out.push((attn, attn + dense_t));
@@ -91,10 +97,7 @@ mod tests {
         let s = Summary::of(&total).unwrap();
         let ratio = s.max_over_min();
         // Paper: 1.44×. The synthetic corpus lands in the same band.
-        assert!(
-            (1.15..2.2).contains(&ratio),
-            "slowest/fastest = {ratio:.2}"
-        );
+        assert!((1.15..2.2).contains(&ratio), "slowest/fastest = {ratio:.2}");
     }
 
     #[test]

@@ -53,9 +53,7 @@ pub fn grad_memory_profile(kind: ScheduleKind, zero: ZeroMode) -> (u64, Vec<(u64
             let reshard = match zero {
                 // ZeRO-2: reduce-scatter after the last micro-batch of
                 // each nc-round for this chunk.
-                ZeroMode::Zero2 | ZeroMode::Zero3 => {
-                    (*mb + 1) % sched.nc == 0 || *mb + 1 == nmb
-                }
+                ZeroMode::Zero2 | ZeroMode::Zero3 => (*mb + 1) % sched.nc == 0 || *mb + 1 == nmb,
                 // ZeRO-1: a single reduce-scatter at step end.
                 ZeroMode::Zero1 => false,
             };

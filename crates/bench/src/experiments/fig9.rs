@@ -19,7 +19,10 @@ pub fn run() -> String {
         ("all-F-all-B", ScheduleKind::AllFwdAllBwd, 12, 1),
     ] {
         let step = scaled_405b_step(kind, BalancePolicy::DropFirstAndLast, false);
-        let r = step.run(&SimOptions::default()).expect("valid step config").report;
+        let r = step
+            .run(&SimOptions::default())
+            .expect("valid step config")
+            .report;
         t.row(&[
             name.to_string(),
             nc.to_string(),
@@ -39,7 +42,10 @@ mod tests {
     #[test]
     fn throughput_and_memory_shapes_hold() {
         let sim = |kind| {
-            scaled_405b_step(kind, BalancePolicy::DropFirstAndLast, false).run(&SimOptions::default()).expect("valid step config").report
+            scaled_405b_step(kind, BalancePolicy::DropFirstAndLast, false)
+                .run(&SimOptions::default())
+                .expect("valid step config")
+                .report
         };
         let f1b = sim(ScheduleKind::Flexible { nc: 4 });
         let flex = sim(ScheduleKind::Flexible { nc: 6 });

@@ -10,9 +10,9 @@
 
 use crate::configs::production_short_context;
 use crate::report::{pct, Table};
+use cluster_model::faults::{FaultRates, FaultTimeline};
 use parallelism_core::run::{CheckpointPolicy, GoodputReport, RunSimulator};
 use parallelism_core::SimError;
-use cluster_model::faults::{FaultRates, FaultTimeline};
 
 /// The simulated horizon: one day of production training.
 pub const HORIZON_S: f64 = 24.0 * 3600.0;
@@ -57,14 +57,20 @@ pub fn run() -> String {
         "§6 — 24 h of 405B on 16K GPUs under production fault rates",
         &["metric", "value"],
     );
-    head.row(&["MTBF (fatal)".to_string(), format!("{:.2} h", base.mtbf_s / 3600.0)]);
+    head.row(&[
+        "MTBF (fatal)".to_string(),
+        format!("{:.2} h", base.mtbf_s / 3600.0),
+    ]);
     head.row(&[
         "healthy step time".to_string(),
         format!("{:.2} s", base.healthy_step_s),
     ]);
     head.row(&[
         "checkpoint shard / rank".to_string(),
-        format!("{:.2} GiB", base.checkpoint_bytes_per_rank as f64 / (1u64 << 30) as f64),
+        format!(
+            "{:.2} GiB",
+            base.checkpoint_bytes_per_rank as f64 / (1u64 << 30) as f64
+        ),
     ]);
     head.row(&[
         "checkpoint write time".to_string(),
@@ -126,7 +132,11 @@ mod tests {
         // One day at a ~2.9 h MTBF: several restarts, but the run must
         // still spend the vast majority of its time training.
         assert!(r.restarts >= 1, "expected at least one fatal fault: {r:?}");
-        assert!(r.goodput > 0.80 && r.goodput < 0.999, "goodput {:.4}", r.goodput);
+        assert!(
+            r.goodput > 0.80 && r.goodput < 0.999,
+            "goodput {:.4}",
+            r.goodput
+        );
         assert!(r.effective_training_time_ratio() > 0.80);
     }
 

@@ -13,11 +13,20 @@ pub fn run() -> String {
         "§3.2 — encoder sharding options (paper: option 2 encoder share grew to 33 % after the 672² bump; option 3 cut it to ~8 % and recovered TFLOPs)",
         &["encoder", "option", "encoder share", "TFLOPs/GPU", "step time"],
     );
-    for (vit_name, vit) in [("448²/32L", VitConfig::vit_448()), ("672²/48L", VitConfig::vit_672_deep())] {
+    for (vit_name, vit) in [
+        ("448²/32L", VitConfig::vit_448()),
+        ("672²/48L", VitConfig::vit_672_deep()),
+    ] {
         for (opt_name, sharding) in [
             ("1: with first stage", EncoderSharding::WithFirstStage),
-            ("2: preprocess on rank 0", EncoderSharding::PreprocessOnFirstRank),
-            ("3: replicate across PP", EncoderSharding::ReplicatedAcrossRanks),
+            (
+                "2: preprocess on rank 0",
+                EncoderSharding::PreprocessOnFirstRank,
+            ),
+            (
+                "3: replicate across PP",
+                EncoderSharding::ReplicatedAcrossRanks,
+            ),
         ] {
             let r = production_multimodal(vit.clone(), sharding).simulate();
             t.row(&[
@@ -40,7 +49,10 @@ pub fn run() -> String {
         &["wrapping", "virtual stages", "bubble ratio", "stage imbalance"],
     );
     for (name, wrap) in [
-        ("option 1: n self + 1 cross per stage", StageWrapping::GroupedSelfPlusCross),
+        (
+            "option 1: n self + 1 cross per stage",
+            StageWrapping::GroupedSelfPlusCross,
+        ),
         ("option 2: homogeneous stages", StageWrapping::Homogeneous),
     ] {
         let r = evaluate_wrapping(&step, wrap);

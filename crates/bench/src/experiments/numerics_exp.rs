@@ -3,12 +3,12 @@
 //! arithmetic.
 
 use crate::report::Table;
+use llm_model::masks::MaskSpec;
 use numerics::attention::{attention_blockwise, attention_direct, cp_allgather_attention};
 use numerics::gemm::{gemm, gemm_k_split, gemm_matched_chunks, GemmPrecision};
 use numerics::parity::diagnose;
 use numerics::tensor::Matrix;
 use numerics::training::{AccumPrecision, Regression};
-use llm_model::masks::MaskSpec;
 
 /// Runs the experiment and returns the report.
 pub fn run() -> String {
@@ -53,7 +53,10 @@ pub fn run() -> String {
         "§6.2 — gradient accumulation precision vs f64 oracle (64 micro-batches, 60 steps)",
         &["accumulator", "final loss", "max loss gap vs oracle"],
     );
-    for (name, p) in [("FP32 (production)", AccumPrecision::Fp32), ("BF16", AccumPrecision::Bf16)] {
+    for (name, p) in [
+        ("FP32 (production)", AccumPrecision::Fp32),
+        ("BF16", AccumPrecision::Bf16),
+    ] {
         let run = problem.train(60, 0.5, p);
         t.row(&[
             name.to_string(),

@@ -143,7 +143,7 @@ mod tests {
         let (tp_in, _, _, _) = dim_costs(1);
         let (_, _, _, dp_out) = dim_costs(8);
         let tp_step = tp_in * 126 * 16 / 16; // per rank per step
-        // DP once per step, overlappable with ~seconds of compute.
+                                             // DP once per step, overlappable with ~seconds of compute.
         assert!(dp_out < tp_step * 3);
     }
 }

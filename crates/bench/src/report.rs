@@ -108,7 +108,8 @@ impl Report {
 
     /// Appends a raw (number/bool) metric.
     pub fn metric(mut self, key: impl Into<String>, value: impl std::fmt::Display) -> Report {
-        self.metrics.push((key.into(), Json::Raw(value.to_string())));
+        self.metrics
+            .push((key.into(), Json::Raw(value.to_string())));
         self
     }
 
@@ -143,9 +144,21 @@ impl Report {
     pub fn render_json(&self) -> String {
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"schema_version\": {SCHEMA_VERSION},");
-        let _ = writeln!(out, "  \"tool\": {},", Json::Str(self.tool.clone()).render());
-        let _ = writeln!(out, "  \"config\": {},", Report::render_object(&self.config, "  "));
-        let _ = writeln!(out, "  \"metrics\": {}", Report::render_object(&self.metrics, "  "));
+        let _ = writeln!(
+            out,
+            "  \"tool\": {},",
+            Json::Str(self.tool.clone()).render()
+        );
+        let _ = writeln!(
+            out,
+            "  \"config\": {},",
+            Report::render_object(&self.config, "  ")
+        );
+        let _ = writeln!(
+            out,
+            "  \"metrics\": {}",
+            Report::render_object(&self.metrics, "  ")
+        );
         out.push_str("}\n");
         out
     }
@@ -264,7 +277,10 @@ mod tests {
             .metric("paper_mesh_on_frontier", true);
         let j = r.render_json();
         // The four envelope fields, in order, with schema_version first.
-        let pos = |needle: &str| j.find(needle).unwrap_or_else(|| panic!("missing {needle} in {j}"));
+        let pos = |needle: &str| {
+            j.find(needle)
+                .unwrap_or_else(|| panic!("missing {needle} in {j}"))
+        };
         assert!(pos("\"schema_version\": 6") < pos("\"tool\": \"search\""));
         assert!(pos("\"tool\"") < pos("\"config\": {"));
         assert!(pos("\"config\"") < pos("\"metrics\": {"));
@@ -279,7 +295,9 @@ mod tests {
 
     #[test]
     fn envelope_escapes_strings_and_handles_empty_objects() {
-        let j = Report::new("bench").metric_str("note", "a \"b\"\\\n").render_json();
+        let j = Report::new("bench")
+            .metric_str("note", "a \"b\"\\\n")
+            .render_json();
         assert!(j.contains("\"note\": \"a \\\"b\\\"\\\\\\n\""));
         assert!(j.contains("\"config\": {},"));
     }

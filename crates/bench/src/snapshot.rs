@@ -49,7 +49,10 @@ pub fn measure_goodput() -> Result<GoodputResponse, SimError> {
 pub fn goodput_envelope(g: &GoodputResponse) -> Report {
     let r = &g.report;
     Report::new("goodput")
-        .config_str("run_config", "llama3-405b @ 16384 GPUs, production fault rates")
+        .config_str(
+            "run_config",
+            "llama3-405b @ 16384 GPUs, production fault rates",
+        )
         .config("seed", format!("{}", g.seed))
         .config("horizon_s", format!("{:.1}", r.wall_time_s))
         .metric("goodput", format!("{:.6}", r.goodput))
@@ -105,13 +108,19 @@ pub fn search_envelope(q: &SearchQuery, spec: &SearchSpec, report: &SearchReport
     if let Some(best) = &report.best_step_time {
         envelope = envelope
             .metric_str("best_config", best.config.to_string())
-            .metric("best_step_time_ms", format!("{:.3}", best.step_time.as_millis_f64()))
+            .metric(
+                "best_step_time_ms",
+                format!("{:.3}", best.step_time.as_millis_f64()),
+            )
             .metric("best_tflops_per_gpu", format!("{:.1}", best.tflops_per_gpu));
     }
     if let Some(lean) = &report.best_memory {
         envelope = envelope
             .metric_str("leanest_config", lean.config.to_string())
-            .metric("leanest_peak_gib", format!("{:.2}", lean.peak_memory as f64 / (1u64 << 30) as f64));
+            .metric(
+                "leanest_peak_gib",
+                format!("{:.2}", lean.peak_memory as f64 / (1u64 << 30) as f64),
+            );
     }
     if let Some(g) = &report.best_goodput {
         envelope = envelope
@@ -152,7 +161,10 @@ pub fn infer_envelope(q: &InferQuery, rows: &[InferResponse]) -> Report {
             .metric(format!("{tag}_offered"), r.offered)
             .metric(format!("{tag}_completed"), r.report.completed)
             .metric(format!("{tag}_dropped"), r.report.dropped)
-            .metric(format!("{tag}_tokens_per_s"), format!("{:.1}", r.report.tokens_per_s))
+            .metric(
+                format!("{tag}_tokens_per_s"),
+                format!("{:.1}", r.report.tokens_per_s),
+            )
             .metric(
                 format!("{tag}_ttft_p50_ms"),
                 format!("{:.3}", r.report.ttft[0].as_millis_f64()),
@@ -175,7 +187,10 @@ pub fn infer_envelope(q: &InferQuery, rows: &[InferResponse]) -> Report {
             )
             .metric(
                 format!("{tag}_peak_hbm_gib"),
-                format!("{:.2}", r.report.peak_hbm_bytes as f64 / (1u64 << 30) as f64),
+                format!(
+                    "{:.2}",
+                    r.report.peak_hbm_bytes as f64 / (1u64 << 30) as f64
+                ),
             );
     }
     envelope

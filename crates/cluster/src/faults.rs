@@ -178,8 +178,7 @@ impl FaultRates {
                 "fault rates must be finite and >= 0".into(),
             ));
         }
-        if !(self.link_degrade_capacity_scale > 0.0 && self.link_degrade_capacity_scale <= 1.0)
-        {
+        if !(self.link_degrade_capacity_scale > 0.0 && self.link_degrade_capacity_scale <= 1.0) {
             return Err(SimError::InvalidValue(
                 "link_degrade_capacity_scale must be in (0, 1]".into(),
             ));
@@ -425,9 +424,7 @@ impl FaultTimeline {
             }
             health = match (e.kind, e.scope) {
                 (FaultKind::ThermalThrottle, FaultScope::Gpu(r)) => health.throttle(r, e.severity),
-                (FaultKind::LinkDegrade, FaultScope::Node(n)) => {
-                    health.degrade_node(n, e.severity)
-                }
+                (FaultKind::LinkDegrade, FaultScope::Node(n)) => health.degrade_node(n, e.severity),
                 _ => health,
             };
         }
@@ -480,8 +477,7 @@ mod tests {
     const DAY_S: f64 = 24.0 * 3600.0;
 
     fn production_timeline(seed: u64) -> FaultTimeline {
-        FaultTimeline::generate(FaultRates::llama3_production(), 16_384, 8, DAY_S, seed)
-            .unwrap()
+        FaultTimeline::generate(FaultRates::llama3_production(), 16_384, 8, DAY_S, seed).unwrap()
     }
 
     #[test]
@@ -590,12 +586,8 @@ mod tests {
         let mut bad = FaultRates::llama3_production();
         bad.thermal_max_slowdown = 0.5;
         assert!(FaultTimeline::generate(bad, 8, 8, DAY_S, 0).is_err());
-        assert!(
-            FaultTimeline::generate(FaultRates::none(), 0, 8, DAY_S, 0).is_err()
-        );
-        assert!(
-            FaultTimeline::generate(FaultRates::none(), 8, 8, -1.0, 0).is_err()
-        );
+        assert!(FaultTimeline::generate(FaultRates::none(), 0, 8, DAY_S, 0).is_err());
+        assert!(FaultTimeline::generate(FaultRates::none(), 8, 8, -1.0, 0).is_err());
     }
 
     #[test]

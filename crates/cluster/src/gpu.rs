@@ -237,7 +237,10 @@ mod tests {
     fn gemm_cost_counts_flops_and_bytes() {
         let c = KernelCost::gemm(128, 256, 512, Dtype::Bf16);
         assert_eq!(c.flops, 2.0 * 128.0 * 256.0 * 512.0);
-        assert_eq!(c.bytes, 2.0 * (128.0 * 512.0 + 512.0 * 256.0 + 128.0 * 256.0));
+        assert_eq!(
+            c.bytes,
+            2.0 * (128.0 * 512.0 + 512.0 * 256.0 + 128.0 * 256.0)
+        );
         assert_eq!(c.launches, 1);
     }
 
@@ -275,13 +278,24 @@ mod tests {
         assert!(t2e > t3);
         // But an enormous compute-bound GEMM is unaffected.
         let big = KernelCost::gemm(16384, 16384, 16384, Dtype::Bf16);
-        assert_eq!(hbm3.gemm_time(big, Dtype::Bf16), hbm2e.gemm_time(big, Dtype::Bf16));
+        assert_eq!(
+            hbm3.gemm_time(big, Dtype::Bf16),
+            hbm2e.gemm_time(big, Dtype::Bf16)
+        );
     }
 
     #[test]
     fn merge_and_scale() {
-        let a = KernelCost { flops: 10.0, bytes: 4.0, launches: 1 };
-        let b = KernelCost { flops: 5.0, bytes: 2.0, launches: 2 };
+        let a = KernelCost {
+            flops: 10.0,
+            bytes: 4.0,
+            launches: 1,
+        };
+        let b = KernelCost {
+            flops: 5.0,
+            bytes: 2.0,
+            launches: 2,
+        };
         let m = a.merge(b);
         assert_eq!(m.flops, 15.0);
         assert_eq!(m.launches, 3);

@@ -192,8 +192,7 @@ mod tests {
         // a single draw's max only when n is big — compare equal-n:
         let amp = 0.1;
         let stat = JitterModel::new(JitterKind::Static, amp, 5).synchronized_slowdown(16, 128);
-        let trans =
-            JitterModel::new(JitterKind::Transient, amp, 5).synchronized_slowdown(16, 128);
+        let trans = JitterModel::new(JitterKind::Transient, amp, 5).synchronized_slowdown(16, 128);
         // Both are ≤ 1+amp; transient re-rolls so its mean max is close to
         // the static max of the same population size.
         assert!(stat <= 1.0 + amp + 1e-9);

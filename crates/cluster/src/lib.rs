@@ -24,6 +24,6 @@ pub mod topology;
 
 pub use faults::{ClusterHealth, FaultEvent, FaultKind, FaultRates, FaultScope, FaultTimeline};
 pub use gpu::{Dtype, GpuSpec, KernelCost};
-pub use power::{rank_by_cluster_throughput, PowerSizedCluster};
 pub use jitter::{JitterKind, JitterModel};
+pub use power::{rank_by_cluster_throughput, PowerSizedCluster};
 pub use topology::{Cluster, FluidTopology, GlobalRank, PathClass, TopologySpec};

@@ -107,10 +107,8 @@ mod tests {
         derated.name = "H100-derated-500W".to_string();
         derated.tdp_watts = 500.0;
         derated.max_gemm_efficiency *= 0.85;
-        let ranked = rank_by_cluster_throughput(
-            vec![GpuSpec::h100_sxm_hbm3(), derated],
-            HUNDRED_MW,
-        );
+        let ranked =
+            rank_by_cluster_throughput(vec![GpuSpec::h100_sxm_hbm3(), derated], HUNDRED_MW);
         assert_eq!(ranked[0].gpu.name, "H100-derated-500W");
     }
 

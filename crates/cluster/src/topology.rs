@@ -162,10 +162,16 @@ impl TopologySpec {
         let nleaves = self.num_leaves() as usize;
         // Per-GPU NVLink port (up and down combined into one directed
         // abstraction per GPU; the zig-zag detail is below link level).
-        let nv: Vec<LinkId> = (0..ngpu).map(|_| net.add_link(self.nvlink_bandwidth)).collect();
+        let nv: Vec<LinkId> = (0..ngpu)
+            .map(|_| net.add_link(self.nvlink_bandwidth))
+            .collect();
         // Per-GPU NIC up and down.
-        let nic_up: Vec<LinkId> = (0..ngpu).map(|_| net.add_link(self.nic_bandwidth)).collect();
-        let nic_down: Vec<LinkId> = (0..ngpu).map(|_| net.add_link(self.nic_bandwidth)).collect();
+        let nic_up: Vec<LinkId> = (0..ngpu)
+            .map(|_| net.add_link(self.nic_bandwidth))
+            .collect();
+        let nic_down: Vec<LinkId> = (0..ngpu)
+            .map(|_| net.add_link(self.nic_bandwidth))
+            .collect();
         // Per-node leaf port: aggregates the node's GPUs into the leaf.
         let node_up: Vec<LinkId> = (0..nnodes)
             .map(|_| net.add_link(self.nic_bandwidth * self.gpus_per_node as f64))
@@ -174,10 +180,9 @@ impl TopologySpec {
             .map(|_| net.add_link(self.nic_bandwidth * self.gpus_per_node as f64))
             .collect();
         // Leaf↔spine uplinks, possibly oversubscribed.
-        let leaf_capacity = self.nic_bandwidth
-            * self.gpus_per_node as f64
-            * self.nodes_per_leaf as f64
-            / self.spine_oversubscription;
+        let leaf_capacity =
+            self.nic_bandwidth * self.gpus_per_node as f64 * self.nodes_per_leaf as f64
+                / self.spine_oversubscription;
         let spine_up: Vec<LinkId> = (0..nleaves).map(|_| net.add_link(leaf_capacity)).collect();
         let spine_down: Vec<LinkId> = (0..nleaves).map(|_| net.add_link(leaf_capacity)).collect();
         FluidTopology {
@@ -325,8 +330,14 @@ mod tests {
     fn path_classes() {
         let t = spec();
         assert_eq!(t.path_class(GlobalRank(3), GlobalRank(3)), PathClass::Local);
-        assert_eq!(t.path_class(GlobalRank(0), GlobalRank(7)), PathClass::IntraNode);
-        assert_eq!(t.path_class(GlobalRank(0), GlobalRank(8)), PathClass::IntraLeaf);
+        assert_eq!(
+            t.path_class(GlobalRank(0), GlobalRank(7)),
+            PathClass::IntraNode
+        );
+        assert_eq!(
+            t.path_class(GlobalRank(0), GlobalRank(8)),
+            PathClass::IntraLeaf
+        );
         assert_eq!(
             t.path_class(GlobalRank(0), GlobalRank(255)),
             PathClass::CrossLeaf
@@ -356,9 +367,7 @@ mod tests {
         let over = spec().with_oversubscription(4.0).build_fluid();
         let full_spine = full.route(GlobalRank(0), GlobalRank(255))[2];
         let over_spine = over.route(GlobalRank(0), GlobalRank(255))[2];
-        assert!(
-            (full.net.capacity(full_spine) / over.net.capacity(over_spine) - 4.0).abs() < 1e-9
-        );
+        assert!((full.net.capacity(full_spine) / over.net.capacity(over_spine) - 4.0).abs() < 1e-9);
     }
 
     #[test]
@@ -397,12 +406,8 @@ mod tests {
         let base = healthy.route(GlobalRank(0), GlobalRank(8));
         // nic_up of rank 0 is untouched; node_down/nic_down of node 1 scaled.
         assert_eq!(ft.net.capacity(route[0]), healthy.net.capacity(base[0]));
-        assert!(
-            (ft.net.capacity(route[2]) / healthy.net.capacity(base[2]) - 0.25).abs() < 1e-12
-        );
-        assert!(
-            (ft.net.capacity(route[3]) / healthy.net.capacity(base[3]) - 0.25).abs() < 1e-12
-        );
+        assert!((ft.net.capacity(route[2]) / healthy.net.capacity(base[2]) - 0.25).abs() < 1e-12);
+        assert!((ft.net.capacity(route[3]) / healthy.net.capacity(base[3]) - 0.25).abs() < 1e-12);
         // Out-of-range nodes are ignored rather than panicking.
         ft.apply_health(&ClusterHealth::healthy().degrade_node(10_000, 0.5));
     }

@@ -34,8 +34,8 @@ fn event_counts_match_poisson_rates_within_4_sigma() {
     let r = rates();
     let mut counts = [0u64; FaultKind::ALL.len()];
     for seed in 0..SEEDS {
-        let tl = FaultTimeline::generate(r, GPUS, 8, HOURS * 3600.0, seed)
-            .expect("timeline generates");
+        let tl =
+            FaultTimeline::generate(r, GPUS, 8, HOURS * 3600.0, seed).expect("timeline generates");
         for ev in tl.events() {
             let ki = FaultKind::ALL
                 .iter()

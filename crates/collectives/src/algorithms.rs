@@ -109,15 +109,16 @@ pub fn run_stepped(
             .map(|o| o.finish)
             .max()
             .unwrap_or(now);
-        total_bytes_per_rank += step_flows
-            .iter()
-            .map(|f| f.bytes)
-            .fold(0.0f64, f64::max);
+        total_bytes_per_rank += step_flows.iter().map(|f| f.bytes).fold(0.0f64, f64::max);
         now = step_end;
     }
     let elapsed = now.saturating_since(start).as_secs_f64();
     let out_bytes = total_bytes_per_rank + total_bytes_per_rank / (n.max(2) - 1) as f64;
-    let algorithm_bandwidth = if elapsed > 0.0 { out_bytes / elapsed } else { 0.0 };
+    let algorithm_bandwidth = if elapsed > 0.0 {
+        out_bytes / elapsed
+    } else {
+        0.0
+    };
     Ok(SteppedOutcome {
         finish: now,
         algorithm_bandwidth,

@@ -68,8 +68,7 @@ struct CacheKey {
 /// and planner sweeps share one warm table. Pricing is pure per key
 /// (the key carries every model input, floats by bit pattern), so
 /// cross-thread sharing cannot change a single priced bit.
-static COST_CACHE: LazyLock<ShardedCache<CacheKey, SimDuration>> =
-    LazyLock::new(ShardedCache::new);
+static COST_CACHE: LazyLock<ShardedCache<CacheKey, SimDuration>> = LazyLock::new(ShardedCache::new);
 
 /// Empties the process-wide collective cost cache.
 pub fn clear_cost_cache() {
@@ -260,8 +259,7 @@ impl CommCostModel {
         }
         let shard = bytes.div_ceil(n);
         // Two phases but a single launch.
-        self.all_gather(group, shard) + self.reduce_scatter(group, shard)
-            - self.launch_overhead
+        self.all_gather(group, shard) + self.reduce_scatter(group, shard) - self.launch_overhead
     }
 
     /// Broadcast of `bytes` from the group's first rank via a ring
@@ -292,11 +290,7 @@ impl CommCostModel {
 
     /// Achieved all-gather *algorithm bandwidth* in bytes/s: output bytes
     /// per rank divided by elapsed time — the metric plotted in Fig 12.
-    pub fn achieved_all_gather_bandwidth(
-        &self,
-        group: &ProcessGroup,
-        bytes_per_rank: u64,
-    ) -> f64 {
+    pub fn achieved_all_gather_bandwidth(&self, group: &ProcessGroup, bytes_per_rank: u64) -> f64 {
         let t = self.all_gather(group, bytes_per_rank);
         if t.is_zero() {
             return 0.0;
@@ -383,7 +377,10 @@ mod tests {
         let intra = m.p2p(GlobalRank(0), GlobalRank(1), 1 << 30);
         let inter = m.p2p(GlobalRank(0), GlobalRank(8), 1 << 30);
         assert!(inter > intra * 5);
-        assert_eq!(m.p2p(GlobalRank(3), GlobalRank(3), 1 << 30), SimDuration::ZERO);
+        assert_eq!(
+            m.p2p(GlobalRank(3), GlobalRank(3), 1 << 30),
+            SimDuration::ZERO
+        );
     }
 
     #[test]
@@ -415,10 +412,10 @@ mod tests {
         clear_cost_cache();
         let topo = TopologySpec::llama3_production(64);
         let groups = [
-            ProcessGroup::contiguous(0, 8),    // one NVLink island
-            ProcessGroup::contiguous(0, 32),   // 4 nodes, one leaf
-            ProcessGroup::strided(0, 16, 8),   // rank 0 of 16 nodes
-            ProcessGroup::strided(3, 4, 128),  // cross-leaf stride
+            ProcessGroup::contiguous(0, 8),   // one NVLink island
+            ProcessGroup::contiguous(0, 32),  // 4 nodes, one leaf
+            ProcessGroup::strided(0, 16, 8),  // rank 0 of 16 nodes
+            ProcessGroup::strided(3, 4, 128), // cross-leaf stride
             ProcessGroup::new(vec![
                 GlobalRank(0),
                 GlobalRank(9),

@@ -276,15 +276,9 @@ mod tests {
     #[test]
     fn contiguous_and_strided() {
         let c = ProcessGroup::contiguous(4, 3);
-        assert_eq!(
-            c.ranks(),
-            &[GlobalRank(4), GlobalRank(5), GlobalRank(6)]
-        );
+        assert_eq!(c.ranks(), &[GlobalRank(4), GlobalRank(5), GlobalRank(6)]);
         let s = ProcessGroup::strided(1, 3, 8);
-        assert_eq!(
-            s.ranks(),
-            &[GlobalRank(1), GlobalRank(9), GlobalRank(17)]
-        );
+        assert_eq!(s.ranks(), &[GlobalRank(1), GlobalRank(9), GlobalRank(17)]);
     }
 
     #[test]
@@ -363,7 +357,11 @@ mod tests {
             .collect();
         ranks[5] = GlobalRank(35); // was 34
         let g = ProcessGroup::new(ranks);
-        assert!(matches!(g.shape(8), GroupShape::Irregular { .. }), "{:?}", g.shape(8));
+        assert!(
+            matches!(g.shape(8), GroupShape::Irregular { .. }),
+            "{:?}",
+            g.shape(8)
+        );
         // A full arithmetic progression stays Strided, not Lattice: the
         // inner run covers the whole list.
         let ap = ProcessGroup::strided(0, 8, 2);

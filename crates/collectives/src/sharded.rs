@@ -124,7 +124,10 @@ impl<K: Eq + Hash, V: Clone> ShardedCache<K, V> {
 
     /// Total entries across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|shard| read_or_recover(shard).len()).sum()
+        self.shards
+            .iter()
+            .map(|shard| read_or_recover(shard).len())
+            .sum()
     }
 
     /// `true` when no shard holds an entry.
@@ -178,7 +181,14 @@ mod tests {
         c.clear();
         assert!(c.is_empty());
         c.reset_stats();
-        assert_eq!(c.stats(), CacheStats { hits: 0, misses: 0, entries: 0 });
+        assert_eq!(
+            c.stats(),
+            CacheStats {
+                hits: 0,
+                misses: 0,
+                entries: 0
+            }
+        );
     }
 
     #[test]

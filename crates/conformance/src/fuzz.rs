@@ -40,8 +40,8 @@ use cluster_model::{Cluster, GlobalRank, GpuSpec};
 use llm_model::{MaskSpec, ModelLayout, PrecisionPolicy, TransformerConfig};
 use parallelism_core::infer::{InferPlan, InferSpec, InferenceModel};
 use parallelism_core::pp::sim::TableCosts;
-use parallelism_core::query::{self, FuzzQuery};
 use parallelism_core::pp::UniformCosts;
+use parallelism_core::query::{self, FuzzQuery};
 use parallelism_core::step::{SimOptions, StepModel};
 use parallelism_core::{
     BalancePolicy, Dim, Mesh4D, ScheduleKind, StageAssignment, TrafficShape, TrafficSpec, ZeroMode,
@@ -170,9 +170,11 @@ impl CaseSpec {
         }
         self.seq = if self.seq < 8192 { 4096 } else { 8192 };
         self.kind = match self.kind {
-            ScheduleKind::Interleaved1F1B if !self.bs.is_multiple_of(self.pp) => ScheduleKind::Flexible {
-                nc: self.pp.min(self.bs),
-            },
+            ScheduleKind::Interleaved1F1B if !self.bs.is_multiple_of(self.pp) => {
+                ScheduleKind::Flexible {
+                    nc: self.pp.min(self.bs),
+                }
+            }
             ScheduleKind::Flexible { nc } => ScheduleKind::Flexible {
                 nc: nc.clamp(1, self.bs),
             },
@@ -351,7 +353,9 @@ impl FuzzFamily for CaseSpec {
         if report.has_errors() {
             return Err(ctx("pre-flight analysis")(report.error_summary()));
         }
-        let sched = m.schedule().map_err(|e| ctx("schedule build")(e.to_string()))?;
+        let sched = m
+            .schedule()
+            .map_err(|e| ctx("schedule build")(e.to_string()))?;
         check_schedule_completeness(&sched).map_err(ctx("completeness"))?;
         check_phase_counts(&sched).map_err(ctx("phase counts"))?;
 
@@ -427,13 +431,34 @@ impl FuzzFamily for CaseSpec {
                 out.push(c);
             }
         };
-        push(CaseSpec { tp: self.tp / 2, ..*self });
-        push(CaseSpec { cp: self.cp / 2, ..*self });
-        push(CaseSpec { pp: self.pp / 2, ..*self });
-        push(CaseSpec { dp: self.dp / 2, ..*self });
-        push(CaseSpec { v: self.v / 2, ..*self });
-        push(CaseSpec { bs: self.bs / 2, ..*self });
-        push(CaseSpec { layers_per_stage: 1, ..*self });
+        push(CaseSpec {
+            tp: self.tp / 2,
+            ..*self
+        });
+        push(CaseSpec {
+            cp: self.cp / 2,
+            ..*self
+        });
+        push(CaseSpec {
+            pp: self.pp / 2,
+            ..*self
+        });
+        push(CaseSpec {
+            dp: self.dp / 2,
+            ..*self
+        });
+        push(CaseSpec {
+            v: self.v / 2,
+            ..*self
+        });
+        push(CaseSpec {
+            bs: self.bs / 2,
+            ..*self
+        });
+        push(CaseSpec {
+            layers_per_stage: 1,
+            ..*self
+        });
         push(CaseSpec { seq: 4096, ..*self });
         if let ScheduleKind::Flexible { nc } = self.kind {
             push(CaseSpec {
@@ -625,7 +650,8 @@ impl FuzzFamily for TraceOpSpec {
             move |e: String| format!("[{spec}] {label}: {e}")
         };
         let mut rng = TestRng::new(self.seed);
-        let mut store = TieredTrace::new(TierConfig::tiny(self.tier0 as usize, self.chunk as usize));
+        let mut store =
+            TieredTrace::new(TierConfig::tiny(self.tier0 as usize, self.chunk as usize));
         // lint: allow(trace-vec) — the fuzzer's full-resolution model store
         let mut reference: Vec<TraceEvent> = Vec::new();
         let mut clock: u64 = 0;
@@ -760,11 +786,26 @@ impl FuzzFamily for TraceOpSpec {
                 out.push(c);
             }
         };
-        push(TraceOpSpec { ops: self.ops / 2, ..*self });
-        push(TraceOpSpec { tier0: self.tier0 / 2, ..*self });
-        push(TraceOpSpec { chunk: self.chunk / 2, ..*self });
-        push(TraceOpSpec { ranks: self.ranks / 2, ..*self });
-        push(TraceOpSpec { seed: self.seed / 2, ..*self });
+        push(TraceOpSpec {
+            ops: self.ops / 2,
+            ..*self
+        });
+        push(TraceOpSpec {
+            tier0: self.tier0 / 2,
+            ..*self
+        });
+        push(TraceOpSpec {
+            chunk: self.chunk / 2,
+            ..*self
+        });
+        push(TraceOpSpec {
+            ranks: self.ranks / 2,
+            ..*self
+        });
+        push(TraceOpSpec {
+            seed: self.seed / 2,
+            ..*self
+        });
         out
     }
 }
@@ -891,15 +932,42 @@ impl FuzzFamily for InferCaseSpec {
                 out.push(c);
             }
         };
-        push(InferCaseSpec { requests_per_day: self.requests_per_day / 2, ..*self });
-        push(InferCaseSpec { horizon_s: self.horizon_s / 2, ..*self });
-        push(InferCaseSpec { tp: self.tp / 2, ..*self });
-        push(InferCaseSpec { pp: self.pp / 2, ..*self });
-        push(InferCaseSpec { replicas: self.replicas / 2, ..*self });
-        push(InferCaseSpec { block_tokens: self.block_tokens / 2, ..*self });
-        push(InferCaseSpec { max_batch: self.max_batch / 2, ..*self });
-        push(InferCaseSpec { shape: TrafficShape::Steady, ..*self });
-        push(InferCaseSpec { seed: self.seed / 2, ..*self });
+        push(InferCaseSpec {
+            requests_per_day: self.requests_per_day / 2,
+            ..*self
+        });
+        push(InferCaseSpec {
+            horizon_s: self.horizon_s / 2,
+            ..*self
+        });
+        push(InferCaseSpec {
+            tp: self.tp / 2,
+            ..*self
+        });
+        push(InferCaseSpec {
+            pp: self.pp / 2,
+            ..*self
+        });
+        push(InferCaseSpec {
+            replicas: self.replicas / 2,
+            ..*self
+        });
+        push(InferCaseSpec {
+            block_tokens: self.block_tokens / 2,
+            ..*self
+        });
+        push(InferCaseSpec {
+            max_batch: self.max_batch / 2,
+            ..*self
+        });
+        push(InferCaseSpec {
+            shape: TrafficShape::Steady,
+            ..*self
+        });
+        push(InferCaseSpec {
+            seed: self.seed / 2,
+            ..*self
+        });
         out
     }
 }

@@ -77,9 +77,18 @@ mod tests {
             assert_eq!((spec.tp * spec.cp * spec.pp * spec.dp) % 8, 0);
         }
         for axis in [
-            grid.iter().map(|s| s.tp).collect::<std::collections::HashSet<_>>().len(),
-            grid.iter().map(|s| s.pp).collect::<std::collections::HashSet<_>>().len(),
-            grid.iter().map(|s| s.dp).collect::<std::collections::HashSet<_>>().len(),
+            grid.iter()
+                .map(|s| s.tp)
+                .collect::<std::collections::HashSet<_>>()
+                .len(),
+            grid.iter()
+                .map(|s| s.pp)
+                .collect::<std::collections::HashSet<_>>()
+                .len(),
+            grid.iter()
+                .map(|s| s.dp)
+                .collect::<std::collections::HashSet<_>>()
+                .len(),
         ] {
             assert!(axis >= 3, "an axis collapses to {axis} distinct values");
         }

@@ -107,7 +107,9 @@ pub fn check_phase_counts(s: &PpSchedule) -> CheckResult {
         }
         let (lead, steady, trail) = s.phase_counts(ppr);
         if lead == 0 {
-            return Err(format!("rank {ppr}: schedule does not start with a forward"));
+            return Err(format!(
+                "rank {ppr}: schedule does not start with a forward"
+            ));
         }
         if full_main {
             let expected_lead = (warmup_microbatches(s.pp, ppr, s.v, nc_eff) + 1).min(total);

@@ -68,8 +68,7 @@ fn correct_scratch_1f1b_passes_every_checker() {
         let s = scratch_1f1b(pp, nmb, 0);
         check_schedule_completeness(&s).unwrap_or_else(|e| panic!("pp={pp} nmb={nmb}: {e}"));
         check_phase_counts(&s).unwrap_or_else(|e| panic!("pp={pp} nmb={nmb}: {e}"));
-        check_schedule_executes(&s, &costs())
-            .unwrap_or_else(|e| panic!("pp={pp} nmb={nmb}: {e}"));
+        check_schedule_executes(&s, &costs()).unwrap_or_else(|e| panic!("pp={pp} nmb={nmb}: {e}"));
     }
 }
 
@@ -127,13 +126,7 @@ fn dropped_drain_op_is_caught() {
     let mut s = scratch_1f1b(4, 8, 0);
     s.ranks[0].pop();
     let err = check_schedule_completeness(&s).expect_err("missing backward must fail");
-    assert!(
-        err.contains("ops, expected"),
-        "unexpected message: {err}"
-    );
+    assert!(err.contains("ops, expected"), "unexpected message: {err}");
     let err = check_phase_counts(&s).expect_err("in-flight profile must not end at zero");
-    assert!(
-        err.contains("still in flight"),
-        "unexpected message: {err}"
-    );
+    assert!(err.contains("still in flight"), "unexpected message: {err}");
 }

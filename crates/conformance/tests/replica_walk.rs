@@ -72,8 +72,8 @@ fn an_arrival_cuts_a_decode_run_short_when_the_queue_is_empty() {
     assert!(cut_in.first_token_ns < long.finish_ns);
     // Admitted at the next boundary: at most one decode iteration of
     // waiting, then the serial prefill of what has arrived by then.
-    let bound = costs.decode_iter_time(1, 128 + 500).as_nanos()
-        + 2 * costs.prefill_time(64).as_nanos();
+    let bound =
+        costs.decode_iter_time(1, 128 + 500).as_nanos() + 2 * costs.prefill_time(64).as_nanos();
     assert!(
         cut_in.first_token_ns - cut_in.arrival_ns <= bound,
         "request 1 waited {} ns, bound {bound} ns",

@@ -299,9 +299,17 @@ fn fsdp_stream(
             });
             // ZeRO-2 reduce-scatters after each virtual stage's last
             // micro-batch; ZeRO-1 issues one step-end reduce-scatter.
-            let rs_chunks: u32 = if m.zero == ZeroMode::Zero2 { sched.v } else { 1 };
+            let rs_chunks: u32 = if m.zero == ZeroMode::Zero2 {
+                sched.v
+            } else {
+                1
+            };
             for c in 0..rs_chunks {
-                let params = if rs_chunks == 1 { rank_params } else { chunk_params(c) };
+                let params = if rs_chunks == 1 {
+                    rank_params
+                } else {
+                    chunk_params(c)
+                };
                 out.push(CollOp {
                     kind: CollKind::ReduceScatter,
                     bytes: params * policy.grad_bytes,
@@ -497,10 +505,13 @@ mod tests {
         let (victim, stream) = &mut gs.streams[1];
         let extra = stream[0].clone();
         let victim = victim.0;
-        stream.insert(0, CollOp {
-            kind: CollKind::AllGather,
-            ..extra
-        });
+        stream.insert(
+            0,
+            CollOp {
+                kind: CollKind::AllGather,
+                ..extra
+            },
+        );
         let diags = check_plan(&plan);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule, RuleId::Coll001);

@@ -392,9 +392,7 @@ pub fn analyze_step(m: &StepModel) -> Report {
     report
         .diagnostics
         .extend(deadlock::check_program(&sched, &program));
-    report
-        .diagnostics
-        .extend(collective::check_step(m, &sched));
+    report.diagnostics.extend(collective::check_step(m, &sched));
     report.diagnostics.extend(memory::check_step(m, &sched));
     report
         .diagnostics

@@ -106,7 +106,10 @@ pub fn check_program(sched: &PpSchedule, program: &PpProgram) -> Vec<Diagnostic>
     if races.len() > MAX_RACES {
         diags.push(Diagnostic::error(
             RuleId::Race001,
-            format!("{} more unordered pairs suppressed", races.len() - MAX_RACES),
+            format!(
+                "{} more unordered pairs suppressed",
+                races.len() - MAX_RACES
+            ),
         ));
     }
     diags
@@ -178,12 +181,26 @@ pub fn unordered_pairs(sched: &PpSchedule, program: &PpProgram) -> Vec<Race> {
         members.clear();
         let (stage32, mb32) = (stage as u32, mb as u32);
         let (lane, writers, readers, more_readers) = if grad {
-            let prev = if stage > 0 { of(true, stage - 1, mb) } else { &[] };
-            let lane = Lane::Grad { stage: stage32, mb: mb32 };
+            let prev = if stage > 0 {
+                of(true, stage - 1, mb)
+            } else {
+                &[]
+            };
+            let lane = Lane::Grad {
+                stage: stage32,
+                mb: mb32,
+            };
             (lane, of(true, stage, mb), prev, &[][..])
         } else {
-            let next = if stage + 1 < stages { of(false, stage + 1, mb) } else { &[] };
-            let lane = Lane::Act { stage: stage32, mb: mb32 };
+            let next = if stage + 1 < stages {
+                of(false, stage + 1, mb)
+            } else {
+                &[]
+            };
+            let lane = Lane::Act {
+                stage: stage32,
+                mb: mb32,
+            };
             (lane, of(false, stage, mb), next, of(true, stage, mb))
         };
         members.extend(writers.iter().map(|&i| (i, true)));
@@ -198,7 +215,13 @@ pub fn unordered_pairs(sched: &PpSchedule, program: &PpProgram) -> Vec<Race> {
                         d == x || (program.rank_of(d) == program.rank_of(x) && pos(d) >= pos(x))
                     });
                 if (a_writes || b_writes) && !near {
-                    let race = Race { lane, a, a_writes, b, b_writes };
+                    let race = Race {
+                        lane,
+                        a,
+                        a_writes,
+                        b,
+                        b_writes,
+                    };
                     pending.push((x, y, race));
                 }
             }

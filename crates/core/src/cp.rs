@@ -73,7 +73,9 @@ impl CpSharding {
 
     /// Pair counts for every rank.
     pub fn all_rank_pairs(&self, seq: u64, mask: &MaskSpec) -> Vec<u128> {
-        (0..self.cp).map(|r| self.rank_pairs(seq, mask, r)).collect()
+        (0..self.cp)
+            .map(|r| self.rank_pairs(seq, mask, r))
+            .collect()
     }
 
     /// Work-imbalance factor: max over mean of per-rank pairs — 1.0 is
@@ -174,9 +176,7 @@ impl AllGatherCp {
         // Document-mask bookkeeping (computing KV seqlens, padding Q) is
         // an elementwise pass over the local tokens.
         let overhead = match mask {
-            MaskSpec::Document { .. } => {
-                gpu.elementwise_time((local * cfg.q_dim() * 2) as f64, 1)
-            }
+            MaskSpec::Document { .. } => gpu.elementwise_time((local * cfg.q_dim() * 2) as f64, 1),
             _ => SimDuration::ZERO,
         };
         CpAttnBreakdown {
@@ -415,7 +415,9 @@ mod tests {
         let causal = ag.layer_fwd(&cfg, seq, &MaskSpec::Causal, &gpu, &comm, &group);
         let doc_mask = MaskSpec::document(
             // mean ≈ 1K with one long outlier.
-            vec![16384, 1024, 1024, 2048, 512, 512, 1024, 1024, 512, 4096, 512, 3072, 1024],
+            vec![
+                16384, 1024, 1024, 2048, 512, 512, 1024, 1024, 512, 4096, 512, 3072, 1024,
+            ],
         );
         let doc = ag.layer_fwd(&cfg, seq, &doc_mask, &gpu, &comm, &group);
         let rel_causal = relative_hfu(&cfg, seq, &MaskSpec::Causal, &gpu, causal.total(), 4);

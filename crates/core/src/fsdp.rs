@@ -188,10 +188,7 @@ mod tests {
         let p = PrecisionPolicy::llama3();
         let params = 10 * MB;
         let z1 = state_bytes_per_rank(params, p, ZeroMode::Zero1, 8);
-        assert_eq!(
-            z1,
-            params * 2 + params * 4 + (params * 12).div_ceil(8)
-        );
+        assert_eq!(z1, params * 2 + params * 4 + (params * 12).div_ceil(8));
     }
 
     #[test]

@@ -14,31 +14,31 @@
 pub mod analyze;
 pub mod costs;
 pub mod cp;
+pub mod fsdp;
 pub mod infer;
+pub mod memory_opt;
+pub mod mesh;
 pub mod multimodal;
 pub mod planner;
+pub mod pp;
 pub mod query;
 pub mod run;
 pub mod search;
 pub mod step;
-pub mod fsdp;
-pub mod memory_opt;
-pub mod mesh;
-pub mod pp;
 pub mod tp;
 
 pub use analyze::{analyze_step, Diagnostic, Report, RuleId, Severity};
 pub use cp::{AllGatherCp, CpSharding, RingCp};
-pub use infer::{
-    simulate_replica, InferCosts, InferPlan, InferReport, InferSpec, InferenceModel,
-    ReplicaResult, RequestOutcome,
-};
 pub use fsdp::ZeroMode;
+pub use infer::{
+    simulate_replica, InferCosts, InferPlan, InferReport, InferSpec, InferenceModel, ReplicaResult,
+    RequestOutcome,
+};
 pub use memory_opt::{policy_tradeoff, ActivationPolicy};
 pub use mesh::{Coord4, Dim, Mesh4D};
-pub use pp::{BalancePolicy, PpSchedule, ScheduleKind, StageAssignment};
 pub use multimodal::{EncoderSharding, MultimodalReport, MultimodalStep};
 pub use planner::{plan, Plan, PlanError, PlannerInput};
+pub use pp::{BalancePolicy, PpSchedule, ScheduleKind, StageAssignment};
 pub use query::{
     AnalyzeMode, InferQuery, InferResponse, Query, QueryError, Response, SearchQuery,
     StatsResponse, TraceMode, TraceQuery, TraceResponse, QUERY_API_VERSION,
@@ -51,8 +51,8 @@ pub use search::{
     FunnelCounts, SearchOutcomes, SearchPoint, SearchReport, SearchSpec,
 };
 pub use sim_engine::error::SimError;
-pub use workload::traffic::{Request, TrafficShape, TrafficSpec};
 pub use step::{
     ExposedComm, SimFidelity, SimOptions, StepModel, StepOutcome, StepReport, Workload,
 };
 pub use tp::TpPlan;
+pub use workload::traffic::{Request, TrafficShape, TrafficSpec};

@@ -13,7 +13,6 @@
 //! recompute-time overhead, and [`policy_tradeoff`] quantifies the
 //! §6.3 claim that buffer release dominates recomputation.
 
-
 /// How a rank manages saved activations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ActivationPolicy {

@@ -180,8 +180,7 @@ impl MultimodalStep {
                 let per_rank = images_total.div_ceil(self.mesh.pp() as u64);
                 let ef = self.encoder_fwd(per_rank);
                 let eb = ef * 2;
-                let ag =
-                    comm.all_gather(&pp_group, self.encoder_output_bytes(per_rank));
+                let ag = comm.all_gather(&pp_group, self.encoder_output_bytes(per_rank));
                 pre = ef + ag;
                 post = eb;
                 encoder_critical = pre + post;
@@ -200,8 +199,11 @@ impl MultimodalStep {
         // FLOPs: text model (frozen-aware, via the step model) plus
         // encoder forward+backward on every image of every DP replica.
         let text_flops = step.model_flops_per_step();
-        let enc_flops =
-            self.vit.encode_fwd(images_total * self.mesh.dp() as u64).flops * 3.0;
+        let enc_flops = self
+            .vit
+            .encode_fwd(images_total * self.mesh.dp() as u64)
+            .flops
+            * 3.0;
         let tflops_per_gpu = (text_flops + enc_flops)
             / step_time.as_secs_f64().max(1e-12)
             / self.cluster.num_gpus() as f64
@@ -304,8 +306,7 @@ pub fn evaluate_wrapping(step: &MultimodalStep, wrapping: StageWrapping) -> Wrap
     let (stages, times) = wrapping_stage_profile(step, wrapping);
     let v = (stages as u32).div_ceil(step.mesh.pp()).max(1);
     let bubble = (step.mesh.pp() as f64 - 1.0) / step.bs as f64 / v as f64;
-    let mean =
-        times.iter().map(|t| t.as_secs_f64()).sum::<f64>() / times.len().max(1) as f64;
+    let mean = times.iter().map(|t| t.as_secs_f64()).sum::<f64>() / times.len().max(1) as f64;
     let max = times.iter().map(|t| t.as_secs_f64()).fold(0.0, f64::max);
     WrappingReport {
         stages,
@@ -316,10 +317,7 @@ pub fn evaluate_wrapping(step: &MultimodalStep, wrapping: StageWrapping) -> Wrap
 
 /// The production multimodal configuration scaffold: frozen 70B-class
 /// text model, 4:1 self:cross ratio, ~200 text tokens per sequence.
-pub fn production_multimodal(
-    vit: VitConfig,
-    sharding: EncoderSharding,
-) -> MultimodalStep {
+pub fn production_multimodal(vit: VitConfig, sharding: EncoderSharding) -> MultimodalStep {
     let mesh = Mesh4D::new(8, 1, 8, 4);
     MultimodalStep {
         cluster: Cluster::llama3(mesh.num_gpus()),
@@ -342,11 +340,9 @@ mod tests {
     fn encoder_growth_inflates_option2_share() {
         // §3.2.1: after the 448² → 672² + deeper-encoder change, the
         // Option 2 encoder consumed up to 33 % of step latency.
-        let small = production_multimodal(
-            VitConfig::vit_448(),
-            EncoderSharding::PreprocessOnFirstRank,
-        )
-        .simulate();
+        let small =
+            production_multimodal(VitConfig::vit_448(), EncoderSharding::PreprocessOnFirstRank)
+                .simulate();
         let big = production_multimodal(
             VitConfig::vit_672_deep(),
             EncoderSharding::PreprocessOnFirstRank,
@@ -388,11 +384,9 @@ mod tests {
     fn option1_overloads_the_first_rank() {
         // Option 1 piles the encoder onto stage 0, creating pipeline
         // imbalance: slower than option 3.
-        let opt1 = production_multimodal(
-            VitConfig::vit_672_deep(),
-            EncoderSharding::WithFirstStage,
-        )
-        .simulate();
+        let opt1 =
+            production_multimodal(VitConfig::vit_672_deep(), EncoderSharding::WithFirstStage)
+                .simulate();
         let opt3 = production_multimodal(
             VitConfig::vit_672_deep(),
             EncoderSharding::ReplicatedAcrossRanks,
@@ -405,12 +399,9 @@ mod tests {
     fn frozen_text_layers_cut_text_flops() {
         // Frozen self-attention computes input grads only — the §3.2.2
         // imbalance driver.
-        let step = production_multimodal(
-            VitConfig::vit_448(),
-            EncoderSharding::ReplicatedAcrossRanks,
-        );
-        let frozen_layout =
-            ModelLayout::multimodal_text(step.text.clone(), 4, step.image_tokens());
+        let step =
+            production_multimodal(VitConfig::vit_448(), EncoderSharding::ReplicatedAcrossRanks);
+        let frozen_layout = ModelLayout::multimodal_text(step.text.clone(), 4, step.image_tokens());
         let live_layout = ModelLayout::text(step.text.clone());
         let (sa_frozen, ca) = frozen_layout.attention_layer_counts();
         assert_eq!(sa_frozen, 80);
@@ -467,11 +458,8 @@ mod tests {
 
     #[test]
     fn reports_are_consistent() {
-        let r = production_multimodal(
-            VitConfig::vit_448(),
-            EncoderSharding::ReplicatedAcrossRanks,
-        )
-        .simulate();
+        let r = production_multimodal(VitConfig::vit_448(), EncoderSharding::ReplicatedAcrossRanks)
+            .simulate();
         assert!(r.step_time > SimDuration::ZERO);
         assert!(r.tflops_per_gpu > 0.0);
         assert!((0.0..=1.0).contains(&r.encoder_share));

@@ -152,7 +152,12 @@ impl PpSchedule {
     /// # Errors
     /// Returns an error for zero parameters, a classic-1F1B batch-size
     /// violation, or an out-of-range `nc`.
-    pub fn build(kind: ScheduleKind, pp: u32, v: u32, nmb: u32) -> Result<PpSchedule, ScheduleError> {
+    pub fn build(
+        kind: ScheduleKind,
+        pp: u32,
+        v: u32,
+        nmb: u32,
+    ) -> Result<PpSchedule, ScheduleError> {
         if pp == 0 {
             return Err(ScheduleError::ZeroParameter("pp"));
         }

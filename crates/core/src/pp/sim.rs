@@ -519,10 +519,7 @@ mod tests {
                             PpSchedule::build(ScheduleKind::Flexible { nc }, pp, v, nmb).unwrap();
                         s.assert_well_formed();
                         let r = simulate_pp(&s, &uniform(5));
-                        assert!(
-                            r.is_ok(),
-                            "deadlock at pp={pp} v={v} nmb={nmb} nc={nc}"
-                        );
+                        assert!(r.is_ok(), "deadlock at pp={pp} v={v} nmb={nmb} nc={nc}");
                     }
                 }
             }

@@ -777,8 +777,7 @@ mod tests {
     #[test]
     fn mismatched_cluster_size_is_rejected() {
         let step = small_step();
-        let tl =
-            FaultTimeline::generate(FaultRates::none(), 8, 8, DAY_S, 0).unwrap();
+        let tl = FaultTimeline::generate(FaultRates::none(), 8, 8, DAY_S, 0).unwrap();
         assert!(matches!(
             RunSimulator::new(step, tl, CheckpointPolicy::llama3_production()),
             Err(SimError::InvalidShape(_))
@@ -788,14 +787,8 @@ mod tests {
     #[test]
     fn bad_policy_is_rejected() {
         let step = small_step();
-        let tl = FaultTimeline::generate(
-            FaultRates::none(),
-            step.cluster.num_gpus(),
-            8,
-            DAY_S,
-            0,
-        )
-        .unwrap();
+        let tl = FaultTimeline::generate(FaultRates::none(), step.cluster.num_gpus(), 8, DAY_S, 0)
+            .unwrap();
         let mut p = CheckpointPolicy::llama3_production();
         p.interval_s = 0.0;
         assert!(RunSimulator::new(step, tl, p).is_err());
@@ -808,7 +801,8 @@ mod tests {
         rates.thermal_per_gpu_hour = 4e-2;
         rates.link_degrade_per_gpu_hour = 4e-2;
         let step = small_step();
-        let tl = FaultTimeline::generate(rates, step.cluster.num_gpus(), 8, DAY_S / 4.0, 11).unwrap();
+        let tl =
+            FaultTimeline::generate(rates, step.cluster.num_gpus(), 8, DAY_S / 4.0, 11).unwrap();
         let sim = RunSimulator::new(step, tl, CheckpointPolicy::llama3_production()).unwrap();
 
         let plain = sim.simulate().unwrap();
@@ -848,14 +842,8 @@ mod tests {
     #[test]
     fn checkpoint_bytes_follow_fsdp_shards() {
         let step = small_step();
-        let tl = FaultTimeline::generate(
-            FaultRates::none(),
-            step.cluster.num_gpus(),
-            8,
-            DAY_S,
-            0,
-        )
-        .unwrap();
+        let tl = FaultTimeline::generate(FaultRates::none(), step.cluster.num_gpus(), 8, DAY_S, 0)
+            .unwrap();
         let sim = RunSimulator::new(step, tl, CheckpointPolicy::llama3_production()).unwrap();
         let bytes = sim.checkpoint_bytes_per_rank();
         assert!(bytes > 0);
@@ -864,16 +852,10 @@ mod tests {
         let mut bigger = small_step();
         bigger.mesh = Mesh4D::new(8, 1, 4, 4);
         bigger.cluster = Cluster::llama3(bigger.mesh.num_gpus());
-        let tl2 = FaultTimeline::generate(
-            FaultRates::none(),
-            bigger.cluster.num_gpus(),
-            8,
-            DAY_S,
-            0,
-        )
-        .unwrap();
-        let sim2 =
-            RunSimulator::new(bigger, tl2, CheckpointPolicy::llama3_production()).unwrap();
+        let tl2 =
+            FaultTimeline::generate(FaultRates::none(), bigger.cluster.num_gpus(), 8, DAY_S, 0)
+                .unwrap();
+        let sim2 = RunSimulator::new(bigger, tl2, CheckpointPolicy::llama3_production()).unwrap();
         assert_eq!(sim2.checkpoint_bytes_per_rank(), bytes / 2);
     }
 }

@@ -131,7 +131,10 @@ mod tests {
         let (cfg, comm, _) = setup();
         let plan = TpPlan::new(1, true);
         let g1 = ProcessGroup::contiguous(0, 1);
-        assert_eq!(plan.layer_fwd_comm(&cfg, 8192, &g1, &comm), SimDuration::ZERO);
+        assert_eq!(
+            plan.layer_fwd_comm(&cfg, 8192, &g1, &comm),
+            SimDuration::ZERO
+        );
         assert_eq!(plan.collective_bytes_per_rank(&cfg, 8192), 0);
     }
 

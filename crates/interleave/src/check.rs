@@ -167,7 +167,9 @@ pub(crate) struct Exec {
 }
 
 fn lock_state(exec: &Exec) -> StdMutexGuard<'_, ExecState> {
-    exec.m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    exec.m
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Cheap deterministic mixer for seeded exploration-order shuffles.
@@ -196,7 +198,9 @@ fn is_runnable(st: &ExecState, tid: usize) -> bool {
 }
 
 fn runnable_set(st: &ExecState) -> Vec<usize> {
-    (0..st.threads.len()).filter(|&t| is_runnable(st, t)).collect()
+    (0..st.threads.len())
+        .filter(|&t| is_runnable(st, t))
+        .collect()
 }
 
 fn blocked_trace(st: &ExecState) -> Vec<String> {
@@ -238,7 +242,10 @@ fn schedule_next(st: &mut ExecState) {
             // nothing else can move — and it is counted, so tests can
             // assert it never had to.
             let bounded = (0..st.threads.len()).find(|&t| {
-                matches!(st.threads[t].status, Status::BlockedCv { bounded: true, .. })
+                matches!(
+                    st.threads[t].status,
+                    Status::BlockedCv { bounded: true, .. }
+                )
             });
             if let Some(t) = bounded {
                 if let Status::BlockedCv { lock, .. } = st.threads[t].status {
@@ -299,7 +306,11 @@ fn schedule_next(st: &mut ExecState) {
 
 /// Parks the calling thread after a scheduling decision until the baton
 /// comes back; returns the state guard so callers can read wake flags.
-fn pause<'a>(exec: &'a Exec, mut st: StdMutexGuard<'a, ExecState>, me: usize) -> StdMutexGuard<'a, ExecState> {
+fn pause<'a>(
+    exec: &'a Exec,
+    mut st: StdMutexGuard<'a, ExecState>,
+    me: usize,
+) -> StdMutexGuard<'a, ExecState> {
     schedule_next(&mut st);
     exec.cv.notify_all();
     while !st.abort && st.active != Some(me) {
@@ -872,7 +883,10 @@ impl Explorer {
         let out = self.run_once(body, &best);
         let (kind, trace) = match out.failure {
             Some(k) => (k, out.trace),
-            None => (kind, vec!["(shrunk schedule raced; trace unavailable)".into()]),
+            None => (
+                kind,
+                vec!["(shrunk schedule raced; trace unavailable)".into()],
+            ),
         };
         Failure {
             kind,
@@ -1012,7 +1026,9 @@ mod tests {
                 // `wait_timeout` fallback: on the lost-notify schedule
                 // this parks forever, which the model reports as a
                 // deadlock.
-                let _g = cv.wait(g).unwrap_or_else(std::sync::PoisonError::into_inner);
+                let _g = cv
+                    .wait(g)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
             }
             let _ = setter.join();
         });
@@ -1108,10 +1124,7 @@ mod tests {
                 }
                 let _ = t.join();
             });
-            (
-                report.executions,
-                report.failure.map(|f| f.schedule),
-            )
+            (report.executions, report.failure.map(|f| f.schedule))
         }
         let first = body();
         for _ in 0..3 {

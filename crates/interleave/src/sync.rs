@@ -128,7 +128,9 @@ mod shim {
 
     impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
         fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.debug_struct("Mutex").field("id", &self.id).finish_non_exhaustive()
+            f.debug_struct("Mutex")
+                .field("id", &self.id)
+                .finish_non_exhaustive()
         }
     }
 
@@ -381,7 +383,9 @@ mod shim {
 
     impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
         fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.debug_struct("RwLock").field("id", &self.id).finish_non_exhaustive()
+            f.debug_struct("RwLock")
+                .field("id", &self.id)
+                .finish_non_exhaustive()
         }
     }
 

@@ -64,7 +64,10 @@ fn coalescing_two_threads_identical_bytes() {
         assert_eq!(v, "response-bytes");
         t.join().expect("no panic in the second requester");
         let n = *lock_or_recover(&computed);
-        assert!(n == 1 || n == 2, "at most one computation per flight window");
+        assert!(
+            n == 1 || n == 2,
+            "at most one computation per flight window"
+        );
         assert_eq!(map.open(), 0, "every flight must be cleared");
     });
     report.assert_ok();
@@ -161,7 +164,11 @@ fn eviction_races_publication_coherently() {
         assert_eq!(led, "published");
         evictor.join().expect("evictor ok");
         let cache = lock_or_recover(&cache);
-        assert_eq!(cache.len(), 1, "capacity-1 cache holds exactly the survivor");
+        assert_eq!(
+            cache.len(),
+            1,
+            "capacity-1 cache holds exactly the survivor"
+        );
         let survivor_coherent = match (cache.get(1), cache.get(2)) {
             (Some(v), None) => v == "published",
             (None, Some(v)) => v == "evictor",
@@ -351,7 +358,10 @@ impl BrokenFlight {
             let g = lock_or_recover(&self.ready);
             // No re-check, no bound: the publish can land in the gap
             // above, and this parks forever.
-            let _g = self.cv.wait(g).unwrap_or_else(std::sync::PoisonError::into_inner);
+            let _g = self
+                .cv
+                .wait(g)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
     }
 }
@@ -425,7 +435,11 @@ fn exploration_of_the_protocol_is_deterministic() {
             let _ = map.run_or_follow(3, || "x".to_string());
             t.join().expect("ok");
         });
-        (report.executions, report.timeout_executions, report.complete)
+        (
+            report.executions,
+            report.timeout_executions,
+            report.complete,
+        )
     };
     let first = run();
     assert!(first.2, "the frontier must be exhausted");

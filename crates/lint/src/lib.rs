@@ -173,7 +173,10 @@ mod tests {
         // Out of scope: the same inversion in a non-substrate crate
         // only trips the hygiene rule.
         let elsewhere = lint_path("crates/core/src/x.rs", src);
-        assert!(elsewhere.iter().all(|d| d.rule != RuleId::Lock001), "{elsewhere:?}");
+        assert!(
+            elsewhere.iter().all(|d| d.rule != RuleId::Lock001),
+            "{elsewhere:?}"
+        );
     }
 
     #[test]
@@ -191,7 +194,11 @@ mod tests {
         // library source in the workspace. (Runs from the crate dir —
         // repo_root() climbs to the workspace.)
         let report = lint_repo(&repo_root());
-        assert!(report.files > 40, "expected the full workspace, got {}", report.files);
+        assert!(
+            report.files > 40,
+            "expected the full workspace, got {}",
+            report.files
+        );
         let rendered: Vec<String> = report
             .diagnostics
             .iter()

@@ -168,7 +168,12 @@ pub fn check_locks(model: &SourceModel, out: &mut Vec<Diagnostic>) {
                                     model.location(held.line),
                                     model.lines()[held.line].raw.trim()
                                 ),
-                                format!("acquires `{}` at {}: {}", acq.class, model.location(idx), trimmed),
+                                format!(
+                                    "acquires `{}` at {}: {}",
+                                    acq.class,
+                                    model.location(idx),
+                                    trimmed
+                                ),
                             ]),
                         );
                     }
@@ -206,11 +211,7 @@ pub fn check_locks(model: &SourceModel, out: &mut Vec<Diagnostic>) {
                      panic, or re-enter)",
                 )
                 .at_op(model.location(idx))
-                .with_witness(
-                    std::iter::once(trimmed.to_string())
-                        .chain(held)
-                        .collect(),
-                ),
+                .with_witness(std::iter::once(trimmed.to_string()).chain(held).collect()),
             );
         }
 
@@ -302,19 +303,13 @@ fn find_acquisitions(model: &SourceModel, idx: usize) -> Vec<Acquisition> {
 
 /// LOCK002: unbounded waits are flagged outright; bounded waits must
 /// sit inside a `loop`/`while` within the current function.
-fn check_condvar(
-    model: &SourceModel,
-    idx: usize,
-    openers: &[String],
-    out: &mut Vec<Diagnostic>,
-) {
+fn check_condvar(model: &SourceModel, idx: usize, openers: &[String], out: &mut Vec<Diagnostic>) {
     let code = model.lines()[idx].code.as_str();
     let trimmed = model.lines()[idx].raw.trim();
     for token in [".wait(", ".wait_while("] {
         for (pos, _) in code.match_indices(token) {
             let recv = receiver_before(model, idx, pos);
-            let is_cv =
-                last_segment(&recv).is_some_and(|seg| CONDVAR_CLASSES.contains(&seg));
+            let is_cv = last_segment(&recv).is_some_and(|seg| CONDVAR_CLASSES.contains(&seg));
             if is_cv && !model.marked(idx, CV_WAIT_MARKER) {
                 out.push(
                     Diagnostic::error(
@@ -540,7 +535,9 @@ mod tests {
         assert_eq!(v[0].rule, RuleId::Lock001);
         assert_eq!(v[0].op.as_deref(), Some("crates/serve/src/fixture.rs:3"));
         assert!(v[0].witness[0].contains("fixture.rs:2"), "{v:?}");
-        assert!(v[0].message.contains("`flights` acquired while holding `slot`"));
+        assert!(v[0]
+            .message
+            .contains("`flights` acquired while holding `slot`"));
     }
 
     #[test]
@@ -611,8 +608,8 @@ mod tests {
             "fn f(&self) {\n    let g = lock_or_recover(&self.slot);\n    let g = self.cv.wait(g).unwrap();\n}\n",
         );
         assert!(
-            v.iter().any(|d| d.rule == RuleId::Lock002
-                && d.message.contains("unbounded Condvar wait")),
+            v.iter()
+                .any(|d| d.rule == RuleId::Lock002 && d.message.contains("unbounded Condvar wait")),
             "{v:?}"
         );
     }
@@ -623,8 +620,9 @@ mod tests {
             "fn f(&self) {\n    let g = lock_or_recover(&self.slot);\n    let (g, _) = self.cv.wait_timeout(g, T).unwrap();\n}\n",
         );
         assert!(
-            bad.iter().any(|d| d.rule == RuleId::Lock002
-                && d.message.contains("outside a predicate loop")),
+            bad.iter().any(
+                |d| d.rule == RuleId::Lock002 && d.message.contains("outside a predicate loop")
+            ),
             "{bad:?}"
         );
         let ok = lock_lint(
@@ -638,10 +636,7 @@ mod tests {
         let bad = lock_lint(
             "fn f(&self) {\n    let g = self\n        .cv\n        .wait(guard)\n        .unwrap();\n}\n",
         );
-        assert!(
-            bad.iter().any(|d| d.rule == RuleId::Lock002),
-            "{bad:?}"
-        );
+        assert!(bad.iter().any(|d| d.rule == RuleId::Lock002), "{bad:?}");
     }
 
     #[test]

@@ -205,7 +205,9 @@ fn blank_noncode(text: &str) -> Vec<String> {
                 Blank::Str {
                     raw_hashes: Some(n),
                 } => {
-                    if chars[i] == '"' && chars[i + 1..].iter().take(n).filter(|c| **c == '#').count() == n {
+                    if chars[i] == '"'
+                        && chars[i + 1..].iter().take(n).filter(|c| **c == '#').count() == n
+                    {
                         code.push('"');
                         for _ in 0..n {
                             code.push('#');
@@ -274,8 +276,7 @@ fn raw_string_hashes(chars: &[char], at: usize) -> Option<usize> {
         j -= 1;
     }
     // `r` must start the token — `for"x"` is not a raw string.
-    let prev_is_ident =
-        j > 0 && (chars[j - 1].is_ascii_alphanumeric() || chars[j - 1] == '_');
+    let prev_is_ident = j > 0 && (chars[j - 1].is_ascii_alphanumeric() || chars[j - 1] == '_');
     if prev_is_ident {
         None
     } else {
@@ -340,7 +341,10 @@ mod tests {
     fn escapes_inside_strings_do_not_end_them() {
         let c = codes("let s = \"a\\\"b\"; y.unwrap();\n");
         assert!(c[0].contains(".unwrap()"), "{c:?}");
-        assert_eq!(c[0], "let s = \"    \"; y.unwrap();", "contents blanked: {c:?}");
+        assert_eq!(
+            c[0], "let s = \"    \"; y.unwrap();",
+            "contents blanked: {c:?}"
+        );
     }
 
     #[test]
@@ -380,7 +384,10 @@ mod tests {
 
     #[test]
     fn cfg_test_on_bodyless_item_does_not_swallow_the_file() {
-        let m = SourceModel::parse("x.rs", "#[cfg(test)]\nuse foo::bar;\nfn f() { y.unwrap(); }\n");
+        let m = SourceModel::parse(
+            "x.rs",
+            "#[cfg(test)]\nuse foo::bar;\nfn f() { y.unwrap(); }\n",
+        );
         assert!(!m.lines()[2].in_test);
     }
 

@@ -31,7 +31,11 @@ const WIRE_FREE_CRATES: [&str; 7] = [
 ];
 
 /// Tokens that betray wire-protocol knowledge in a substrate crate.
-const WIRE_TOKENS: [&str; 3] = ["parallelism_core::query", "QUERY_API_VERSION", "llama3sim/1"];
+const WIRE_TOKENS: [&str; 3] = [
+    "parallelism_core::query",
+    "QUERY_API_VERSION",
+    "llama3sim/1",
+];
 
 /// Unbounded full-resolution event buffers — the LINT006 token set.
 const TRACE_VEC_TOKENS: [&str; 2] = ["Vec<TraceEvent>", "Vec<(u64, TraceEvent)>"];
@@ -210,10 +214,16 @@ mod tests {
         // Core itself, and the crates above it, may use the engine.
         let home = lint_path("crates/core/src/infer.rs", src);
         assert!(home.is_empty(), "{home:?}");
-        let above = lint_path("crates/serve/src/dispatch.rs", "fn f(m: &InferenceModel) {}\n");
+        let above = lint_path(
+            "crates/serve/src/dispatch.rs",
+            "fn f(m: &InferenceModel) {}\n",
+        );
         assert!(above.is_empty(), "{above:?}");
         // A bare type token below core is enough to fire.
-        let bare = lint_path("crates/sim/src/graph.rs", "fn f() { let c = InferCosts::new(); }\n");
+        let bare = lint_path(
+            "crates/sim/src/graph.rs",
+            "fn f() { let c = InferCosts::new(); }\n",
+        );
         assert_eq!(bare.len(), 1, "{bare:?}");
         assert_eq!(bare[0].rule, RuleId::Lint007);
         // Doc comments mentioning the engine are fine anywhere.

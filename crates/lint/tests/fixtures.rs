@@ -21,16 +21,29 @@ fn injected_lock_inversion_fires_lock001_with_both_sites() {
     );
     let hits: Vec<_> = v.iter().filter(|d| d.rule == RuleId::Lock001).collect();
     assert_eq!(hits.len(), 1, "{v:?}");
-    assert_eq!(hits[0].op.as_deref(), Some("crates/serve/src/fixture.rs:16"));
+    assert_eq!(
+        hits[0].op.as_deref(),
+        Some("crates/serve/src/fixture.rs:16")
+    );
     assert!(
-        hits[0].message.contains("`flights` acquired while holding `slot`"),
+        hits[0]
+            .message
+            .contains("`flights` acquired while holding `slot`"),
         "{:?}",
         hits[0]
     );
     // The witness names both sites: where the outer guard was taken
     // and where the inversion happened.
-    assert!(hits[0].witness[0].contains("fixture.rs:13"), "{:?}", hits[0].witness);
-    assert!(hits[0].witness[1].contains("fixture.rs:16"), "{:?}", hits[0].witness);
+    assert!(
+        hits[0].witness[0].contains("fixture.rs:13"),
+        "{:?}",
+        hits[0].witness
+    );
+    assert!(
+        hits[0].witness[1].contains("fixture.rs:16"),
+        "{:?}",
+        hits[0].witness
+    );
 }
 
 #[test]
@@ -41,9 +54,19 @@ fn injected_bare_wait_and_loopless_timeout_fire_lock002() {
     );
     let hits: Vec<_> = v.iter().filter(|d| d.rule == RuleId::Lock002).collect();
     assert_eq!(hits.len(), 2, "{v:?}");
-    assert_eq!(hits[0].op.as_deref(), Some("crates/serve/src/fixture.rs:15"));
-    assert!(hits[0].message.contains("unbounded Condvar wait"), "{:?}", hits[0]);
-    assert_eq!(hits[1].op.as_deref(), Some("crates/serve/src/fixture.rs:23"));
+    assert_eq!(
+        hits[0].op.as_deref(),
+        Some("crates/serve/src/fixture.rs:15")
+    );
+    assert!(
+        hits[0].message.contains("unbounded Condvar wait"),
+        "{:?}",
+        hits[0]
+    );
+    assert_eq!(
+        hits[1].op.as_deref(),
+        Some("crates/serve/src/fixture.rs:23")
+    );
     assert!(
         hits[1].message.contains("outside a predicate loop"),
         "{:?}",
@@ -59,9 +82,15 @@ fn injected_compute_under_lock_fires_lock003() {
     );
     let hits: Vec<_> = v.iter().filter(|d| d.rule == RuleId::Lock003).collect();
     assert_eq!(hits.len(), 1, "{v:?}");
-    assert_eq!(hits[0].op.as_deref(), Some("crates/serve/src/fixture.rs:13"));
+    assert_eq!(
+        hits[0].op.as_deref(),
+        Some("crates/serve/src/fixture.rs:13")
+    );
     assert!(
-        hits[0].witness.iter().any(|w| w.contains("`responses` held since")),
+        hits[0]
+            .witness
+            .iter()
+            .any(|w| w.contains("`responses` held since")),
         "{:?}",
         hits[0].witness
     );
@@ -85,11 +114,7 @@ fn hygiene_fixture_fires_one_finding_per_rule_in_order() {
     let rules: Vec<RuleId> = v.iter().map(|d| d.rule).collect();
     assert_eq!(
         rules,
-        vec![
-            RuleId::Lint001,
-            RuleId::Lint005,
-            RuleId::Lint006,
-        ],
+        vec![RuleId::Lint001, RuleId::Lint005, RuleId::Lint006,],
         "{v:?}"
     );
     for d in &v {
@@ -98,6 +123,9 @@ fn hygiene_fixture_fires_one_finding_per_rule_in_order() {
             op.starts_with("crates/collectives/src/fixture.rs:"),
             "{d:?}"
         );
-        assert!(!d.witness.is_empty(), "every finding carries its line: {d:?}");
+        assert!(
+            !d.witness.is_empty(),
+            "every finding carries its line: {d:?}"
+        );
     }
 }

@@ -6,7 +6,6 @@
 //! scaled-down variants used in the paper's §7.1 pipeline experiments
 //! (same dimensions as 405B, fewer layers) are provided too.
 
-
 /// Dimensions of a dense GQA transformer.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TransformerConfig {
@@ -142,9 +141,7 @@ impl TransformerConfig {
 
     /// Total parameter count.
     pub fn total_params(&self) -> u64 {
-        self.num_layers * self.layer_params()
-            + self.embedding_params()
-            + self.output_head_params()
+        self.num_layers * self.layer_params() + self.embedding_params() + self.output_head_params()
     }
 }
 

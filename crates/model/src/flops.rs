@@ -28,12 +28,21 @@ pub fn attention_projections_fwd(cfg: &TransformerConfig, tokens: u64) -> Kernel
 ///
 /// Bytes model a FlashAttention-style kernel: Q/K/V read once, output
 /// written once (the score matrix never hits HBM).
-pub fn attention_kernel_fwd(cfg: &TransformerConfig, tokens: u64, kv_tokens: u64, pairs: u128) -> KernelCost {
+pub fn attention_kernel_fwd(
+    cfg: &TransformerConfig,
+    tokens: u64,
+    kv_tokens: u64,
+    pairs: u128,
+) -> KernelCost {
     let e = Dtype::Bf16.bytes() as f64;
     KernelCost {
-        flops: FLOPS_PER_PAIR_PER_HEADDIM * cfg.head_dim as f64 * cfg.num_heads as f64 * pairs as f64,
-        bytes: e * (tokens as f64 * cfg.q_dim() as f64 * 2.0
-            + kv_tokens as f64 * cfg.kv_dim() as f64 * 2.0),
+        flops: FLOPS_PER_PAIR_PER_HEADDIM
+            * cfg.head_dim as f64
+            * cfg.num_heads as f64
+            * pairs as f64,
+        bytes: e
+            * (tokens as f64 * cfg.q_dim() as f64 * 2.0
+                + kv_tokens as f64 * cfg.kv_dim() as f64 * 2.0),
         launches: 1,
     }
 }
@@ -128,8 +137,7 @@ pub fn backward(fwd: KernelCost, frozen: bool) -> KernelCost {
 pub fn model_flops_per_token(cfg: &TransformerConfig, seq: u64) -> f64 {
     let mask = MaskSpec::Causal;
     let fwd_layer = layer_fwd_with_mask(cfg, seq, &mask);
-    let fwd = fwd_layer.flops * cfg.num_layers as f64
-        + output_head_fwd(cfg, seq).flops;
+    let fwd = fwd_layer.flops * cfg.num_layers as f64 + output_head_fwd(cfg, seq).flops;
     // fwd + bwd(2×fwd) = 3× forward, normalized per token.
     3.0 * fwd / seq as f64
 }

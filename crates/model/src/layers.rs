@@ -118,9 +118,10 @@ impl ModelLayout {
     /// layers, output head.
     pub fn text(cfg: TransformerConfig) -> ModelLayout {
         let mut layers = vec![LayerKind::Embedding];
-        layers.extend(
-            std::iter::repeat_n(LayerKind::SelfAttention { frozen: false }, cfg.num_layers as usize),
-        );
+        layers.extend(std::iter::repeat_n(
+            LayerKind::SelfAttention { frozen: false },
+            cfg.num_layers as usize,
+        ));
         layers.push(LayerKind::OutputHead);
         ModelLayout { cfg, layers }
     }
@@ -136,7 +137,10 @@ impl ModelLayout {
         self_per_cross: u64,
         image_tokens: u64,
     ) -> ModelLayout {
-        assert!(self_per_cross > 0, "need at least one self layer per cross layer");
+        assert!(
+            self_per_cross > 0,
+            "need at least one self layer per cross layer"
+        );
         let mut layers = vec![LayerKind::Embedding];
         for i in 0..cfg.num_layers {
             layers.push(LayerKind::SelfAttention { frozen: true });

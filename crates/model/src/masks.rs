@@ -9,7 +9,6 @@
 //! quantity needed to price one context-parallel chunk's share of the
 //! work).
 
-
 /// An attention mask over a packed sequence.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum MaskSpec {

@@ -119,10 +119,7 @@ mod tests {
         // ≈ 0.5 MB per token per layer unsharded for the 405B shape,
         // matching the back-of-envelope in the design doc.
         let b = activation_bytes_per_token(&TransformerConfig::llama3_405b());
-        assert!(
-            (400_000..700_000).contains(&b),
-            "got {b} bytes/token/layer"
-        );
+        assert!((400_000..700_000).contains(&b), "got {b} bytes/token/layer");
     }
 
     #[test]

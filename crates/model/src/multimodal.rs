@@ -96,8 +96,12 @@ impl VitConfig {
             bytes: 2.0 * 4.0 * tokens as f64 * h as f64,
             launches: 1,
         };
-        let mlp = KernelCost::gemm(tokens, self.ffn_dim, h, Dtype::Bf16)
-            .merge(KernelCost::gemm(tokens, h, self.ffn_dim, Dtype::Bf16));
+        let mlp = KernelCost::gemm(tokens, self.ffn_dim, h, Dtype::Bf16).merge(KernelCost::gemm(
+            tokens,
+            h,
+            self.ffn_dim,
+            Dtype::Bf16,
+        ));
         let per_layer = proj.merge(attn).merge(mlp);
         let mut total = KernelCost::ZERO;
         for _ in 0..self.num_layers {
@@ -158,7 +162,12 @@ mod tests {
         let small = VitConfig::vit_448().encode_fwd(8);
         let big = VitConfig::vit_672_deep().encode_fwd(8);
         // ~2.25× tokens and 1.5× layers, plus superlinear attention: > 3×.
-        assert!(big.flops > small.flops * 3.0, "{} vs {}", big.flops, small.flops);
+        assert!(
+            big.flops > small.flops * 3.0,
+            "{} vs {}",
+            big.flops,
+            small.flops
+        );
     }
 
     #[test]
@@ -169,8 +178,7 @@ mod tests {
         let cross = CrossAttentionSpec { image_tokens: 2304 };
         let cross_cost = cross.layer_fwd(&cfg, text_tokens);
         let self_pairs = crate::masks::MaskSpec::Causal.attended_pairs(text_tokens);
-        let self_cost =
-            flops::self_attention_layer_fwd(&cfg, text_tokens, text_tokens, self_pairs);
+        let self_cost = flops::self_attention_layer_fwd(&cfg, text_tokens, text_tokens, self_pairs);
         assert!(cross_cost.flops > self_cost.flops);
     }
 

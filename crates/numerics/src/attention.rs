@@ -163,7 +163,10 @@ pub fn zigzag_ranges(seq: usize, cp: usize, r: usize) -> [(usize, usize); 2] {
     let chunks = 2 * cp;
     assert!(seq.is_multiple_of(chunks), "seq must be divisible by 2·cp");
     let w = seq / chunks;
-    [(r * w, (r + 1) * w), ((chunks - 1 - r) * w, (chunks - r) * w)]
+    [
+        (r * w, (r + 1) * w),
+        ((chunks - 1 - r) * w, (chunks - r) * w),
+    ]
 }
 
 /// All-gather CP attention: each of `cp` ranks computes
@@ -249,10 +252,7 @@ mod tests {
         // The all-gather design's numerical selling point: sharding
         // queries does not change any row's arithmetic.
         let (q, k, v) = qkv(32, 8, 3);
-        for mask in [
-            MaskSpec::Causal,
-            MaskSpec::document(vec![3, 3, 8, 2, 16]),
-        ] {
+        for mask in [MaskSpec::Causal, MaskSpec::document(vec![3, 3, 8, 2, 16])] {
             let single = attention_direct(&q, &k, &v, &mask, 0);
             for cp in [1usize, 2, 4, 8] {
                 let sharded = cp_allgather_attention(&q, &k, &v, &mask, cp);

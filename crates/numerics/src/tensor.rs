@@ -135,7 +135,11 @@ impl Matrix {
     /// # Panics
     /// Panics on shape mismatch.
     pub fn add(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!((self.rows, self.cols), (rhs.rows, rhs.cols), "shape mismatch");
+        assert_eq!(
+            (self.rows, self.cols),
+            (rhs.rows, rhs.cols),
+            "shape mismatch"
+        );
         Matrix {
             rows: self.rows,
             cols: self.cols,
@@ -174,7 +178,11 @@ impl Matrix {
     /// # Panics
     /// Panics on shape mismatch.
     pub fn max_abs_diff(&self, rhs: &Matrix) -> f32 {
-        assert_eq!((self.rows, self.cols), (rhs.rows, rhs.cols), "shape mismatch");
+        assert_eq!(
+            (self.rows, self.cols),
+            (rhs.rows, rhs.cols),
+            "shape mismatch"
+        );
         self.data
             .iter()
             .zip(&rhs.data)
@@ -184,7 +192,11 @@ impl Matrix {
 
     /// Largest relative element-wise difference (`|a−b| / max(|a|,|b|,ε)`).
     pub fn max_rel_diff(&self, rhs: &Matrix) -> f32 {
-        assert_eq!((self.rows, self.cols), (rhs.rows, rhs.cols), "shape mismatch");
+        assert_eq!(
+            (self.rows, self.cols),
+            (rhs.rows, rhs.cols),
+            "shape mismatch"
+        );
         self.data
             .iter()
             .zip(&rhs.data)

@@ -128,8 +128,9 @@ impl Regression {
         let mut w = vec![0.0f32; self.x.cols()];
         let mut losses = Vec::with_capacity(steps);
         for _ in 0..steps {
-            let grads: Vec<Vec<f32>> =
-                (0..self.micro_batches).map(|m| self.mb_grad(&w, m)).collect();
+            let grads: Vec<Vec<f32>> = (0..self.micro_batches)
+                .map(|m| self.mb_grad(&w, m))
+                .collect();
             let total: Vec<f32> = match precision {
                 AccumPrecision::Fp32 => {
                     let mut acc = vec![0.0f32; w.len()];

@@ -307,8 +307,11 @@ mod tests {
         let barrier = Arc::new(std::sync::Barrier::new(4));
         let handles: Vec<_> = (0..4)
             .map(|_| {
-                let (map, computed, barrier) =
-                    (Arc::clone(&map), Arc::clone(&computed), Arc::clone(&barrier));
+                let (map, computed, barrier) = (
+                    Arc::clone(&map),
+                    Arc::clone(&computed),
+                    Arc::clone(&barrier),
+                );
                 std::thread::spawn(move || {
                     barrier.wait();
                     match map.run_or_follow(7, || {

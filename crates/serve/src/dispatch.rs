@@ -30,12 +30,14 @@
 //! even a *cold* dispatcher warm-starts from whatever earlier queries
 //! priced.
 
+use crate::coalesce::{cached_run_or_follow, BoundedFifoCache, CachedOutcome, FlightMap};
 use analyzer::{analyze_grid, analyze_step, named_step, NAMED_CONFIGS};
 use bench_harness::snapshot::measure_goodput;
 use cluster_model::faults::{FaultRates, FaultTimeline};
 use collectives::cost_cache_stats;
 use conformance::fuzz::run_sweep;
 use conformance::grid::config_grid;
+use interleave::sync::{lock_or_recover, AtomicU64, Mutex};
 use parallelism_core::query::{
     AnalyzeMode, AnalyzeResponse, InferQuery, InferResponse, Query, QueryError, Response,
     SearchQuery, SearchResponse, StatsResponse, TraceMode, TraceQuery, TraceResponse,
@@ -45,13 +47,11 @@ use parallelism_core::search::{
     finish_search, restrict_max_cp, search_outcomes, verdict_cache_stats, SearchOutcomes,
     SearchSpec,
 };
-use crate::coalesce::{cached_run_or_follow, BoundedFifoCache, CachedOutcome, FlightMap};
-use interleave::sync::{lock_or_recover, AtomicU64, Mutex};
-use trace_analysis::chrome::to_chrome_json;
-use trace_analysis::tiered::{TierConfig, WindowStats, CATEGORIES};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use trace_analysis::chrome::to_chrome_json;
+use trace_analysis::tiered::{TierConfig, WindowStats, CATEGORIES};
 
 /// Bounded response cache: newest-in wins, oldest-in evicted.
 const RESPONSE_CACHE_CAP: usize = 256;
@@ -198,7 +198,9 @@ impl Dispatcher {
                 .iter()
                 .find(|e| e.family == family && e.max_cp >= spec.max_cp)
             {
-                self.counters.frontier_reuses.fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .frontier_reuses
+                    .fetch_add(1, Ordering::Relaxed);
                 return Ok(if entry.max_cp == spec.max_cp {
                     Arc::clone(&entry.outcomes)
                 } else {
@@ -207,10 +209,11 @@ impl Dispatcher {
             }
         }
 
-        self.counters.searches_computed.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .searches_computed
+            .fetch_add(1, Ordering::Relaxed);
         let outcomes = Arc::new(
-            search_outcomes(spec)
-                .map_err(|e| QueryError::new(format!("search failed: {e}")))?,
+            search_outcomes(spec).map_err(|e| QueryError::new(format!("search failed: {e}")))?,
         );
         let mut cache = lock_or_recover(&self.outcomes);
         match cache.iter_mut().find(|e| e.family == family) {
@@ -598,7 +601,10 @@ mod tests {
         let wide = d.dispatch(&small_search(4)).unwrap();
         let narrow = d.dispatch(&small_search(2)).unwrap();
         let s = d.stats();
-        assert_eq!(s.searches_computed, 1, "narrow run must not re-run the funnel");
+        assert_eq!(
+            s.searches_computed, 1,
+            "narrow run must not re-run the funnel"
+        );
         assert_eq!(s.frontier_reuses, 1);
         // The derived narrow report matches a cold direct search.
         let cold = Dispatcher::new().dispatch(&small_search(2)).unwrap();

@@ -24,10 +24,10 @@
 //!   that panicked twice) gets 500.
 
 use crate::dispatch::Dispatcher;
+use interleave::sync::{lock_or_recover, Mutex};
 use parallelism_core::query::{ErrorClass, Query, QueryError, Response};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use interleave::sync::{lock_or_recover, Mutex};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -144,11 +144,7 @@ struct RequestHead {
 
 /// Reads from `stream` until `buf` contains `\r\n\r\n` (returning the
 /// offset just past it), the head cap is hit, or the peer goes away.
-fn read_head(
-    stream: &mut TcpStream,
-    buf: &mut Vec<u8>,
-    shutdown: &AtomicBool,
-) -> Option<usize> {
+fn read_head(stream: &mut TcpStream, buf: &mut Vec<u8>, shutdown: &AtomicBool) -> Option<usize> {
     let mut idle = 0u32;
     loop {
         if let Some(pos) = find_blank_line(buf) {
@@ -164,7 +160,12 @@ fn read_head(
                 buf.extend_from_slice(&chunk[..n]);
                 idle = 0;
             }
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
                 idle += 1;
                 if idle > IDLE_POLLS || shutdown.load(Ordering::SeqCst) {
                     return None;
@@ -233,12 +234,7 @@ fn parse_head(head: &str) -> Result<RequestHead, String> {
 
 /// Reads the request body (`len` bytes, some possibly already in
 /// `buf`).
-fn read_body(
-    stream: &mut TcpStream,
-    buf: &mut Vec<u8>,
-    len: usize,
-    shutdown: &AtomicBool,
-) -> bool {
+fn read_body(stream: &mut TcpStream, buf: &mut Vec<u8>, len: usize, shutdown: &AtomicBool) -> bool {
     let mut idle = 0u32;
     while buf.len() < len {
         let mut chunk = [0u8; 1024];
@@ -248,7 +244,12 @@ fn read_body(
                 buf.extend_from_slice(&chunk[..n]);
                 idle = 0;
             }
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
                 idle += 1;
                 if idle > IDLE_POLLS || shutdown.load(Ordering::SeqCst) {
                     return false;
@@ -370,16 +371,19 @@ mod tests {
         assert!(!h.keep_alive);
         assert!(parse_head("garbage\r\n").is_err());
         assert!(parse_head("GET / HTTP/1.1\r\nContent-Length: huge\r\n").is_err());
-        assert!(
-            parse_head(&format!("GET / HTTP/1.1\r\nContent-Length: {}\r\n", MAX_BODY_BYTES + 1))
-                .is_err()
-        );
+        assert!(parse_head(&format!(
+            "GET / HTTP/1.1\r\nContent-Length: {}\r\n",
+            MAX_BODY_BYTES + 1
+        ))
+        .is_err());
         // Ambiguous framing (RFC 9112 §6.3): conflicting lengths and any
         // transfer coding are rejected; an identical duplicate is not.
         let conflict = "POST /v1/query HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 12\r\n";
         assert!(parse_head(conflict).unwrap_err().contains("conflicting"));
         let chunked = "POST /v1/query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n";
-        assert!(parse_head(chunked).unwrap_err().contains("transfer-encoding"));
+        assert!(parse_head(chunked)
+            .unwrap_err()
+            .contains("transfer-encoding"));
         let both = "POST /v1/query HTTP/1.1\r\nContent-Length: 5\r\nTransfer-Encoding: chunked\r\n";
         assert!(parse_head(both).is_err());
         let twice = "POST /v1/query HTTP/1.1\r\nContent-Length: 12\r\ncontent-length: 12\r\n";

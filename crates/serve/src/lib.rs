@@ -30,6 +30,8 @@ pub mod dispatch;
 pub mod http;
 
 pub use client::ServeClient;
-pub use coalesce::{cached_run_or_follow, BoundedFifoCache, CachedOutcome, FlightMap, FlightOutcome};
+pub use coalesce::{
+    cached_run_or_follow, BoundedFifoCache, CachedOutcome, FlightMap, FlightOutcome,
+};
 pub use dispatch::Dispatcher;
 pub use http::Server;

@@ -142,7 +142,11 @@ fn concurrent_same_key_trace_and_search_compute_once_each() {
     let handles: Vec<_> = (0..6)
         .map(|i| {
             let d = Arc::clone(&d);
-            let q = if i % 2 == 0 { trace_q.clone() } else { search_q.clone() };
+            let q = if i % 2 == 0 {
+                trace_q.clone()
+            } else {
+                search_q.clone()
+            };
             thread::spawn(move || (i % 2, d.dispatch(&q).expect("dispatch ok").render_wire()))
         })
         .collect();

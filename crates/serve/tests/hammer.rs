@@ -25,7 +25,10 @@ fn hammer(dispatcher: &Arc<Dispatcher>, query: &Query) -> Vec<String> {
             })
         })
         .collect();
-    handles.into_iter().map(|h| h.join().expect("join")).collect()
+    handles
+        .into_iter()
+        .map(|h| h.join().expect("join"))
+        .collect()
 }
 
 #[test]
@@ -47,7 +50,10 @@ fn hammered_search_computes_once_and_answers_identically() {
     // or hit the response cache, depending on arrival time.
     let s = dispatcher.stats();
     assert_eq!(s.queries, THREADS as u64);
-    assert_eq!(s.searches_computed, 1, "the herd must collapse to one search");
+    assert_eq!(
+        s.searches_computed, 1,
+        "the herd must collapse to one search"
+    );
     assert_eq!(
         s.coalesced + s.response_hits,
         THREADS as u64 - 1,

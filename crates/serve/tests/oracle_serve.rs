@@ -39,7 +39,10 @@ fn oracle_serve_matches_direct_dispatch_cold_and_warm() {
             .dispatch(&query)
             .expect("direct dispatch")
             .render_wire();
-        assert_eq!(body, direct, "grid {i}: served response diverges from direct dispatch");
+        assert_eq!(
+            body, direct,
+            "grid {i}: served response diverges from direct dispatch"
+        );
         first_pass.push(body);
     }
     let cold = dispatcher.stats();
@@ -52,7 +55,10 @@ fn oracle_serve_matches_direct_dispatch_cold_and_warm() {
         let query = Query::Analyze(AnalyzeMode::GridIndex(i));
         let (status, body) = client.query(&query.to_wire()).expect("query");
         assert_eq!(status, 200, "grid {i} (warm)");
-        assert_eq!(&body, expected, "grid {i}: warm response diverges from cold");
+        assert_eq!(
+            &body, expected,
+            "grid {i}: warm response diverges from cold"
+        );
     }
     let warm = dispatcher.stats();
     assert_eq!(warm.queries, 2 * GRID_CONFIGS as u64);
@@ -100,9 +106,15 @@ fn narrowed_search_replies_equal_a_direct_dispatch() {
         let reused = Dispatcher::new();
         reused.dispatch(&Query::Search(wide)).expect("wide search");
         let narrow = Query::Search(narrow);
-        let derived = reused.dispatch(&narrow).expect("narrowed search").render_wire();
+        let derived = reused
+            .dispatch(&narrow)
+            .expect("narrowed search")
+            .render_wire();
         assert_eq!(reused.stats().frontier_reuses, 1, "{}", narrow.to_wire());
-        let direct = Dispatcher::new().dispatch(&narrow).expect("direct search").render_wire();
+        let direct = Dispatcher::new()
+            .dispatch(&narrow)
+            .expect("direct search")
+            .render_wire();
         assert_eq!(derived, direct, "{}", narrow.to_wire());
     }
 }

@@ -268,7 +268,8 @@ impl FluidNet {
                     None => break,
                 }
             }
-            let routes: Vec<Vec<LinkId>> = active.iter().map(|&i| transfers[i].route.clone()).collect();
+            let routes: Vec<Vec<LinkId>> =
+                active.iter().map(|&i| transfers[i].route.clone()).collect();
             let rates = self.max_min_rates(&routes)?;
             // Next event: earliest completion among active flows, or the
             // next pending start, whichever comes first.
@@ -377,8 +378,16 @@ mod tests {
         let l = net.add_link(100.0);
         let out = net
             .run(vec![
-                Transfer { route: vec![l], bytes: 100.0, start: SimTime::ZERO },
-                Transfer { route: vec![l], bytes: 100.0, start: SimTime::ZERO },
+                Transfer {
+                    route: vec![l],
+                    bytes: 100.0,
+                    start: SimTime::ZERO,
+                },
+                Transfer {
+                    route: vec![l],
+                    bytes: 100.0,
+                    start: SimTime::ZERO,
+                },
             ])
             .unwrap();
         assert!((out[0].finish.as_secs_f64() - 2.0).abs() < 1e-6);
@@ -391,8 +400,16 @@ mod tests {
         let l = net.add_link(100.0);
         let out = net
             .run(vec![
-                Transfer { route: vec![l], bytes: 50.0, start: SimTime::ZERO },
-                Transfer { route: vec![l], bytes: 150.0, start: SimTime::ZERO },
+                Transfer {
+                    route: vec![l],
+                    bytes: 50.0,
+                    start: SimTime::ZERO,
+                },
+                Transfer {
+                    route: vec![l],
+                    bytes: 150.0,
+                    start: SimTime::ZERO,
+                },
             ])
             .unwrap();
         // Both run at 50 B/s. Flow 0 finishes at t=1 (50 bytes). Flow 1
@@ -407,7 +424,11 @@ mod tests {
         let l = net.add_link(100.0);
         let out = net
             .run(vec![
-                Transfer { route: vec![l], bytes: 200.0, start: SimTime::ZERO },
+                Transfer {
+                    route: vec![l],
+                    bytes: 200.0,
+                    start: SimTime::ZERO,
+                },
                 Transfer {
                     route: vec![l],
                     bytes: 100.0,
@@ -428,9 +449,7 @@ mod tests {
         let b = net.add_link(30.0);
         // Flow 0 uses a only; flow 1 uses a and b. Flow 1 is bottlenecked
         // at 30 on b; flow 0 then takes the rest of a (70).
-        let rates = net
-            .max_min_rates(&[vec![a], vec![a, b]])
-            .unwrap();
+        let rates = net.max_min_rates(&[vec![a], vec![a, b]]).unwrap();
         assert!((rates[1] - 30.0).abs() < 1e-9);
         assert!((rates[0] - 70.0).abs() < 1e-9);
     }
@@ -516,8 +535,16 @@ mod tests {
         assert!((net.capacity(bad) - 25.0).abs() < 1e-9);
         let out = net
             .run(vec![
-                Transfer { route: vec![bad], bytes: 100.0, start: SimTime::ZERO },
-                Transfer { route: vec![good], bytes: 100.0, start: SimTime::ZERO },
+                Transfer {
+                    route: vec![bad],
+                    bytes: 100.0,
+                    start: SimTime::ZERO,
+                },
+                Transfer {
+                    route: vec![good],
+                    bytes: 100.0,
+                    start: SimTime::ZERO,
+                },
             ])
             .unwrap();
         assert!((out[0].finish.as_secs_f64() - 4.0).abs() < 1e-6);
@@ -533,7 +560,11 @@ mod tests {
         let l = net.add_link(100.0);
         net.scale_capacity(l, 0.0);
         let err = net
-            .run(vec![Transfer { route: vec![l], bytes: 1.0, start: SimTime::ZERO }])
+            .run(vec![Transfer {
+                route: vec![l],
+                bytes: 1.0,
+                start: SimTime::ZERO,
+            }])
             .unwrap_err();
         assert_eq!(err, FluidError::DeadLink(l));
     }
@@ -548,8 +579,16 @@ mod tests {
         let spine = net.add_link(100.0); // 2:1 oversubscribed
         let out = net
             .run(vec![
-                Transfer { route: vec![leaf0, spine], bytes: 100.0, start: SimTime::ZERO },
-                Transfer { route: vec![leaf1, spine], bytes: 100.0, start: SimTime::ZERO },
+                Transfer {
+                    route: vec![leaf0, spine],
+                    bytes: 100.0,
+                    start: SimTime::ZERO,
+                },
+                Transfer {
+                    route: vec![leaf1, spine],
+                    bytes: 100.0,
+                    start: SimTime::ZERO,
+                },
             ])
             .unwrap();
         assert!((out[0].finish.as_secs_f64() - 2.0).abs() < 1e-6);

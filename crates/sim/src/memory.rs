@@ -125,7 +125,9 @@ impl MemoryTracker {
 
     /// Peak usage of every pool, indexed by pool id.
     pub fn peaks(&self) -> Vec<u64> {
-        (0..self.pools as u32).map(|p| self.peak(PoolId(p))).collect()
+        (0..self.pools as u32)
+            .map(|p| self.peak(PoolId(p)))
+            .collect()
     }
 
     /// Usage timeline of one pool: steps sorted by time, same-instant
@@ -189,10 +191,22 @@ mod tests {
         assert_eq!(
             tl,
             vec![
-                MemSample { at: t(0), bytes: 100 },
-                MemSample { at: t(5), bytes: 300 },
-                MemSample { at: t(9), bytes: 50 },
-                MemSample { at: t(12), bytes: 60 },
+                MemSample {
+                    at: t(0),
+                    bytes: 100
+                },
+                MemSample {
+                    at: t(5),
+                    bytes: 300
+                },
+                MemSample {
+                    at: t(9),
+                    bytes: 50
+                },
+                MemSample {
+                    at: t(12),
+                    bytes: 60
+                },
             ]
         );
     }

@@ -1,6 +1,5 @@
 //! Small statistics helpers used across the experiment harness.
 
-
 /// Summary statistics of a sample of `f64` values.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {

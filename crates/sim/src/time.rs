@@ -257,7 +257,10 @@ mod tests {
     fn negative_and_nan_clamp_to_zero() {
         assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_secs_f64(f64::NEG_INFINITY), SimDuration::ZERO);
+        assert_eq!(
+            SimDuration::from_secs_f64(f64::NEG_INFINITY),
+            SimDuration::ZERO
+        );
     }
 
     #[test]

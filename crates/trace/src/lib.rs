@@ -12,14 +12,14 @@
 #![forbid(unsafe_code)]
 
 pub mod chrome;
-pub mod report;
 pub mod format;
+pub mod report;
 pub mod slowrank;
 pub mod synth;
 pub mod tiered;
 
-pub use report::{auto_report, AutoReport};
 pub use format::{EventCategory, Trace, TraceEvent};
+pub use report::{auto_report, AutoReport};
 pub use slowrank::{
     locate_slow_rank, locate_slow_rank_tiered, DimGroups, GroupStructure, RankTotals,
     SlowRankReport,

@@ -204,7 +204,10 @@ mod tests {
         let trace = synth_trace(&spec);
         let report = auto_report(&trace, &spec.structure);
         assert_eq!(report.rank_totals.len(), 8);
-        assert!(report.rank_totals.iter().all(|(_, _, comm)| comm.len() == 2));
+        assert!(report
+            .rank_totals
+            .iter()
+            .all(|(_, _, comm)| comm.len() == 2));
         assert!(report
             .rank_totals
             .iter()

@@ -91,12 +91,7 @@ pub fn synth_trace(spec: &SynthSpec) -> Trace {
             }
             // Collective phase for this dimension.
             for group in &dim.groups {
-                let end = group
-                    .iter()
-                    .map(|&r| clock[r as usize])
-                    .max()
-                    .unwrap_or(0)
-                    + transfer;
+                let end = group.iter().map(|&r| clock[r as usize]).max().unwrap_or(0) + transfer;
                 for &r in group {
                     trace.push(TraceEvent {
                         rank: r,
@@ -141,13 +136,9 @@ mod tests {
         };
         let t = synth_trace(&spec);
         // Rank 0 waits for rank 1: its TP time exceeds rank 1's.
-        assert!(
-            t.rank_total(0, EventCategory::TpComm) > t.rank_total(1, EventCategory::TpComm)
-        );
+        assert!(t.rank_total(0, EventCategory::TpComm) > t.rank_total(1, EventCategory::TpComm));
         // The unaffected group has near-minimal collective times.
-        assert!(
-            t.rank_total(2, EventCategory::TpComm) < t.rank_total(0, EventCategory::TpComm)
-        );
+        assert!(t.rank_total(2, EventCategory::TpComm) < t.rank_total(0, EventCategory::TpComm));
     }
 
     #[test]

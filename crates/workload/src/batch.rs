@@ -210,8 +210,8 @@ mod tests {
             seq: 16,
             sequences: vec![MaskSpec::Causal, MaskSpec::document(vec![8, 8])],
         };
-        let expect = MaskSpec::Causal.attended_pairs(16)
-            + MaskSpec::document(vec![8, 8]).attended_pairs(16);
+        let expect =
+            MaskSpec::Causal.attended_pairs(16) + MaskSpec::document(vec![8, 8]).attended_pairs(16);
         assert_eq!(mb.attended_pairs(), expect);
         assert_eq!(mb.tokens(), 32);
     }

@@ -134,7 +134,10 @@ mod tests {
     #[test]
     fn lognormal_mean_roughly_matches() {
         let mut s = DocumentSampler::new(
-            DocLengthDist::LogNormal { mean: 1000.0, sigma: 1.2 },
+            DocLengthDist::LogNormal {
+                mean: 1000.0,
+                sigma: 1.2,
+            },
             42,
         );
         let n = 60_000;
@@ -146,7 +149,10 @@ mod tests {
     #[test]
     fn lognormal_has_heavy_tail() {
         let mut s = DocumentSampler::new(
-            DocLengthDist::LogNormal { mean: 1000.0, sigma: 1.2 },
+            DocLengthDist::LogNormal {
+                mean: 1000.0,
+                sigma: 1.2,
+            },
             3,
         );
         let long = (0..50_000).filter(|_| s.sample_len() > 10_000).count();
@@ -155,10 +161,10 @@ mod tests {
 
     #[test]
     fn deterministic_by_seed() {
-        let m1 = DocumentSampler::new(DocLengthDist::Exponential { mean: 512.0 }, 9)
-            .pack_sequence(4096);
-        let m2 = DocumentSampler::new(DocLengthDist::Exponential { mean: 512.0 }, 9)
-            .pack_sequence(4096);
+        let m1 =
+            DocumentSampler::new(DocLengthDist::Exponential { mean: 512.0 }, 9).pack_sequence(4096);
+        let m2 =
+            DocumentSampler::new(DocLengthDist::Exponential { mean: 512.0 }, 9).pack_sequence(4096);
         assert_eq!(m1, m2);
         let m3 = DocumentSampler::new(DocLengthDist::Exponential { mean: 512.0 }, 10)
             .pack_sequence(4096);

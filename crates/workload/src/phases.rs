@@ -6,7 +6,6 @@
 //! flexibility requirements on the pipeline schedule (variable batch
 //! sizes, §3.1.1) and on context parallelism (§4).
 
-
 /// What the phase trains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PhaseKind {

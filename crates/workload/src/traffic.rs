@@ -49,8 +49,11 @@ pub enum TrafficShape {
 
 impl TrafficShape {
     /// All shapes, in wire-tag order — the bench grid iterates this.
-    pub const ALL: [TrafficShape; 3] =
-        [TrafficShape::Steady, TrafficShape::Diurnal, TrafficShape::Bursty];
+    pub const ALL: [TrafficShape; 3] = [
+        TrafficShape::Steady,
+        TrafficShape::Diurnal,
+        TrafficShape::Bursty,
+    ];
 
     /// Stable lowercase tag used on the wire and in filenames.
     pub fn tag(self) -> &'static str {
@@ -142,7 +145,10 @@ impl TrafficSpec {
             mean_rps: requests_per_day as f64 / DAY_S,
             horizon_s: DAY_S,
             seed,
-            prompt_dist: DocLengthDist::LogNormal { mean: 1024.0, sigma: 1.2 },
+            prompt_dist: DocLengthDist::LogNormal {
+                mean: 1024.0,
+                sigma: 1.2,
+            },
             output_dist: DocLengthDist::Exponential { mean: 256.0 },
             max_prompt: 8192,
             max_output: 2048,
@@ -172,10 +178,8 @@ impl TrafficSpec {
         let mut rng = StdRng::seed_from_u64(self.seed);
         // Independent streams for the two length samplers so changing a
         // distribution parameter never perturbs arrival times.
-        let mut prompts =
-            DocumentSampler::new(self.prompt_dist, self.seed ^ 0x9E37_79B9_7F4A_7C15);
-        let mut outputs =
-            DocumentSampler::new(self.output_dist, self.seed ^ 0xD1B5_4A32_D192_ED03);
+        let mut prompts = DocumentSampler::new(self.prompt_dist, self.seed ^ 0x9E37_79B9_7F4A_7C15);
+        let mut outputs = DocumentSampler::new(self.output_dist, self.seed ^ 0xD1B5_4A32_D192_ED03);
         let lambda_max = self.mean_rps * self.shape.peak_intensity();
         let mut out = Vec::with_capacity(self.expected_requests() as usize + 16);
         let mut t = 0.0f64;

@@ -13,7 +13,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mesh = Mesh4D::new(4, 2, 2, 2);
     let structure = mesh.group_structure();
     let culprit = 13u32;
-    println!("mesh {} — injecting a 1.8× straggler at rank {culprit}", mesh);
+    println!(
+        "mesh {} — injecting a 1.8× straggler at rank {culprit}",
+        mesh
+    );
 
     let spec = SynthSpec {
         num_ranks: mesh.num_gpus(),
@@ -24,13 +27,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         seed: 3,
     };
     let trace = synth_trace(&spec);
-    println!("collected {} trace events across {} ranks", trace.len(), mesh.num_gpus());
+    println!(
+        "collected {} trace events across {} ranks",
+        trace.len(),
+        mesh.num_gpus()
+    );
 
     // Export for visual inspection.
     let json = to_chrome_json(&trace)?;
     let path = std::env::temp_dir().join("llama3_parallelism_trace.json");
     std::fs::write(&path, json)?;
-    println!("chrome trace written to {} (open in chrome://tracing)", path.display());
+    println!(
+        "chrome trace written to {} (open in chrome://tracing)",
+        path.display()
+    );
 
     // Top-down localization, outermost dimension first.
     let report = locate_slow_rank(&trace, &structure);

@@ -30,10 +30,24 @@ fn main() {
     // four GPUs versus one.
     let seq = 131_072;
     let single = AllGatherCp::new(1)
-        .layer_fwd(&cfg, seq, &MaskSpec::Causal, &gpu, &comm, &ProcessGroup::contiguous(0, 1))
+        .layer_fwd(
+            &cfg,
+            seq,
+            &MaskSpec::Causal,
+            &gpu,
+            &comm,
+            &ProcessGroup::contiguous(0, 1),
+        )
         .total();
     let four = AllGatherCp::new(4)
-        .layer_fwd(&cfg, seq, &MaskSpec::Causal, &gpu, &comm, &ProcessGroup::contiguous(0, 4))
+        .layer_fwd(
+            &cfg,
+            seq,
+            &MaskSpec::Causal,
+            &gpu,
+            &comm,
+            &ProcessGroup::contiguous(0, 4),
+        )
         .total();
     println!(
         "\nattention latency reduction on 4 GPUs vs 1 at 131K: {:.2}× (paper: 3.89×)",

@@ -11,13 +11,25 @@ use llama3_parallelism::prelude::*;
 fn main() {
     for (label, vit) in [
         ("initial encoder (448², 32 layers)", VitConfig::vit_448()),
-        ("upgraded encoder (672², 48 layers)", VitConfig::vit_672_deep()),
+        (
+            "upgraded encoder (672², 48 layers)",
+            VitConfig::vit_672_deep(),
+        ),
     ] {
         println!("\n{label}:");
         for (name, sharding) in [
-            ("option 1 — encoder on first PP rank, in-pipeline", EncoderSharding::WithFirstStage),
-            ("option 2 — whole-batch preprocess on rank 0", EncoderSharding::PreprocessOnFirstRank),
-            ("option 3 — encoder replicated across PP ranks", EncoderSharding::ReplicatedAcrossRanks),
+            (
+                "option 1 — encoder on first PP rank, in-pipeline",
+                EncoderSharding::WithFirstStage,
+            ),
+            (
+                "option 2 — whole-batch preprocess on rank 0",
+                EncoderSharding::PreprocessOnFirstRank,
+            ),
+            (
+                "option 3 — encoder replicated across PP ranks",
+                EncoderSharding::ReplicatedAcrossRanks,
+            ),
         ] {
             let r = production_multimodal(vit.clone(), sharding).simulate();
             println!(

@@ -62,7 +62,10 @@ fn main() {
     // FP32 gradient accumulation vs BF16, against an f64 oracle.
     let problem = Regression::new(512, 8, 64, 7);
     let oracle = problem.train(60, 0.5, AccumPrecision::Fp64);
-    for (name, precision) in [("FP32", AccumPrecision::Fp32), ("BF16", AccumPrecision::Bf16)] {
+    for (name, precision) in [
+        ("FP32", AccumPrecision::Fp32),
+        ("BF16", AccumPrecision::Bf16),
+    ] {
         let run = problem.train(60, 0.5, precision);
         println!(
             "{name} gradient accumulation: max loss-curve gap vs oracle = {:.2e}",

@@ -19,7 +19,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = TransformerConfig::llama3_70b();
     let gpu = GpuSpec::h100_sxm_hbm3();
     let plan = InferPlan::auto(&cfg, &gpu, 64, 8).ok_or("model does not fit")?;
-    println!("mesh: tp{}·pp{}·x{} ({} GPUs)", plan.tp, plan.pp, plan.replicas, plan.gpus());
+    println!(
+        "mesh: tp{}·pp{}·x{} ({} GPUs)",
+        plan.tp,
+        plan.pp,
+        plan.replicas,
+        plan.gpus()
+    );
 
     // 3. Simulate: prefill/decode continuous batching with paged KV
     //    accounting, bit-identical for any thread count.

@@ -223,7 +223,9 @@ fn run_search(rest: &[String]) -> Result<i32, String> {
         let hit = r.expect_hit == Some(true);
         envelope = envelope.metric("expected_mesh_on_frontier", hit);
         if hit {
-            outln(format_args!("expected mesh tp{tp}·cp{cp}·pp{pp}·dp{dp} is on the frontier"));
+            outln(format_args!(
+                "expected mesh tp{tp}·cp{cp}·pp{pp}·dp{dp} is on the frontier"
+            ));
         } else {
             eprintln!("error: expected mesh tp{tp}·cp{cp}·pp{pp}·dp{dp} is NOT on the frontier");
             code = 1;

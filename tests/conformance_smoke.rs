@@ -12,7 +12,6 @@ fn short_fuzz_sweep_is_clean() {
     let mut rng = TestRng::new(1);
     for case in 0..25 {
         let spec = CaseSpec::sample(&mut rng);
-        spec.check()
-            .unwrap_or_else(|e| panic!("case {case}: {e}"));
+        spec.check().unwrap_or_else(|e| panic!("case {case}: {e}"));
     }
 }

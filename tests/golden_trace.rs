@@ -84,7 +84,10 @@ fn tiered_store_at_tier_0_exports_the_same_golden_bytes() {
         "the 8B step trace must fit tier 0 without eviction"
     );
     let routed = to_chrome_json(&store.sampled(0)).expect("emitter succeeds");
-    assert_eq!(routed, direct, "tier-0 round trip altered the chrome export");
+    assert_eq!(
+        routed, direct,
+        "tier-0 round trip altered the chrome export"
+    );
 }
 
 #[test]

@@ -21,7 +21,9 @@ fn mesh_rejects_zero_dimensions_naming_the_shape() {
         (2, 2, 0, 2, "[2, 2, 0, 2]"),
         (2, 2, 2, 0, "[2, 2, 2, 0]"),
     ] {
-        let msg = Mesh4D::try_new(tp, cp, pp, dp).expect_err("zero dim").to_string();
+        let msg = Mesh4D::try_new(tp, cp, pp, dp)
+            .expect_err("zero dim")
+            .to_string();
         assert!(msg.contains(needle), "missing {needle}: {msg}");
     }
 }
@@ -35,7 +37,9 @@ fn cluster_rejects_non_multiple_of_node_size_naming_the_count() {
         msg.contains("multiple of 8"),
         "message does not state the constraint: {msg}"
     );
-    let msg = Cluster::try_llama3(0).expect_err("empty cluster").to_string();
+    let msg = Cluster::try_llama3(0)
+        .expect_err("empty cluster")
+        .to_string();
     assert!(msg.contains('0'), "message does not name the count: {msg}");
 }
 
@@ -45,7 +49,10 @@ fn jitter_rejects_bad_amplitudes_naming_the_value() {
         let err = JitterModel::try_new(JitterKind::Static, amplitude, 7)
             .expect_err("non-physical amplitude must be rejected");
         let msg = err.to_string();
-        assert!(msg.contains(needle), "message does not name {amplitude}: {msg}");
+        assert!(
+            msg.contains(needle),
+            "message does not name {amplitude}: {msg}"
+        );
     }
     // The happy path still holds.
     assert!(JitterModel::try_new(JitterKind::Static, 0.05, 7).is_ok());
