@@ -16,13 +16,13 @@ pub fn run() -> String {
         t.row(&[
             seq.to_string(),
             (16 * 1024 * 1024 / seq).to_string(),
-            p.mesh.tp().to_string(),
-            p.mesh.cp().to_string(),
-            p.mesh.pp().to_string(),
-            p.mesh.dp().to_string(),
-            p.bs.to_string(),
-            format!("{:?}/{:?}", p.zero, p.schedule),
-            gib(p.est_memory),
+            p.config.tp.to_string(),
+            p.config.cp.to_string(),
+            p.config.pp.to_string(),
+            p.config.dp.to_string(),
+            p.config.nmb.to_string(),
+            format!("{:?}/{:?}", p.config.zero, p.config.schedule),
+            gib(p.peak_memory),
             paper.to_string(),
         ]);
         out.push_str(&format!("\nreasoning for seq {seq}:\n"));
@@ -50,8 +50,14 @@ mod tests {
         use parallelism_core::planner::{plan, PlannerInput};
         let short = plan(&PlannerInput::llama3_405b(16_384, 8_192)).unwrap();
         let long = plan(&PlannerInput::llama3_405b(16_384, 131_072)).unwrap();
-        assert_eq!(short.mesh.to_string(), "tp8·cp1·pp16·dp128 (16384 GPUs)");
-        assert_eq!(long.mesh.to_string(), "tp8·cp16·pp16·dp8 (16384 GPUs)");
+        assert_eq!(
+            short.config.mesh().to_string(),
+            "tp8·cp1·pp16·dp128 (16384 GPUs)"
+        );
+        assert_eq!(
+            long.config.mesh().to_string(),
+            "tp8·cp16·pp16·dp8 (16384 GPUs)"
+        );
         let report = super::run();
         assert!(report.contains("reasoning for seq 8192"));
         assert!(report.contains("reasoning for seq 131072"));
