@@ -6,60 +6,72 @@ use cluster_model::jitter::{JitterKind, JitterModel};
 use cluster_model::topology::{GlobalRank, TopologySpec};
 use collectives::algorithms::{ring_all_gather_flows, run_stepped};
 use collectives::ProcessGroup;
-use parallelism_core::planner::{hbm_budget, rule_config};
+use parallelism_core::analyze::memory::admitted_bounds;
+use parallelism_core::planner::rule_config;
 use parallelism_core::search::SearchSpec;
-use parallelism_core::SimOptions;
+use parallelism_core::{SimOptions, StepModel};
 use sim_engine::time::SimTime;
 
-/// §8.1 HBM-capacity what-if: TP 8 vs TP 4 on 2 K GPUs, memory
-/// permitting. Returns `(tflops_tp8, tflops_tp4, mem_tp8, mem_tp4)`.
-pub fn hbm_tp_ablation() -> (f64, f64, u64, u64) {
+/// One row of the §8.1 HBM-capacity what-if.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HbmPoint {
+    /// Tensor-parallel degree.
+    pub tp: u32,
+    /// Achieved TFLOPs per GPU.
+    pub tflops: f64,
+    /// The largest per-rank peak memory, bytes.
+    pub peak_bytes: u64,
+    /// Admitted by the planner's and the search's one memory rule
+    /// ([`admitted_bounds`]) on the 80 GB part.
+    pub fits: bool,
+}
+
+/// The two §8.1 steps, 405B on 2K GPUs at tp·cp1·pp16: TP 8, then TP 4.
+fn hbm_steps() -> [(u32, StepModel); 2] {
     let spec = SearchSpec::llama3_405b(2_048, 8_192);
-    let step = |tp| {
-        rule_config(&spec, tp, 1, 16)
+    [8, 4].map(|tp| {
+        let step = rule_config(&spec, tp, 1, 16)
             .and_then(|c| spec.build_step(&c))
-            .expect("tp·cp1·pp16 admissible")
-    };
-    let (tp8, tp4) = (step(8), step(4));
-    let m8 = tp8.peak_memory().into_iter().max().unwrap_or(0);
-    let m4 = tp4.peak_memory().into_iter().max().unwrap_or(0);
-    (
-        tp8.run(&SimOptions::default())
+            .expect("tp·cp1·pp16 admissible");
+        (tp, step)
+    })
+}
+
+/// §8.1 HBM-capacity what-if: TP 8 vs TP 4 on 2 K GPUs, memory
+/// permitting. Returns the TP 8 row, then the TP 4 row.
+pub fn hbm_tp_ablation() -> [HbmPoint; 2] {
+    hbm_steps().map(|(tp, step)| HbmPoint {
+        tp,
+        tflops: step
+            .run(&SimOptions::default())
             .expect("valid step config")
             .report
             .tflops_per_gpu,
-        tp4.run(&SimOptions::default())
-            .expect("valid step config")
-            .report
-            .tflops_per_gpu,
-        m8,
-        m4,
-    )
+        peak_bytes: step.peak_memory().into_iter().max().unwrap_or(0),
+        fits: step
+            .schedule()
+            .is_ok_and(|sched| admitted_bounds(&step, &sched).is_some()),
+    })
 }
 
 fn run_hbm() -> String {
-    let (t8, t4, m8, m4) = hbm_tp_ablation();
+    let [tp8, tp4] = hbm_tp_ablation();
     let mut t = Table::new(
         "§8.1 — HBM capacity: TP 8 → 4 on 2K GPUs (paper: ~10 % end-to-end gain when memory allows)",
         &["tp", "TFLOPs/GPU", "peak memory", "fits 80 GB?"],
     );
-    let budget = hbm_budget(80 << 30);
-    t.row(&[
-        "8".to_string(),
-        format!("{t8:.0}"),
-        crate::report::gib(m8),
-        (m8 <= budget).to_string(),
-    ]);
-    t.row(&[
-        "4".to_string(),
-        format!("{t4:.0}"),
-        crate::report::gib(m4),
-        format!("{} (needs the bigger-HBM part)", m4 <= budget),
-    ]);
+    for (p, note) in [(tp8, ""), (tp4, " (needs the bigger-HBM part)")] {
+        t.row(&[
+            p.tp.to_string(),
+            format!("{:.0}", p.tflops),
+            crate::report::gib(p.peak_bytes),
+            format!("{}{note}", p.fits),
+        ]);
+    }
     format!(
         "{}\ntp4 gain: {:.1} % (paper ≈ 10 %)\n",
         t.render(),
-        (t4 / t8 - 1.0) * 100.0
+        (tp4.tflops / tp8.tflops - 1.0) * 100.0
     )
 }
 
@@ -198,9 +210,26 @@ mod tests {
 
     #[test]
     fn tp4_gains_when_memory_allows() {
-        let (t8, t4, m8, m4) = hbm_tp_ablation();
-        assert!(t4 > t8 * 1.02, "tp4 {t4} vs tp8 {t8}");
-        assert!(m4 > m8, "tp4 must cost memory: {m4} vs {m8}");
+        let [tp8, tp4] = hbm_tp_ablation();
+        assert!(tp4.tflops > tp8.tflops * 1.02, "tp4 {tp4:?} vs tp8 {tp8:?}");
+        assert!(tp4.peak_bytes > tp8.peak_bytes, "tp4 must cost memory");
+    }
+
+    #[test]
+    fn fits_column_is_the_one_memory_rule() {
+        let table = run_hbm();
+        for (tp, step) in hbm_steps() {
+            let admitted = admitted_bounds(&step, &step.schedule().unwrap()).is_some();
+            let row = table
+                .lines()
+                .find(|l| l.starts_with(&format!("| {tp} ")))
+                .unwrap_or_else(|| panic!("no tp {tp} row in\n{table}"));
+            let fits = row.split('|').nth(4).unwrap().trim();
+            assert!(
+                fits.starts_with(&admitted.to_string()),
+                "tp {tp}: the rule says {admitted}, the column says {fits:?}"
+            );
+        }
     }
 
     #[test]

@@ -664,7 +664,7 @@ impl FuzzFamily for TraceOpSpec {
                         clock += rng.below(200);
                         let ev = TraceEvent {
                             rank: rng.below(u64::from(self.ranks)) as u32,
-                            name: format!("e{}", reference.len()),
+                            name: format!("e{}", reference.len()).into(),
                             category: CATEGORIES[rng.below(NUM_CATEGORIES as u64) as usize],
                             start_ns: clock,
                             duration_ns: 1 + rng.below(1_000),

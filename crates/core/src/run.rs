@@ -44,7 +44,7 @@ use cluster_model::faults::FaultTimeline;
 use llm_model::PrecisionPolicy;
 use sim_engine::error::SimError;
 use trace_analysis::tiered::{ReplaySource, ReplayedWindow, TierConfig, TieredTrace};
-use trace_analysis::{EventCategory, TraceEvent};
+use trace_analysis::{EventCategory, EventName, TraceEvent};
 
 /// Checkpoint/restart policy for a long-running job.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -270,19 +270,20 @@ impl RunSimulator {
         fatal_times: &[f64],
         start: RunAnchor,
         stop_after_ns: Option<u64>,
-        sink: &mut dyn FnMut(u64, TraceEvent),
+        sink: Option<&mut dyn FnMut(u64, TraceEvent)>,
         mut anchors: Option<&mut Vec<RunAnchor>>,
     ) -> WalkAccounting {
         let horizon = self.timeline.horizon_s();
         let pp = self.step.mesh.pp();
+        let mut health = HealthCursor::new(&self.timeline, start.t_s, horizon);
+        let mut out = Emitter {
+            sink,
+            next: start.event_index,
+        };
 
-        // The priced step time under a health snapshot: the worst
-        // throttle gates the synchronized step (§8.1); degraded links
-        // stretch the exposed DP communication (§8.2).
         let mut t = start.t_s;
         let mut fi = start.fault_index;
         let mut step_idx = start.step_index;
-        let mut ev_idx = start.event_index;
         let mut steps_committed = 0u64;
         let mut restarts = 0u32;
         let mut loss = GoodputLoss::default();
@@ -296,7 +297,7 @@ impl RunSimulator {
                 t_s: t,
                 fault_index: fi,
                 step_index: step_idx,
-                event_index: ev_idx,
+                event_index: out.next,
             });
         }
 
@@ -306,9 +307,7 @@ impl RunSimulator {
                     break;
                 }
             }
-            let health = self.timeline.health_at(t);
-            let compute_s = p.healthy_step_s * health.worst_compute_multiplier();
-            let dp_extra_s = p.dp_exposed_s * (1.0 / health.worst_link_scale() - 1.0);
+            let (compute_s, dp_extra_s) = health.step_costs(t, p);
             let step_s = compute_s + dp_extra_s;
             if fi < fatal_times.len() && fatal_times[fi] <= t + step_s {
                 // A fatal fault lands during this step (or landed during
@@ -323,21 +322,14 @@ impl RunSimulator {
                 loss.detect_s += self.policy.detect_s;
                 loss.restart_s += self.policy.reschedule_s + p.read_s;
                 let down_at = t.max(f);
-                sink(
-                    ev_idx,
-                    other_event(0, "detect", ns(down_at), ns_dur(self.policy.detect_s)),
-                );
-                ev_idx += 1;
-                sink(
-                    ev_idx,
+                out.emit(|| other_event("detect", down_at, self.policy.detect_s));
+                out.emit(|| {
                     other_event(
-                        0,
                         "restart",
-                        ns(down_at + self.policy.detect_s),
-                        ns_dur(self.policy.reschedule_s + p.read_s),
-                    ),
-                );
-                ev_idx += 1;
+                        down_at + self.policy.detect_s,
+                        self.policy.reschedule_s + p.read_s,
+                    )
+                });
                 t = down_at + self.policy.detect_s + self.policy.reschedule_s + p.read_s;
                 restarts += 1;
                 // Faults striking while the job is already down fold
@@ -350,55 +342,19 @@ impl RunSimulator {
                         t_s: t,
                         fault_index: fi,
                         step_index: step_idx,
-                        event_index: ev_idx,
+                        event_index: out.next,
                     });
                 }
                 continue;
             }
-            // One synchronized training step: a compute event on every
-            // pipeline rank (replica-0 lanes, matching the step-level
-            // trace's rank convention) plus a DP-stretch event when a
-            // degraded link exposes extra DP communication.
-            let name = format!("step{step_idx}");
-            for rank in 0..pp {
-                sink(
-                    ev_idx,
-                    TraceEvent {
-                        rank,
-                        name: name.clone(),
-                        category: EventCategory::Compute,
-                        start_ns: ns(t),
-                        duration_ns: ns_dur(compute_s),
-                    },
-                );
-                ev_idx += 1;
-            }
-            if dp_extra_s > 0.0 {
-                for rank in 0..pp {
-                    sink(
-                        ev_idx,
-                        TraceEvent {
-                            rank,
-                            name: "dp_wait".to_string(),
-                            category: EventCategory::DpComm,
-                            start_ns: ns(t + compute_s),
-                            duration_ns: ns_dur(dp_extra_s),
-                        },
-                    );
-                    ev_idx += 1;
-                }
-            }
+            out.step(step_idx, pp, t, compute_s, dp_extra_s);
             step_idx += 1;
             t += step_s;
             pending_steps += 1;
             pending_wall += step_s;
             pending_degraded += step_s - p.healthy_step_s;
             if pending_steps >= p.ckpt_every {
-                sink(
-                    ev_idx,
-                    other_event(0, "checkpoint", ns(t), ns_dur(p.write_s)),
-                );
-                ev_idx += 1;
+                out.emit(|| other_event("checkpoint", t, p.write_s));
                 t += p.write_s;
                 loss.checkpoint_s += p.write_s;
                 steps_committed += pending_steps;
@@ -411,7 +367,7 @@ impl RunSimulator {
                         t_s: t,
                         fault_index: fi,
                         step_index: step_idx,
-                        event_index: ev_idx,
+                        event_index: out.next,
                     });
                 }
             }
@@ -463,7 +419,7 @@ impl RunSimulator {
     pub fn simulate(&self) -> Result<GoodputReport, SimError> {
         let p = self.pricing()?;
         let fatal = self.fatal_times();
-        let acc = self.walk(&p, &fatal, RunAnchor::start(), None, &mut |_, _| {}, None);
+        let acc = self.walk(&p, &fatal, RunAnchor::start(), None, None, None);
         Ok(self.report_from(&p, acc))
     }
 
@@ -484,7 +440,7 @@ impl RunSimulator {
             &fatal,
             RunAnchor::start(),
             None,
-            &mut |_, ev| store.append(ev),
+            Some(&mut |_, ev| store.append(ev)),
             Some(&mut anchors),
         );
         let report = self.report_from(&p, acc);
@@ -513,7 +469,7 @@ impl RunSimulator {
             &fatal,
             RunAnchor::start(),
             None,
-            &mut |idx, ev| events.push((idx, ev)),
+            Some(&mut |idx, ev| events.push((idx, ev))),
             None,
         );
         Ok((events, self.report_from(&p, acc)))
@@ -530,13 +486,118 @@ fn ns_dur(d_s: f64) -> u64 {
     (d_s * 1e9).round().max(0.0) as u64
 }
 
-fn other_event(rank: u32, name: &str, start_ns: u64, duration_ns: u64) -> TraceEvent {
+/// A run-level marker (checkpoint, detect, restart) on rank 0.
+fn other_event(name: &str, start_s: f64, duration_s: f64) -> TraceEvent {
     TraceEvent {
-        rank,
-        name: name.to_string(),
+        rank: 0,
+        name: EventName::new(name),
         category: EventCategory::Other,
-        start_ns,
-        duration_ns,
+        start_ns: ns(start_s),
+        duration_ns: ns_dur(duration_s),
+    }
+}
+
+/// The walk's event output. It numbers every event the walk emits and,
+/// when the walk is traced, builds the event and hands it to the sink;
+/// an untraced walk ([`RunSimulator::simulate`]) builds no events.
+struct Emitter<'s> {
+    sink: Option<&'s mut dyn FnMut(u64, TraceEvent)>,
+    /// Global append index of the next event.
+    next: u64,
+}
+
+impl Emitter<'_> {
+    fn emit(&mut self, ev: impl FnOnce() -> TraceEvent) {
+        if let Some(sink) = self.sink.as_deref_mut() {
+            sink(self.next, ev());
+        }
+        self.next += 1;
+    }
+
+    /// One synchronized training step starting at `t_s`: a compute
+    /// event on every pipeline rank (replica-0 lanes, matching the
+    /// step-level trace's rank convention), plus a DP-stretch event per
+    /// rank when a degraded link exposes extra DP communication. The
+    /// step's name is built once and copied onto each rank's event.
+    fn step(&mut self, step_idx: u64, pp: u32, t_s: f64, compute_s: f64, dp_extra_s: f64) {
+        let lanes = if dp_extra_s > 0.0 { 2 } else { 1 };
+        if let Some(sink) = self.sink.as_deref_mut() {
+            let mut idx = self.next;
+            let mut lane = |name: &EventName, category, start_ns, duration_ns| {
+                for rank in 0..pp {
+                    sink(
+                        idx,
+                        TraceEvent {
+                            rank,
+                            name: name.clone(),
+                            category,
+                            start_ns,
+                            duration_ns,
+                        },
+                    );
+                    idx += 1;
+                }
+            };
+            lane(
+                &EventName::numbered("step", step_idx),
+                EventCategory::Compute,
+                ns(t_s),
+                ns_dur(compute_s),
+            );
+            if lanes == 2 {
+                lane(
+                    &EventName::new("dp_wait"),
+                    EventCategory::DpComm,
+                    ns(t_s + compute_s),
+                    ns_dur(dp_extra_s),
+                );
+            }
+        }
+        self.next += lanes * u64::from(pp);
+    }
+}
+
+/// The walk's view of cluster health: the priced cost of one step at
+/// the walk clock. Health is constant between consecutive
+/// [`FaultTimeline::transient_boundaries`] (every transient event is
+/// active on a half-open `[start, end)`), so the cursor rescans the
+/// fault list only when the clock crosses a boundary, not every step.
+struct HealthCursor<'a> {
+    timeline: &'a FaultTimeline,
+    /// Transient boundaries after the walk's start, ascending.
+    boundaries: Vec<f64>,
+    /// Index of the first boundary after the segment `costs` holds.
+    next: usize,
+    /// `(compute_s, dp_extra_s)` of the current segment, once priced.
+    costs: Option<(f64, f64)>,
+}
+
+impl<'a> HealthCursor<'a> {
+    fn new(timeline: &'a FaultTimeline, t0: f64, horizon: f64) -> HealthCursor<'a> {
+        HealthCursor {
+            timeline,
+            boundaries: timeline.transient_boundaries(t0, horizon),
+            next: 0,
+            costs: None,
+        }
+    }
+
+    /// `(compute_s, dp_extra_s)` of a step starting at `t` (never
+    /// earlier than the previous call's `t`): the worst throttle gates
+    /// the synchronized step (§8.1); degraded links stretch the exposed
+    /// DP communication (§8.2).
+    fn step_costs(&mut self, t: f64, p: &RunPricing) -> (f64, f64) {
+        while self.next < self.boundaries.len() && self.boundaries[self.next] <= t {
+            self.next += 1;
+            self.costs = None;
+        }
+        *self.costs.get_or_insert_with(|| {
+            let health = self.timeline.health_at(t);
+            (
+                p.healthy_step_s * health.worst_compute_multiplier(),
+                p.dp_exposed_s * (1.0 / health.worst_link_scale() - 1.0),
+            )
+        })
     }
 }
 
@@ -646,11 +707,11 @@ impl ReplaySource for RunReplay<'_> {
             self.fatal_times,
             start,
             Some(t1_ns),
-            &mut |idx, ev| {
+            Some(&mut |idx, ev| {
                 if ev.start_ns >= t0_ns && ev.start_ns < t1_ns {
                     events.push((idx, ev));
                 }
-            },
+            }),
             None,
         );
         ReplayedWindow { events }
@@ -837,6 +898,46 @@ mod tests {
             assert!(!view.events.is_empty());
         }
         traced.store.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn health_cursor_prices_like_health_at_at_every_instant() {
+        let mut rates = FaultRates::llama3_production();
+        rates.thermal_per_gpu_hour = 4e-2;
+        rates.link_degrade_per_gpu_hour = 4e-2;
+        let tl = FaultTimeline::generate(rates, 64, 8, DAY_S, 5).unwrap();
+        let p = RunPricing {
+            healthy_step_s: 1.7,
+            dp_exposed_s: 0.3,
+            ckpt_bytes: 0,
+            write_s: 0.0,
+            read_s: 0.0,
+            ckpt_every: 1,
+        };
+        let bounds = tl.transient_boundaries(0.0, DAY_S);
+        assert!(bounds.len() > 20, "{} boundaries", bounds.len());
+        // A cursor started mid-run, probed on, just before and just
+        // after every boundary, in increasing order.
+        let t0 = bounds[3] - 1.0;
+        let mut probes: Vec<f64> = bounds
+            .iter()
+            .flat_map(|&b| [b - 1e-3, b, b + 1e-3])
+            .filter(|&t| t >= t0)
+            .collect();
+        probes.sort_by(f64::total_cmp);
+        let mut cursor = HealthCursor::new(&tl, t0, DAY_S);
+        let mut prices = Vec::new();
+        for t in probes {
+            let h = tl.health_at(t);
+            let want = (
+                p.healthy_step_s * h.worst_compute_multiplier(),
+                p.dp_exposed_s * (1.0 / h.worst_link_scale() - 1.0),
+            );
+            assert_eq!(cursor.step_costs(t, &p), want, "t = {t}");
+            prices.push(want);
+        }
+        prices.dedup();
+        assert!(prices.len() > 20, "health changes {} times", prices.len());
     }
 
     #[test]

@@ -681,7 +681,7 @@ impl StepModel {
             for (op, &(start, end)) in ops.iter().zip(op_times) {
                 trace.push(TraceEvent {
                     rank: rank as u32,
-                    name: op.to_string(),
+                    name: op.to_string().into(),
                     category: EventCategory::Compute,
                     start_ns: start,
                     duration_ns: end - start,

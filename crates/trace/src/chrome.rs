@@ -8,6 +8,7 @@
 //! the fields are numbers or fixed ASCII literals.
 
 use crate::format::{EventCategory, Trace};
+use std::fmt::{self, Write};
 
 fn cat_name(c: EventCategory) -> &'static str {
     match c {
@@ -31,7 +32,7 @@ fn cat_tid(c: EventCategory) -> u32 {
     }
 }
 
-fn push_json_string(out: &mut String, s: &str) {
+fn push_json_string(out: &mut String, s: &str) -> fmt::Result {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -40,34 +41,37 @@ fn push_json_string(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
             c => out.push(c),
         }
     }
     out.push('"');
+    Ok(())
 }
 
 /// Microsecond timestamps rendered the way `chrome://tracing` expects:
 /// a plain decimal with no exponent (`1.5`, not `1.5e0` or `1.500000`).
-fn push_micros(out: &mut String, ns: u64) {
-    let whole = ns / 1000;
-    let frac = ns % 1000;
+fn push_micros(out: &mut String, ns: u64) -> fmt::Result {
+    let (whole, frac) = (ns / 1000, ns % 1000);
     if frac == 0 {
-        out.push_str(&format!("{whole}.0"));
+        write!(out, "{whole}.0")
+    } else if frac % 100 == 0 {
+        write!(out, "{whole}.{}", frac / 100)
+    } else if frac % 10 == 0 {
+        write!(out, "{whole}.{:02}", frac / 10)
     } else {
-        let s = format!("{frac:03}");
-        out.push_str(&format!("{whole}.{}", s.trim_end_matches('0')));
+        write!(out, "{whole}.{frac:03}")
     }
 }
 
 /// Renders the trace as a Chrome Trace Event Format JSON string.
 /// Each rank becomes a process; each category becomes a thread lane.
 ///
+/// Every field is written straight into the output string: no
+/// per-event temporaries.
+///
 /// # Errors
-/// Infallible today (kept as a `Result` so callers don't churn if a
-/// fallible writer backend is introduced later).
+/// Only a failing `fmt::Write` (never for a `String`).
 pub fn to_chrome_json(trace: &Trace) -> Result<String, std::fmt::Error> {
     let mut out = String::with_capacity(64 + trace.events.len() * 96);
     out.push('[');
@@ -76,18 +80,14 @@ pub fn to_chrome_json(trace: &Trace) -> Result<String, std::fmt::Error> {
             out.push(',');
         }
         out.push_str("{\"name\":");
-        push_json_string(&mut out, &e.name);
+        push_json_string(&mut out, &e.name)?;
         out.push_str(",\"cat\":\"");
         out.push_str(cat_name(e.category));
         out.push_str("\",\"ph\":\"X\",\"ts\":");
-        push_micros(&mut out, e.start_ns);
+        push_micros(&mut out, e.start_ns)?;
         out.push_str(",\"dur\":");
-        push_micros(&mut out, e.duration_ns);
-        out.push_str(&format!(
-            ",\"pid\":{},\"tid\":{}}}",
-            e.rank,
-            cat_tid(e.category)
-        ));
+        push_micros(&mut out, e.duration_ns)?;
+        write!(out, ",\"pid\":{},\"tid\":{}}}", e.rank, cat_tid(e.category))?;
     }
     out.push(']');
     Ok(out)
@@ -103,7 +103,7 @@ mod tests {
         let mut t = Trace::new();
         t.push(TraceEvent {
             rank: 2,
-            name: "all_gather".to_string(),
+            name: "all_gather".into(),
             category: EventCategory::CpComm,
             start_ns: 1500,
             duration_ns: 2500,
@@ -119,28 +119,43 @@ mod tests {
     #[test]
     fn escapes_event_names() {
         let mut t = Trace::new();
-        t.push(TraceEvent {
-            rank: 0,
-            name: "layer \"q\" \\ proj\n".to_string(),
-            category: EventCategory::Compute,
-            start_ns: 1000,
-            duration_ns: 1000,
-        });
+        for name in [
+            "layer \"q\" \\ proj\n",
+            "layer \"q\" \\ proj\n of a name too long to store inline",
+            "bell\u{7} ↔ ü",
+        ] {
+            t.push(TraceEvent {
+                rank: 0,
+                name: name.into(),
+                category: EventCategory::Compute,
+                start_ns: 1000,
+                duration_ns: 1000,
+            });
+        }
         let json = to_chrome_json(&t).unwrap();
         assert!(json.contains(r#""name":"layer \"q\" \\ proj\n""#), "{json}");
+        assert!(
+            json.contains(r#""name":"layer \"q\" \\ proj\n of a name too long to store inline""#),
+            "{json}"
+        );
+        assert!(json.contains(r#""name":"bell\u0007 ↔ ü""#), "{json}");
     }
 
     #[test]
     fn whole_and_fractional_micros() {
-        let mut s = String::new();
-        push_micros(&mut s, 2000);
-        assert_eq!(s, "2.0");
-        s.clear();
-        push_micros(&mut s, 2050);
-        assert_eq!(s, "2.05");
-        s.clear();
-        push_micros(&mut s, 1);
-        assert_eq!(s, "0.001");
+        for (ns, want) in [
+            (2000, "2.0"),
+            (2050, "2.05"),
+            (1, "0.001"),
+            (2500, "2.5"),
+            (2120, "2.12"),
+            (2123, "2.123"),
+            (0, "0.0"),
+        ] {
+            let mut s = String::new();
+            push_micros(&mut s, ns).unwrap();
+            assert_eq!(s, want);
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ pub mod slowrank;
 pub mod synth;
 pub mod tiered;
 
-pub use format::{EventCategory, Trace, TraceEvent};
+pub use format::{EventCategory, EventName, Trace, TraceEvent};
 pub use report::{auto_report, AutoReport};
 pub use slowrank::{
     locate_slow_rank, locate_slow_rank_tiered, DimGroups, GroupStructure, RankTotals,

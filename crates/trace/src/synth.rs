@@ -82,7 +82,7 @@ pub fn synth_trace(spec: &SynthSpec) -> Trace {
                 let dur = dur.round() as u64;
                 trace.push(TraceEvent {
                     rank: r,
-                    name: "compute".to_string(),
+                    name: "compute".into(),
                     category: crate::format::EventCategory::Compute,
                     start_ns: clock[r as usize],
                     duration_ns: dur,
@@ -95,7 +95,7 @@ pub fn synth_trace(spec: &SynthSpec) -> Trace {
                 for &r in group {
                     trace.push(TraceEvent {
                         rank: r,
-                        name: format!("{}_collective", dim.name),
+                        name: format!("{}_collective", dim.name).into(),
                         category: dim.category,
                         start_ns: clock[r as usize],
                         duration_ns: end - clock[r as usize],

@@ -90,6 +90,19 @@ impl RankWindowStats {
         self.busy_ns[1] + self.busy_ns[2] + self.busy_ns[3] + self.busy_ns[4]
     }
 
+    /// Folds the next event of this rank (append order).
+    fn fold(&mut self, ev: &TraceEvent) {
+        if self.events == 0 {
+            self.first_start_ns = ev.start_ns;
+        } else {
+            let gap = ev.start_ns.saturating_sub(self.last_end_ns);
+            self.max_gap_ns = self.max_gap_ns.max(gap);
+        }
+        self.events += 1;
+        self.busy_ns[category_index(ev.category)] += ev.duration_ns;
+        self.last_end_ns = ev.start_ns + ev.duration_ns;
+    }
+
     fn merge(&self, later: &RankWindowStats) -> RankWindowStats {
         let mut busy = self.busy_ns;
         for (b, l) in busy.iter_mut().zip(later.busy_ns.iter()) {
@@ -155,21 +168,52 @@ impl WindowStats {
     }
 
     fn fold_event(&mut self, ev: &TraceEvent) {
-        let end = ev.start_ns + ev.duration_ns;
+        self.fold_window_fields(ev);
+        self.per_rank.entry(ev.rank).or_default().fold(ev);
+    }
+
+    /// Folds an event into the window-wide fields only.
+    fn fold_window_fields(&mut self, ev: &TraceEvent) {
         self.events += 1;
         self.start_ns = self.start_ns.min(ev.start_ns);
-        self.end_ns = self.end_ns.max(end);
+        self.end_ns = self.end_ns.max(ev.start_ns + ev.duration_ns);
         self.max_duration_ns = self.max_duration_ns.max(ev.duration_ns);
-        let r = self.per_rank.entry(ev.rank).or_default();
-        if r.events == 0 {
-            r.first_start_ns = ev.start_ns;
-        } else {
-            let gap = ev.start_ns.saturating_sub(r.last_end_ns);
-            r.max_gap_ns = r.max_gap_ns.max(gap);
+    }
+
+    /// [`WindowStats::from_run`] with the per-rank fold done in `table`,
+    /// a dense rank-indexed scratch array, instead of a map lookup per
+    /// event. The result is identical (each rank still folds its own
+    /// events in append order); only the rank map is built once per
+    /// window. Ranks spread wider than four times the event count fall
+    /// back to `from_run`, so the table stays within a small multiple
+    /// of the chunk.
+    fn from_events_dense<'a>(
+        first_index: u64,
+        events: impl Iterator<Item = &'a TraceEvent> + Clone,
+        table: &mut Vec<RankWindowStats>,
+    ) -> WindowStats {
+        let (mut n, mut lo, mut hi) = (0usize, u32::MAX, 0u32);
+        for ev in events.clone() {
+            n += 1;
+            lo = lo.min(ev.rank);
+            hi = hi.max(ev.rank);
         }
-        r.events += 1;
-        r.busy_ns[category_index(ev.category)] += ev.duration_ns;
-        r.last_end_ns = end;
+        if n == 0 || (hi - lo) as usize >= 4 * n {
+            return WindowStats::from_run(first_index, events);
+        }
+        table.clear();
+        table.resize((hi - lo) as usize + 1, RankWindowStats::default());
+        let mut w = WindowStats::empty(first_index);
+        for ev in events {
+            w.fold_window_fields(ev);
+            table[(ev.rank - lo) as usize].fold(ev);
+        }
+        for (rank, r) in (lo..).zip(table.iter()) {
+            if r.events > 0 {
+                w.per_rank.insert(rank, r.clone());
+            }
+        }
+        w
     }
 
     /// Merges this window with the adjacent `later` window (the one
@@ -178,31 +222,35 @@ impl WindowStats {
     /// stream, so folding windows pairwise up the tower yields the same
     /// aggregate as folding the raw events directly.
     pub fn merge(&self, later: &WindowStats) -> WindowStats {
-        if self.events == 0 {
-            let mut w = later.clone();
-            w.first_index = self.first_index;
-            return w;
-        }
+        let mut w = self.clone();
+        w.absorb(later);
+        w
+    }
+
+    /// [`WindowStats::merge`] in place: `self` becomes the merge of
+    /// itself and the adjacent `later` window, reusing its rank map.
+    fn absorb(&mut self, later: &WindowStats) {
         if later.events == 0 {
-            return self.clone();
+            return;
         }
-        let mut per_rank = self.per_rank.clone();
+        if self.events == 0 {
+            let first_index = self.first_index;
+            *self = later.clone();
+            self.first_index = first_index;
+            return;
+        }
         for (rank, rb) in &later.per_rank {
-            match per_rank.get_mut(rank) {
+            match self.per_rank.get_mut(rank) {
                 Some(ra) => *ra = ra.merge(rb),
                 None => {
-                    per_rank.insert(*rank, rb.clone());
+                    self.per_rank.insert(*rank, rb.clone());
                 }
             }
         }
-        WindowStats {
-            first_index: self.first_index,
-            events: self.events + later.events,
-            start_ns: self.start_ns.min(later.start_ns),
-            end_ns: self.end_ns.max(later.end_ns),
-            max_duration_ns: self.max_duration_ns.max(later.max_duration_ns),
-            per_rank,
-        }
+        self.events += later.events;
+        self.start_ns = self.start_ns.min(later.start_ns);
+        self.end_ns = self.end_ns.max(later.end_ns);
+        self.max_duration_ns = self.max_duration_ns.max(later.max_duration_ns);
     }
 
     /// Total busy nanoseconds across ranks and categories.
@@ -359,6 +407,10 @@ pub struct TieredTrace {
     /// Tiers 1.. in `tiers[k-1]`; higher levels cover older regions.
     tiers: Vec<Tier>,
     appended: u64,
+    /// Scratch for folding evicted chunks: a dense per-rank table,
+    /// reused so an eviction does not allocate one. It carries no state
+    /// from one eviction to the next.
+    rank_table: Vec<RankWindowStats>,
 }
 
 impl Default for TieredTrace {
@@ -375,6 +427,7 @@ impl TieredTrace {
             tier0: VecDeque::new(),
             tiers: Vec::new(),
             appended: 0,
+            rank_table: Vec::new(),
         }
     }
 
@@ -694,26 +747,25 @@ impl TieredTrace {
         let b = self.cfg.tier0_events;
         let c = self.cfg.chunk;
         while self.tier0.len() > b {
-            // Pop the oldest 2C full-resolution events, fold their exact
-            // window, thin to stride 2, and push into tier 1.
-            let mut chunk: Vec<(u64, TraceEvent)> = Vec::with_capacity(2 * c);
-            for _ in 0..2 * c {
-                match self.tier0.pop_front() {
-                    Some(p) => chunk.push(p),
-                    None => break,
-                }
-            }
-            let first_index = chunk.first().map(|(i, _)| *i).unwrap_or(0);
-            let w = WindowStats::from_run(first_index, chunk.iter().map(|(_, e)| e));
+            // Fold the oldest 2C full-resolution events' exact window
+            // where they lie, then move them into tier 1 thinned to
+            // stride 2. (`b >= 2C`, so tier 0 holds a whole chunk.)
+            let n = (2 * c).min(self.tier0.len());
+            let first_index = self.tier0.front().map_or(0, |(i, _)| *i);
+            let w = WindowStats::from_events_dense(
+                first_index,
+                self.tier0.range(..n).map(|(_, e)| e),
+                &mut self.rank_table,
+            );
             if self.tiers.is_empty() {
                 self.tiers.push(Tier::default());
             }
             let t1 = &mut self.tiers[0];
-            for (idx, ev) in chunk {
-                if idx.is_multiple_of(2) {
-                    t1.events.push_back((idx, ev));
-                }
-            }
+            t1.events.extend(
+                self.tier0
+                    .drain(..n)
+                    .filter(|(idx, _)| idx.is_multiple_of(2)),
+            );
             t1.windows.push_back(w);
             self.cascade();
         }
@@ -734,41 +786,26 @@ impl TieredTrace {
                 continue;
             }
             // Merge the two oldest windows of tier k+1 (level k+1) into
-            // one tier k+2 window; halve their events.
-            let (merged, moved) = {
-                let tier = &mut self.tiers[k];
-                let wa = match tier.windows.pop_front() {
-                    Some(w) => w,
-                    None => break,
-                };
-                let wb = match tier.windows.pop_front() {
-                    Some(w) => w,
-                    None => {
-                        tier.windows.push_front(wa);
-                        break;
-                    }
-                };
-                let merged = wa.merge(&wb);
-                let end = merged.first_index + merged.events;
-                let next_stride = 1u64 << (k + 2);
-                let mut moved = Vec::new();
-                while let Some((idx, _)) = tier.events.front() {
-                    if *idx >= end {
-                        break;
-                    }
-                    if let Some((idx, ev)) = tier.events.pop_front() {
-                        if idx.is_multiple_of(next_stride) {
-                            moved.push((idx, ev));
-                        }
-                    }
-                }
-                (merged, moved)
-            };
+            // one tier k+2 window; halve their events. (`cap >= 2`, so
+            // the tier holds at least three windows here.)
             if k + 1 == self.tiers.len() {
                 self.tiers.push(Tier::default());
             }
-            let up = &mut self.tiers[k + 1];
-            up.events.extend(moved);
+            let (lower, upper) = self.tiers.split_at_mut(k + 1);
+            let (tier, up) = (&mut lower[k], &mut upper[0]);
+            let (Some(mut merged), Some(wb)) = (tier.windows.pop_front(), tier.windows.pop_front())
+            else {
+                break;
+            };
+            merged.absorb(&wb);
+            let end = merged.first_index + merged.events;
+            let next_stride = 1u64 << (k + 2);
+            let n = tier.events.iter().take_while(|(idx, _)| *idx < end).count();
+            up.events.extend(
+                tier.events
+                    .drain(..n)
+                    .filter(|(idx, _)| idx.is_multiple_of(next_stride)),
+            );
             up.windows.push_back(merged);
         }
     }
@@ -800,7 +837,7 @@ mod tests {
     fn ev(i: u64) -> TraceEvent {
         TraceEvent {
             rank: (i % 4) as u32,
-            name: format!("e{i}"),
+            name: format!("e{i}").into(),
             category: if i.is_multiple_of(3) {
                 EventCategory::Compute
             } else {
@@ -903,16 +940,28 @@ mod tests {
 
     #[test]
     fn window_stats_fold_matches_reference() {
-        let (store, reference) = filled(4_096, TierConfig::tiny(32, 4));
-        let mut checked = 0;
-        store.for_each_window(|_, w| {
-            let lo = w.first_index as usize;
-            let hi = (w.first_index + w.events) as usize;
-            let expect = WindowStats::from_run(w.first_index, reference[lo..hi].iter());
-            assert_eq!(w, &expect);
-            checked += 1;
-        });
-        assert!(checked > 4);
+        // Dense ranks, and ranks with gaps, fold through the rank
+        // table; ranks spread far wider than a chunk fall back to the
+        // map fold.
+        for spread in [1, 3, 1 << 24] {
+            let mut store = TieredTrace::new(TierConfig::tiny(32, 4));
+            let mut reference = Vec::new();
+            for i in 0..4_096 {
+                let mut e = ev(i);
+                e.rank *= spread;
+                reference.push(e.clone());
+                store.append(e);
+            }
+            let mut checked = 0;
+            store.for_each_window(|_, w| {
+                let lo = w.first_index as usize;
+                let hi = (w.first_index + w.events) as usize;
+                let expect = WindowStats::from_run(w.first_index, reference[lo..hi].iter());
+                assert_eq!(w, &expect);
+                checked += 1;
+            });
+            assert!(checked > 4);
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ fn events_from(raw: &[(u32, u64, u64, usize)]) -> Vec<TraceEvent> {
             clock += gap;
             TraceEvent {
                 rank,
-                name: format!("e{i}"),
+                name: format!("e{i}").into(),
                 category: CATEGORIES[cat % NUM_CATEGORIES],
                 start_ns: clock,
                 duration_ns: dur,
