@@ -76,8 +76,7 @@ use parallelism_core::pp::sim::{
 use parallelism_core::pp::PpSchedule;
 use parallelism_core::run::{GoodputLoss, GoodputReport, RunSimulator};
 use parallelism_core::search::{
-    enumerate_configs, finish_search, prune_key, restrict_max_cp, score_one, search,
-    search_outcomes, Outcome, SearchSpec,
+    enumerate_configs, prune_key, score_one, search, search_outcomes, Outcome, SearchSpec,
 };
 use parallelism_core::step::{ExposedComm, SimFidelity, SimOptions, StepModel, StepReport};
 use parallelism_core::Dim;
@@ -623,9 +622,7 @@ pub fn oracle_goodput_recomposition(sim: &RunSimulator) -> CheckResult {
 /// * the frontier is the reference frontier, as a multiset of
 ///   `(config, step time, peak memory)`;
 /// * the whole report, counts included, is identical at 1, 2 and 8
-///   threads;
-/// * for every narrower power-of-two `max_cp`, [`restrict_max_cp`] of
-///   the wide outcomes finishes to exactly a direct search.
+///   threads.
 ///
 /// Meant for small grids; refuses above 1024 candidates.
 pub fn oracle_search_frontier(spec: &SearchSpec) -> CheckResult {
@@ -746,53 +743,7 @@ pub fn oracle_search_frontier(spec: &SearchSpec) -> CheckResult {
             ));
         }
     }
-
-    let mut max_cp = 1;
-    while max_cp < spec.max_cp {
-        let narrow = spec.clone().max_cp(max_cp);
-        let derived = finish_search(&narrow, &restrict_max_cp(&outcomes, &narrow))
-            .map_err(|e| format!("narrowed finish failed: {e}"))?;
-        let direct = search(&narrow).map_err(|e| format!("narrow search failed: {e}"))?;
-        if derived != direct {
-            return Err(format!(
-                "max_cp={max_cp}: narrowed reuse {:?} differs from a direct search {:?}",
-                derived.counts, direct.counts
-            ));
-        }
-        max_cp *= 2;
-    }
     Ok(())
-}
-
-/// The candidates with `cp ≤ max_cp` that the walk of `spec` pruned
-/// although no point it scored at `cp ≤ max_cp` beats their walk key:
-/// only wider points pruned them, so narrowing to `max_cp` must settle
-/// them afresh. Oracle 6's narrowing check is only as strong as the
-/// specs it runs on contain such candidates.
-pub fn pruned_only_by_wider_cp(spec: &SearchSpec, max_cp: u32) -> Result<Vec<String>, String> {
-    let out = search_outcomes(spec).map_err(|e| format!("search failed: {e}"))?;
-    let narrow_points: Vec<(SimDuration, u64)> = out
-        .candidates
-        .iter()
-        .filter(|c| c.config.cp <= max_cp)
-        .filter_map(|c| match &c.outcome {
-            Outcome::Scored(p) => Some((p.step_time, p.peak_memory)),
-            _ => None,
-        })
-        .collect();
-    Ok(out
-        .candidates
-        .iter()
-        .filter(|c| c.config.cp <= max_cp && c.outcome == Outcome::Pruned)
-        .filter(|c| {
-            c.key.is_some_and(|k| {
-                !narrow_points
-                    .iter()
-                    .any(|&(t, m)| t < k.bound && m <= k.memory)
-            })
-        })
-        .map(|c| c.config.to_string())
-        .collect())
 }
 
 /// Oracle 8 — tiered run tracing vs the plain walk. Simulating with

@@ -13,7 +13,7 @@ use conformance::oracles::{
     check_pipeline_rules, oracle_collective_streams, oracle_fluid_fast_path, oracle_folded_vs_full,
     oracle_goodput_recomposition, oracle_memoized_costs, oracle_pipeline_rules,
     oracle_planner_vs_search, oracle_run_trace_replay, oracle_search_frontier,
-    oracle_step_time_bound, oracle_tiered_trace, pruned_only_by_wider_cp,
+    oracle_step_time_bound, oracle_tiered_trace,
 };
 use parallelism_core::analyze::{deadlock, RuleId};
 use parallelism_core::pp::schedule::{PpOp, PpSchedule, ScheduleKind};
@@ -73,9 +73,8 @@ fn search_funnel_matches_exhaustive_reference() {
     // candidates: every (cluster size, sequence, thread count) combo
     // must settle each candidate as the unpruned reference does (or
     // prune it under a dominating point), give the same Pareto
-    // frontier as full-analyzer scoring plus quadratic dominance, the
-    // same report at 1, 2 and 8 threads, and the same report when
-    // narrowed from the wide outcomes.
+    // frontier as full-analyzer scoring plus quadratic dominance, and
+    // the same report at 1, 2 and 8 threads.
     for (ngpu, gbs, threads) in [(8u32, 16u64, 1usize), (8, 16, 3), (16, 32, 2)] {
         let spec = small_search(ngpu, gbs).max_cp(2).threads(threads);
         let (admitted, _) = enumerate_configs(&spec);
@@ -87,20 +86,6 @@ fn search_funnel_matches_exhaustive_reference() {
         oracle_search_frontier(&spec)
             .unwrap_or_else(|e| panic!("{ngpu} GPUs, gbs {gbs}, {threads} threads: {e}"));
     }
-}
-
-#[test]
-fn narrowed_search_scores_what_only_wider_cp_pruned() {
-    // A wide walk whose pruning at cp ≤ 1 leans on cp > 1 points: the
-    // narrowed reuse must score those candidates afresh and still
-    // equal a direct search (oracle 6's narrowing check).
-    let spec = small_search(16, 32).max_cp(4);
-    let rescued = pruned_only_by_wider_cp(&spec, 1).unwrap();
-    assert!(
-        !rescued.is_empty(),
-        "no candidate is pruned only by cp > 1 points"
-    );
-    oracle_search_frontier(&spec).unwrap();
 }
 
 /// A small 8B search problem: 4 layers, `gbs` sequences of 8K tokens,

@@ -27,10 +27,10 @@
 //!
 //! Everything flows through one [`Diagnostic`] type rendered human-
 //! readable ([`Report::render_human`]) or as JSON lines
-//! ([`Report::render_jsonl`]). The opt-in pre-flight gate on
-//! [`crate::step::SimOptions::preflight`] aborts
-//! [`crate::step::StepModel::run`] with `SimError::Rejected` when any
-//! error-severity diagnostic fires.
+//! ([`Report::render_jsonl`]). [`crate::step::StepModel::run`] never
+//! analyzes: a caller that wants the gate runs [`analyze_step`] first
+//! and refuses a plan whose report [`Report::has_errors`], as
+//! [`crate::planner::preflight`] and the search do.
 
 pub mod collective;
 pub mod deadlock;
@@ -347,8 +347,8 @@ impl Report {
             .join("\n")
     }
 
-    /// A compact one-line summary of the error diagnostics, used as the
-    /// `SimError::Rejected` message.
+    /// A compact one-line summary of the error diagnostics, used in
+    /// the conformance fuzz harness's failure messages.
     pub fn error_summary(&self) -> String {
         let parts: Vec<String> = self
             .errors()

@@ -47,8 +47,8 @@ pub use run::{
     CheckpointPolicy, GoodputLoss, GoodputReport, RunAnchor, RunReplay, RunSimulator, RunTrace,
 };
 pub use search::{
-    finish_search, restrict_max_cp, search, search_outcomes, verdict_cache_stats, ConfigPoint,
-    FunnelCounts, SearchOutcomes, SearchPoint, SearchReport, SearchSpec,
+    finish_search, search, search_outcomes, verdict_cache_stats, ConfigPoint, FunnelCounts,
+    SearchOutcomes, SearchPoint, SearchReport, SearchSpec,
 };
 pub use sim_engine::error::SimError;
 pub use step::{

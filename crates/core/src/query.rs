@@ -58,7 +58,9 @@ use workload::traffic::{TrafficShape, TrafficSpec};
 ///   `goodput` answer carries no wall-clock. Other lines are unchanged.
 /// - **v4** — the no-op `guided` search key is gone (now an unknown
 ///   key, and `--guided` an unknown flag). Other lines are unchanged.
-pub const QUERY_API_VERSION: u32 = 4;
+/// - **v5** — the `stats` answer loses its `frontier reuses` counter:
+///   every search runs its own funnel. Query lines are unchanged.
+pub const QUERY_API_VERSION: u32 = 5;
 
 /// The magic token opening every wire line, `llama3sim/<wire-format>`.
 /// This tracks the *line format*, which has not changed; see
@@ -1275,9 +1277,6 @@ pub struct StatsResponse {
     pub response_hits: u64,
     /// Search computations actually run.
     pub searches_computed: u64,
-    /// Searches derived from a cached wider-`max_cp` outcome set
-    /// instead of re-running the funnel.
-    pub frontier_reuses: u64,
     /// The shared collective-cost memo.
     pub cost: CacheStats,
     /// The shared schedule-shape (deadlock/race) verdict memo.
@@ -1295,13 +1294,11 @@ impl StatsResponse {
              coalesced in-flight   {:>8}\n\
              response-cache hits   {:>8}\n\
              searches computed     {:>8}\n\
-             frontier reuses       {:>8}\n\
              {}\n{}\n{}\n{}",
             self.queries,
             self.coalesced,
             self.response_hits,
             self.searches_computed,
-            self.frontier_reuses,
             stats_line("cost cache", &self.cost),
             stats_line("sched verdicts", &self.sched),
             stats_line("tp/cp verdicts", &self.tp_cp),

@@ -869,10 +869,10 @@ fn pareto_frontier(points: &[SearchPoint]) -> Vec<SearchPoint> {
 /// Everything funnel stages 1–3 produce for one spec: every admitted
 /// candidate, in enumeration order, with its fate.
 ///
-/// Splitting the funnel here lets a caller finish the same candidate
-/// set under a *narrower* spec (see [`restrict_max_cp`]) without
-/// re-running enumeration or the candidates already settled — the
-/// serve dispatcher's frontier-reuse path across `max_cp` knob turns.
+/// Splitting the funnel here lets a caller time stages 1–3
+/// ([`search_outcomes`]) apart from stage 4 ([`finish_search`]), as
+/// `perfbench`'s per-layer breakdown does (`search.outcomes_ms`,
+/// `search.finish_ms`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchOutcomes {
     /// `(tp, cp, pp)` tuples visited by the enumerator.
@@ -889,76 +889,6 @@ fn count_meshes<'a>(configs: impl Iterator<Item = &'a ConfigPoint>) -> usize {
     let mut meshes: Vec<(u32, u32, u32)> = configs.map(|c| (c.tp, c.cp, c.pp)).collect();
     meshes.dedup();
     meshes.len()
-}
-
-/// The `(tp, cp, pp)` tuples the enumerator of `spec`'s workload
-/// visits: the product of its per-axis power-of-two counts. The
-/// serving enumerator has no CP axis, and caps TP at the node.
-fn meshes_visited(spec: &SearchSpec) -> usize {
-    let pp = powers_of_two_up_to(spec.pp_bound()).count();
-    match spec.workload {
-        Workload::Training => {
-            powers_of_two_up_to(spec.tp_bound()).count()
-                * powers_of_two_up_to(spec.max_cp).count()
-                * pp
-        }
-        Workload::Inference => {
-            powers_of_two_up_to(spec.tp_bound().min(spec.input.gpus_per_node)).count() * pp
-        }
-    }
-}
-
-/// Derives the stage-1–3 outcomes of a narrower-CP spec from a wider
-/// one: drops every candidate with `cp > narrow.max_cp`, recomputes
-/// the enumeration counts, and replays the bounded walk over the
-/// narrowed set. The replay reuses every candidate the wide walk
-/// settled and scores what it pruned and the narrow walk does not — a
-/// candidate pruned only by points with `cp > narrow.max_cp`.
-///
-/// Sound when `wide` came from a spec identical to `narrow` in every
-/// field except a greater-or-equal `max_cp`: [`finish_search`] on the
-/// result is bit-identical to a direct [`search`] of `narrow`.
-pub fn restrict_max_cp(wide: &SearchOutcomes, narrow: &SearchSpec) -> SearchOutcomes {
-    let kept: Vec<&Candidate> = wide
-        .candidates
-        .iter()
-        .filter(|c| c.config.cp <= narrow.max_cp)
-        .collect();
-    let keys: Vec<Option<PruneKey>> = kept.iter().map(|c| c.key).collect();
-    let mut resolver = Resolver::new(narrow);
-    let outcomes = walk(&keys, |live| {
-        let fresh: Vec<ConfigPoint> = live
-            .iter()
-            .filter(|&&i| kept[i].outcome == Outcome::Pruned)
-            .map(|&i| kept[i].config)
-            .collect();
-        let mut fresh = resolver.resolve(&fresh).into_iter();
-        live.iter()
-            .map(|&i| match &kept[i].outcome {
-                // lint: allow(unwrap) — `fresh` holds one outcome per pruned live candidate
-                Outcome::Pruned => fresh.next().expect("one outcome per candidate"),
-                settled => settled.clone(),
-            })
-            .collect()
-    });
-    SearchOutcomes {
-        meshes_enumerated: meshes_visited(narrow),
-        meshes_admitted: count_meshes(kept.iter().map(|c| &c.config)),
-        // A candidate outside the walk keeps its wide outcome.
-        candidates: kept
-            .iter()
-            .zip(outcomes)
-            .map(|(c, walked)| Candidate {
-                config: c.config,
-                key: c.key,
-                outcome: if c.key.is_some() {
-                    walked
-                } else {
-                    c.outcome.clone()
-                },
-            })
-            .collect(),
-    }
 }
 
 /// Runs funnel stages 1–3 (enumeration, admission, the memory rule and
@@ -1137,8 +1067,7 @@ fn infer_outcomes(spec: &SearchSpec) -> Result<SearchOutcomes, PlanError> {
 /// Funnel stage 4 plus reporting: builds the Pareto frontier of an
 /// outcome set, optionally goodput-refines its head, and assembles the
 /// deterministic [`SearchReport`]. `spec` supplies the refinement
-/// knobs and must be the spec the outcomes describe (directly or via
-/// [`restrict_max_cp`]).
+/// knobs and must be the spec the outcomes describe.
 ///
 /// # Errors
 /// Returns [`PlanError::BadInput`] when the goodput fault timeline
@@ -1320,28 +1249,6 @@ mod tests {
         let meshes: Vec<_> = report.frontier.iter().map(|p| p.config).collect();
         let plain_meshes: Vec<_> = unrefined.frontier.iter().map(|p| p.config).collect();
         assert_eq!(meshes, plain_meshes);
-    }
-
-    #[test]
-    fn restricting_max_cp_matches_a_direct_search() {
-        // Training narrowing replays the walk; the serving enumerator
-        // has no CP axis, so its count must not scale with `max_cp`.
-        for spec in [small_spec(), small_spec().inference()] {
-            let wide_spec = spec.max_cp(4);
-            let wide = search_outcomes(&wide_spec).unwrap();
-            for max_cp in [1u32, 2, 4] {
-                let narrow_spec = wide_spec.clone().max_cp(max_cp);
-                let derived = restrict_max_cp(&wide, &narrow_spec);
-                let direct = search_outcomes(&narrow_spec).unwrap();
-                assert_eq!(meshes_visited(&narrow_spec), direct.meshes_enumerated);
-                assert_eq!(derived, direct, "max_cp={max_cp}");
-                assert_eq!(
-                    finish_search(&narrow_spec, &derived).unwrap(),
-                    search(&narrow_spec).unwrap(),
-                    "max_cp={max_cp}"
-                );
-            }
-        }
     }
 
     /// Checks every candidate of `spec` that runs: the step-time bound

@@ -157,13 +157,6 @@ pub struct SimOptions {
     /// stage-micro-batch per rank). The trace shows the representative
     /// healthy replica's schedule.
     pub trace: bool,
-    /// Run the static pre-flight analysis
-    /// ([`crate::analyze::analyze_step`]) before simulating; any
-    /// error-severity diagnostic aborts the run with
-    /// [`SimError::Rejected`]. Opt-in because healthy built
-    /// configurations cannot fail it — it exists to vet hand-assembled
-    /// or externally supplied plans.
-    pub preflight: bool,
 }
 
 impl SimOptions {
@@ -201,13 +194,6 @@ impl SimOptions {
     /// Requests a pipeline execution trace alongside the report.
     pub fn trace(mut self, trace: bool) -> SimOptions {
         self.trace = trace;
-        self
-    }
-
-    /// Enables the static pre-flight gate: the run is rejected with
-    /// [`SimError::Rejected`] if any analysis rule reports an error.
-    pub fn preflight(mut self, preflight: bool) -> SimOptions {
-        self.preflight = preflight;
         self
     }
 
@@ -573,21 +559,13 @@ impl StepModel {
     ///
     /// # Errors
     /// [`SimError::InvalidSchedule`] for bad schedule parameters,
-    /// [`SimError::Deadlock`] if the schedule's op order cannot execute, and
-    /// [`SimError::Rejected`] when [`SimOptions::preflight`] is set and
-    /// the static analysis reports an error-severity diagnostic.
+    /// [`SimError::Deadlock`] if the schedule's op order cannot execute.
     pub fn run(&self, opts: &SimOptions) -> Result<StepOutcome, SimError> {
         let stretch = opts.comm_stretch();
         if !(stretch.is_finite() && stretch >= 1.0) {
             return Err(SimError::InvalidValue(format!(
                 "link capacity scales must be in (0, 1], implied stretch {stretch}"
             )));
-        }
-        if opts.preflight {
-            let report = crate::analyze::analyze_step(self);
-            if report.has_errors() {
-                return Err(SimError::Rejected(report.error_summary()));
-            }
         }
         let report = if opts.wants_full() {
             self.full_report(opts.jitter.as_ref().map(|j| (j, opts.step)), &opts.health)?
@@ -1136,31 +1114,6 @@ mod tests {
         let trace = traced.trace.expect("trace requested");
         assert!(!trace.events.is_empty());
         assert_eq!(traced.report, plain.report);
-    }
-
-    #[test]
-    fn preflight_gate_rejects_oversized_plans_and_passes_healthy_ones() {
-        let mut m = scaled_step(
-            ScheduleKind::Flexible { nc: 4 },
-            BalancePolicy::Uniform,
-            false,
-        );
-        // A healthy built configuration passes the gate unchanged.
-        let gated = m.run(&SimOptions::new().preflight(true)).unwrap().report;
-        assert_eq!(gated, m.pipe_sim());
-        // Shrinking HBM makes the memory rule fire and the gate reject
-        // before any simulation.
-        m.cluster.gpu = m.cluster.gpu.with_hbm_capacity(1 << 30);
-        match m.run(&SimOptions::new().preflight(true)) {
-            Err(SimError::Rejected(msg)) => {
-                assert!(msg.contains("MEM001"), "{msg}");
-                assert!(msg.contains("rank"), "{msg}");
-            }
-            other => panic!("expected Rejected, got {other:?}"),
-        }
-        // Without the gate the same plan still simulates (the dynamic
-        // path does not model OOM).
-        assert!(m.run(&SimOptions::default()).is_ok());
     }
 
     #[test]

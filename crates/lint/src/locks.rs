@@ -13,9 +13,8 @@
 //! | 0    | `conns`     | `serve::http` — live connection handles    |
 //! | 1    | `flights`   | `serve::coalesce` — the flight table       |
 //! | 2    | `responses` | `serve::dispatch` — the response cache     |
-//! | 3    | `outcomes`  | `serve::dispatch` — search outcome log     |
-//! | 4    | `slot`      | `serve::coalesce` — one flight's slot      |
-//! | 5    | `shard`     | `collectives::sharded` — one cache shard   |
+//! | 3    | `slot`      | `serve::coalesce` — one flight's slot      |
+//! | 4    | `shard`     | `collectives::sharded` — one cache shard   |
 //!
 //! A thread may only acquire *downward* (a higher-rank class) while
 //! holding a guard: acquiring `flights` while holding `slot` is an
@@ -61,8 +60,7 @@ use parallelism_core::analyze::{Diagnostic, RuleId};
 /// The declared lock hierarchy, outermost class first. Mirrored in
 /// DESIGN.md §13; the interleave battery checks the dynamic side of
 /// the same contract.
-pub const LOCK_HIERARCHY: [&str; 6] =
-    ["conns", "flights", "responses", "outcomes", "slot", "shard"];
+pub const LOCK_HIERARCHY: [&str; 5] = ["conns", "flights", "responses", "slot", "shard"];
 
 /// Receiver names treated as condition variables by `LOCK002`.
 pub const CONDVAR_CLASSES: [&str; 1] = ["cv"];

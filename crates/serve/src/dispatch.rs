@@ -2,7 +2,7 @@
 //!
 //! Every front end — the CLI subcommands, the HTTP daemon, the tests —
 //! answers a [`Query`] through [`Dispatcher::dispatch`], which layers
-//! three reuse mechanisms over the raw computations:
+//! two reuse mechanisms over the raw computations:
 //!
 //! 1. **Response cache.** Every answer but `stats` is a pure function
 //!    of its query, memoized by [`Query::canonical_hash`] in a bounded
@@ -14,12 +14,9 @@
 //!    first. The leader re-checks the response cache before computing,
 //!    so a caller that missed the cache just before the previous
 //!    leader filled it does not compute again.
-//! 3. **Frontier reuse.** Searches that differ only in `max_cp` (or in
-//!    the finishing knobs `goodput_head` / `expect`, or in `threads`)
-//!    share funnel stages 1–3: the dispatcher keeps the widest
-//!    [`SearchOutcomes`] per search family and derives narrower reports
-//!    via [`restrict_max_cp`] (which replays the bounded walk) +
-//!    [`finish_search`].
+//!
+//! A search is answered like every other kind: a miss runs [`search`]
+//! (funnel stages 1–4) on the query's own spec.
 //!
 //! `stats` reads live counters, so it is the one kind computed fresh on
 //! every dispatch and never cached or coalesced. No answer carries
@@ -37,35 +34,19 @@ use cluster_model::faults::{FaultRates, FaultTimeline};
 use collectives::cost_cache_stats;
 use conformance::fuzz::run_sweep;
 use conformance::grid::config_grid;
-use interleave::sync::{lock_or_recover, AtomicU64, Mutex};
+use interleave::sync::{AtomicU64, Mutex};
 use parallelism_core::query::{
     AnalyzeMode, AnalyzeResponse, InferQuery, InferResponse, Query, QueryError, Response,
     SearchQuery, SearchResponse, StatsResponse, TraceMode, TraceQuery, TraceResponse,
 };
 use parallelism_core::run::{CheckpointPolicy, RunSimulator, RunTrace};
-use parallelism_core::search::{
-    finish_search, restrict_max_cp, search_outcomes, verdict_cache_stats, SearchOutcomes,
-    SearchSpec,
-};
-use std::collections::VecDeque;
+use parallelism_core::search::{search, verdict_cache_stats};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use trace_analysis::chrome::to_chrome_json;
 use trace_analysis::tiered::{TierConfig, WindowStats, CATEGORIES};
 
 /// Bounded response cache: newest-in wins, oldest-in evicted.
 const RESPONSE_CACHE_CAP: usize = 256;
-
-/// Retained search-outcome families for cross-`max_cp` reuse.
-const OUTCOME_CACHE_CAP: usize = 8;
-
-/// One cached search-outcome family: the widest exhaustive funnel run
-/// seen for a given `(model, gpus, seq, layers, budget, zero)` tuple.
-struct OutcomeEntry {
-    family: String,
-    max_cp: u32,
-    outcomes: Arc<SearchOutcomes>,
-}
 
 #[derive(Default)]
 struct Counters {
@@ -73,17 +54,16 @@ struct Counters {
     coalesced: AtomicU64,
     response_hits: AtomicU64,
     searches_computed: AtomicU64,
-    frontier_reuses: AtomicU64,
 }
 
-/// The concurrent query dispatcher. Cheap to share behind an [`Arc`];
+/// The concurrent query dispatcher. Cheap to share behind an
+/// [`Arc`](std::sync::Arc);
 /// all interior state is synchronized (on the `interleave::sync`
 /// facade, so the coalescing protocol is model-checkable — see
 /// DESIGN.md §13 for the lock hierarchy these fields occupy).
 pub struct Dispatcher {
     flights: FlightMap<Result<Response, QueryError>>,
     responses: Mutex<BoundedFifoCache<Response>>,
-    outcomes: Mutex<VecDeque<OutcomeEntry>>,
     counters: Counters,
 }
 
@@ -100,7 +80,6 @@ impl Dispatcher {
         Dispatcher {
             flights: FlightMap::new(),
             responses: Mutex::new(BoundedFifoCache::new(RESPONSE_CACHE_CAP)),
-            outcomes: Mutex::new(VecDeque::new()),
             counters: Counters::default(),
         }
     }
@@ -168,12 +147,13 @@ impl Dispatcher {
         }
     }
 
-    /// The search path with cross-`max_cp` frontier reuse.
+    /// The search path: one cold funnel on the query's own spec.
     fn compute_search(&self, q: &SearchQuery) -> Result<Response, QueryError> {
         let spec = q.to_spec()?;
-        let outcomes = self.search_family_outcomes(q, &spec)?;
-        let report = finish_search(&spec, &outcomes)
-            .map_err(|e| QueryError::new(format!("search failed: {e}")))?;
+        self.counters
+            .searches_computed
+            .fetch_add(1, Ordering::Relaxed);
+        let report = search(&spec).map_err(|e| QueryError::new(format!("search failed: {e}")))?;
         let expect_hit = q
             .expect
             .map(|(tp, cp, pp, dp)| report.frontier_contains_mesh(tp, cp, pp, dp));
@@ -182,61 +162,6 @@ impl Dispatcher {
             expect: q.expect,
             expect_hit,
         })))
-    }
-
-    /// Returns funnel stage-1–3 outcomes for the query's search family,
-    /// reusing (and narrowing) a cached wider run when sound.
-    fn search_family_outcomes(
-        &self,
-        q: &SearchQuery,
-        spec: &SearchSpec,
-    ) -> Result<Arc<SearchOutcomes>, QueryError> {
-        let family = search_family_key(q);
-        {
-            let cache = lock_or_recover(&self.outcomes);
-            if let Some(entry) = cache
-                .iter()
-                .find(|e| e.family == family && e.max_cp >= spec.max_cp)
-            {
-                self.counters
-                    .frontier_reuses
-                    .fetch_add(1, Ordering::Relaxed);
-                return Ok(if entry.max_cp == spec.max_cp {
-                    Arc::clone(&entry.outcomes)
-                } else {
-                    Arc::new(restrict_max_cp(&entry.outcomes, spec))
-                });
-            }
-        }
-
-        self.counters
-            .searches_computed
-            .fetch_add(1, Ordering::Relaxed);
-        let outcomes = Arc::new(
-            search_outcomes(spec).map_err(|e| QueryError::new(format!("search failed: {e}")))?,
-        );
-        let mut cache = lock_or_recover(&self.outcomes);
-        match cache.iter_mut().find(|e| e.family == family) {
-            // Keep only the widest run per family; a racing narrower
-            // insert is simply dropped.
-            Some(entry) => {
-                if spec.max_cp > entry.max_cp {
-                    entry.max_cp = spec.max_cp;
-                    entry.outcomes = Arc::clone(&outcomes);
-                }
-            }
-            None => {
-                cache.push_back(OutcomeEntry {
-                    family,
-                    max_cp: spec.max_cp,
-                    outcomes: Arc::clone(&outcomes),
-                });
-                while cache.len() > OUTCOME_CACHE_CAP {
-                    cache.pop_front();
-                }
-            }
-        }
-        Ok(outcomes)
     }
 
     /// A snapshot of the dispatcher counters plus every shared memo
@@ -248,24 +173,12 @@ impl Dispatcher {
             coalesced: self.counters.coalesced.load(Ordering::Relaxed),
             response_hits: self.counters.response_hits.load(Ordering::Relaxed),
             searches_computed: self.counters.searches_computed.load(Ordering::Relaxed),
-            frontier_reuses: self.counters.frontier_reuses.load(Ordering::Relaxed),
             cost: cost_cache_stats(),
             sched,
             tp_cp,
             fsdp,
         }
     }
-}
-
-/// The search family: the canonical wire line with every
-/// finishing-stage knob (`max_cp`, `head`, `expect`) zeroed out. Two
-/// queries in one family share funnel stages 1–3 exactly.
-fn search_family_key(q: &SearchQuery) -> String {
-    let mut family = q.clone();
-    family.max_cp = 0;
-    family.goodput_head = 0;
-    family.expect = None;
-    Query::Search(family).canonical_wire()
 }
 
 /// GPUs per node for trace fault timelines: the paper's 8-GPU hosts,
@@ -596,17 +509,12 @@ mod tests {
     }
 
     #[test]
-    fn narrower_max_cp_reuses_the_wider_funnel() {
+    fn narrower_max_cp_computes_its_own_funnel() {
         let d = Dispatcher::new();
         let wide = d.dispatch(&small_search(4)).unwrap();
         let narrow = d.dispatch(&small_search(2)).unwrap();
-        let s = d.stats();
-        assert_eq!(
-            s.searches_computed, 1,
-            "narrow run must not re-run the funnel"
-        );
-        assert_eq!(s.frontier_reuses, 1);
-        // The derived narrow report matches a cold direct search.
+        assert_eq!(d.stats().searches_computed, 2);
+        // After a wider search, the narrow answer is a cold dispatcher's.
         let cold = Dispatcher::new().dispatch(&small_search(2)).unwrap();
         assert_eq!(narrow.render_wire(), cold.render_wire());
         assert_ne!(wide.render_wire(), narrow.render_wire());

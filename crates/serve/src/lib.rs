@@ -8,8 +8,8 @@
 //! The query/response *types* live below in
 //! [`parallelism_core::query`]; this crate owns everything that
 //! executes them — computation fan-out, the bounded response cache,
-//! in-flight coalescing, cross-`max_cp` frontier reuse, and the
-//! network endpoint with its trust-boundary caps.
+//! in-flight coalescing, and the network endpoint with its
+//! trust-boundary caps.
 //!
 //! ```
 //! use serve::Dispatcher;

@@ -5,7 +5,7 @@
 //! pass computes every config) and on the shared warm cache (second
 //! pass must serve memoized responses, still identical) — and so must
 //! every reply to concurrent clients replaying a mixed grid + search
-//! workload, and every search reply narrowed from a wider one.
+//! workload.
 //!
 //! It lives here rather than in `crates/conformance` because the
 //! dependency arrow points the other way: serve sits above conformance
@@ -85,44 +85,10 @@ fn small_search(max_cp: u32) -> SearchQuery {
     }
 }
 
-#[test]
-fn narrowed_search_replies_equal_a_direct_dispatch() {
-    // A dispatcher that answered a wider `max_cp` derives the narrower
-    // reply from the cached outcomes: for training that replays the
-    // bounded walk, and the serving enumerator has no CP axis at all.
-    // Either way the bytes must equal a fresh dispatcher's.
-    let infer = |max_cp| SearchQuery {
-        model: "8b".into(),
-        gpus: 64,
-        max_cp,
-        workload: Workload::Inference,
-        ..SearchQuery::default()
-    };
-    for (wide, narrow) in [
-        (infer(4), infer(2)),
-        (small_search(4), small_search(2)),
-        (small_search(4), small_search(1)),
-    ] {
-        let reused = Dispatcher::new();
-        reused.dispatch(&Query::Search(wide)).expect("wide search");
-        let narrow = Query::Search(narrow);
-        let derived = reused
-            .dispatch(&narrow)
-            .expect("narrowed search")
-            .render_wire();
-        assert_eq!(reused.stats().frontier_reuses, 1, "{}", narrow.to_wire());
-        let direct = Dispatcher::new()
-            .dispatch(&narrow)
-            .expect("direct search")
-            .render_wire();
-        assert_eq!(derived, direct, "{}", narrow.to_wire());
-    }
-}
-
 /// The mixed workload every client replays, in order: one wide search
 /// (the herd coalesces onto a single funnel run), the full 64-config
-/// conformance grid, two narrower searches (frontier reuse) and a
-/// `threads` variant (canonical-hash normalization).
+/// conformance grid, two narrower searches, a `threads` variant
+/// (canonical-hash normalization) and a serving-mesh search.
 fn mixed_workload() -> Vec<Query> {
     let mut queries = vec![Query::Search(small_search(4))];
     queries.extend((0..GRID_CONFIGS).map(|i| Query::Analyze(AnalyzeMode::GridIndex(i))));
@@ -132,13 +98,19 @@ fn mixed_workload() -> Vec<Query> {
         threads: 2,
         ..small_search(4)
     }));
+    queries.push(Query::Search(SearchQuery {
+        model: "8b".into(),
+        gpus: 64,
+        workload: Workload::Inference,
+        ..SearchQuery::default()
+    }));
     queries
 }
 
 #[test]
 fn workload_is_mixed_and_parseable() {
     let w: Vec<String> = mixed_workload().iter().map(Query::to_wire).collect();
-    assert_eq!(w.len(), 68);
+    assert_eq!(w.len(), 69);
     for line in &w {
         Query::parse_wire(line).unwrap_or_else(|e| panic!("{line}: {e}"));
     }
@@ -150,9 +122,8 @@ fn workload_is_mixed_and_parseable() {
 }
 
 /// Concurrent clients on one daemon: every reply to the mixed workload
-/// is HTTP 200 and byte-identical to a cold direct dispatch, the wide
-/// search runs the funnel once for the whole herd, and the two narrower
-/// searches reuse its frontier.
+/// is HTTP 200 and byte-identical to a cold direct dispatch, and each
+/// distinct search runs its funnel once for the whole herd.
 #[test]
 fn concurrent_clients_replay_the_mixed_workload_byte_identically() {
     let dispatcher = Arc::new(Dispatcher::new());
@@ -198,12 +169,10 @@ fn concurrent_clients_replay_the_mixed_workload_byte_identically() {
 
     let s = dispatcher.stats();
     assert_eq!(s.queries, (CLIENTS * workload.len()) as u64);
+    // Four distinct searches; the `threads` variant coalesces onto the
+    // wide one.
     assert_eq!(
-        s.searches_computed, 1,
-        "the wide search must run once for the herd"
-    );
-    assert_eq!(
-        s.frontier_reuses, 2,
-        "each narrower search reuses the wide frontier once"
+        s.searches_computed, 4,
+        "each distinct search must run once for the herd"
     );
 }

@@ -31,10 +31,6 @@ pub enum SimError {
     Network(FluidError),
     /// No feasible configuration exists (planner exhaustion).
     Infeasible(String),
-    /// A pre-flight static analysis rejected the plan before any
-    /// simulation ran. The message lists the error-severity
-    /// diagnostics (rule id, rank, op) that caused the rejection.
-    Rejected(String),
 }
 
 impl fmt::Display for SimError {
@@ -46,7 +42,6 @@ impl fmt::Display for SimError {
             SimError::Deadlock(m) => write!(f, "deadlock: {m}"),
             SimError::Network(e) => write!(f, "network: {e}"),
             SimError::Infeasible(m) => write!(f, "infeasible: {m}"),
-            SimError::Rejected(m) => write!(f, "rejected by pre-flight analysis: {m}"),
         }
     }
 }
@@ -82,8 +77,5 @@ mod tests {
         assert!(e.to_string().contains("link3"));
         let e: SimError = GraphError::Deadlock(vec![]).into();
         assert!(matches!(e, SimError::Deadlock(_)));
-        let e = SimError::Rejected("DEAD001 rank 0: F0.0".into());
-        assert!(e.to_string().contains("pre-flight"));
-        assert!(e.to_string().contains("DEAD001"));
     }
 }

@@ -58,6 +58,9 @@ cargo run --release -q --bin llama3sim -- search --max-cp 1 --expect 8,1,16,128
 echo "==> full 405B/16K search: the walk's step-time bound holds on every runnable candidate"
 cargo test --release -q -p parallelism-core --lib search::tests::full_space_bound_is_sound -- --ignored
 
+echo "==> the benchmark builds and its tests pass against this workspace's API"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> committed BENCH_*.json envelopes must equal the ones regenerated above"
 git diff --exit-code -- 'BENCH_*.json'
 
