@@ -449,30 +449,32 @@ pub fn program_vs_engine(
         PpProgram::compile(schedule, costs).map_err(|e| format!("program compile: {e:?}"))?;
     let mut t = PpTiming::default();
     program.run(rank_scale, &mut t);
+    let [makespan] = t.makespan;
     let run =
         execute_pp(schedule, costs, rank_scale).map_err(|e| format!("graph execution: {e:?}"))?;
     for (i, rec) in run.records()[..program.len()].iter().enumerate() {
+        let [end] = t.end[i];
         if matches!(rec.meta, PpSimOp::Transfer) {
             return Err(format!(
                 "graph op {i} is a transfer, program op {i} is compute"
             ));
         }
-        if (rec.start, rec.end) != (t.start[i], t.end[i]) {
+        if (rec.start, rec.end) != (t.start[i], end) {
             return Err(format!(
                 "op {i} ({:?}): engine [{}, {}) ns vs program [{}, {}) ns",
                 rec.meta,
                 rec.start.as_nanos(),
                 rec.end.as_nanos(),
                 t.start[i].as_nanos(),
-                t.end[i].as_nanos()
+                end.as_nanos()
             ));
         }
     }
-    if run.makespan() != t.makespan {
+    if run.makespan() != makespan {
         return Err(format!(
             "makespan: engine {} ns vs program {} ns",
             run.makespan().as_nanos(),
-            t.makespan.as_nanos()
+            makespan.as_nanos()
         ));
     }
     Ok(run)

@@ -8,6 +8,7 @@
 
 use cluster_model::{FaultRates, FaultTimeline};
 use collectives::CommCostModel;
+use conformance::fuzz::{CaseSpec, GpuChoice};
 use conformance::grid::config_grid;
 use conformance::oracles::{
     check_pipeline_rules, oracle_collective_streams, oracle_fluid_fast_path, oracle_folded_vs_full,
@@ -17,7 +18,7 @@ use conformance::oracles::{
 };
 use parallelism_core::analyze::{deadlock, RuleId};
 use parallelism_core::pp::schedule::{PpOp, PpSchedule, ScheduleKind};
-use parallelism_core::pp::sim::{simulate_pp, UniformCosts};
+use parallelism_core::pp::sim::{simulate_pp, UniformCosts, LANES};
 use parallelism_core::search::{enumerate_configs, SearchSpec};
 use parallelism_core::{CheckpointPolicy, Dim, RunSimulator, ZeroMode};
 use sim_engine::graph::GraphError;
@@ -32,6 +33,31 @@ fn folded_matches_full_across_grid() {
         oracle_folded_vs_full(&spec.build(), spec.seed())
             .unwrap_or_else(|e| panic!("[{spec}] {e}"));
     }
+}
+
+/// Oracle 1 past the grid's `dp ≤ 4`: a `dp = 20` mesh is timed as
+/// two full lane passes and a four-lane tail, and every option set must
+/// still match the engine-lowered reference of all twenty replicas.
+#[test]
+fn folded_matches_full_on_a_wide_dp_mesh() {
+    let spec = CaseSpec {
+        gpu: GpuChoice::ALL[0],
+        layers_per_stage: 1,
+        tp: 2,
+        cp: 1,
+        pp: 2,
+        dp: 20,
+        v: 2,
+        bs: 8,
+        seq: 4096,
+        kind: ScheduleKind::Flexible { nc: 2 },
+        zero: ZeroMode::Zero1,
+        recompute: false,
+    }
+    .normalized();
+    assert_eq!((spec.tp, spec.cp, spec.pp, spec.dp), (2, 1, 2, 20));
+    assert_eq!(spec.dp as usize % LANES, 4);
+    oracle_folded_vs_full(&spec.build(), spec.seed()).unwrap_or_else(|e| panic!("[{spec}] {e}"));
 }
 
 #[test]

@@ -794,26 +794,28 @@ impl InferenceModel {
             self.spec.threads
         }
         .clamp(1, replicas);
-        let chunk_len = replicas.div_ceil(threads).max(1);
+        let (costs, max_batch) = (&self.costs, self.spec.max_batch);
+        let walk = |chunk: &[Vec<Request>]| {
+            chunk
+                .iter()
+                .map(|reqs| simulate_replica(costs, max_batch, reqs))
+                .collect::<Vec<_>>()
+        };
+        // The caller's thread walks the first chunk, so one thread
+        // spawns nothing.
+        let chunk_len = replicas.div_ceil(threads);
+        let (head, rest) = shards.split_at(chunk_len);
         let results: Vec<ReplicaResult> = std::thread::scope(|s| {
-            let costs = &self.costs;
-            let max_batch = self.spec.max_batch;
-            let handles: Vec<_> = shards
+            let handles: Vec<_> = rest
                 .chunks(chunk_len)
-                .map(|chunk| {
-                    s.spawn(move || {
-                        chunk
-                            .iter()
-                            .map(|reqs| simulate_replica(costs, max_batch, reqs))
-                            .collect::<Vec<_>>()
-                    })
-                })
+                .map(|chunk| s.spawn(move || walk(chunk)))
                 .collect();
-            handles
-                .into_iter()
+            let mut results = walk(head);
+            for h in handles {
                 // lint: allow(unwrap) — a panicking replica worker is a simulator bug
-                .flat_map(|h| h.join().expect("replica thread"))
-                .collect()
+                results.extend(h.join().expect("replica thread"));
+            }
+            results
         });
 
         self.fold(requests.len() as u64, &results)

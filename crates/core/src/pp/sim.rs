@@ -2,14 +2,15 @@
 //!
 //! [`PpProgram`] is the one pipeline dependency structure: a schedule
 //! and its costs compiled once into flat per-compute-op arrays. Timing
-//! runs it as a linear pass per set of per-rank compute scales
-//! ([`simulate_pp`], the folded step, the full-fidelity step with one
-//! pass per DP replica, and the pipeline trace), the pre-flight
-//! deadlock and race rules read its edges and its Kahn order, and a
-//! schedule whose op order cannot execute is reported from the ops that
-//! order leaves out. The conformance crate lowers the same schedule
-//! onto the timing-graph engine, with every cross-stage transfer as an
-//! op on its own link stream (Fig 3), and checks the program against it.
+//! runs it as a linear pass over one or more sets of per-rank compute
+//! scales ([`simulate_pp`], the folded step, the full-fidelity step
+//! with up to [`LANES`] DP replicas per pass, and the pipeline trace),
+//! the pre-flight deadlock and race rules read its edges and its Kahn
+//! order, and a schedule whose op order cannot execute is reported
+//! from the ops that order leaves out. The conformance crate lowers the same
+//! schedule onto the timing-graph engine, with every cross-stage
+//! transfer as an op on its own link stream (Fig 3), and checks the
+//! program against it.
 
 use super::schedule::{PpOp, PpSchedule};
 use sim_engine::graph::{GraphError, OpId};
@@ -135,18 +136,19 @@ pub fn simulate_pp(
         .map(|r| {
             program
                 .rank_ops(r)
-                .map(|i| (t.start[i].as_nanos(), t.end[i].as_nanos()))
+                .map(|i| (t.start[i].as_nanos(), t.end[i][0].as_nanos()))
                 .collect()
         })
         .collect();
-    let idle = t
-        .compute
+    let [makespan] = t.makespan;
+    let compute: Vec<_> = t.compute.iter().map(|&[c]| c).collect();
+    let idle = compute
         .iter()
-        .map(|&c| t.makespan.saturating_sub(c))
+        .map(|&c| makespan.saturating_sub(c))
         .collect();
     Ok(PpSimResult {
-        makespan: t.makespan,
-        compute: t.compute,
+        makespan,
+        compute,
         idle,
         op_times,
     })
@@ -156,7 +158,9 @@ pub fn simulate_pp(
 const NONE: u32 = u32::MAX;
 
 /// A pipeline schedule and its costs compiled into flat per-compute-op
-/// arrays, timed by one linear pass per set of per-rank compute scales.
+/// arrays, timed by linear passes over sets of per-rank compute scales
+/// ([`run`](Self::run) for one, [`run_lanes`](Self::run_lanes) for
+/// several at once).
 ///
 /// Ops are numbered rank-major in program order: rank 0's ops in the
 /// order it runs them, then rank 1's, and so on. Each op waits on at
@@ -202,33 +206,57 @@ pub struct PpProgram {
     order: Vec<u32>,
 }
 
-/// Per-op times of one [`PpProgram::run`] pass. The buffers are reused
-/// by the next pass, so timing many DP replicas allocates nothing after
-/// the first.
-#[derive(Debug, Clone, Default)]
-pub struct PpTiming {
-    /// Start of each compute op, by program index.
+/// The most DP replicas one full-fidelity [`PpProgram::run_lanes`]
+/// pass times at once; one op's eight lane ends fill a 64-byte cache
+/// line. A jittered
+/// 405B / 8K-GPU full step (64 replicas) took 0.59–0.62 ms at eight
+/// lanes, 0.61–0.69 ms at four and 0.71–1.18 ms at sixteen (release
+/// build, 2-core Xeon, three runs each).
+pub const LANES: usize = 8;
+
+/// Per-op times of one pass over `L` lanes, each lane one set of
+/// per-rank compute scales (one DP replica). [`PpProgram::run`] is the
+/// one-lane pass; the buffers are reused by the next pass, so timing
+/// many DP replicas allocates nothing after the first.
+#[derive(Debug, Clone)]
+pub struct PpTiming<const L: usize = 1> {
+    /// Start of each compute op, by program index. Only one-lane
+    /// passes fill it; wider passes leave it empty.
     pub start: Vec<SimTime>,
-    /// End of each compute op, by program index.
-    pub end: Vec<SimTime>,
-    /// Per-rank total compute time.
-    pub compute: Vec<SimDuration>,
-    /// End of the last compute op: the pipeline makespan. A transfer
-    /// is never last, since every transfer feeds a compute op.
-    pub makespan: SimDuration,
-    /// Scaled duration of each of the program's distinct base costs.
-    dur: Vec<SimDuration>,
+    /// End of each compute op in each lane, by program index.
+    pub end: Vec<[SimTime; L]>,
+    /// Per-rank total compute time in each lane.
+    pub compute: Vec<[SimDuration; L]>,
+    /// End of each lane's last compute op: its pipeline makespan. A
+    /// transfer is never last, since every transfer feeds a compute op.
+    pub makespan: [SimDuration; L],
+    /// Scaled duration of each of the program's distinct base costs,
+    /// per lane.
+    dur: Vec<[SimDuration; L]>,
 }
 
-impl PpTiming {
-    /// Rank `rank`'s bubble ratio in this pass: idle time within the
-    /// makespan over compute time (0 when the rank computed nothing).
-    pub fn bubble_ratio(&self, rank: u32) -> f64 {
-        let c = self.compute[rank as usize];
+impl<const L: usize> Default for PpTiming<L> {
+    fn default() -> Self {
+        PpTiming {
+            start: Vec::new(),
+            end: Vec::new(),
+            compute: Vec::new(),
+            makespan: [SimDuration::ZERO; L],
+            dur: Vec::new(),
+        }
+    }
+}
+
+impl<const L: usize> PpTiming<L> {
+    /// Rank `rank`'s bubble ratio in lane `lane`: idle time within the
+    /// lane's makespan over its compute time (0 when the rank computed
+    /// nothing).
+    pub fn bubble_ratio(&self, lane: usize, rank: u32) -> f64 {
+        let c = self.compute[rank as usize][lane];
         if c.is_zero() {
             return 0.0;
         }
-        self.makespan.saturating_sub(c).as_secs_f64() / c.as_secs_f64()
+        self.makespan[lane].saturating_sub(c).as_secs_f64() / c.as_secs_f64()
     }
 }
 
@@ -443,40 +471,60 @@ impl PpProgram {
 
     /// Times one pass into `t`. `rank_scale[r]` multiplies rank `r`'s
     /// compute durations (per-rank jitter or throttling); an empty
-    /// slice means no scaling, and transfers are never scaled.
+    /// slice means no scaling, and transfers are never scaled. The
+    /// one-lane instance of [`run_lanes`](Self::run_lanes), and the
+    /// only one that records op starts.
     pub fn run(&self, rank_scale: &[f64], t: &mut PpTiming) {
-        let n = self.rank.len();
+        self.run_lanes([rank_scale], t);
+    }
+
+    /// Times `L` passes at once into `t`, lane `k` under per-rank
+    /// compute scales `rank_scale[k]` (as in [`run`](Self::run)). The
+    /// walk over [`order`](Self::order) loads each op's edges, latency,
+    /// cost and rank once for all lanes, and each lane does exactly the
+    /// integer operations of a one-lane pass, so lane `k` equals
+    /// `run(rank_scale[k])` bit for bit.
+    pub fn run_lanes<const L: usize>(&self, rank_scale: [&[f64]; L], t: &mut PpTiming<L>) {
+        debug_assert!(self.is_complete(), "only a complete program runs");
         t.dur.clear();
-        t.dur.extend(
-            self.bases
-                .iter()
-                .map(|&(r, d)| scaled(d, rank_scale.get(r as usize).copied().unwrap_or(1.0))),
-        );
-        t.start.clear();
-        t.start.resize(n, SimTime::ZERO);
-        t.end.clear();
-        t.end.resize(n, SimTime::ZERO);
+        t.dur.extend(self.bases.iter().map(|&(r, d)| {
+            rank_scale.map(|s| scaled(d, s.get(r as usize).copied().unwrap_or(1.0)))
+        }));
+        // Nothing is cleared: the pass follows a topological order of
+        // every op, so each end is written before an op reads it.
+        let n = self.rank.len();
+        t.end.resize(n, [SimTime::ZERO; L]);
+        t.start.resize(if L == 1 { n } else { 0 }, SimTime::ZERO);
         t.compute.clear();
-        t.compute.resize(self.pp as usize, SimDuration::ZERO);
-        let mut last = SimTime::ZERO;
+        t.compute.resize(self.pp as usize, [SimDuration::ZERO; L]);
+        let mut last = [SimTime::ZERO; L];
         for &i in &self.order {
             let i = i as usize;
             let mut start = match self.stream_pred[i] {
-                NONE => SimTime::ZERO,
+                NONE => [SimTime::ZERO; L],
                 s => t.end[s as usize],
             };
             let d = self.data_pred[i];
             if d != NONE {
-                start = start.max(t.end[d as usize] + self.latency[i]);
+                let (ready, latency) = (&t.end[d as usize], self.latency[i]);
+                for (s, &e) in start.iter_mut().zip(ready) {
+                    *s = (*s).max(e + latency);
+                }
             }
-            let r = self.rank[i] as usize;
-            let end = start + t.dur[self.base[i] as usize];
-            t.start[i] = start;
+            let dur = &t.dur[self.base[i] as usize];
+            let compute = &mut t.compute[self.rank[i] as usize];
+            let mut end = [SimTime::ZERO; L];
+            for k in 0..L {
+                end[k] = start[k] + dur[k];
+                compute[k] += end[k].saturating_since(start[k]);
+                last[k] = last[k].max(end[k]);
+            }
             t.end[i] = end;
-            t.compute[r] += end.saturating_since(start);
-            last = last.max(end);
+            if L == 1 {
+                t.start[i] = start[0];
+            }
         }
-        t.makespan = last.saturating_since(SimTime::ZERO);
+        t.makespan = last.map(|e| e.saturating_since(SimTime::ZERO));
     }
 }
 
@@ -654,9 +702,97 @@ mod tests {
         let (mut a, mut b) = (PpTiming::default(), PpTiming::default());
         program.run(&[], &mut a);
         program.run(&[1.3, 1.0, 1.1, 1.2], &mut b);
-        assert!(b.makespan > a.makespan);
+        assert!(b.makespan[0] > a.makespan[0]);
         program.run(&[1.0; 4], &mut b);
         assert_eq!((a.start, a.end, a.compute), (b.start, b.end, b.compute));
+    }
+
+    /// An `L`-lane pass is `L` one-lane passes, bit for bit, at every
+    /// lane width the full step uses (2, 4 and [`LANES`]): every op's
+    /// end, each lane's makespan, per-rank compute and bubble ratios.
+    /// Lane sets: all exactly 1.0 (against the unscaled pass, the
+    /// folding identity), distinct jittered replicas, and a partial
+    /// chunk whose spare lanes repeat its last live one. One buffer
+    /// per width serves every program, so nothing leaks between passes
+    /// over different shapes.
+    #[test]
+    fn lane_pass_equals_one_lane_passes() {
+        let kinds = [
+            ScheduleKind::AllFwdAllBwd,
+            ScheduleKind::Interleaved1F1B,
+            ScheduleKind::Flexible { nc: 2 },
+            ScheduleKind::Flexible { nc: 4 },
+        ];
+        let (mut two, mut four, mut wide) = (
+            PpTiming::<2>::default(),
+            PpTiming::<4>::default(),
+            PpTiming::<LANES>::default(),
+        );
+        let mut one = PpTiming::default();
+        for kind in kinds {
+            for (pp, v, nmb) in [(4u32, 2u32, 8u32), (3, 1, 6), (2, 3, 4)] {
+                let s = PpSchedule::build(kind, pp, v, nmb).unwrap();
+                let stages = (pp * v) as usize;
+                let costs = TableCosts {
+                    fwd: (0..stages).map(|i| us(90 + 13 * i as u64)).collect(),
+                    bwd: (0..stages).map(|i| us(170 + 29 * i as u64)).collect(),
+                    p2p: us(7),
+                };
+                let program = PpProgram::compile(&s, &costs).unwrap();
+                let jitter =
+                    |d: usize, r: u32| 1.0 + 0.05 * ((d * 7 + r as usize * 3) % 11) as f64 / 11.0;
+                let unit = vec![1.0; pp as usize];
+                let replicas: Vec<Vec<f64>> = (0..LANES)
+                    .map(|d| (0..pp).map(|r| jitter(d, r)).collect())
+                    .collect();
+                let jittered: Vec<&[f64]> = replicas.iter().map(Vec::as_slice).collect();
+                let partial: Vec<&[f64]> = (0..LANES).map(|k| jittered[k.min(2)]).collect();
+                let cases = [
+                    ("unit", vec![&unit[..]; LANES], vec![&[][..]; LANES]),
+                    ("jittered", jittered.clone(), jittered),
+                    ("partial", partial.clone(), partial),
+                ];
+                for (label, lanes, singles) in cases {
+                    let ctx = format!("{kind:?} pp={pp} v={v} {label}");
+                    check_lanes(&program, &lanes, &singles, &mut two, &mut one, &ctx);
+                    check_lanes(&program, &lanes, &singles, &mut four, &mut one, &ctx);
+                    check_lanes(&program, &lanes, &singles, &mut wide, &mut one, &ctx);
+                }
+            }
+        }
+    }
+
+    /// Runs the first `L` of `lanes` in one pass and checks lane `k`
+    /// against a one-lane pass under `singles[k]`.
+    fn check_lanes<const L: usize>(
+        program: &PpProgram,
+        lanes: &[&[f64]],
+        singles: &[&[f64]],
+        t: &mut PpTiming<L>,
+        one: &mut PpTiming,
+        ctx: &str,
+    ) {
+        program.run_lanes(std::array::from_fn(|k| lanes[k]), t);
+        assert!(t.start.is_empty());
+        for (k, &scales) in singles[..L].iter().enumerate() {
+            let ctx = format!("{ctx} lane {k} of {L}");
+            program.run(scales, one);
+            for i in 0..program.len() {
+                assert_eq!(t.end[i][k], one.end[i][0], "{ctx}: op {i}");
+            }
+            assert_eq!(t.makespan[k], one.makespan[0], "{ctx}");
+            for r in 0..program.pp {
+                assert_eq!(
+                    t.compute[r as usize][k], one.compute[r as usize][0],
+                    "{ctx}: rank {r}"
+                );
+                assert_eq!(
+                    t.bubble_ratio(k, r).to_bits(),
+                    one.bubble_ratio(0, r).to_bits(),
+                    "{ctx}: rank {r}"
+                );
+            }
+        }
     }
 
     /// A schedule missing a producer compiles to a deadlock naming the

@@ -7,9 +7,10 @@
 //! * [`StepModel::estimate`] — a closed-form estimate used by the §5.1
 //!   planner to score candidate configurations;
 //! * [`StepModel::run`] — a timing simulation of the pipeline
-//!   schedule (compiled once into a [`PpProgram`], then one linear pass
-//!   per simulated DP replica) with per-stage costs, P2P transfers and
-//!   memory replay, used by the experiment harness (Figs 9, 10, §7.3).
+//!   schedule (compiled once into a [`PpProgram`], then linear passes
+//!   timing up to [`LANES`] simulated DP replicas each) with per-stage
+//!   costs, P2P transfers and memory replay, used by the experiment
+//!   harness (Figs 9, 10, §7.3).
 //!
 //! The simulation collapses symmetric dimensions: all DP replicas are
 //! identical up to data, TP peers run in lock-step (TP communication is
@@ -22,7 +23,7 @@ use crate::fsdp::{self, ZeroMode};
 use crate::mesh::{Dim, Mesh4D};
 use crate::pp::balance::StageAssignment;
 use crate::pp::schedule::{PpSchedule, ScheduleKind};
-use crate::pp::sim::{simulate_pp, PpProgram, PpTiming};
+use crate::pp::sim::{simulate_pp, PpProgram, PpTiming, LANES};
 use crate::tp::TpPlan;
 use cluster_model::faults::ClusterHealth;
 use cluster_model::gpu::{Dtype, KernelCost};
@@ -70,18 +71,18 @@ pub struct StepModel {
 /// [`SimFidelity::Folded`], and it makes step simulation O(slice)
 /// instead of O(cluster). [`SimFidelity::Full`] times every DP replica:
 /// the pipeline is compiled once ([`crate::pp::sim::PpProgram`]) and
-/// each replica is one linear pass over it with its own per-rank
-/// compute scales; the exposed DP collective starts when the slowest
-/// replica finishes. It exists to validate the folding identity and to
-/// host per-rank jitter/straggler injection, where replicas genuinely
-/// differ.
+/// each replica is one lane of a linear pass over it with its own
+/// per-rank compute scales, up to [`LANES`] replicas per pass; the
+/// exposed DP collective starts when the slowest replica finishes. It
+/// exists to validate the folding identity and to host per-rank
+/// jitter/straggler injection, where replicas genuinely differ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimFidelity {
     /// One representative DP replica + DP collective terms (exact for
     /// jitter-free configurations, and the default).
     #[default]
     Folded,
-    /// Every DP replica timed explicitly, one pass each.
+    /// Every DP replica timed explicitly, one lane each.
     Full,
 }
 
@@ -605,10 +606,10 @@ impl StepModel {
         )
     }
 
-    /// Times the step on the compiled pipeline program: one pass per
-    /// simulated DP replica (`replicas` of them), with pipeline rank
-    /// `r` of replica `d` computing `scale(d, r)×` slower (`None` = no
-    /// scaling). The exposed DP collective joins each pipeline rank
+    /// Times the step on the compiled pipeline program: one lane per
+    /// simulated DP replica (`replicas` of them, up to [`LANES`] per
+    /// pass), with pipeline rank `r` of replica `d` computing
+    /// `scale(d, r)×` slower (`None` = no scaling). The exposed DP collective joins each pipeline rank
     /// across replicas, so it starts when the slowest replica's rank
     /// finishes: `step_time = max over replicas of the pipeline
     /// makespan + dp_exposed`. Bubbles are measured per replica against
@@ -630,22 +631,8 @@ impl StepModel {
         }
         let program = PpProgram::compile(&sched, &costs)?;
         let pp = self.mesh.pp();
-        let mut timing = PpTiming::default();
-        let mut scales = Vec::with_capacity(if scale.is_some() { pp as usize } else { 0 });
-        let mut makespan = SimDuration::ZERO;
-        let mut bubbles = vec![0.0f64; pp as usize];
-        for d in 0..replicas {
-            if let Some(scale) = scale {
-                scales.clear();
-                scales.extend((0..pp).map(|r| scale(d, r)));
-            }
-            program.run(&scales, &mut timing);
-            makespan = makespan.max(timing.makespan);
-            for (r, b) in (0..pp).zip(bubbles.iter_mut()) {
-                *b = b.max(timing.bubble_ratio(r));
-            }
-        }
-        Ok(self.report_from(makespan + dp_cost, bubbles, &times, dp_cost))
+        let (makespan, bubbles) = time_replicas(&program, replicas, pp, scale);
+        Ok(self.report_from(makespan + dp_cost, bubbles, &times, dp_cost, &sched))
     }
 
     fn build_trace(&self) -> Result<trace_analysis::Trace, SimError> {
@@ -675,6 +662,7 @@ impl StepModel {
         bubble_ratio: Vec<f64>,
         times: &StageTimes,
         dp_exposed: SimDuration,
+        sched: &PpSchedule,
     ) -> StepReport {
         let nmb = self.nmb() as u64;
         let exposed = ExposedComm {
@@ -694,7 +682,7 @@ impl StepModel {
             step_time,
             tflops_per_gpu,
             bubble_ratio,
-            peak_memory: self.peak_memory(),
+            peak_memory: self.peak_memory_of(sched),
             exposed,
             tokens,
         }
@@ -706,7 +694,13 @@ impl StepModel {
     /// recomputation is off; recomputation keeps only boundary
     /// activations).
     pub fn peak_memory(&self) -> Vec<u64> {
-        self.memory_components()
+        self.peak_memory_of(&self.build_schedule())
+    }
+
+    /// [`StepModel::peak_memory`] read off this step's already-built
+    /// schedule.
+    fn peak_memory_of(&self, sched: &PpSchedule) -> Vec<u64> {
+        self.memory_components_of(sched)
             .iter()
             .map(MemoryComponents::total)
             .collect()
@@ -719,9 +713,14 @@ impl StepModel {
     /// `peak_in_flight` must equal the schedule's own
     /// [`PpSchedule::peak_in_flight`](crate::pp::schedule::PpSchedule::peak_in_flight).
     pub fn memory_components(&self) -> Vec<MemoryComponents> {
+        self.memory_components_of(&self.build_schedule())
+    }
+
+    /// [`StepModel::memory_components`] read off this step's
+    /// already-built schedule.
+    fn memory_components_of(&self, sched: &PpSchedule) -> Vec<MemoryComponents> {
         let cfg = &self.layout.cfg;
         let policy = PrecisionPolicy::llama3();
-        let sched = self.build_schedule();
         let tokens = self.seq / self.mesh.cp() as u64;
         let fsdp_n = (self.mesh.dp() * self.mesh.cp()) as u64;
         (0..self.mesh.pp())
@@ -760,6 +759,80 @@ impl StepModel {
                 }
             })
             .collect()
+    }
+}
+
+/// Times `replicas` DP replicas on `program`: replica `d`'s pipeline
+/// rank `r` computes `scale(d, r)×` slower (`None` = no scaling).
+/// Chunks of [`LANES`] replicas share a pass; a short last chunk takes
+/// the narrowest of 1, 2, 4 and [`LANES`] lanes that holds it, since
+/// lanes cost even when spare. On the probe-size 405B step (`dp = 2`,
+/// 672 ops) one 2-lane pass took 3.4–3.8 µs, two 1-lane passes
+/// 4.4–4.7 µs and one 8-lane pass 9.8–10.4 µs (release build, 2-core
+/// Xeon, best of 15, two runs). Returns the slowest replica's makespan
+/// and each rank's worst bubble ratio.
+fn time_replicas(
+    program: &PpProgram,
+    replicas: u32,
+    pp: u32,
+    scale: Option<&dyn Fn(u32, u32) -> f64>,
+) -> (SimDuration, Vec<f64>) {
+    let mut timer = ReplicaTimer {
+        program,
+        pp,
+        scale,
+        scales: Vec::new(),
+        makespan: SimDuration::ZERO,
+        bubbles: vec![0.0; pp as usize],
+    };
+    let mut wide = PpTiming::<LANES>::default();
+    for first in (0..replicas).step_by(LANES) {
+        let live = (replicas - first).min(LANES as u32) as usize;
+        match live {
+            1 => timer.pass(first, live, &mut PpTiming::<1>::default()),
+            2 => timer.pass(first, live, &mut PpTiming::<2>::default()),
+            3 | 4 => timer.pass(first, live, &mut PpTiming::<4>::default()),
+            _ => timer.pass(first, live, &mut wide),
+        }
+    }
+    (timer.makespan, timer.bubbles)
+}
+
+/// The running worst of [`time_replicas`]'s passes.
+struct ReplicaTimer<'a> {
+    program: &'a PpProgram,
+    pp: u32,
+    scale: Option<&'a dyn Fn(u32, u32) -> f64>,
+    /// Lane `k`'s per-rank scales at `k * pp..`; empty when unscaled.
+    scales: Vec<f64>,
+    makespan: SimDuration,
+    bubbles: Vec<f64>,
+}
+
+impl ReplicaTimer<'_> {
+    /// Times replicas `first..first + live` in one `L`-lane pass. Spare
+    /// lanes repeat the last live replica and are ignored.
+    fn pass<const L: usize>(&mut self, first: u32, live: usize, t: &mut PpTiming<L>) {
+        let mut width = 0;
+        if let Some(scale) = self.scale {
+            width = self.pp as usize;
+            self.scales.clear();
+            for k in 0..L {
+                let d = first + k.min(live - 1) as u32;
+                self.scales.extend((0..self.pp).map(|r| scale(d, r)));
+            }
+        }
+        let scales = &self.scales;
+        self.program.run_lanes(
+            std::array::from_fn(|k| &scales[k * width..(k + 1) * width]),
+            t,
+        );
+        for lane in 0..live {
+            self.makespan = self.makespan.max(t.makespan[lane]);
+            for (r, b) in (0..self.pp).zip(self.bubbles.iter_mut()) {
+                *b = b.max(t.bubble_ratio(lane, r));
+            }
+        }
     }
 }
 

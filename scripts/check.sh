@@ -55,6 +55,9 @@ timeout 60 cargo run --release -q --bin llama3sim -- infer --grid --json
 echo "==> auto-parallelism search smoke: Table 2's 405B/16K mesh must be on the cp=1 frontier (writes BENCH_search.json)"
 cargo run --release -q --bin llama3sim -- search --max-cp 1 --expect 8,1,16,128
 
+echo "==> repro all: the committed repro_output.txt is its stdout, byte for byte"
+cargo run --release -q -p bench-harness --bin repro -- all | diff - repro_output.txt
+
 echo "==> full 405B/16K search: the walk's step-time bound holds on every runnable candidate"
 cargo test --release -q -p parallelism-core --lib search::tests::full_space_bound_is_sound -- --ignored
 

@@ -85,6 +85,104 @@ fn folded_and_full_8k_gpu_reports_are_identical() {
     assert_eq!(folded, full);
 }
 
+/// Jittered full-fidelity 8K-GPU steps (`dp = 64`, past every oracle
+/// case) keep their exact step time and bubble-ratio bits: transient
+/// 5 % jitter at three `(seed, step)` pairs, with the step time in
+/// nanoseconds and each pipeline rank's bubble ratio as `f64` bits.
+#[test]
+fn jittered_full_8k_gpu_reports_are_pinned() {
+    use bench_harness::configs::production_8k_gpu_step;
+    use llama3_parallelism::core::step::SimOptions;
+    use llama3_parallelism::prelude::{JitterKind, JitterModel};
+
+    const PINS: [(u64, u64, u64, [u64; 16]); 3] = [
+        (
+            1,
+            1,
+            6_158_673_961,
+            [
+                0x3fd60e2f54fa6b46,
+                0x3fc6c3a397c75110,
+                0x3fc70ae93943bb67,
+                0x3fc6cb03946ada3e,
+                0x3fc75f3f6d872c6b,
+                0x3fc6a47d356e86ff,
+                0x3fc753e78dc6a16e,
+                0x3fc72c3940a36591,
+                0x3fc770b2ab54a3ae,
+                0x3fc69bda2a511c9a,
+                0x3fc6f7a263053328,
+                0x3fc6f6ab8cf86dfd,
+                0x3fc6f937b789d6a7,
+                0x3fc72096a6d6ff93,
+                0x3fc71c462b156db3,
+                0x3fccfb28028554a3,
+            ],
+        ),
+        (
+            2,
+            7,
+            6_154_555_971,
+            [
+                0x3fd64f18d313d47a,
+                0x3fc6ce3728b9d462,
+                0x3fc6eaa3e668ca76,
+                0x3fc6184a09fc9e10,
+                0x3fc70c5e46384370,
+                0x3fc6efb80130e458,
+                0x3fc6ee79e8ba8494,
+                0x3fc72463292479c7,
+                0x3fc76ce5e6c19c80,
+                0x3fc67affdfc136f5,
+                0x3fc6f04427b016e1,
+                0x3fc6d72e21c251ba,
+                0x3fc782572ea45a86,
+                0x3fc732afbe0b0d85,
+                0x3fc779dde600a785,
+                0x3fcd5f4839e45aa3,
+            ],
+        ),
+        (
+            3,
+            42,
+            6_156_030_541,
+            [
+                0x3fd63a957a7d7cfa,
+                0x3fc6d5a84b1bcf34,
+                0x3fc6eaeca978b42c,
+                0x3fc7ab9fd59a3f95,
+                0x3fc6776ee21e8573,
+                0x3fc6b3956294477e,
+                0x3fc718c8f53ac425,
+                0x3fc679752413108a,
+                0x3fc6e9e70074b0d3,
+                0x3fc639621f8a8a42,
+                0x3fc6feaa7e7c63ce,
+                0x3fc6fad9b30a794e,
+                0x3fc6a25565f49e42,
+                0x3fc74dff80d48fc6,
+                0x3fc6fe4fb6b98dd2,
+                0x3fcdd7f366b4c18e,
+            ],
+        ),
+    ];
+    let step = production_8k_gpu_step(16);
+    assert_eq!(step.mesh.dp(), 64);
+    for (seed, index, step_ns, bubbles) in PINS {
+        let jitter = JitterModel::new(JitterKind::Transient, 0.05, seed);
+        let report = step
+            .run(&SimOptions::new().jitter(jitter).step(index))
+            .expect("valid step")
+            .report;
+        let bits: Vec<u64> = report.bubble_ratio.iter().map(|b| b.to_bits()).collect();
+        assert_eq!(
+            (report.step_time.as_nanos(), bits.as_slice()),
+            (step_ns, &bubbles[..]),
+            "seed {seed}, step {index}"
+        );
+    }
+}
+
 /// A small 4D step shared by the fault/goodput determinism tests.
 fn fault_test_step(
     cfg: llama3_parallelism::model::TransformerConfig,
