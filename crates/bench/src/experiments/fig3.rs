@@ -3,7 +3,7 @@
 
 use crate::report::Table;
 use parallelism_core::pp::schedule::{PpSchedule, ScheduleKind};
-use parallelism_core::pp::sim::{simulate_pp, UniformCosts};
+use parallelism_core::pp::sim::{PpProgram, PpTiming, UniformCosts};
 use sim_engine::time::SimDuration;
 
 /// Runs the experiment and returns the report.
@@ -25,11 +25,15 @@ pub fn run() -> String {
         for nc in [4u32, 6, 8, 12] {
             let sched = PpSchedule::build(ScheduleKind::Flexible { nc }, pp, v, nmb)
                 .expect("valid schedule");
-            let r = simulate_pp(&sched, &costs).expect("deadlock-free");
-            if r.makespan < best.1 {
-                best = (nc, r.makespan);
+            let mut r = PpTiming::default();
+            PpProgram::compile(&sched, &costs)
+                .expect("deadlock-free")
+                .run(&[], &mut r);
+            let [makespan] = r.makespan;
+            if makespan < best.1 {
+                best = (nc, makespan);
             }
-            cells.push(format!("{}", r.makespan));
+            cells.push(format!("{makespan}"));
         }
         cells.push(best.0.to_string());
         t.row(&cells);
@@ -51,7 +55,9 @@ mod tests {
         };
         let make = |nc| {
             let s = PpSchedule::build(ScheduleKind::Flexible { nc }, 4, 2, 12).unwrap();
-            simulate_pp(&s, &costs).unwrap().makespan
+            let mut r = PpTiming::default();
+            PpProgram::compile(&s, &costs).unwrap().run(&[], &mut r);
+            r.makespan[0]
         };
         assert!(make(6) < make(4));
     }

@@ -11,9 +11,9 @@
 use crate::report::Table;
 use parallelism_core::fsdp::ZeroMode;
 use parallelism_core::pp::schedule::{PpOp, PpSchedule, ScheduleKind};
-use parallelism_core::pp::sim::{simulate_pp, UniformCosts};
+use parallelism_core::pp::sim::{PpProgram, PpTiming, UniformCosts};
 use sim_engine::memory::{MemoryTracker, PoolId};
-use sim_engine::time::{SimDuration, SimTime};
+use sim_engine::time::SimDuration;
 
 /// One gradient-buffer unit per virtual stage; returns the peak number
 /// of unsharded gradient buffers resident on rank 0 and the timeline
@@ -28,11 +28,11 @@ pub fn grad_memory_profile(kind: ScheduleKind, zero: ZeroMode) -> (u64, Vec<(u64
         bwd: SimDuration::from_micros(200),
         p2p: SimDuration::ZERO,
     };
-    let sim = simulate_pp(&sched, &costs).expect("deadlock-free");
-    let rank = 0usize;
-    let ops = &sched.ranks[rank];
-    let times = &sim.op_times[rank];
-    assert_eq!(ops.len(), times.len(), "op/time alignment");
+    let program = PpProgram::compile(&sched, &costs).expect("deadlock-free");
+    let mut sim = PpTiming::default();
+    program.run(&[], &mut sim);
+    let rank = 0;
+    let ops = &sched.ranks[rank as usize];
 
     let mut tracker = MemoryTracker::new(1);
     let pool = PoolId(0);
@@ -41,13 +41,15 @@ pub fn grad_memory_profile(kind: ScheduleKind, zero: ZeroMode) -> (u64, Vec<(u64
     // (ZeRO-1 frees at optimizer time = end of step) and, for ZeRO-2,
     // the last *consecutive* backward of each round.
     let mut seen_bwd = vec![0u32; v as usize];
-    let end_of_step = SimTime::from_nanos(times.iter().map(|&(_, e)| e).max().unwrap_or(0));
-    for (op, &(start, end)) in ops.iter().zip(times) {
+    let ends = program.rank_ops(rank).map(|i| sim.end[i][0]);
+    let end_of_step = ends.max().unwrap_or_default();
+    for (op, i) in ops.iter().zip(program.rank_ops(rank)) {
+        let (start, end) = (sim.start[i], sim.end[i][0]);
         if let PpOp::Backward { chunk, mb } = op {
             let c = *chunk as usize;
             if !live[c] {
                 live[c] = true;
-                tracker.record(pool, SimTime::from_nanos(start), 1);
+                tracker.record(pool, start, 1);
             }
             seen_bwd[c] += 1;
             let reshard = match zero {
@@ -58,7 +60,7 @@ pub fn grad_memory_profile(kind: ScheduleKind, zero: ZeroMode) -> (u64, Vec<(u64
                 ZeroMode::Zero1 => false,
             };
             if reshard {
-                tracker.record(pool, SimTime::from_nanos(end), -1);
+                tracker.record(pool, end, -1);
                 live[c] = false;
             }
         }

@@ -9,7 +9,7 @@
 use collectives::ProcessGroup;
 use parallelism_core::fsdp::{self, ZeroMode};
 use parallelism_core::pp::schedule::{warmup_microbatches, PpOp, PpSchedule, ScheduleKind};
-use parallelism_core::pp::sim::{simulate_pp, PpCostModel, PpSimResult};
+use parallelism_core::pp::sim::{PpCostModel, PpProgram};
 use parallelism_core::step::{StepModel, StepReport};
 use sim_engine::graph::{ExecutedGraph, GraphError, StreamId};
 use std::collections::HashMap;
@@ -137,15 +137,11 @@ pub fn check_phase_counts(s: &PpSchedule) -> CheckResult {
     Ok(())
 }
 
-/// No-deadlock: lowers `s` under `costs` and executes it on the timing
-/// engine, converting a [`GraphError::Deadlock`] into a message naming
-/// the stuck-op count. Returns the simulation result so callers can
-/// chain further checks without re-simulating.
-pub fn check_schedule_executes(
-    s: &PpSchedule,
-    costs: &dyn PpCostModel,
-) -> Result<PpSimResult, String> {
-    simulate_pp(s, costs).map_err(|e| match e {
+/// No-deadlock: compiles `s` under `costs` into a [`PpProgram`],
+/// converting a [`GraphError::Deadlock`] into a message naming the
+/// stuck-op count.
+pub fn check_schedule_executes(s: &PpSchedule, costs: &dyn PpCostModel) -> CheckResult {
+    PpProgram::compile(s, costs).map(drop).map_err(|e| match e {
         GraphError::Deadlock(stuck) => format!(
             "schedule (pp={}, v={}, nmb={}, nc={}) deadlocks with {} ops stuck",
             s.pp,

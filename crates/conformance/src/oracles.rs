@@ -11,8 +11,9 @@
 //! 1. [`oracle_folded_vs_full`] — DP-symmetry folding vs the full
 //!    step, and `StepModel::run` vs [`reference_step_report`] (every
 //!    replica lowered into one engine-executed task graph) under
-//!    jitter, throttled ranks and degraded links, and a traced run vs
-//!    the untraced one; [`program_vs_engine`] checks the compiled pipeline program
+//!    jitter, throttled ranks and degraded links, traced and untraced:
+//!    the trace is the reference's critical replica, event for event;
+//!    [`program_vs_engine`] checks the compiled pipeline program
 //!    against the engine op by op.
 //! 2. [`oracle_memoized_costs`] — the process-global collective cost
 //!    cache vs pricing uncached.
@@ -70,9 +71,7 @@ use parallelism_core::infer::{
     simulate_replica, InferCosts, InferenceModel, ReplicaResult, RequestOutcome,
 };
 use parallelism_core::planner::plan;
-use parallelism_core::pp::sim::{
-    simulate_pp, PpCostModel, PpProgram, PpTiming, TableCosts, UniformCosts,
-};
+use parallelism_core::pp::sim::{PpCostModel, PpProgram, PpTiming, TableCosts, UniformCosts};
 use parallelism_core::pp::PpSchedule;
 use parallelism_core::run::{GoodputLoss, GoodputReport, RunSimulator};
 use parallelism_core::search::{
@@ -86,7 +85,7 @@ use sim_engine::graph::{ExecutedGraph, GraphError, TaskGraph};
 use sim_engine::time::{SimDuration, SimTime};
 use trace_analysis::synth::{synth_trace, SynthSpec};
 use trace_analysis::tiered::{SliceReplay, TierConfig, TieredTrace, WindowStats};
-use trace_analysis::{locate_slow_rank, locate_slow_rank_tiered, TraceEvent};
+use trace_analysis::{locate_slow_rank, locate_slow_rank_tiered, EventCategory, Trace, TraceEvent};
 
 /// Structural approximate equality with field-naming error messages.
 ///
@@ -321,11 +320,16 @@ fn oracle_step_options(m: &StepModel, seed: u64) -> Vec<(&'static str, SimOption
 /// `report.exposed.dp`. Step time, TFLOPs/GPU and per-rank bubbles
 /// (worst replica, each against its own pipeline makespan) come from
 /// the executed graph; every other field is copied from `report`.
+///
+/// Also returns the critical replica's compute records as a trace, in
+/// op order: the replica whose pipeline ends last (the
+/// lowest index on ties), each record on its pipeline rank and named
+/// `F{chunk}.{mb}` or `B{chunk}.{mb}`.
 pub fn reference_step_report(
     m: &StepModel,
     opts: &SimOptions,
     report: &StepReport,
-) -> Result<StepReport, String> {
+) -> Result<(StepReport, Trace), String> {
     let sched = m.schedule().map_err(|e| e.to_string())?;
     let (fwd, bwd) = m.stage_costs();
     let stretch = 1.0 / opts.health.worst_link_scale();
@@ -383,8 +387,32 @@ pub fn reference_step_report(
                 .fold(0.0, f64::max)
         })
         .collect();
+    let latest = local_end.iter().max().copied().unwrap_or_default();
+    let critical = local_end.iter().position(|&e| e == latest).unwrap_or(0) as u32;
+    let events = run
+        .records()
+        .iter()
+        .filter_map(|rec| {
+            let (rank, name) = match rec.meta {
+                (d, PpSimOp::Forward { rank, stage, mb }) if d == critical => {
+                    (rank, format!("F{}.{mb}", stage / sched.pp))
+                }
+                (d, PpSimOp::Backward { rank, stage, mb }) if d == critical => {
+                    (rank, format!("B{}.{mb}", stage / sched.pp))
+                }
+                _ => return None,
+            };
+            Some(TraceEvent {
+                rank,
+                name: name.into(),
+                category: EventCategory::Compute,
+                start_ns: rec.start.as_nanos(),
+                duration_ns: rec.duration().as_nanos(),
+            })
+        })
+        .collect();
     let step_time = run.makespan();
-    Ok(StepReport {
+    let reference = StepReport {
         step_time,
         tflops_per_gpu: tflops_per_gpu(
             m.model_flops_per_step(),
@@ -393,43 +421,50 @@ pub fn reference_step_report(
         ),
         bubble_ratio,
         ..report.clone()
-    })
+    };
+    Ok((reference, Trace { events }))
 }
 
 /// Oracle 1 — step pipeline timing. A jitter-free, healthy step must
 /// produce *bit-identical* reports under [`SimFidelity::Folded`] and
 /// [`SimFidelity::Full`] (the folding identity is exact, not
-/// approximate), and under every option set `oracle_step_options`
-/// builds from `seed` (jitter, throttled ranks, degraded links) `run`
-/// must equal [`reference_step_report`] bit for bit. A traced run must
-/// carry a trace and report exactly what the untraced run does. Folded
-/// and full steps share one compiled pipeline program, so the
+/// approximate). Under every option set `oracle_step_options` builds
+/// from `seed` (jitter, throttled ranks, degraded links):
+///
+/// * `run` equals [`reference_step_report`] bit for bit;
+/// * a traced run reports bit for bit what the untraced run does;
+/// * its trace is the reference's critical replica, event for event
+///   on (rank, name, start, duration);
+/// * its last event ends `exposed.dp` before `step_time`.
+///
+/// Folded and full steps share one compiled pipeline program, so the
 /// engine-executed joint graph is what keeps this oracle independent
 /// of it.
 pub fn oracle_folded_vs_full(m: &StepModel, seed: u64) -> CheckResult {
-    let run = |opts: &SimOptions| {
-        m.run(opts)
-            .map(|o| o.report)
-            .map_err(|e| format!("run failed: {e}"))
-    };
-    let folded = run(&SimOptions::new().fidelity(SimFidelity::Folded))?;
-    let full = run(&SimOptions::new().fidelity(SimFidelity::Full))?;
+    let run = |opts: &SimOptions| m.run(opts).map_err(|e| format!("run failed: {e}"));
+    let folded = run(&SimOptions::new().fidelity(SimFidelity::Folded))?.report;
+    let full = run(&SimOptions::new().fidelity(SimFidelity::Full))?.report;
     assert_equivalent("folded vs full", &folded, &full, 0.0)?;
-    let traced = m
-        .run(&SimOptions::new().trace(true))
-        .map_err(|e| format!("traced run failed: {e}"))?;
-    assert_equivalent("traced vs untraced", &traced.report, &folded, 0.0)?;
-    if traced.trace.is_none() {
-        return Err("run(trace: true) produced no trace".into());
-    }
     for (label, opts) in oracle_step_options(m, seed) {
-        let report = run(&opts).map_err(|e| format!("{label}: {e}"))?;
-        let reference =
-            reference_step_report(m, &opts, &report).map_err(|e| format!("{label}: {e}"))?;
-        field(
-            label,
-            assert_equivalent("run vs reference", &report, &reference, 0.0),
-        )?;
+        let checked = || -> CheckResult {
+            let report = run(&opts)?.report;
+            let (reference, critical) = reference_step_report(m, &opts, &report)?;
+            assert_equivalent("run vs reference", &report, &reference, 0.0)?;
+            let traced = run(&opts.clone().trace(true))?;
+            assert_equivalent("traced vs untraced", &traced.report, &report, 0.0)?;
+            let trace = traced.trace.ok_or("run(trace: true) produced no trace")?;
+            let (got, want) = (&trace.events, &critical.events);
+            if let Some(i) = (0..got.len().max(want.len())).find(|&i| got.get(i) != want.get(i)) {
+                return Err(format!(
+                    "trace event {i}: {:?}, critical replica's record {:?}",
+                    got.get(i),
+                    want.get(i)
+                ));
+            }
+            let end = SimDuration::from_nanos(trace.span_ns()) + report.exposed.dp;
+            assert_equivalent("trace end + exposed dp", &end, &report.step_time, 0.0)
+        };
+        field(label, checked())?;
     }
     Ok(())
 }
@@ -1363,7 +1398,7 @@ pub fn oracle_pipeline_rules(base: &PpSchedule, max_mutants: usize) -> Result<us
 }
 
 /// One schedule of oracle 12: `DEAD001` or `DEAD002` fires exactly when
-/// [`simulate_pp`] fails, with zero and with non-zero P2P; a failure
+/// [`PpProgram::compile`] fails, with zero and with non-zero P2P; a failure
 /// with every producer scheduled names the ops the engine leaves
 /// unexecuted ([`engine_deadlock_matches_program`]); and on a schedule
 /// that runs, with at most [`RACE_REFERENCE_MAX_OPS`] ops, `RACE001`'s
@@ -1381,10 +1416,10 @@ pub fn check_pipeline_rules(s: &PpSchedule) -> CheckResult {
             bwd: SimDuration::from_micros(7),
             p2p: SimDuration::from_micros(p2p),
         };
-        let runs = simulate_pp(s, &costs).is_ok();
+        let runs = PpProgram::compile(s, &costs).is_ok();
         if runs == rejected {
             return Err(format!(
-                "p2p {p2p} µs: simulate_pp {} but the analyzer reports {:?}",
+                "p2p {p2p} µs: the program {} but the analyzer reports {:?}",
                 if runs { "runs" } else { "deadlocks" },
                 dead.iter().map(|d| d.render_human()).collect::<Vec<_>>()
             ));
@@ -1405,13 +1440,13 @@ pub fn check_pipeline_rules(s: &PpSchedule) -> CheckResult {
 }
 
 /// A deadlocked schedule whose every producer is scheduled: the op set
-/// of [`simulate_pp`]'s `GraphError::Deadlock` must equal the compute
+/// of [`PpProgram::compile`]'s `GraphError::Deadlock` must equal the compute
 /// ops the engine leaves unexecuted when it runs the [`lower_pp`]
 /// graph. The engine also names the stuck transfers; the program has
 /// none to name.
 pub fn engine_deadlock_matches_program(s: &PpSchedule, costs: &dyn PpCostModel) -> CheckResult {
-    let Err(GraphError::Deadlock(program)) = simulate_pp(s, costs) else {
-        return Err("simulate_pp runs the schedule".into());
+    let Err(GraphError::Deadlock(program)) = PpProgram::compile(s, costs) else {
+        return Err("the program runs the schedule".into());
     };
     let run = execute_pp(s, costs, &[]);
     let Err(GraphError::Deadlock(engine)) = run else {

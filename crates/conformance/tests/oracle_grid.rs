@@ -18,7 +18,7 @@ use conformance::oracles::{
 };
 use parallelism_core::analyze::{deadlock, RuleId};
 use parallelism_core::pp::schedule::{PpOp, PpSchedule, ScheduleKind};
-use parallelism_core::pp::sim::{simulate_pp, UniformCosts, LANES};
+use parallelism_core::pp::sim::{PpProgram, UniformCosts, LANES};
 use parallelism_core::search::{enumerate_configs, SearchSpec};
 use parallelism_core::{CheckpointPolicy, Dim, RunSimulator, ZeroMode};
 use sim_engine::graph::GraphError;
@@ -319,7 +319,7 @@ fn duplicated_forward_deadlocks_in_the_analyzer_and_the_simulator() {
         ]
     );
     for p2p in [0, 5] {
-        let GraphError::Deadlock(stuck) = simulate_pp(&s, &costs(p2p)).unwrap_err();
+        let GraphError::Deadlock(stuck) = PpProgram::compile(&s, &costs(p2p)).unwrap_err();
         assert_eq!(stuck.len(), 4);
     }
     check_pipeline_rules(&s).unwrap();
@@ -342,7 +342,7 @@ fn missing_producer_is_dead002_and_a_simulator_error() {
     );
     for p2p in [0, 5] {
         assert!(matches!(
-            simulate_pp(&s, &costs(p2p)),
+            PpProgram::compile(&s, &costs(p2p)),
             Err(GraphError::Deadlock(stuck)) if !stuck.is_empty()
         ));
     }

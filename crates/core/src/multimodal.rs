@@ -12,7 +12,7 @@
 use crate::mesh::Mesh4D;
 use crate::pp::balance::{BalancePolicy, StageAssignment};
 use crate::pp::schedule::ScheduleKind;
-use crate::pp::sim::{simulate_pp, TableCosts};
+use crate::pp::sim::{PpProgram, PpTiming, TableCosts};
 use crate::step::StepModel;
 use cluster_model::gpu::Dtype;
 use cluster_model::topology::{Cluster, GlobalRank};
@@ -192,9 +192,11 @@ impl MultimodalStep {
             bwd,
             p2p: step.stage_p2p_time(),
         };
+        let mut sim = PpTiming::default();
         // lint: allow(unwrap) — the schedule was built by PpSchedule::build above
-        let sim = simulate_pp(&sched, &costs).expect("valid schedule");
-        let step_time = pre + sim.makespan + post;
+        let program = PpProgram::compile(&sched, &costs).expect("valid schedule");
+        program.run(&[], &mut sim);
+        let step_time = pre + sim.makespan[0] + post;
 
         // FLOPs: text model (frozen-aware, via the step model) plus
         // encoder forward+backward on every image of every DP replica.

@@ -3,11 +3,13 @@
 //! [`PpProgram`] is the one pipeline dependency structure: a schedule
 //! and its costs compiled once into flat per-compute-op arrays. Timing
 //! runs it as a linear pass over one or more sets of per-rank compute
-//! scales ([`simulate_pp`], the folded step, the full-fidelity step
-//! with up to [`LANES`] DP replicas per pass, and the pipeline trace),
-//! the pre-flight deadlock and race rules read its edges and its Kahn
-//! order, and a schedule whose op order cannot execute is reported
-//! from the ops that order leaves out. The conformance crate lowers the same
+//! scales into a [`PpTiming`], the one timing result: the folded step,
+//! the full-fidelity step with up to [`LANES`] DP replicas per pass,
+//! its critical replica's trace, and every caller that times a bare
+//! schedule. The pre-flight deadlock and race rules read the program's
+//! edges and its Kahn order, and a schedule whose op order cannot
+//! execute is reported from the ops that order leaves out
+//! ([`PpProgram::compile`]'s error). The conformance crate lowers the same
 //! schedule onto the timing-graph engine, with every cross-stage
 //! transfer as an op on its own link stream (Fig 3), and checks the
 //! program against it.
@@ -83,75 +85,6 @@ impl PpCostModel for TableCosts {
     fn p2p(&self, _from_stage: u32) -> SimDuration {
         self.p2p
     }
-}
-
-/// Result of simulating a pipeline schedule.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PpSimResult {
-    /// End-to-end time of the pipelined batch.
-    pub makespan: SimDuration,
-    /// Per-rank total compute (forward + backward) time.
-    pub compute: Vec<SimDuration>,
-    /// Per-rank idle time within the makespan.
-    pub idle: Vec<SimDuration>,
-    /// Per-rank completion times of each op, in schedule order
-    /// (`(start_ns, end_ns)` pairs) — used for memory replay.
-    pub op_times: Vec<Vec<(u64, u64)>>,
-}
-
-impl PpSimResult {
-    /// Per-rank bubble ratio: idle time over compute time (§3.1.1's
-    /// definition of bubble ratio as idle over fwd+bwd compute).
-    pub fn bubble_ratio(&self, rank: u32) -> f64 {
-        let c = self.compute[rank as usize];
-        if c.is_zero() {
-            return 0.0;
-        }
-        self.idle[rank as usize].as_secs_f64() / c.as_secs_f64()
-    }
-
-    /// Worst bubble ratio across ranks.
-    pub fn max_bubble_ratio(&self) -> f64 {
-        (0..self.compute.len() as u32)
-            .map(|r| self.bubble_ratio(r))
-            .fold(0.0, f64::max)
-    }
-}
-
-/// Simulates `schedule` under `costs`: compiles it into a
-/// [`PpProgram`] and runs one unscaled pass.
-///
-/// # Errors
-/// Returns [`GraphError::Deadlock`] (see [`PpProgram::compile`]) if the
-/// schedule's per-rank op orders cannot execute — the validation
-/// §3.1.1's flexible schedule generator is tested against.
-pub fn simulate_pp(
-    schedule: &PpSchedule,
-    costs: &dyn PpCostModel,
-) -> Result<PpSimResult, GraphError> {
-    let program = PpProgram::compile(schedule, costs)?;
-    let mut t = PpTiming::default();
-    program.run(&[], &mut t);
-    let op_times = (0..schedule.pp)
-        .map(|r| {
-            program
-                .rank_ops(r)
-                .map(|i| (t.start[i].as_nanos(), t.end[i][0].as_nanos()))
-                .collect()
-        })
-        .collect();
-    let [makespan] = t.makespan;
-    let compute: Vec<_> = t.compute.iter().map(|&[c]| c).collect();
-    let idle = compute
-        .iter()
-        .map(|&c| makespan.saturating_sub(c))
-        .collect();
-    Ok(PpSimResult {
-        makespan,
-        compute,
-        idle,
-        op_times,
-    })
 }
 
 /// "No such op" in [`PpProgram`]'s predecessor arrays.
@@ -555,6 +488,17 @@ mod tests {
         }
     }
 
+    /// One unscaled pass over `s` compiled under `costs`.
+    fn timed(s: &PpSchedule, costs: &dyn PpCostModel) -> Result<PpTiming, GraphError> {
+        let mut t = PpTiming::default();
+        PpProgram::compile(s, costs)?.run(&[], &mut t);
+        Ok(t)
+    }
+
+    fn makespan(s: &PpSchedule, costs: &dyn PpCostModel) -> SimDuration {
+        timed(s, costs).unwrap().makespan[0]
+    }
+
     /// Every schedule family must execute without deadlock across a
     /// sweep of shapes — the core §3.1.1 guarantee.
     #[test]
@@ -566,7 +510,7 @@ mod tests {
                         let s =
                             PpSchedule::build(ScheduleKind::Flexible { nc }, pp, v, nmb).unwrap();
                         s.assert_well_formed();
-                        let r = simulate_pp(&s, &uniform(5));
+                        let r = PpProgram::compile(&s, &uniform(5));
                         assert!(r.is_ok(), "deadlock at pp={pp} v={v} nmb={nmb} nc={nc}");
                     }
                 }
@@ -579,10 +523,10 @@ mod tests {
         // Makespan is at least (fwd+bwd)·nmb·v (one rank's work) and
         // approaches it as nmb grows.
         let s = PpSchedule::build(ScheduleKind::Interleaved1F1B, 4, 2, 32).unwrap();
-        let r = simulate_pp(&s, &uniform(0)).unwrap();
+        let makespan = makespan(&s, &uniform(0));
         let work = us(300) * (32 * 2) as u64;
-        assert!(r.makespan >= work);
-        assert!(r.makespan.as_secs_f64() < work.as_secs_f64() * 1.25);
+        assert!(makespan >= work);
+        assert!(makespan.as_secs_f64() < work.as_secs_f64() * 1.25);
     }
 
     #[test]
@@ -591,9 +535,9 @@ mod tests {
         // with zero-cost P2P.
         for (pp, v, nmb) in [(4u32, 2u32, 16u32), (4, 2, 32), (8, 2, 32)] {
             let s = PpSchedule::build(ScheduleKind::Interleaved1F1B, pp, v, nmb).unwrap();
-            let r = simulate_pp(&s, &uniform(0)).unwrap();
+            let r = timed(&s, &uniform(0)).unwrap();
             let analytic = s.analytic_bubble_ratio();
-            let measured = r.bubble_ratio(0);
+            let measured = r.bubble_ratio(0, 0);
             assert!(
                 (measured - analytic).abs() < analytic * 0.8 + 0.02,
                 "pp={pp} v={v} nmb={nmb}: measured {measured}, analytic {analytic}"
@@ -603,18 +547,12 @@ mod tests {
 
     #[test]
     fn more_microbatches_shrink_bubble() {
-        let cost = uniform(0);
-        let small = simulate_pp(
-            &PpSchedule::build(ScheduleKind::Interleaved1F1B, 4, 2, 8).unwrap(),
-            &cost,
-        )
-        .unwrap();
-        let large = simulate_pp(
-            &PpSchedule::build(ScheduleKind::Interleaved1F1B, 4, 2, 32).unwrap(),
-            &cost,
-        )
-        .unwrap();
-        assert!(large.max_bubble_ratio() < small.max_bubble_ratio());
+        let max_bubble = |nmb| {
+            let s = PpSchedule::build(ScheduleKind::Interleaved1F1B, 4, 2, nmb).unwrap();
+            let t = timed(&s, &uniform(0)).unwrap();
+            (0..4).map(|r| t.bubble_ratio(0, r)).fold(0.0, f64::max)
+        };
+        assert!(max_bubble(32) < max_bubble(8));
     }
 
     #[test]
@@ -623,21 +561,17 @@ mod tests {
         // micro-batches) reduces the makespan versus nc = pp.
         let cost = uniform(60); // P2P comparable to compute
         let nmb = 12;
-        let classic = simulate_pp(
+        let classic = makespan(
             &PpSchedule::build(ScheduleKind::Flexible { nc: 4 }, 4, 2, nmb).unwrap(),
             &cost,
-        )
-        .unwrap();
-        let extra = simulate_pp(
+        );
+        let extra = makespan(
             &PpSchedule::build(ScheduleKind::Flexible { nc: 6 }, 4, 2, nmb).unwrap(),
             &cost,
-        )
-        .unwrap();
+        );
         assert!(
-            extra.makespan < classic.makespan,
-            "extra-warmup {} should beat classic {}",
-            extra.makespan,
-            classic.makespan
+            extra < classic,
+            "extra-warmup {extra} should beat classic {classic}"
         );
     }
 
@@ -650,9 +584,9 @@ mod tests {
         let s_1f1b = PpSchedule::build(ScheduleKind::Flexible { nc: 4 }, 4, 2, nmb).unwrap();
         let s_flex = PpSchedule::build(ScheduleKind::Flexible { nc: 6 }, 4, 2, nmb).unwrap();
         let s_afab = PpSchedule::build(ScheduleKind::AllFwdAllBwd, 4, 2, nmb).unwrap();
-        let t_1f1b = simulate_pp(&s_1f1b, &cost).unwrap().makespan;
-        let t_flex = simulate_pp(&s_flex, &cost).unwrap().makespan;
-        let t_afab = simulate_pp(&s_afab, &cost).unwrap().makespan;
+        let t_1f1b = makespan(&s_1f1b, &cost);
+        let t_flex = makespan(&s_flex, &cost);
+        let t_afab = makespan(&s_afab, &cost);
         assert!(t_afab <= t_flex, "afab {t_afab} vs flex {t_flex}");
         assert!(t_flex < t_1f1b, "flex {t_flex} vs 1f1b {t_1f1b}");
         assert!(s_1f1b.peak_in_flight(0) < s_flex.peak_in_flight(0));
@@ -678,19 +612,18 @@ mod tests {
             p2p: SimDuration::ZERO,
         };
         let balanced = uniform(0);
-        let r_heavy = simulate_pp(&s, &heavy).unwrap();
-        let r_bal = simulate_pp(&s, &balanced).unwrap();
+        let r_heavy = timed(&s, &heavy).unwrap();
+        let r_bal = timed(&s, &balanced).unwrap();
         assert!(r_heavy.makespan > r_bal.makespan);
         // Rank 0 idles waiting on the heavy tail.
-        assert!(r_heavy.bubble_ratio(0) > r_bal.bubble_ratio(0));
+        assert!(r_heavy.bubble_ratio(0, 0) > r_bal.bubble_ratio(0, 0));
     }
 
     #[test]
     fn single_microbatch_serializes() {
         let s = PpSchedule::build(ScheduleKind::Flexible { nc: 1 }, 4, 1, 1).unwrap();
-        let r = simulate_pp(&s, &uniform(0)).unwrap();
         // 4 forwards then 4 backwards in sequence.
-        assert_eq!(r.makespan, us(100) * 4 + us(200) * 4);
+        assert_eq!(makespan(&s, &uniform(0)), us(100) * 4 + us(200) * 4);
     }
 
     /// Re-running a program reuses the timing buffers and gives the
@@ -812,7 +745,6 @@ mod tests {
             assert_eq!(program.stuck().collect::<Vec<_>>(), [1, 2, 4, 5, 6]);
             let expected = GraphError::Deadlock(stuck);
             assert_eq!(PpProgram::compile(&s, &uniform(p2p)).unwrap_err(), expected);
-            assert_eq!(simulate_pp(&s, &uniform(p2p)).unwrap_err(), expected);
         }
     }
 }

@@ -23,7 +23,7 @@ use crate::fsdp::{self, ZeroMode};
 use crate::mesh::{Dim, Mesh4D};
 use crate::pp::balance::StageAssignment;
 use crate::pp::schedule::{PpSchedule, ScheduleKind};
-use crate::pp::sim::{simulate_pp, PpProgram, PpTiming, LANES};
+use crate::pp::sim::{PpProgram, PpTiming, TableCosts, LANES};
 use crate::tp::TpPlan;
 use cluster_model::faults::ClusterHealth;
 use cluster_model::gpu::{Dtype, KernelCost};
@@ -36,6 +36,7 @@ use llm_model::memory as mem;
 use llm_model::{ModelLayout, PrecisionPolicy};
 use sim_engine::error::SimError;
 use sim_engine::time::SimDuration;
+use trace_analysis::{EventCategory, Trace, TraceEvent};
 
 /// A fully specified training-step configuration.
 #[derive(Debug, Clone)]
@@ -155,8 +156,10 @@ pub struct SimOptions {
     /// degraded link (§8.2).
     pub health: ClusterHealth,
     /// Also produce a pipeline execution trace (one compute event per
-    /// stage-micro-batch per rank). The trace shows the representative
-    /// healthy replica's schedule.
+    /// stage-micro-batch per pipeline rank), read off the pass that
+    /// timed the step. It shows the critical DP replica, the one whose
+    /// pipeline ends last, with its jitter, throttling and stretched
+    /// P2P; its last event ends `exposed.dp` before `step_time`.
     pub trace: bool,
 }
 
@@ -221,7 +224,7 @@ pub struct StepOutcome {
     pub report: StepReport,
     /// Pipeline execution trace, present iff [`SimOptions::trace`] was
     /// requested.
-    pub trace: Option<trace_analysis::Trace>,
+    pub trace: Option<Trace>,
 }
 
 /// Exposed-communication breakdown of one step.
@@ -448,13 +451,9 @@ impl StepModel {
     }
 
     /// P2P time of the inter-stage boundary activation for one
-    /// micro-batch. Public for composers that drive
-    /// [`crate::pp::sim::simulate_pp`] directly.
+    /// micro-batch. Public for composers that compile their own
+    /// [`PpProgram`].
     pub fn stage_p2p_time(&self) -> SimDuration {
-        self.p2p_time()
-    }
-
-    fn p2p_time(&self) -> SimDuration {
         let tokens = self.seq / self.mesh.cp() as u64;
         let bytes = mem::boundary_activation_bytes_per_token(&self.layout.cfg) * tokens
             / self.mesh.tp() as u64;
@@ -507,7 +506,7 @@ impl StepModel {
     /// the sums are exact in integer nanoseconds.
     pub fn step_time_bound(&self) -> SimDuration {
         let t = self.stage_times();
-        let p2p = self.p2p_time();
+        let p2p = self.stage_p2p_time();
         let pp = self.mesh.pp();
         let mut hops = SimDuration::ZERO;
         let mut bound = SimDuration::ZERO;
@@ -540,15 +539,6 @@ impl StepModel {
         per_seq * seqs_per_step as f64
     }
 
-    /// Per-stage table costs for the pipeline lowering.
-    fn pp_costs(&self, times: &StageTimes) -> crate::pp::sim::TableCosts {
-        crate::pp::sim::TableCosts {
-            fwd: times.fwd.clone(),
-            bwd: times.bwd.clone(),
-            p2p: self.p2p_time(),
-        }
-    }
-
     /// The unified simulation entrypoint: healthy, jittered, faulted
     /// and traced simulation are all the same code path, selected by
     /// [`SimOptions`].
@@ -568,92 +558,63 @@ impl StepModel {
                 "link capacity scales must be in (0, 1], implied stretch {stretch}"
             )));
         }
-        let report = if opts.wants_full() {
-            self.full_report(opts.jitter.as_ref().map(|j| (j, opts.step)), &opts.health)?
-        } else {
-            self.folded_report(stretch)?
-        };
-        let trace = if opts.trace {
-            Some(self.build_trace()?)
-        } else {
-            None
-        };
-        Ok(StepOutcome { report, trace })
-    }
-
-    fn folded_report(&self, comm_stretch: f64) -> Result<StepReport, SimError> {
-        self.program_report(1, comm_stretch, None)
-    }
-
-    fn full_report(
-        &self,
-        jitter: Option<(&JitterModel, u64)>,
-        health: &ClusterHealth,
-    ) -> Result<StepReport, SimError> {
+        let (jitter, health) = (opts.jitter.as_ref(), &opts.health);
         let stride = (self.mesh.stride(Dim::Pp), self.mesh.stride(Dim::Dp));
         // Pipeline rank `r` of replica `d` is the global rank at mesh
         // coordinate (tp 0, cp 0, pp r, dp d).
         let scale = |d: u32, r: u32| {
             let rank = r * stride.0 + d * stride.1;
-            let j = jitter.map_or(1.0, |(j, step)| j.multiplier(rank, step));
+            let j = jitter.map_or(1.0, |j| j.multiplier(rank, opts.step));
             j * health.compute_multiplier(rank)
         };
         let vary = jitter.is_some() || !health.throttled.is_empty();
-        self.program_report(
-            self.mesh.dp(),
-            1.0 / health.worst_link_scale(),
-            vary.then_some(&scale as &dyn Fn(u32, u32) -> f64),
-        )
+        let (replicas, scale) = if opts.wants_full() {
+            let scale = vary.then_some(&scale as &dyn Fn(u32, u32) -> f64);
+            (self.mesh.dp(), scale)
+        } else {
+            (1, None)
+        };
+        self.program_report(replicas, stretch, scale, opts.trace)
     }
 
     /// Times the step on the compiled pipeline program: one lane per
     /// simulated DP replica (`replicas` of them, up to [`LANES`] per
     /// pass), with pipeline rank `r` of replica `d` computing
-    /// `scale(d, r)×` slower (`None` = no scaling). The exposed DP collective joins each pipeline rank
-    /// across replicas, so it starts when the slowest replica's rank
-    /// finishes: `step_time = max over replicas of the pipeline
-    /// makespan + dp_exposed`. Bubbles are measured per replica against
-    /// its own makespan (the DP collective is communication, not
-    /// bubble), and each rank reports its worst replica.
+    /// `scale(d, r)×` slower (`None` = no scaling). The exposed DP
+    /// collective joins each pipeline rank across replicas, so it starts
+    /// when the slowest replica's rank finishes: `step_time = max over
+    /// replicas of the pipeline makespan + dp_exposed`. Bubbles are
+    /// measured per replica against its own makespan (the DP collective
+    /// is communication, not bubble), and each rank reports its worst
+    /// replica. With `trace`, the trace is the critical replica's
+    /// one-lane timing on this same program (see [`time_replicas`]).
     fn program_report(
         &self,
         replicas: u32,
         comm_stretch: f64,
         scale: Option<&dyn Fn(u32, u32) -> f64>,
-    ) -> Result<StepReport, SimError> {
+        trace: bool,
+    ) -> Result<StepOutcome, SimError> {
         let times = self.stage_times();
         let sched = self.schedule()?;
-        let mut costs = self.pp_costs(&times);
+        let mut costs = TableCosts {
+            fwd: times.fwd.clone(),
+            bwd: times.bwd.clone(),
+            p2p: self.stage_p2p_time(),
+        };
         let mut dp_cost = self.dp_exposed();
         if comm_stretch != 1.0 {
             costs.p2p = costs.p2p.scale(comm_stretch);
             dp_cost = dp_cost.scale(comm_stretch);
         }
         let program = PpProgram::compile(&sched, &costs)?;
-        let pp = self.mesh.pp();
-        let (makespan, bubbles) = time_replicas(&program, replicas, pp, scale);
-        Ok(self.report_from(makespan + dp_cost, bubbles, &times, dp_cost, &sched))
-    }
-
-    fn build_trace(&self) -> Result<trace_analysis::Trace, SimError> {
-        use trace_analysis::{EventCategory, Trace, TraceEvent};
-        let times = self.stage_times();
-        let sched = self.schedule()?;
-        let costs = self.pp_costs(&times);
-        let result = simulate_pp(&sched, &costs)?;
-        let mut trace = Trace::new();
-        for (rank, (ops, op_times)) in sched.ranks.iter().zip(&result.op_times).enumerate() {
-            for (op, &(start, end)) in ops.iter().zip(op_times) {
-                trace.push(TraceEvent {
-                    rank: rank as u32,
-                    name: op.to_string().into(),
-                    category: EventCategory::Compute,
-                    start_ns: start,
-                    duration_ns: end - start,
-                });
-            }
-        }
-        Ok(trace)
+        let mut one = PpTiming::default();
+        let (makespan, bubbles) =
+            time_replicas(&program, replicas, self.mesh.pp(), scale, &mut one, trace);
+        Ok(StepOutcome {
+            report: self.report_from(makespan + dp_cost, bubbles, &times, dp_cost, &sched),
+            trace: trace.then(|| pipeline_trace(&sched, &program, &one)),
+        })
     }
 
     fn report_from(
@@ -771,11 +732,19 @@ impl StepModel {
 /// 4.4–4.7 µs and one 8-lane pass 9.8–10.4 µs (release build, 2-core
 /// Xeon, best of 15, two runs). Returns the slowest replica's makespan
 /// and each rank's worst bubble ratio.
+///
+/// One-lane passes run in `one`. With `trace`, `one` ends holding the
+/// critical replica's timing, starts included: the replica whose
+/// pipeline ends last, the lowest index on ties. A single replica's
+/// pass already is that timing; otherwise the critical replica is
+/// rerun on one lane under its own scales.
 fn time_replicas(
     program: &PpProgram,
     replicas: u32,
     pp: u32,
     scale: Option<&dyn Fn(u32, u32) -> f64>,
+    one: &mut PpTiming,
+    trace: bool,
 ) -> (SimDuration, Vec<f64>) {
     let mut timer = ReplicaTimer {
         program,
@@ -783,17 +752,21 @@ fn time_replicas(
         scale,
         scales: Vec::new(),
         makespan: SimDuration::ZERO,
+        critical: 0,
         bubbles: vec![0.0; pp as usize],
     };
     let mut wide = PpTiming::<LANES>::default();
     for first in (0..replicas).step_by(LANES) {
         let live = (replicas - first).min(LANES as u32) as usize;
         match live {
-            1 => timer.pass(first, live, &mut PpTiming::<1>::default()),
+            1 => timer.pass(first, live, one),
             2 => timer.pass(first, live, &mut PpTiming::<2>::default()),
             3 | 4 => timer.pass(first, live, &mut PpTiming::<4>::default()),
             _ => timer.pass(first, live, &mut wide),
         }
+    }
+    if trace && replicas > 1 {
+        timer.pass(timer.critical, 1, one);
     }
     (timer.makespan, timer.bubbles)
 }
@@ -806,6 +779,8 @@ struct ReplicaTimer<'a> {
     /// Lane `k`'s per-rank scales at `k * pp..`; empty when unscaled.
     scales: Vec<f64>,
     makespan: SimDuration,
+    /// The first replica whose pipeline ends at `makespan`.
+    critical: u32,
     bubbles: Vec<f64>,
 }
 
@@ -828,12 +803,36 @@ impl ReplicaTimer<'_> {
             t,
         );
         for lane in 0..live {
-            self.makespan = self.makespan.max(t.makespan[lane]);
+            if t.makespan[lane] > self.makespan {
+                self.makespan = t.makespan[lane];
+                self.critical = first + lane as u32;
+            }
             for (r, b) in (0..self.pp).zip(self.bubbles.iter_mut()) {
                 *b = b.max(t.bubble_ratio(lane, r));
             }
         }
     }
+}
+
+/// The pipeline trace of a one-lane pass `t` over `program`, compiled
+/// from `sched`: one compute event per op, rank by rank in program
+/// order, on its pipeline rank and named by the op (`F1.3`, `B0.2`).
+fn pipeline_trace(sched: &PpSchedule, program: &PpProgram, t: &PpTiming) -> Trace {
+    let events = (0..)
+        .zip(&sched.ranks)
+        .flat_map(|(rank, ops)| {
+            ops.iter()
+                .zip(program.rank_ops(rank))
+                .map(move |(op, i)| TraceEvent {
+                    rank,
+                    name: op.to_string().into(),
+                    category: EventCategory::Compute,
+                    start_ns: t.start[i].as_nanos(),
+                    duration_ns: t.end[i][0].saturating_since(t.start[i]).as_nanos(),
+                })
+        })
+        .collect();
+    Trace { events }
 }
 
 /// One PP rank's peak-memory breakdown (see
@@ -1187,6 +1186,35 @@ mod tests {
         let trace = traced.trace.expect("trace requested");
         assert!(!trace.events.is_empty());
         assert_eq!(traced.report, plain.report);
+        // A degraded link (capacity 0.25) keeps the folded path and
+        // stretches every P2P transfer 4×, in the trace as in the
+        // report: rank 1's first forward starts that long after rank
+        // 0's ends, and the last event ends `exposed.dp` before the
+        // step does.
+        let degraded = SimOptions::new().faults(ClusterHealth::healthy().degrade_node(0, 0.25));
+        let stretched = m.run(&degraded.clone().trace(true)).unwrap();
+        let report = m.run(&degraded).unwrap().report;
+        assert_eq!(stretched.report, report);
+        let stretched = stretched.trace.expect("trace requested");
+        assert_eq!(
+            SimDuration::from_nanos(stretched.span_ns()) + report.exposed.dp,
+            report.step_time
+        );
+        let p2p = m.stage_p2p_time();
+        for (trace, gap) in [(&trace, p2p), (&stretched, p2p.scale(4.0))] {
+            let at = |rank, name: &str| {
+                let e = trace
+                    .events
+                    .iter()
+                    .find(|e| e.rank == rank && *e.name == *name);
+                e.expect("op traced")
+            };
+            let (sent, received) = (at(0, "F0.0"), at(1, "F0.0"));
+            assert_eq!(
+                received.start_ns - (sent.start_ns + sent.duration_ns),
+                gap.as_nanos()
+            );
+        }
     }
 
     #[test]

@@ -8,12 +8,13 @@
 
 use llama3_parallelism::prelude::*;
 
-fn render_ascii(sched: &PpSchedule, result: &PpSimResult) {
-    let span = result.makespan.as_nanos().max(1);
+fn render_ascii(sched: &PpSchedule, program: &PpProgram, t: &PpTiming) {
+    let span = t.makespan[0].as_nanos().max(1);
     let width = 96usize;
-    for (rank, (ops, times)) in sched.ranks.iter().zip(&result.op_times).enumerate() {
+    for (rank, ops) in (0..).zip(&sched.ranks) {
         let mut row = vec![' '; width];
-        for (op, &(start, end)) in ops.iter().zip(times) {
+        for (op, i) in ops.iter().zip(program.rank_ops(rank)) {
+            let (start, end) = (t.start[i].as_nanos(), t.end[i][0].as_nanos());
             let a = (start as u128 * width as u128 / span as u128) as usize;
             let b = ((end as u128 * width as u128).div_ceil(span as u128) as usize).min(width);
             let ch = if op.is_forward() {
@@ -30,7 +31,7 @@ fn render_ascii(sched: &PpSchedule, result: &PpSimResult) {
     }
     println!(
         "         digits = forward (chunk id), letters = backward (a = chunk 0); width = {}",
-        result.makespan
+        t.makespan[0]
     );
 }
 
@@ -43,20 +44,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         bwd: SimDuration::from_micros(200),
         p2p: SimDuration::from_micros(10),
     };
-    let result = simulate_pp(&sched, &costs)?;
-    render_ascii(&sched, &result);
+    let program = PpProgram::compile(&sched, &costs)?;
+    let mut t = PpTiming::default();
+    program.run(&[], &mut t);
+    render_ascii(&sched, &program, &t);
     println!(
         "\nbubble ratios per rank: {:?}",
         (0..3)
-            .map(|r| format!("{:.1} %", result.bubble_ratio(r) * 100.0))
+            .map(|r| format!("{:.1} %", t.bubble_ratio(0, r) * 100.0))
             .collect::<Vec<_>>()
     );
 
     // The same pipeline as all-forward-all-backward, for contrast.
     println!("\nall-forward-all-backward on the same problem:\n");
     let afab = PpSchedule::build(ScheduleKind::AllFwdAllBwd, 3, 2, 6)?;
-    let result_afab = simulate_pp(&afab, &costs)?;
-    render_ascii(&afab, &result_afab);
+    let afab_program = PpProgram::compile(&afab, &costs)?;
+    afab_program.run(&[], &mut t);
+    render_ascii(&afab, &afab_program, &t);
 
     // Export a production-scale step to chrome://tracing.
     use bench_support::production_short_context;

@@ -13,6 +13,11 @@ cargo build --release
 echo "==> cargo build --release --examples"
 cargo build --release --examples
 
+echo "==> run every example: each must exit 0 (they write files only under the temp dir)"
+for example in examples/*.rs; do
+  cargo run --release -q --example "$(basename "$example" .rs)" >/dev/null
+done
+
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 

@@ -89,6 +89,9 @@ fn folded_and_full_8k_gpu_reports_are_identical() {
 /// case) keep their exact step time and bubble-ratio bits: transient
 /// 5 % jitter at three `(seed, step)` pairs, with the step time in
 /// nanoseconds and each pipeline rank's bubble ratio as `f64` bits.
+/// Traced and untraced runs both match the pins, and each trace shows
+/// the replica that set the step time: its last event ends exactly
+/// `exposed.dp` before the pinned step time.
 #[test]
 fn jittered_full_8k_gpu_reports_are_pinned() {
     use bench_harness::configs::production_8k_gpu_step;
@@ -170,16 +173,25 @@ fn jittered_full_8k_gpu_reports_are_pinned() {
     assert_eq!(step.mesh.dp(), 64);
     for (seed, index, step_ns, bubbles) in PINS {
         let jitter = JitterModel::new(JitterKind::Transient, 0.05, seed);
-        let report = step
-            .run(&SimOptions::new().jitter(jitter).step(index))
-            .expect("valid step")
-            .report;
-        let bits: Vec<u64> = report.bubble_ratio.iter().map(|b| b.to_bits()).collect();
-        assert_eq!(
-            (report.step_time.as_nanos(), bits.as_slice()),
-            (step_ns, &bubbles[..]),
-            "seed {seed}, step {index}"
-        );
+        let opts = SimOptions::new().jitter(jitter).step(index);
+        for traced in [false, true] {
+            let outcome = step.run(&opts.clone().trace(traced)).expect("valid step");
+            let report = outcome.report;
+            let bits: Vec<u64> = report.bubble_ratio.iter().map(|b| b.to_bits()).collect();
+            assert_eq!(
+                (report.step_time.as_nanos(), bits.as_slice()),
+                (step_ns, &bubbles[..]),
+                "seed {seed}, step {index}, traced {traced}"
+            );
+            if traced {
+                let end = outcome.trace.expect("trace requested").span_ns();
+                assert_eq!(
+                    end + report.exposed.dp.as_nanos(),
+                    step_ns,
+                    "seed {seed}, step {index}: trace end + exposed dp"
+                );
+            }
+        }
     }
 }
 
