@@ -4,7 +4,7 @@
 //! a witness naming the right rank and op. No simulation runs anywhere
 //! in this file — every catch is static.
 
-use analyzer::analyze::{self, collective, deadlock, race};
+use analyzer::analyze::{collective, deadlock, race};
 use analyzer::{analyze_step, RuleId, Severity};
 use cluster_model::topology::Cluster;
 use llm_model::masks::MaskSpec;
@@ -13,6 +13,7 @@ use parallelism_core::fsdp::ZeroMode;
 use parallelism_core::mesh::Mesh4D;
 use parallelism_core::pp::balance::{BalancePolicy, StageAssignment};
 use parallelism_core::pp::schedule::{PpOp, PpSchedule, ScheduleKind};
+use parallelism_core::pp::sim::PpProgram;
 use parallelism_core::step::StepModel;
 
 /// A healthy 64-GPU step (tp 4 / cp 2 / pp 2 / dp 2) that passes every
@@ -148,7 +149,7 @@ fn duplicated_forward_is_caught_by_race001() {
     let mut sched = PpSchedule::build(ScheduleKind::AllFwdAllBwd, 2, 1, 1).unwrap();
     sched.ranks[1].insert(0, PpOp::Forward { chunk: 0, mb: 0 });
 
-    let program = analyze::compile(&sched);
+    let program = PpProgram::build(&sched);
     assert!(deadlock::check_program(&sched, &program).is_empty());
     let diags = race::check_program(&sched, &program);
     assert_eq!(diags.len(), 1, "{diags:?}");

@@ -11,7 +11,7 @@
 use crate::report::Table;
 use parallelism_core::fsdp::ZeroMode;
 use parallelism_core::pp::schedule::{PpOp, PpSchedule, ScheduleKind};
-use parallelism_core::pp::sim::{PpProgram, PpTiming, UniformCosts};
+use parallelism_core::pp::sim::{PpProgram, PpTiming, TableCosts};
 use sim_engine::memory::{MemoryTracker, PoolId};
 use sim_engine::time::SimDuration;
 
@@ -23,14 +23,11 @@ pub fn grad_memory_profile(kind: ScheduleKind, zero: ZeroMode) -> (u64, Vec<(u64
     let v = 4u32;
     let nmb = 8u32;
     let sched = PpSchedule::build(kind, pp, v, nmb).expect("valid schedule");
-    let costs = UniformCosts {
-        fwd: SimDuration::from_micros(100),
-        bwd: SimDuration::from_micros(200),
-        p2p: SimDuration::ZERO,
-    };
-    let program = PpProgram::compile(&sched, &costs).expect("deadlock-free");
+    let us = SimDuration::from_micros;
+    let costs = TableCosts::uniform(pp * v, us(100), us(200), SimDuration::ZERO);
+    let program = PpProgram::compile(&sched).expect("deadlock-free");
     let mut sim = PpTiming::default();
-    program.run(&[], &mut sim);
+    program.run(&costs, &[], &mut sim);
     let rank = 0;
     let ops = &sched.ranks[rank as usize];
 

@@ -40,7 +40,6 @@ use cluster_model::{Cluster, GlobalRank, GpuSpec};
 use llm_model::{MaskSpec, ModelLayout, PrecisionPolicy, TransformerConfig};
 use parallelism_core::infer::{InferPlan, InferSpec, InferenceModel};
 use parallelism_core::pp::sim::TableCosts;
-use parallelism_core::pp::UniformCosts;
 use parallelism_core::query::{self, FuzzQuery};
 use parallelism_core::step::{SimOptions, StepModel};
 use parallelism_core::{
@@ -333,13 +332,14 @@ impl FuzzFamily for CaseSpec {
     /// Runs the full conformance battery on this spec: the pre-flight
     /// static analyzer (which must report zero errors on a normalized
     /// spec), schedule invariants, no-deadlock execution, the pipeline
-    /// rules on 16 broken variants of the schedule (oracle 12), the
-    /// compiled pipeline program vs the engine op by op, executed-graph
-    /// causality, memory recomposition, step-report sanity, trace
-    /// monotonicity, ring/FSDP byte conservation, and the cheap
-    /// differential oracles (folding and the joint-graph step reference
-    /// under jitter seeded by [`CaseSpec::seed`], traced vs untraced runs,
-    /// fluid fast path). The goodput and memoization oracles run in the
+    /// rules on 16 broken variants of the schedule (oracle 12), one
+    /// compiled pipeline program vs the engine op by op under two cost
+    /// bindings, executed-graph causality, memory recomposition,
+    /// step-report sanity, trace monotonicity, ring/FSDP byte
+    /// conservation, and the cheap differential oracles (folding and
+    /// the joint-graph step reference under jitter seeded by
+    /// [`CaseSpec::seed`], traced vs untraced runs, fluid fast path).
+    /// The goodput and memoization oracles run in the
     /// grid tests instead — they price a whole training day and clear
     /// the process-global cost cache, which would dominate a
     /// multi-thousand-case sweep.
@@ -359,27 +359,21 @@ impl FuzzFamily for CaseSpec {
         check_schedule_completeness(&sched).map_err(ctx("completeness"))?;
         check_phase_counts(&sched).map_err(ctx("phase counts"))?;
 
-        let costs = UniformCosts {
-            fwd: SimDuration::from_micros(120),
-            bwd: SimDuration::from_micros(240),
-            p2p: SimDuration::from_micros(15),
-        };
-        check_schedule_executes(&sched, &costs).map_err(ctx("deadlock"))?;
+        let program = check_schedule_executes(&sched).map_err(ctx("deadlock"))?;
         oracle_pipeline_rules(&sched, 16).map_err(ctx("oracle pipeline-rules"))?;
-        // The compiled pipeline program vs the engine, on the model's
-        // own stage costs with a different compute scale per rank.
+        // One compiled program vs the engine under two cost bindings: a
+        // uniform table with P2P time, and the model's own stage costs
+        // with a different compute scale per rank.
+        let us = SimDuration::from_micros;
+        let uniform = TableCosts::uniform(sched.num_stages(), us(120), us(240), us(15));
+        program_vs_engine(&sched, &program, &uniform, &[])
+            .map_err(ctx("program vs engine, uniform costs"))?;
         let seed = self.seed();
-        let (fwd, bwd) = m.stage_costs();
-        let stage_costs = TableCosts {
-            fwd,
-            bwd,
-            p2p: m.stage_p2p_time(),
-        };
         let scales: Vec<f64> = (0..u64::from(self.pp))
             .map(|r| 1.0 + ((seed >> (r % 8 * 8)) & 0xff) as f64 / 2560.0)
             .collect();
-        let run =
-            program_vs_engine(&sched, &stage_costs, &scales).map_err(ctx("program vs engine"))?;
+        let run = program_vs_engine(&sched, &program, &m.stage_costs(), &scales)
+            .map_err(ctx("program vs engine, stage costs"))?;
         check_executed_graph(&run).map_err(ctx("executed graph"))?;
 
         check_memory_model(&m).map_err(ctx("memory model"))?;

@@ -9,7 +9,7 @@
 use collectives::ProcessGroup;
 use parallelism_core::fsdp::{self, ZeroMode};
 use parallelism_core::pp::schedule::{warmup_microbatches, PpOp, PpSchedule, ScheduleKind};
-use parallelism_core::pp::sim::{PpCostModel, PpProgram};
+use parallelism_core::pp::sim::PpProgram;
 use parallelism_core::step::{StepModel, StepReport};
 use sim_engine::graph::{ExecutedGraph, GraphError, StreamId};
 use std::collections::HashMap;
@@ -137,11 +137,12 @@ pub fn check_phase_counts(s: &PpSchedule) -> CheckResult {
     Ok(())
 }
 
-/// No-deadlock: compiles `s` under `costs` into a [`PpProgram`],
+/// No-deadlock: compiles `s` into a [`PpProgram`] and returns it,
 /// converting a [`GraphError::Deadlock`] into a message naming the
-/// stuck-op count.
-pub fn check_schedule_executes(s: &PpSchedule, costs: &dyn PpCostModel) -> CheckResult {
-    PpProgram::compile(s, costs).map(drop).map_err(|e| match e {
+/// stuck-op count. Executing reads no cost: only the op orders decide
+/// it.
+pub fn check_schedule_executes(s: &PpSchedule) -> Result<PpProgram, String> {
+    PpProgram::compile(s).map_err(|e| match e {
         GraphError::Deadlock(stuck) => format!(
             "schedule (pp={}, v={}, nmb={}, nc={}) deadlocks with {} ops stuck",
             s.pp,

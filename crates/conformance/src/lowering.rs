@@ -9,7 +9,7 @@
 //! [`PpProgram`](parallelism_core::pp::sim::PpProgram) instead; oracles
 //! 1 and 12 check the program against this lowering.
 
-use parallelism_core::pp::sim::PpCostModel;
+use parallelism_core::pp::sim::TableCosts;
 use parallelism_core::pp::{PpOp, PpSchedule};
 use sim_engine::graph::{ExecutedGraph, GraphError, OpId, StreamId, TaskGraph};
 use sim_engine::time::SimDuration;
@@ -81,7 +81,7 @@ fn scaled(d: SimDuration, scale: f64) -> SimDuration {
 pub fn lower_pp<M>(
     g: &mut TaskGraph<M>,
     schedule: &PpSchedule,
-    costs: &dyn PpCostModel,
+    costs: &TableCosts,
     rank_scale: &[f64],
     mut meta: impl FnMut(PpSimOp) -> M,
 ) -> PpLowering {
@@ -106,7 +106,7 @@ pub fn lower_pp<M>(
                         stage,
                         mb: *mb,
                     },
-                    costs.fwd(stage, *mb),
+                    costs.fwd[stage as usize],
                     &mut fwd_ids,
                 ),
                 PpOp::Backward { mb, .. } => (
@@ -115,7 +115,7 @@ pub fn lower_pp<M>(
                         stage,
                         mb: *mb,
                     },
-                    costs.bwd(stage, *mb),
+                    costs.bwd[stage as usize],
                     &mut bwd_ids,
                 ),
             };
@@ -149,12 +149,12 @@ pub fn lower_pp<M>(
             let s = stage as usize;
             let (f, b) = (fwd_ids[s][mb], bwd_ids[s][mb]);
             if stage > 0 {
-                wire(g, f, fwd_ids[s - 1][mb], costs.p2p(stage - 1));
+                wire(g, f, fwd_ids[s - 1][mb], costs.p2p);
             }
             if stage == last_stage {
                 wire(g, b, f, SimDuration::ZERO);
             } else {
-                wire(g, b, bwd_ids[s + 1][mb], costs.p2p(stage));
+                wire(g, b, bwd_ids[s + 1][mb], costs.p2p);
             }
         }
     }
@@ -169,7 +169,7 @@ pub fn lower_pp<M>(
 /// transfers included.
 pub fn execute_pp(
     schedule: &PpSchedule,
-    costs: &dyn PpCostModel,
+    costs: &TableCosts,
     rank_scale: &[f64],
 ) -> Result<ExecutedGraph<PpSimOp>, GraphError> {
     let (ops, streams) = lowering_capacity(schedule);
@@ -182,18 +182,18 @@ pub fn execute_pp(
 mod tests {
     use super::*;
     use crate::oracles::{engine_deadlock_matches_program, program_vs_engine};
-    use parallelism_core::pp::sim::{PpProgram, TableCosts, UniformCosts};
+    use parallelism_core::pp::sim::PpProgram;
     use parallelism_core::pp::ScheduleKind;
 
     fn us(n: u64) -> SimDuration {
         SimDuration::from_micros(n)
     }
 
-    /// The compiled program reproduces the engine's start and end of
-    /// every compute op bit for bit, for every schedule family, with
-    /// zero and non-zero P2P, imbalanced stages, and unit or
-    /// non-uniform per-rank scales; and the compute ops are the graph's
-    /// first ops, in program order.
+    /// One compiled program per schedule reproduces the engine's start
+    /// and end of every compute op bit for bit, for every schedule
+    /// family, under every binding: zero and non-zero P2P, imbalanced
+    /// stages, and unit or non-uniform per-rank scales; and the compute
+    /// ops are the graph's first ops, in program order.
     #[test]
     fn program_matches_engine_op_for_op() {
         let kinds = [
@@ -208,18 +208,18 @@ mod tests {
                 let nmb = 8 * pp;
                 let s = PpSchedule::build(kind, pp, v, nmb).unwrap();
                 let stages = (pp * v) as usize;
+                let program = PpProgram::compile(&s).unwrap();
+                assert_eq!(program.len(), stages * nmb as usize * 2);
                 for p2p in [0, 7] {
                     let costs = TableCosts {
                         fwd: (0..stages).map(|i| us(90 + 13 * i as u64)).collect(),
                         bwd: (0..stages).map(|i| us(170 + 29 * i as u64)).collect(),
                         p2p: us(p2p),
                     };
-                    let program = PpProgram::compile(&s, &costs).unwrap();
-                    assert_eq!(program.len(), stages * nmb as usize * 2);
                     let skewed: Vec<f64> = (0..pp).map(|r| 1.0 + 0.037 * f64::from(r)).collect();
                     for scales in [&[][..], &skewed] {
                         let ctx = format!("{kind:?} pp={pp} v={v} p2p={p2p} scales={scales:?}");
-                        program_vs_engine(&s, &costs, scales)
+                        program_vs_engine(&s, &program, &costs, scales)
                             .unwrap_or_else(|e| panic!("{ctx}: {e}"));
                     }
                 }
@@ -233,24 +233,20 @@ mod tests {
     /// P2P time the engine also names the transfers between them.
     #[test]
     fn broken_schedule_reports_the_engine_deadlock() {
+        let mut s = PpSchedule::build(ScheduleKind::Flexible { nc: 2 }, 2, 1, 4).unwrap();
+        let b0 = s.ranks[0]
+            .iter()
+            .position(|op| matches!(op, PpOp::Backward { mb: 0, .. }))
+            .unwrap();
+        let op = s.ranks[0].remove(b0);
+        s.ranks[0].insert(0, op);
+        let GraphError::Deadlock(stuck) = PpProgram::compile(&s).unwrap_err();
+        assert!(!stuck.is_empty());
         for p2p in [0, 5] {
-            let costs = UniformCosts {
-                fwd: us(100),
-                bwd: us(200),
-                p2p: us(p2p),
-            };
-            let mut s = PpSchedule::build(ScheduleKind::Flexible { nc: 2 }, 2, 1, 4).unwrap();
-            let b0 = s.ranks[0]
-                .iter()
-                .position(|op| matches!(op, PpOp::Backward { mb: 0, .. }))
-                .unwrap();
-            let op = s.ranks[0].remove(b0);
-            s.ranks[0].insert(0, op);
+            let costs = TableCosts::uniform(s.num_stages(), us(100), us(200), us(p2p));
             let GraphError::Deadlock(engine) = execute_pp(&s, &costs, &[]).unwrap_err();
-            let GraphError::Deadlock(stuck) = PpProgram::compile(&s, &costs).unwrap_err();
-            assert!(!stuck.is_empty());
             assert_eq!(engine.len() > stuck.len(), p2p > 0, "p2p {p2p}");
-            engine_deadlock_matches_program(&s, &costs).unwrap();
+            engine_deadlock_matches_program(&s, &stuck, &costs).unwrap();
         }
     }
 }

@@ -13,8 +13,8 @@
 //!    replica lowered into one engine-executed task graph) under
 //!    jitter, throttled ranks and degraded links, traced and untraced:
 //!    the trace is the reference's critical replica, event for event;
-//!    [`program_vs_engine`] checks the compiled pipeline program
-//!    against the engine op by op.
+//!    [`program_vs_engine`] checks a compiled pipeline program under a
+//!    cost binding against the engine op by op.
 //! 2. [`oracle_memoized_costs`] — the process-global collective cost
 //!    cache vs pricing uncached.
 //! 3. [`oracle_fluid_fast_path`] — the disjoint-single-link fluid
@@ -71,7 +71,7 @@ use parallelism_core::infer::{
     simulate_replica, InferCosts, InferenceModel, ReplicaResult, RequestOutcome,
 };
 use parallelism_core::planner::plan;
-use parallelism_core::pp::sim::{PpCostModel, PpProgram, PpTiming, TableCosts, UniformCosts};
+use parallelism_core::pp::sim::{PpProgram, PpTiming, TableCosts};
 use parallelism_core::pp::PpSchedule;
 use parallelism_core::run::{GoodputLoss, GoodputReport, RunSimulator};
 use parallelism_core::search::{
@@ -81,7 +81,7 @@ use parallelism_core::step::{ExposedComm, SimFidelity, SimOptions, StepModel, St
 use parallelism_core::Dim;
 use parallelism_core::Request;
 use sim_engine::fluid::{FluidNet, Transfer, TransferOutcome};
-use sim_engine::graph::{ExecutedGraph, GraphError, TaskGraph};
+use sim_engine::graph::{ExecutedGraph, GraphError, OpId, TaskGraph};
 use sim_engine::time::{SimDuration, SimTime};
 use trace_analysis::synth::{synth_trace, SynthSpec};
 use trace_analysis::tiered::{SliceReplay, TierConfig, TieredTrace, WindowStats};
@@ -331,13 +331,11 @@ pub fn reference_step_report(
     report: &StepReport,
 ) -> Result<(StepReport, Trace), String> {
     let sched = m.schedule().map_err(|e| e.to_string())?;
-    let (fwd, bwd) = m.stage_costs();
+    let mut costs = m.stage_costs();
     let stretch = 1.0 / opts.health.worst_link_scale();
-    let mut p2p = m.stage_p2p_time();
     if stretch != 1.0 {
-        p2p = p2p.scale(stretch);
+        costs.p2p = costs.p2p.scale(stretch);
     }
-    let costs = TableCosts { fwd, bwd, p2p };
     let (dp, pp) = (m.mesh.dp(), m.mesh.pp());
     let (ops, streams) = lowering_capacity(&sched);
     let mut g: TaskGraph<(u32, PpSimOp)> =
@@ -469,21 +467,21 @@ pub fn oracle_folded_vs_full(m: &StepModel, seed: u64) -> CheckResult {
     Ok(())
 }
 
-/// The lowest layer of oracle 1: the compiled [`PpProgram`] vs the
-/// engine on one pipeline. `schedule` is lowered with [`lower_pp`]
-/// under `costs` and per-rank compute scales `rank_scale`, executed,
-/// and every compute op's `(start, end)` must equal the program pass's
-/// bit for bit (program index `i` is the graph's op `i`). Returns the
-/// executed graph for further invariant checks.
+/// The lowest layer of oracle 1: `program`, compiled from `schedule`,
+/// vs the engine on one pipeline under one cost binding. `schedule` is
+/// lowered with [`lower_pp`] under `costs` and per-rank compute scales
+/// `rank_scale`, executed, and every compute op's `(start, end)` must
+/// equal a pass of `program` under the same binding bit for bit
+/// (program index `i` is the graph's op `i`). Returns the executed
+/// graph for further invariant checks.
 pub fn program_vs_engine(
     schedule: &PpSchedule,
-    costs: &dyn PpCostModel,
+    program: &PpProgram,
+    costs: &TableCosts,
     rank_scale: &[f64],
 ) -> Result<ExecutedGraph<PpSimOp>, String> {
-    let program =
-        PpProgram::compile(schedule, costs).map_err(|e| format!("program compile: {e:?}"))?;
     let mut t = PpTiming::default();
-    program.run(rank_scale, &mut t);
+    program.run(costs, rank_scale, &mut t);
     let [makespan] = t.makespan;
     let run =
         execute_pp(schedule, costs, rank_scale).map_err(|e| format!("graph execution: {e:?}"))?;
@@ -1370,7 +1368,7 @@ const RACE_REFERENCE_MAX_OPS: usize = 512;
 /// through [`check_pipeline_rules`]. Returns the number of mutants
 /// checked.
 pub fn oracle_pipeline_rules(base: &PpSchedule, max_mutants: usize) -> Result<usize, String> {
-    let program = analyze::compile(base);
+    let program = PpProgram::build(base);
     let findings = [
         deadlock::check_program(base, &program),
         race::check_program(base, &program),
@@ -1397,35 +1395,36 @@ pub fn oracle_pipeline_rules(base: &PpSchedule, max_mutants: usize) -> Result<us
     Ok(checked)
 }
 
-/// One schedule of oracle 12: `DEAD001` or `DEAD002` fires exactly when
-/// [`PpProgram::compile`] fails, with zero and with non-zero P2P; a failure
-/// with every producer scheduled names the ops the engine leaves
-/// unexecuted ([`engine_deadlock_matches_program`]); and on a schedule
-/// that runs, with at most [`RACE_REFERENCE_MAX_OPS`] ops, `RACE001`'s
-/// unordered pairs are exactly those of a brute-force reachability
-/// closure over the [`lower_pp`] task graph.
+/// One schedule of oracle 12, on one compiled program: `DEAD001` or
+/// `DEAD002` fires exactly when the program cannot run; a deadlock with
+/// every producer scheduled names the ops the engine leaves unexecuted
+/// with zero and with non-zero P2P ([`engine_deadlock_matches_program`]);
+/// and on a schedule that runs, with at most [`RACE_REFERENCE_MAX_OPS`]
+/// ops, `RACE001`'s unordered pairs are exactly those of a brute-force
+/// reachability closure over the [`lower_pp`] task graph.
 pub fn check_pipeline_rules(s: &PpSchedule) -> CheckResult {
-    let program = analyze::compile(s);
+    let program = PpProgram::build(s);
     let dead = deadlock::check_program(s, &program);
     let rejected = dead
         .iter()
         .any(|d| matches!(d.rule, RuleId::Dead001 | RuleId::Dead002));
-    for p2p in [0, 5] {
-        let costs = UniformCosts {
-            fwd: SimDuration::from_micros(3),
-            bwd: SimDuration::from_micros(7),
-            p2p: SimDuration::from_micros(p2p),
-        };
-        let runs = PpProgram::compile(s, &costs).is_ok();
-        if runs == rejected {
-            return Err(format!(
-                "p2p {p2p} µs: the program {} but the analyzer reports {:?}",
-                if runs { "runs" } else { "deadlocks" },
-                dead.iter().map(|d| d.render_human()).collect::<Vec<_>>()
-            ));
-        }
-        if !runs && program.unresolved().next().is_none() {
-            engine_deadlock_matches_program(s, &costs).map_err(|e| format!("p2p {p2p} µs: {e}"))?;
+    let runs = program.is_complete();
+    if runs == rejected {
+        return Err(format!(
+            "the program {} but the analyzer reports {:?}",
+            if runs { "runs" } else { "deadlocks" },
+            dead.iter().map(|d| d.render_human()).collect::<Vec<_>>()
+        ));
+    }
+    if !runs && program.unresolved().next().is_none() {
+        // The lowering does depend on P2P: a zero-cost edge gets no
+        // transfer op.
+        let stuck: Vec<OpId> = program.stuck().map(OpId::from_index).collect();
+        let us = SimDuration::from_micros;
+        for p2p in [0, 5] {
+            let costs = TableCosts::uniform(s.num_stages(), us(3), us(7), us(p2p));
+            engine_deadlock_matches_program(s, &stuck, &costs)
+                .map_err(|e| format!("p2p {p2p} µs: {e}"))?;
         }
     }
     if rejected || program.len() > RACE_REFERENCE_MAX_OPS {
@@ -1439,27 +1438,32 @@ pub fn check_pipeline_rules(s: &PpSchedule) -> CheckResult {
     Ok(())
 }
 
-/// A deadlocked schedule whose every producer is scheduled: the op set
-/// of [`PpProgram::compile`]'s `GraphError::Deadlock` must equal the compute
-/// ops the engine leaves unexecuted when it runs the [`lower_pp`]
-/// graph. The engine also names the stuck transfers; the program has
-/// none to name.
-pub fn engine_deadlock_matches_program(s: &PpSchedule, costs: &dyn PpCostModel) -> CheckResult {
-    let Err(GraphError::Deadlock(program)) = PpProgram::compile(s, costs) else {
+/// A deadlocked schedule whose every producer is scheduled: `stuck`,
+/// the [stuck](PpProgram::stuck) ops of its compiled program (the op
+/// set of [`PpProgram::compile`]'s `GraphError::Deadlock`), must equal
+/// the compute ops the engine leaves unexecuted when it runs the
+/// [`lower_pp`] graph under `costs`. The engine also names the stuck
+/// transfers; the program has none to name.
+pub fn engine_deadlock_matches_program(
+    s: &PpSchedule,
+    stuck: &[OpId],
+    costs: &TableCosts,
+) -> CheckResult {
+    if stuck.is_empty() {
         return Err("the program runs the schedule".into());
-    };
+    }
     let run = execute_pp(s, costs, &[]);
     let Err(GraphError::Deadlock(engine)) = run else {
         return Err(format!(
-            "the engine runs the schedule, the program leaves {program:?} stuck"
+            "the engine runs the schedule, the program leaves {stuck:?} stuck"
         ));
     };
     // Compute ops come first in the lowering, in program order.
     let n = s.ranks.iter().map(Vec::len).sum::<usize>();
     let compute: Vec<_> = engine.into_iter().filter(|op| op.index() < n).collect();
-    if compute != program {
+    if compute != stuck {
         return Err(format!(
-            "program names stuck ops {program:?}, the engine {compute:?}"
+            "program names stuck ops {stuck:?}, the engine {compute:?}"
         ));
     }
     Ok(())
@@ -1471,11 +1475,8 @@ pub fn engine_deadlock_matches_program(s: &PpSchedule, costs: &dyn PpCostModel) 
 /// [`race::unordered_pairs`]: by lane, then by the two op ids. The
 /// graph must be acyclic.
 fn reference_races(s: &PpSchedule) -> Vec<Race> {
-    let costs = UniformCosts {
-        fwd: SimDuration::from_micros(1),
-        bwd: SimDuration::from_micros(1),
-        p2p: SimDuration::from_micros(1),
-    };
+    let us = SimDuration::from_micros(1);
+    let costs = TableCosts::uniform(s.num_stages(), us, us, us);
     let (ops, streams) = lowering_capacity(s);
     let mut g: TaskGraph<PpSimOp> = TaskGraph::with_capacity(ops, streams);
     lower_pp(&mut g, s, &costs, &[], |op| op);

@@ -18,11 +18,10 @@ use conformance::oracles::{
 };
 use parallelism_core::analyze::{deadlock, RuleId};
 use parallelism_core::pp::schedule::{PpOp, PpSchedule, ScheduleKind};
-use parallelism_core::pp::sim::{PpProgram, UniformCosts, LANES};
+use parallelism_core::pp::sim::{PpProgram, LANES};
 use parallelism_core::search::{enumerate_configs, SearchSpec};
 use parallelism_core::{CheckpointPolicy, Dim, RunSimulator, ZeroMode};
 use sim_engine::graph::GraphError;
-use sim_engine::time::SimDuration;
 use trace_analysis::tiered::TierConfig;
 
 #[test]
@@ -290,20 +289,12 @@ fn pipeline_rules_match_execution_on_broken_schedules() {
     assert!(mutants >= 4000, "only {mutants} mutants");
 }
 
-fn costs(p2p: u64) -> UniformCosts {
-    UniformCosts {
-        fwd: SimDuration::from_micros(3),
-        bwd: SimDuration::from_micros(7),
-        p2p: SimDuration::from_micros(p2p),
-    }
-}
-
 #[test]
 fn duplicated_forward_deadlocks_in_the_analyzer_and_the_simulator() {
     // Rank 0 runs F0.0 again after its backward. The simulator wires
     // that last copy, so rank 1's forward waits behind rank 0's
     // backward, which waits for rank 1's: four compute ops never run.
-    // The error names compute ops only, with or without P2P time.
+    // The error names compute ops only.
     let mut s = PpSchedule::build(ScheduleKind::AllFwdAllBwd, 2, 1, 1).unwrap();
     s.ranks[0].push(PpOp::Forward { chunk: 0, mb: 0 });
     let diags = deadlock::check_schedule(&s);
@@ -318,10 +309,8 @@ fn duplicated_forward_deadlocks_in_the_analyzer_and_the_simulator() {
             "rank 0: F0.0"
         ]
     );
-    for p2p in [0, 5] {
-        let GraphError::Deadlock(stuck) = PpProgram::compile(&s, &costs(p2p)).unwrap_err();
-        assert_eq!(stuck.len(), 4);
-    }
+    let GraphError::Deadlock(stuck) = PpProgram::compile(&s).unwrap_err();
+    assert_eq!(stuck.len(), 4);
     check_pipeline_rules(&s).unwrap();
 }
 
@@ -340,11 +329,9 @@ fn missing_producer_is_dead002_and_a_simulator_error() {
          \"message\":\"F0.1 waits for the forward of stage 0 mb 1, which no rank schedules \
          — the wait never completes\",\"witness\":[]}"
     );
-    for p2p in [0, 5] {
-        assert!(matches!(
-            PpProgram::compile(&s, &costs(p2p)),
-            Err(GraphError::Deadlock(stuck)) if !stuck.is_empty()
-        ));
-    }
+    assert!(matches!(
+        PpProgram::compile(&s),
+        Err(GraphError::Deadlock(stuck)) if !stuck.is_empty()
+    ));
     check_pipeline_rules(&s).unwrap();
 }

@@ -29,7 +29,7 @@ const MAX_DANGLING: usize = 8;
 
 /// Compiles `sched` and checks it: see [`check_program`].
 pub fn check_schedule(sched: &PpSchedule) -> Vec<Diagnostic> {
-    check_program(sched, &super::compile(sched))
+    check_program(sched, &PpProgram::build(sched))
 }
 
 /// Checks `program`, compiled from `sched`, for dangling waits and

@@ -6,8 +6,9 @@
 //! that exceed HBM abort minutes into a run. This module statically
 //! rejects such plans in microseconds — **nothing is timed on the
 //! analysis path**: the pipeline rules read the schedule's compiled
-//! [`PpProgram`], the same dependency structure the simulator times,
-//! and no task graph is built or executed.
+//! [`PpProgram`] — the program the simulator times, since a program
+//! holds no costs until a pass binds them — and no task graph is built
+//! or executed.
 //!
 //! Four rule families, each with stable rule IDs:
 //!
@@ -38,7 +39,7 @@ pub mod memory;
 pub mod race;
 
 use crate::pp::schedule::{PpOp, PpSchedule};
-use crate::pp::sim::{PpProgram, UniformCosts};
+use crate::pp::sim::PpProgram;
 use crate::step::StepModel;
 use std::fmt;
 
@@ -388,7 +389,7 @@ pub fn analyze_step(m: &StepModel) -> Report {
             return report;
         }
     };
-    let program = compile(&sched);
+    let program = PpProgram::build(&sched);
     report
         .diagnostics
         .extend(deadlock::check_program(&sched, &program));
@@ -398,12 +399,6 @@ pub fn analyze_step(m: &StepModel) -> Report {
         .diagnostics
         .extend(race::check_program(&sched, &program));
     report
-}
-
-/// The program the pipeline rules read: `sched` compiled with free
-/// costs, whether or not it can execute.
-pub fn compile(sched: &PpSchedule) -> PpProgram {
-    PpProgram::build(sched, &UniformCosts::FREE)
 }
 
 /// The rank running `program`'s op `i` and the schedule op it is.

@@ -263,11 +263,10 @@ pub fn unordered_pairs(sched: &PpSchedule, program: &PpProgram) -> Vec<Race> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::compile;
     use crate::pp::schedule::{PpOp, ScheduleKind};
 
     fn check(sched: &PpSchedule) -> Vec<Diagnostic> {
-        check_program(sched, &compile(sched))
+        check_program(sched, &PpProgram::build(sched))
     }
 
     #[test]
@@ -298,7 +297,7 @@ mod tests {
         assert!(check(&ordered).is_empty());
         let mut racy = base;
         racy.ranks[0] = vec![f(0), f(1), b0, b0, b1];
-        let races = unordered_pairs(&racy, &compile(&racy));
+        let races = unordered_pairs(&racy, &PpProgram::build(&racy));
         assert_eq!(
             races,
             [Race {

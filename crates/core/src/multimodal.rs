@@ -12,7 +12,7 @@
 use crate::mesh::Mesh4D;
 use crate::pp::balance::{BalancePolicy, StageAssignment};
 use crate::pp::schedule::ScheduleKind;
-use crate::pp::sim::{PpProgram, PpTiming, TableCosts};
+use crate::pp::sim::{PpProgram, PpTiming};
 use crate::step::StepModel;
 use cluster_model::gpu::Dtype;
 use cluster_model::topology::{Cluster, GlobalRank};
@@ -135,7 +135,7 @@ impl MultimodalStep {
     /// Simulates the step under the configured sharding.
     pub fn simulate(&self) -> MultimodalReport {
         let step = self.text_step();
-        let (mut fwd, mut bwd) = step.stage_costs();
+        let mut costs = step.stage_costs();
         let sched = step.build_schedule();
         let comm = CommCostModel::new(self.cluster.topology.clone());
         let pp_group = self.mesh.group_of(GlobalRank(0), crate::mesh::Dim::Pp);
@@ -152,8 +152,8 @@ impl MultimodalStep {
                 // inline (forward and backward).
                 let ef = self.encoder_fwd(self.images_per_seq);
                 let eb = ef * 2;
-                fwd[0] += ef;
-                bwd[0] += eb;
+                costs.fwd[0] += ef;
+                costs.bwd[0] += eb;
                 // Everything the first stage does for the encoder is on
                 // the pipeline critical path for warm-up micro-batches;
                 // count the serial share conservatively as the per-mb
@@ -187,15 +187,10 @@ impl MultimodalStep {
             }
         }
 
-        let costs = TableCosts {
-            fwd,
-            bwd,
-            p2p: step.stage_p2p_time(),
-        };
         let mut sim = PpTiming::default();
         // lint: allow(unwrap) — the schedule was built by PpSchedule::build above
-        let program = PpProgram::compile(&sched, &costs).expect("valid schedule");
-        program.run(&[], &mut sim);
+        let program = PpProgram::compile(&sched).expect("valid schedule");
+        program.run(&costs, &[], &mut sim);
         let step_time = pre + sim.makespan[0] + post;
 
         // FLOPs: text model (frozen-aware, via the step model) plus

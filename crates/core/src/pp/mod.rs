@@ -7,4 +7,4 @@ pub mod sim;
 
 pub use balance::{BalancePolicy, StageAssignment};
 pub use schedule::{PpOp, PpSchedule, ScheduleError, ScheduleKind};
-pub use sim::{PpCostModel, TableCosts, UniformCosts};
+pub use sim::TableCosts;

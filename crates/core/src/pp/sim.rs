@@ -1,16 +1,18 @@
 //! Timing pipeline schedules.
 //!
-//! [`PpProgram`] is the one pipeline dependency structure: a schedule
-//! and its costs compiled once into flat per-compute-op arrays. Timing
-//! runs it as a linear pass over one or more sets of per-rank compute
-//! scales into a [`PpTiming`], the one timing result: the folded step,
-//! the full-fidelity step with up to [`LANES`] DP replicas per pass,
-//! its critical replica's trace, and every caller that times a bare
-//! schedule. The pre-flight deadlock and race rules read the program's
-//! edges and its Kahn order, and a schedule whose op order cannot
-//! execute is reported from the ops that order leaves out
-//! ([`PpProgram::compile`]'s error). The conformance crate lowers the same
-//! schedule onto the timing-graph engine, with every cross-stage
+//! [`PpProgram`] is the one pipeline dependency structure: a schedule's
+//! shape compiled once into flat per-compute-op arrays — which op waits
+//! on which, and which `(stage, direction)` cost each op pays. Costs
+//! bind when it runs: a pass takes a [`TableCosts`] and one or more
+//! sets of per-rank compute scales and times the program into a
+//! [`PpTiming`], the one timing result: the folded step, the
+//! full-fidelity step with up to [`LANES`] DP replicas per pass, its
+//! critical replica's trace, and every caller that times a bare
+//! schedule. The pre-flight deadlock and race rules read the same
+//! program's edges and its Kahn order, and a schedule whose op order
+//! cannot execute is reported from the ops that order leaves out
+//! ([`PpProgram::compile`]'s error). The conformance crate lowers the
+//! same schedule onto the timing-graph engine, with every cross-stage
 //! transfer as an op on its own link stream (Fig 3), and checks the
 //! program against it.
 
@@ -19,52 +21,10 @@ use sim_engine::graph::{GraphError, OpId};
 use sim_engine::time::{SimDuration, SimTime};
 use std::ops::Range;
 
-/// Per-op costs of a pipeline schedule.
-pub trait PpCostModel {
-    /// Forward compute time of global stage `stage` for micro-batch `mb`.
-    fn fwd(&self, stage: u32, mb: u32) -> SimDuration;
-    /// Backward compute time of global stage `stage` for micro-batch `mb`.
-    fn bwd(&self, stage: u32, mb: u32) -> SimDuration;
-    /// P2P time for the activation/gradient between stage `s` and `s+1`
-    /// (zero-cost models are allowed).
-    fn p2p(&self, from_stage: u32) -> SimDuration;
-}
-
-/// A uniform cost model: every stage costs the same.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UniformCosts {
-    /// Forward time per stage per micro-batch.
-    pub fwd: SimDuration,
-    /// Backward time per stage per micro-batch.
-    pub bwd: SimDuration,
-    /// P2P time between adjacent stages.
-    pub p2p: SimDuration,
-}
-
-impl UniformCosts {
-    /// Every op and transfer free. The static analyses compile with it:
-    /// which op waits on which does not depend on durations.
-    pub const FREE: UniformCosts = UniformCosts {
-        fwd: SimDuration::ZERO,
-        bwd: SimDuration::ZERO,
-        p2p: SimDuration::ZERO,
-    };
-}
-
-impl PpCostModel for UniformCosts {
-    fn fwd(&self, _stage: u32, _mb: u32) -> SimDuration {
-        self.fwd
-    }
-    fn bwd(&self, _stage: u32, _mb: u32) -> SimDuration {
-        self.bwd
-    }
-    fn p2p(&self, _from_stage: u32) -> SimDuration {
-        self.p2p
-    }
-}
-
-/// Per-stage table-driven cost model (used for imbalanced stages:
-/// embedding/output-head heavy first/last stages, §3.1.2).
+/// The costs a [`PpProgram`] pass binds: per-stage forward and backward
+/// compute times for one micro-batch (imbalanced first/last stages
+/// carry the embedding and output head, §3.1.2) and the P2P time of
+/// every cross-stage transfer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableCosts {
     /// Forward time per stage.
@@ -75,25 +35,25 @@ pub struct TableCosts {
     pub p2p: SimDuration,
 }
 
-impl PpCostModel for TableCosts {
-    fn fwd(&self, stage: u32, _mb: u32) -> SimDuration {
-        self.fwd[stage as usize]
-    }
-    fn bwd(&self, stage: u32, _mb: u32) -> SimDuration {
-        self.bwd[stage as usize]
-    }
-    fn p2p(&self, _from_stage: u32) -> SimDuration {
-        self.p2p
+impl TableCosts {
+    /// `stages` stages that each cost `fwd` forward and `bwd` backward.
+    pub fn uniform(stages: u32, fwd: SimDuration, bwd: SimDuration, p2p: SimDuration) -> Self {
+        TableCosts {
+            fwd: vec![fwd; stages as usize],
+            bwd: vec![bwd; stages as usize],
+            p2p,
+        }
     }
 }
 
 /// "No such op" in [`PpProgram`]'s predecessor arrays.
 const NONE: u32 = u32::MAX;
 
-/// A pipeline schedule and its costs compiled into flat per-compute-op
-/// arrays, timed by linear passes over sets of per-rank compute scales
-/// ([`run`](Self::run) for one, [`run_lanes`](Self::run_lanes) for
-/// several at once).
+/// A pipeline schedule's shape compiled into flat per-compute-op
+/// arrays, timed under a [`TableCosts`] by linear passes over sets of
+/// per-rank compute scales ([`run`](Self::run) for one,
+/// [`run_lanes`](Self::run_lanes) for several at once). Nothing in it
+/// depends on a cost, so one program serves every cost binding.
 ///
 /// Ops are numbered rank-major in program order: rank 0's ops in the
 /// order it runs them, then rank 1's, and so on. Each op waits on at
@@ -101,36 +61,38 @@ const NONE: u32 = u32::MAX;
 /// its data producer (the previous stage's forward, the next stage's
 /// backward, or — for the last stage's backward — its own forward).
 /// When a schedule runs one op twice, only the last copy is wired. A
-/// P2P transfer has a link of its own, so it adds exactly its duration
-/// to that one edge. A pass over a topological order is therefore
-/// exact:
+/// P2P transfer has a link of its own, so it adds exactly the bound
+/// P2P time to a data edge that crosses a link, and nothing to the loss
+/// turn-around. A pass over a topological order is therefore exact:
 ///
-/// `end = max(end[stream pred], end[data pred] + latency) + scaled(base, rank scale)`
+/// `end = max(end[stream pred], end[data pred] + hop) + scaled(cost, rank scale)`
 ///
-/// in integer nanoseconds, and it equals the event engine's timing of
-/// the same schedule with each transfer as an op on its own link
-/// stream, bit for bit, without building or executing a graph. The
+/// with `hop` the edge's P2P time (zero on the turn-around) and `cost`
+/// the op's `(stage, direction)` cost, in integer nanoseconds. It
+/// equals the event engine's timing of the same schedule with each
+/// transfer as an op on its own link stream, bit for bit, without
+/// building or executing a graph. The
 /// same reasoning makes the program's happens-before relation the
 /// engine's: a transfer never changes which ops reach which.
 #[derive(Debug, Clone)]
 pub struct PpProgram {
     pp: u32,
+    /// Global stage count; a pass binds `2 · stages` cost slots.
+    stages: u32,
     /// First op of each rank, plus the op count at index `pp`.
     rank_start: Vec<u32>,
     /// Pipeline rank running the op.
     rank: Vec<u32>,
-    /// Index of the op's base duration in `bases`.
-    base: Vec<u32>,
-    /// Distinct `(rank, unscaled compute duration)` pairs. A pass
-    /// scales each once, not once per op: the ops of one stage and
-    /// direction usually share a cost.
-    bases: Vec<(u32, SimDuration)>,
+    /// The op's cost slot: `2·stage` for a forward, `2·stage + 1` for a
+    /// backward.
+    slot: Vec<u32>,
     /// Previous op on the same compute stream, or [`NONE`].
     stream_pred: Vec<u32>,
     /// Op producing this op's input, or [`NONE`].
     data_pred: Vec<u32>,
-    /// P2P time on the data edge (zero for the loss turn-around).
-    latency: Vec<SimDuration>,
+    /// Whether the data edge crosses a link and so pays P2P time (not
+    /// the loss turn-around, nor an op with no data edge).
+    crosses: Vec<bool>,
     /// Ops whose producer no rank schedules, in program order. They,
     /// and every op that waits on them, never run.
     unresolved: Vec<u32>,
@@ -163,8 +125,7 @@ pub struct PpTiming<const L: usize = 1> {
     /// End of each lane's last compute op: its pipeline makespan. A
     /// transfer is never last, since every transfer feeds a compute op.
     pub makespan: [SimDuration; L],
-    /// Scaled duration of each of the program's distinct base costs,
-    /// per lane.
+    /// Scaled duration of each of the program's cost slots, per lane.
     dur: Vec<[SimDuration; L]>,
 }
 
@@ -194,18 +155,15 @@ impl<const L: usize> PpTiming<L> {
 }
 
 impl PpProgram {
-    /// Compiles `schedule` under `costs`.
+    /// Compiles `schedule`.
     ///
     /// # Errors
     /// Returns [`GraphError::Deadlock`] if the op orders admit no
     /// execution, naming the [stuck](Self::stuck) compute ops: those on
     /// a wait cycle, those waiting on a producer no rank schedules, and
     /// every op queued behind either.
-    pub fn compile(
-        schedule: &PpSchedule,
-        costs: &dyn PpCostModel,
-    ) -> Result<PpProgram, GraphError> {
-        let p = PpProgram::build(schedule, costs);
+    pub fn compile(schedule: &PpSchedule) -> Result<PpProgram, GraphError> {
+        let p = PpProgram::build(schedule);
         if p.is_complete() {
             Ok(p)
         } else {
@@ -215,24 +173,24 @@ impl PpProgram {
         }
     }
 
-    /// Compiles `schedule` under `costs` whether or not it can execute:
-    /// missing and duplicated ops are accepted, and an op order that
-    /// deadlocks leaves its stuck ops out of [`order`](Self::order).
-    /// The pre-flight rules read such programs; only a
+    /// Compiles `schedule` whether or not it can execute: missing and
+    /// duplicated ops are accepted, and an op order that deadlocks
+    /// leaves its stuck ops out of [`order`](Self::order). The
+    /// pre-flight rules read such programs; only a
     /// [complete](Self::is_complete) one may be [run](Self::run).
-    pub fn build(schedule: &PpSchedule, costs: &dyn PpCostModel) -> PpProgram {
+    pub fn build(schedule: &PpSchedule) -> PpProgram {
         let n: usize = schedule.ranks.iter().map(Vec::len).sum();
         let stages = schedule.num_stages() as usize;
         let nmb = schedule.nmb as usize;
         let mut p = PpProgram {
             pp: schedule.pp,
+            stages: schedule.num_stages(),
             rank_start: Vec::with_capacity(schedule.ranks.len() + 1),
             rank: Vec::with_capacity(n),
-            base: Vec::with_capacity(n),
-            bases: Vec::new(),
+            slot: Vec::with_capacity(n),
             stream_pred: Vec::with_capacity(n),
             data_pred: vec![NONE; n],
-            latency: vec![SimDuration::ZERO; n],
+            crosses: vec![false; n],
             unresolved: Vec::new(),
             order: Vec::with_capacity(n),
         };
@@ -241,35 +199,26 @@ impl PpProgram {
         // `(stage, mb)` op is the one wired below.
         let mut fwd_ids = vec![NONE; stages * nmb];
         let mut bwd_ids = vec![NONE; stages * nmb];
-        // Latest entry of `bases` per (stage, direction).
-        let mut last_base = vec![NONE; stages * 2];
         for (ppr, ops) in schedule.ranks.iter().enumerate() {
             let first = p.rank.len() as u32;
             p.rank_start.push(first);
             for op in ops {
                 let i = p.rank.len() as u32;
                 let stage = schedule.stage_of(ppr as u32, op.chunk());
-                let mb = op.mb();
-                let (dur, slot, key) = match op {
-                    PpOp::Forward { .. } => (costs.fwd(stage, mb), &mut fwd_ids, 2 * stage),
-                    PpOp::Backward { .. } => (costs.bwd(stage, mb), &mut bwd_ids, 2 * stage + 1),
+                let (ids, slot) = match op {
+                    PpOp::Forward { .. } => (&mut fwd_ids, 2 * stage),
+                    PpOp::Backward { .. } => (&mut bwd_ids, 2 * stage + 1),
                 };
-                slot[stage as usize * nmb + mb as usize] = i;
-                let b = &mut last_base[key as usize];
-                if *b == NONE || p.bases[*b as usize] != (ppr as u32, dur) {
-                    *b = p.bases.len() as u32;
-                    p.bases.push((ppr as u32, dur));
-                }
-                p.base.push(*b);
+                ids[stage as usize * nmb + op.mb() as usize] = i;
+                p.slot.push(slot);
                 p.rank.push(ppr as u32);
                 p.stream_pred.push(if i == first { NONE } else { i - 1 });
             }
         }
         p.rank_start.push(n as u32);
 
-        // Data edges, with the P2P time of the transfer each one
-        // crosses, in program order so unresolved producers are listed
-        // in that order.
+        // Data edges, and whether each crosses a link, in program order
+        // so unresolved producers are listed in that order.
         let mut i = 0u32;
         for (ppr, ops) in schedule.ranks.iter().enumerate() {
             for op in ops {
@@ -278,21 +227,18 @@ impl PpProgram {
                 let (own, input) = match op {
                     PpOp::Forward { .. } => (
                         fwd_ids[slot],
-                        (stage > 0).then(|| (fwd_ids[slot - nmb], costs.p2p(stage as u32 - 1))),
+                        (stage > 0).then(|| (fwd_ids[slot - nmb], true)),
                     ),
                     PpOp::Backward { .. } if stage == stages - 1 => {
-                        (bwd_ids[slot], Some((fwd_ids[slot], SimDuration::ZERO)))
+                        (bwd_ids[slot], Some((fwd_ids[slot], false)))
                     }
-                    PpOp::Backward { .. } => (
-                        bwd_ids[slot],
-                        Some((bwd_ids[slot + nmb], costs.p2p(stage as u32))),
-                    ),
+                    PpOp::Backward { .. } => (bwd_ids[slot], Some((bwd_ids[slot + nmb], true))),
                 };
                 match input {
                     Some((NONE, _)) if own == i => p.unresolved.push(i),
-                    Some((producer, latency)) if own == i => {
+                    Some((producer, crosses)) if own == i => {
                         p.data_pred[i as usize] = producer;
-                        p.latency[i as usize] = latency;
+                        p.crosses[i as usize] = crosses;
                     }
                     _ => {}
                 }
@@ -402,27 +348,41 @@ impl PpProgram {
         self.rank_start[rank as usize] as usize..self.rank_start[rank as usize + 1] as usize
     }
 
-    /// Times one pass into `t`. `rank_scale[r]` multiplies rank `r`'s
-    /// compute durations (per-rank jitter or throttling); an empty
-    /// slice means no scaling, and transfers are never scaled. The
-    /// one-lane instance of [`run_lanes`](Self::run_lanes), and the
-    /// only one that records op starts.
-    pub fn run(&self, rank_scale: &[f64], t: &mut PpTiming) {
-        self.run_lanes([rank_scale], t);
+    /// Times one pass under `costs` into `t`. `rank_scale[r]`
+    /// multiplies rank `r`'s compute durations (per-rank jitter or
+    /// throttling); an empty slice means no scaling, and transfers are
+    /// never scaled. The one-lane instance of
+    /// [`run_lanes`](Self::run_lanes), and the only one that records op
+    /// starts.
+    pub fn run(&self, costs: &TableCosts, rank_scale: &[f64], t: &mut PpTiming) {
+        self.run_lanes(costs, [rank_scale], t);
     }
 
-    /// Times `L` passes at once into `t`, lane `k` under per-rank
-    /// compute scales `rank_scale[k]` (as in [`run`](Self::run)). The
-    /// walk over [`order`](Self::order) loads each op's edges, latency,
-    /// cost and rank once for all lanes, and each lane does exactly the
-    /// integer operations of a one-lane pass, so lane `k` equals
-    /// `run(rank_scale[k])` bit for bit.
-    pub fn run_lanes<const L: usize>(&self, rank_scale: [&[f64]; L], t: &mut PpTiming<L>) {
+    /// Times `L` passes under `costs` at once into `t`, lane `k` under
+    /// per-rank compute scales `rank_scale[k]` (as in [`run`](Self::run)).
+    /// `costs` needs an entry for each of the schedule's stages. Each
+    /// lane scales each `(stage, direction)` cost once; the walk over
+    /// [`order`](Self::order) loads each op's edges, cost slot and rank
+    /// once for all lanes, and each lane does exactly the integer
+    /// operations of a one-lane pass, so lane `k` equals
+    /// `run(costs, rank_scale[k])` bit for bit.
+    pub fn run_lanes<const L: usize>(
+        &self,
+        costs: &TableCosts,
+        rank_scale: [&[f64]; L],
+        t: &mut PpTiming<L>,
+    ) {
         debug_assert!(self.is_complete(), "only a complete program runs");
         t.dur.clear();
-        t.dur.extend(self.bases.iter().map(|&(r, d)| {
-            rank_scale.map(|s| scaled(d, s.get(r as usize).copied().unwrap_or(1.0)))
-        }));
+        for s in 0..self.stages as usize {
+            // Stage `s` runs on rank `s mod pp` (interleaved placement).
+            let r = s % self.pp as usize;
+            for d in [costs.fwd[s], costs.bwd[s]] {
+                t.dur
+                    .push(rank_scale.map(|sc| scaled(d, sc.get(r).copied().unwrap_or(1.0))));
+            }
+        }
+        let hop = [SimDuration::ZERO, costs.p2p];
         // Nothing is cleared: the pass follows a topological order of
         // every op, so each end is written before an op reads it.
         let n = self.rank.len();
@@ -439,12 +399,12 @@ impl PpProgram {
             };
             let d = self.data_pred[i];
             if d != NONE {
-                let (ready, latency) = (&t.end[d as usize], self.latency[i]);
+                let (ready, latency) = (&t.end[d as usize], hop[usize::from(self.crosses[i])]);
                 for (s, &e) in start.iter_mut().zip(ready) {
                     *s = (*s).max(e + latency);
                 }
             }
-            let dur = &t.dur[self.base[i] as usize];
+            let dur = &t.dur[self.slot[i] as usize];
             let compute = &mut t.compute[self.rank[i] as usize];
             let mut end = [SimTime::ZERO; L];
             for k in 0..L {
@@ -480,22 +440,19 @@ mod tests {
         SimDuration::from_micros(n)
     }
 
-    fn uniform(p2p_us: u64) -> UniformCosts {
-        UniformCosts {
-            fwd: us(100),
-            bwd: us(200),
-            p2p: us(p2p_us),
-        }
+    /// 100 µs forward and 200 µs backward on each of `s`'s stages.
+    fn uniform(s: &PpSchedule, p2p_us: u64) -> TableCosts {
+        TableCosts::uniform(s.num_stages(), us(100), us(200), us(p2p_us))
     }
 
-    /// One unscaled pass over `s` compiled under `costs`.
-    fn timed(s: &PpSchedule, costs: &dyn PpCostModel) -> Result<PpTiming, GraphError> {
+    /// One unscaled pass over `s` under `costs`.
+    fn timed(s: &PpSchedule, costs: &TableCosts) -> Result<PpTiming, GraphError> {
         let mut t = PpTiming::default();
-        PpProgram::compile(s, costs)?.run(&[], &mut t);
+        PpProgram::compile(s)?.run(costs, &[], &mut t);
         Ok(t)
     }
 
-    fn makespan(s: &PpSchedule, costs: &dyn PpCostModel) -> SimDuration {
+    fn makespan(s: &PpSchedule, costs: &TableCosts) -> SimDuration {
         timed(s, costs).unwrap().makespan[0]
     }
 
@@ -510,7 +467,7 @@ mod tests {
                         let s =
                             PpSchedule::build(ScheduleKind::Flexible { nc }, pp, v, nmb).unwrap();
                         s.assert_well_formed();
-                        let r = PpProgram::compile(&s, &uniform(5));
+                        let r = PpProgram::compile(&s);
                         assert!(r.is_ok(), "deadlock at pp={pp} v={v} nmb={nmb} nc={nc}");
                     }
                 }
@@ -523,7 +480,7 @@ mod tests {
         // Makespan is at least (fwd+bwd)·nmb·v (one rank's work) and
         // approaches it as nmb grows.
         let s = PpSchedule::build(ScheduleKind::Interleaved1F1B, 4, 2, 32).unwrap();
-        let makespan = makespan(&s, &uniform(0));
+        let makespan = makespan(&s, &uniform(&s, 0));
         let work = us(300) * (32 * 2) as u64;
         assert!(makespan >= work);
         assert!(makespan.as_secs_f64() < work.as_secs_f64() * 1.25);
@@ -535,7 +492,7 @@ mod tests {
         // with zero-cost P2P.
         for (pp, v, nmb) in [(4u32, 2u32, 16u32), (4, 2, 32), (8, 2, 32)] {
             let s = PpSchedule::build(ScheduleKind::Interleaved1F1B, pp, v, nmb).unwrap();
-            let r = timed(&s, &uniform(0)).unwrap();
+            let r = timed(&s, &uniform(&s, 0)).unwrap();
             let analytic = s.analytic_bubble_ratio();
             let measured = r.bubble_ratio(0, 0);
             assert!(
@@ -549,7 +506,7 @@ mod tests {
     fn more_microbatches_shrink_bubble() {
         let max_bubble = |nmb| {
             let s = PpSchedule::build(ScheduleKind::Interleaved1F1B, 4, 2, nmb).unwrap();
-            let t = timed(&s, &uniform(0)).unwrap();
+            let t = timed(&s, &uniform(&s, 0)).unwrap();
             (0..4).map(|r| t.bubble_ratio(0, r)).fold(0.0, f64::max)
         };
         assert!(max_bubble(32) < max_bubble(8));
@@ -559,7 +516,7 @@ mod tests {
     fn exposed_p2p_slows_1f1b_and_extra_warmup_hides_it() {
         // Fig 3: with significant P2P cost, nc > pp (extra warm-up
         // micro-batches) reduces the makespan versus nc = pp.
-        let cost = uniform(60); // P2P comparable to compute
+        let cost = TableCosts::uniform(8, us(100), us(200), us(60)); // P2P comparable to compute
         let nmb = 12;
         let classic = makespan(
             &PpSchedule::build(ScheduleKind::Flexible { nc: 4 }, 4, 2, nmb).unwrap(),
@@ -579,7 +536,7 @@ mod tests {
     fn afab_fastest_but_memory_heaviest_with_exposed_p2p() {
         // Fig 9's ordering: AFAB ≥ flexible ≥ 1F1B in throughput;
         // reverse in memory.
-        let cost = uniform(60);
+        let cost = TableCosts::uniform(8, us(100), us(200), us(60));
         let nmb = 12;
         let s_1f1b = PpSchedule::build(ScheduleKind::Flexible { nc: 4 }, 4, 2, nmb).unwrap();
         let s_flex = PpSchedule::build(ScheduleKind::Flexible { nc: 6 }, 4, 2, nmb).unwrap();
@@ -611,7 +568,7 @@ mod tests {
             bwd,
             p2p: SimDuration::ZERO,
         };
-        let balanced = uniform(0);
+        let balanced = uniform(&s, 0);
         let r_heavy = timed(&s, &heavy).unwrap();
         let r_bal = timed(&s, &balanced).unwrap();
         assert!(r_heavy.makespan > r_bal.makespan);
@@ -623,7 +580,7 @@ mod tests {
     fn single_microbatch_serializes() {
         let s = PpSchedule::build(ScheduleKind::Flexible { nc: 1 }, 4, 1, 1).unwrap();
         // 4 forwards then 4 backwards in sequence.
-        assert_eq!(makespan(&s, &uniform(0)), us(100) * 4 + us(200) * 4);
+        assert_eq!(makespan(&s, &uniform(&s, 0)), us(100) * 4 + us(200) * 4);
     }
 
     /// Re-running a program reuses the timing buffers and gives the
@@ -631,12 +588,12 @@ mod tests {
     #[test]
     fn passes_are_repeatable_and_unit_scale_is_exact() {
         let s = PpSchedule::build(ScheduleKind::Flexible { nc: 3 }, 4, 2, 8).unwrap();
-        let program = PpProgram::compile(&s, &uniform(5)).unwrap();
+        let (program, costs) = (PpProgram::compile(&s).unwrap(), uniform(&s, 5));
         let (mut a, mut b) = (PpTiming::default(), PpTiming::default());
-        program.run(&[], &mut a);
-        program.run(&[1.3, 1.0, 1.1, 1.2], &mut b);
+        program.run(&costs, &[], &mut a);
+        program.run(&costs, &[1.3, 1.0, 1.1, 1.2], &mut b);
         assert!(b.makespan[0] > a.makespan[0]);
-        program.run(&[1.0; 4], &mut b);
+        program.run(&costs, &[1.0; 4], &mut b);
         assert_eq!((a.start, a.end, a.compute), (b.start, b.end, b.compute));
     }
 
@@ -671,7 +628,7 @@ mod tests {
                     bwd: (0..stages).map(|i| us(170 + 29 * i as u64)).collect(),
                     p2p: us(7),
                 };
-                let program = PpProgram::compile(&s, &costs).unwrap();
+                let program = PpProgram::compile(&s).unwrap();
                 let jitter =
                     |d: usize, r: u32| 1.0 + 0.05 * ((d * 7 + r as usize * 3) % 11) as f64 / 11.0;
                 let unit = vec![1.0; pp as usize];
@@ -687,29 +644,32 @@ mod tests {
                 ];
                 for (label, lanes, singles) in cases {
                     let ctx = format!("{kind:?} pp={pp} v={v} {label}");
-                    check_lanes(&program, &lanes, &singles, &mut two, &mut one, &ctx);
-                    check_lanes(&program, &lanes, &singles, &mut four, &mut one, &ctx);
-                    check_lanes(&program, &lanes, &singles, &mut wide, &mut one, &ctx);
+                    let (p, c) = (&program, &costs);
+                    check_lanes(p, c, &lanes, &singles, &mut two, &mut one, &ctx);
+                    check_lanes(p, c, &lanes, &singles, &mut four, &mut one, &ctx);
+                    check_lanes(p, c, &lanes, &singles, &mut wide, &mut one, &ctx);
                 }
             }
         }
     }
 
-    /// Runs the first `L` of `lanes` in one pass and checks lane `k`
-    /// against a one-lane pass under `singles[k]`.
+    /// Runs the first `L` of `lanes` in one pass of `program` under
+    /// `costs` and checks lane `k` against a one-lane pass under
+    /// `singles[k]`.
     fn check_lanes<const L: usize>(
         program: &PpProgram,
+        costs: &TableCosts,
         lanes: &[&[f64]],
         singles: &[&[f64]],
         t: &mut PpTiming<L>,
         one: &mut PpTiming,
         ctx: &str,
     ) {
-        program.run_lanes(std::array::from_fn(|k| lanes[k]), t);
+        program.run_lanes(costs, std::array::from_fn(|k| lanes[k]), t);
         assert!(t.start.is_empty());
         for (k, &scales) in singles[..L].iter().enumerate() {
             let ctx = format!("{ctx} lane {k} of {L}");
-            program.run(scales, one);
+            program.run(costs, scales, one);
             for i in 0..program.len() {
                 assert_eq!(t.end[i][k], one.end[i][0], "{ctx}: op {i}");
             }
@@ -736,15 +696,13 @@ mod tests {
     fn missing_producer_is_a_deadlock() {
         let mut s = PpSchedule::build(ScheduleKind::AllFwdAllBwd, 2, 1, 2).unwrap();
         s.ranks[0].retain(|op| *op != PpOp::Forward { chunk: 0, mb: 1 });
-        for p2p in [0, 5] {
-            let program = PpProgram::build(&s, &uniform(p2p));
-            assert_eq!(program.unresolved().collect::<Vec<_>>(), [4]);
-            // Rank 0 runs F0.0 B0.0 B0.1 (ops 0-2); rank 1 runs F0.0
-            // F0.1 B0.0 B0.1 (ops 3-6).
-            let stuck = [1, 2, 4, 5, 6].map(OpId::from_index).to_vec();
-            assert_eq!(program.stuck().collect::<Vec<_>>(), [1, 2, 4, 5, 6]);
-            let expected = GraphError::Deadlock(stuck);
-            assert_eq!(PpProgram::compile(&s, &uniform(p2p)).unwrap_err(), expected);
-        }
+        let program = PpProgram::build(&s);
+        assert_eq!(program.unresolved().collect::<Vec<_>>(), [4]);
+        // Rank 0 runs F0.0 B0.0 B0.1 (ops 0-2); rank 1 runs F0.0 F0.1
+        // B0.0 B0.1 (ops 3-6).
+        let stuck = [1, 2, 4, 5, 6].map(OpId::from_index).to_vec();
+        assert_eq!(program.stuck().collect::<Vec<_>>(), [1, 2, 4, 5, 6]);
+        let expected = GraphError::Deadlock(stuck);
+        assert_eq!(PpProgram::compile(&s).unwrap_err(), expected);
     }
 }

@@ -58,6 +58,7 @@ use crate::mesh::Mesh4D;
 use crate::planner::{PlanError, PlannerInput};
 use crate::pp::balance::{BalancePolicy, StageAssignment};
 use crate::pp::schedule::{PpSchedule, ScheduleKind};
+use crate::pp::sim::PpProgram;
 use crate::run::{CheckpointPolicy, RunSimulator};
 use crate::step::{SimOptions, StepModel, Workload};
 use cluster_model::faults::{FaultRates, FaultTimeline};
@@ -808,7 +809,7 @@ impl<'a> Resolver<'a> {
             cands,
             |c| sched_key(spec, c),
             |_, sched| {
-                let program = analyze::compile(sched);
+                let program = PpProgram::build(sched);
                 clean(&analyze::deadlock::check_program(sched, &program))
                     && clean(&analyze::race::check_program(sched, &program))
             },

@@ -274,8 +274,9 @@ impl StepReport {
 /// Per-stage forward/backward times and communication components.
 #[derive(Debug, Clone)]
 struct StageTimes {
-    fwd: Vec<SimDuration>,
-    bwd: Vec<SimDuration>,
+    /// The costs a pipeline pass binds: per-stage forward and backward
+    /// times and the inter-stage P2P time.
+    costs: TableCosts,
     /// Exposed TP time already folded into fwd+bwd, kept for reporting.
     tp_total: SimDuration,
     /// Exposed CP time folded in, kept for reporting.
@@ -433,27 +434,29 @@ impl StepModel {
             bwd.push(b);
         }
         StageTimes {
-            fwd,
-            bwd,
+            costs: TableCosts {
+                fwd,
+                bwd,
+                p2p: self.stage_p2p_time(),
+            },
             tp_total,
             cp_total,
             cp_wait,
         }
     }
 
-    /// Public view of the per-stage forward/backward times for one
-    /// micro-batch (TP and CP communication folded in). Used by the
-    /// multimodal composer to overlay encoder work on the text
-    /// pipeline (§3.2).
-    pub fn stage_costs(&self) -> (Vec<SimDuration>, Vec<SimDuration>) {
-        let t = self.stage_times();
-        (t.fwd, t.bwd)
+    /// Public view of the costs a pass over this step's pipeline
+    /// program binds: per-stage forward/backward times for one
+    /// micro-batch (TP and CP communication folded in) and the P2P time
+    /// of the inter-stage boundary activation. Used by the multimodal
+    /// composer to overlay encoder work on the text pipeline (§3.2).
+    pub fn stage_costs(&self) -> TableCosts {
+        self.stage_times().costs
     }
 
     /// P2P time of the inter-stage boundary activation for one
-    /// micro-batch. Public for composers that compile their own
-    /// [`PpProgram`].
-    pub fn stage_p2p_time(&self) -> SimDuration {
+    /// micro-batch.
+    fn stage_p2p_time(&self) -> SimDuration {
         let tokens = self.seq / self.mesh.cp() as u64;
         let bytes = mem::boundary_activation_bytes_per_token(&self.layout.cfg) * tokens
             / self.mesh.tp() as u64;
@@ -505,8 +508,7 @@ impl StepModel {
     /// Unscaled program durations are the stage costs bit for bit, so
     /// the sums are exact in integer nanoseconds.
     pub fn step_time_bound(&self) -> SimDuration {
-        let t = self.stage_times();
-        let p2p = self.stage_p2p_time();
+        let t = self.stage_times().costs;
         let pp = self.mesh.pp();
         let mut hops = SimDuration::ZERO;
         let mut bound = SimDuration::ZERO;
@@ -519,7 +521,7 @@ impl StepModel {
                 .sum();
             bound = bound.max(hops + per_mb * u64::from(self.nmb()));
             let r = r as usize;
-            hops += t.fwd[r] + t.bwd[r] + p2p * 2;
+            hops += t.fwd[r] + t.bwd[r] + t.p2p * 2;
         }
         bound + self.dp_exposed()
     }
@@ -595,22 +597,24 @@ impl StepModel {
         scale: Option<&dyn Fn(u32, u32) -> f64>,
         trace: bool,
     ) -> Result<StepOutcome, SimError> {
-        let times = self.stage_times();
+        let mut times = self.stage_times();
         let sched = self.schedule()?;
-        let mut costs = TableCosts {
-            fwd: times.fwd.clone(),
-            bwd: times.bwd.clone(),
-            p2p: self.stage_p2p_time(),
-        };
         let mut dp_cost = self.dp_exposed();
         if comm_stretch != 1.0 {
-            costs.p2p = costs.p2p.scale(comm_stretch);
+            times.costs.p2p = times.costs.p2p.scale(comm_stretch);
             dp_cost = dp_cost.scale(comm_stretch);
         }
-        let program = PpProgram::compile(&sched, &costs)?;
+        let program = PpProgram::compile(&sched)?;
         let mut one = PpTiming::default();
-        let (makespan, bubbles) =
-            time_replicas(&program, replicas, self.mesh.pp(), scale, &mut one, trace);
+        let (makespan, bubbles) = time_replicas(
+            &program,
+            &times.costs,
+            replicas,
+            self.mesh.pp(),
+            scale,
+            &mut one,
+            trace,
+        );
         Ok(StepOutcome {
             report: self.report_from(makespan + dp_cost, bubbles, &times, dp_cost, &sched),
             trace: trace.then(|| pipeline_trace(&sched, &program, &one)),
@@ -723,8 +727,9 @@ impl StepModel {
     }
 }
 
-/// Times `replicas` DP replicas on `program`: replica `d`'s pipeline
-/// rank `r` computes `scale(d, r)×` slower (`None` = no scaling).
+/// Times `replicas` DP replicas on `program` under `costs`: replica
+/// `d`'s pipeline rank `r` computes `scale(d, r)×` slower (`None` = no
+/// scaling).
 /// Chunks of [`LANES`] replicas share a pass; a short last chunk takes
 /// the narrowest of 1, 2, 4 and [`LANES`] lanes that holds it, since
 /// lanes cost even when spare. On the probe-size 405B step (`dp = 2`,
@@ -740,6 +745,7 @@ impl StepModel {
 /// rerun on one lane under its own scales.
 fn time_replicas(
     program: &PpProgram,
+    costs: &TableCosts,
     replicas: u32,
     pp: u32,
     scale: Option<&dyn Fn(u32, u32) -> f64>,
@@ -748,6 +754,7 @@ fn time_replicas(
 ) -> (SimDuration, Vec<f64>) {
     let mut timer = ReplicaTimer {
         program,
+        costs,
         pp,
         scale,
         scales: Vec::new(),
@@ -774,6 +781,7 @@ fn time_replicas(
 /// The running worst of [`time_replicas`]'s passes.
 struct ReplicaTimer<'a> {
     program: &'a PpProgram,
+    costs: &'a TableCosts,
     pp: u32,
     scale: Option<&'a dyn Fn(u32, u32) -> f64>,
     /// Lane `k`'s per-rank scales at `k * pp..`; empty when unscaled.
@@ -799,6 +807,7 @@ impl ReplicaTimer<'_> {
         }
         let scales = &self.scales;
         self.program.run_lanes(
+            self.costs,
             std::array::from_fn(|k| &scales[k * width..(k + 1) * width]),
             t,
         );

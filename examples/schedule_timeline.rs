@@ -39,14 +39,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Fig 2: a 6-layer model on 3 ranks, v = 2, 6 micro-batches, nc = 3.
     println!("Fig 2 schedule (pp=3, v=2, nmb=6, nc=3), 1F1B with warm-up:\n");
     let sched = PpSchedule::build(ScheduleKind::Flexible { nc: 3 }, 3, 2, 6)?;
-    let costs = UniformCosts {
-        fwd: SimDuration::from_micros(100),
-        bwd: SimDuration::from_micros(200),
-        p2p: SimDuration::from_micros(10),
-    };
-    let program = PpProgram::compile(&sched, &costs)?;
+    let us = SimDuration::from_micros;
+    let costs = TableCosts::uniform(sched.num_stages(), us(100), us(200), us(10));
+    let program = PpProgram::compile(&sched)?;
     let mut t = PpTiming::default();
-    program.run(&[], &mut t);
+    program.run(&costs, &[], &mut t);
     render_ascii(&sched, &program, &t);
     println!(
         "\nbubble ratios per rank: {:?}",
@@ -58,8 +55,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The same pipeline as all-forward-all-backward, for contrast.
     println!("\nall-forward-all-backward on the same problem:\n");
     let afab = PpSchedule::build(ScheduleKind::AllFwdAllBwd, 3, 2, 6)?;
-    let afab_program = PpProgram::compile(&afab, &costs)?;
-    afab_program.run(&[], &mut t);
+    let afab_program = PpProgram::compile(&afab)?;
+    afab_program.run(&costs, &[], &mut t);
     render_ascii(&afab, &afab_program, &t);
 
     // Export a production-scale step to chrome://tracing.

@@ -96,7 +96,7 @@ pub mod prelude {
     pub use parallelism_core::planner::{plan, Plan, PlanError, PlannerInput};
     pub use parallelism_core::pp::balance::{BalancePolicy, StageAssignment};
     pub use parallelism_core::pp::schedule::{PpSchedule, ScheduleKind};
-    pub use parallelism_core::pp::sim::{PpProgram, PpTiming, UniformCosts};
+    pub use parallelism_core::pp::sim::{PpProgram, PpTiming, TableCosts};
     pub use parallelism_core::query::{
         AnalyzeMode, InferQuery, InferResponse, Query, QueryError, Response, SearchQuery,
         StatsResponse, TraceMode, TraceQuery, TraceResponse, QUERY_API_VERSION,

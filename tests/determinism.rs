@@ -195,6 +195,59 @@ fn jittered_full_8k_gpu_reports_are_pinned() {
     }
 }
 
+/// The 8K-GPU step at `bs = 32` runs flexible 1F1B (`nmb = 2·pp`),
+/// where the loss turn-around (a last-stage backward waiting on its own
+/// forward) is on the critical path; the `bs = 16` pins above run
+/// all-forward-all-backward, where it never is. The healthy folded run
+/// and one jittered full run keep their exact step time in nanoseconds
+/// and each rank's bubble ratio as `f64` bits.
+#[test]
+fn one_f_one_b_8k_gpu_reports_are_pinned() {
+    use bench_harness::configs::production_8k_gpu_step;
+    use llama3_parallelism::core::step::SimOptions;
+    use llama3_parallelism::prelude::{JitterKind, JitterModel};
+
+    // Healthy, every middle rank idles alike.
+    let mut folded = [0x3fb24e0acab8d093; 16];
+    (folded[0], folded[15]) = (0x3fccb8534fd27647, 0x3fbdfcfc7cb9233e);
+    let jittered = [
+        0x3fd0cb7281d6bf7a,
+        0x3fbb4ff73d65bf90,
+        0x3fbb950c534fe4b6,
+        0x3fbb7d6e1515dad7,
+        0x3fbbb000c641aad8,
+        0x3fba9b14cafb25e4,
+        0x3fbbf8b021ff9967,
+        0x3fbbd4388e528e73,
+        0x3fbc245e767f76b6,
+        0x3fb96c7ba83628ce,
+        0x3fbb0b66ea05ffc3,
+        0x3fbb3540c6da2d78,
+        0x3fbb0394fd99d782,
+        0x3fbcb799bdc42b99,
+        0x3fba60df3e40dbc0,
+        0x3fc3262e90bc7d45,
+    ];
+    let step = production_8k_gpu_step(32);
+    let jitter = JitterModel::new(JitterKind::Transient, 0.05, 1);
+    for (opts, step_ns, bubbles) in [
+        (SimOptions::new(), 11_087_608_467, &folded[..]),
+        (
+            SimOptions::new().jitter(jitter).step(1),
+            11_526_208_078,
+            &jittered[..],
+        ),
+    ] {
+        let report = step.run(&opts).expect("valid step").report;
+        let bits: Vec<u64> = report.bubble_ratio.iter().map(|b| b.to_bits()).collect();
+        assert_eq!(
+            (report.step_time.as_nanos(), bits.as_slice()),
+            (step_ns, bubbles),
+            "{opts:?}"
+        );
+    }
+}
+
 /// A small 4D step shared by the fault/goodput determinism tests.
 fn fault_test_step(
     cfg: llama3_parallelism::model::TransformerConfig,

@@ -3,7 +3,7 @@
 use llama3_parallelism::core::cp::CpSharding;
 use llama3_parallelism::core::mesh::{Dim, Mesh4D};
 use llama3_parallelism::core::pp::schedule::{PpSchedule, ScheduleKind};
-use llama3_parallelism::core::pp::sim::{PpProgram, PpTiming, UniformCosts};
+use llama3_parallelism::core::pp::sim::{PpProgram, PpTiming, TableCosts};
 use llama3_parallelism::model::MaskSpec;
 use llama3_parallelism::sim::fluid::{FluidNet, Transfer};
 use llama3_parallelism::sim::time::{SimDuration, SimTime};
@@ -23,13 +23,10 @@ proptest! {
         let nc = nc_seed % nmb + 1;
         let sched = PpSchedule::build(ScheduleKind::Flexible { nc }, pp, v, nmb).unwrap();
         sched.assert_well_formed();
-        let costs = UniformCosts {
-            fwd: SimDuration::from_micros(100),
-            bwd: SimDuration::from_micros(200),
-            p2p: SimDuration::from_micros(p2p_us),
-        };
+        let us = SimDuration::from_micros;
+        let costs = TableCosts::uniform(sched.num_stages(), us(100), us(200), us(p2p_us));
         let mut t = PpTiming::default();
-        PpProgram::compile(&sched, &costs).expect("deadlock-free").run(&[], &mut t);
+        PpProgram::compile(&sched).expect("deadlock-free").run(&costs, &[], &mut t);
         // Makespan at least the per-rank compute lower bound.
         let work = SimDuration::from_micros(300) * (nmb as u64 * v as u64);
         prop_assert!(t.makespan[0] >= work);
