@@ -24,4 +24,7 @@ pub mod sharded;
 
 pub use cost::{cost_cache_stats, Algorithm, CommCostModel};
 pub use group::{GroupShape, ProcessGroup};
+/// The checkable lock facade every process-wide memo locks through
+/// (see [`sharded`]), for memo layers built above this crate.
+pub use interleave::sync;
 pub use sharded::{CacheStats, ShardedCache};

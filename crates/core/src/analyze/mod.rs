@@ -389,7 +389,7 @@ pub fn analyze_step(m: &StepModel) -> Report {
             return report;
         }
     };
-    let program = PpProgram::build(&sched);
+    let program = PpProgram::shared(&sched);
     report
         .diagnostics
         .extend(deadlock::check_program(&sched, &program));

@@ -15,11 +15,24 @@
 //! same schedule onto the timing-graph engine, with every cross-stage
 //! transfer as an op on its own link stream (Fig 3), and checks the
 //! program against it.
+//!
+//! A program is a pure function of its schedule's shape (kind with
+//! `nc`, `pp`, `v`, `nmb`), so every step, pre-flight verdict and
+//! analysis of one shape shares one:
+//! [`StepModel::program`](crate::step::StepModel::program) serves it
+//! from a process-wide memo of at most [`PROGRAM_MEMO_OPS`] ops, most
+//! recently used first ([`program_cache_stats`] counts its traffic).
+//! Deadlocking shapes are memoized like any other. A schedule built
+//! any other way (an edited copy, say) is compiled on its own with
+//! [`PpProgram::compile`] or [`PpProgram::build`].
 
-use super::schedule::{PpOp, PpSchedule};
+use super::schedule::{PpOp, PpSchedule, ScheduleKind};
+use collectives::sync::{lock_or_recover, Mutex};
+use collectives::CacheStats;
 use sim_engine::graph::{GraphError, OpId};
 use sim_engine::time::{SimDuration, SimTime};
 use std::ops::Range;
+use std::sync::{Arc, LazyLock};
 
 /// The costs a [`PpProgram`] pass binds: per-stage forward and backward
 /// compute times for one micro-batch (imbalanced first/last stages
@@ -46,8 +59,14 @@ impl TableCosts {
     }
 }
 
-/// "No such op" in [`PpProgram`]'s predecessor arrays.
-const NONE: u32 = u32::MAX;
+/// "No such op" in [`PpProgram`]'s `data` words (the low 31 bits).
+const NONE: u32 = u32::MAX >> 1;
+/// Set in a `slot` word when the op is the first on its rank, so it
+/// has no stream predecessor; every other op waits on op `i − 1`.
+const FIRST: u32 = 1 << 31;
+/// Set in a `data` word when the data edge crosses a link and so pays
+/// P2P time (not the loss turn-around).
+const CROSSES: u32 = 1 << 31;
 
 /// A pipeline schedule's shape compiled into flat per-compute-op
 /// arrays, timed under a [`TableCosts`] by linear passes over sets of
@@ -74,25 +93,29 @@ const NONE: u32 = u32::MAX;
 /// building or executing a graph. The
 /// same reasoning makes the program's happens-before relation the
 /// engine's: a transfer never changes which ops reach which.
-#[derive(Debug, Clone)]
+///
+/// # Layout
+///
+/// Four `u32` words per op, 16 bytes: one record of its rank, its cost
+/// slot with a first-on-rank bit (the stream predecessor is otherwise
+/// `i − 1`) and its data producer with a crosses-a-link bit, so a pass
+/// loads an op's waits and slot together; and its place in Kahn's
+/// order. Per rank and per cost slot there is one word more (where the
+/// rank's ops start, how many ops pay the slot), and one per op the
+/// schedule leaves unresolved. The rank is stored, not derived from the
+/// slot, because the race rule asks for it in its inner loops.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PpProgram {
     pp: u32,
     /// Global stage count; a pass binds `2 · stages` cost slots.
     stages: u32,
     /// First op of each rank, plus the op count at index `pp`.
     rank_start: Vec<u32>,
-    /// Pipeline rank running the op.
-    rank: Vec<u32>,
-    /// The op's cost slot: `2·stage` for a forward, `2·stage + 1` for a
-    /// backward.
-    slot: Vec<u32>,
-    /// Previous op on the same compute stream, or [`NONE`].
-    stream_pred: Vec<u32>,
-    /// Op producing this op's input, or [`NONE`].
-    data_pred: Vec<u32>,
-    /// Whether the data edge crosses a link and so pays P2P time (not
-    /// the loss turn-around, nor an op with no data edge).
-    crosses: Vec<bool>,
+    /// Each op's rank, cost slot and data producer, in program order.
+    ops: Vec<Op>,
+    /// Ops paying each cost slot. A pass prices each rank's compute
+    /// from these counts rather than per op.
+    slot_ops: Vec<u32>,
     /// Ops whose producer no rank schedules, in program order. They,
     /// and every op that waits on them, never run.
     unresolved: Vec<u32>,
@@ -101,12 +124,78 @@ pub struct PpProgram {
     order: Vec<u32>,
 }
 
-/// The most DP replicas one full-fidelity [`PpProgram::run_lanes`]
-/// pass times at once; one op's eight lane ends fill a 64-byte cache
-/// line. A jittered
-/// 405B / 8K-GPU full step (64 replicas) took 0.59–0.62 ms at eight
-/// lanes, 0.61–0.69 ms at four and 0.71–1.18 ms at sixteen (release
-/// build, 2-core Xeon, three runs each).
+/// One compute op of a [`PpProgram`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Op {
+    /// Pipeline rank running the op.
+    rank: u32,
+    /// The op's cost slot — `2·stage` for a forward, `2·stage + 1` for
+    /// a backward — with [`FIRST`] set on the first op of each rank.
+    slot: u32,
+    /// Op producing this op's input, or [`NONE`], with [`CROSSES`] set
+    /// when the edge pays P2P time.
+    data: u32,
+}
+
+/// The most ops the process-wide program memo holds, summed over its
+/// programs (16 bytes each, see [`PpProgram`]'s layout); a program
+/// larger than this is built each time and never stored. It holds the
+/// 405B / 8K-GPU production step's program (4,096 ops at `bs = 16`,
+/// 8,192 at `bs = 32`). The bound is set by memory, not by hit rate:
+/// on perfbench an unbounded memo raised `peak_rss_mib` by 15–21 % on
+/// `train_step`, `search` and `daemon`, past the benchmark's 10 %
+/// bound; at this budget each stayed within 4 %.
+pub const PROGRAM_MEMO_OPS: usize = 16_384;
+
+/// A schedule's shape: what [`PpSchedule::build`] builds it from.
+/// Compared exactly, field by field (the kind carries `nc`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Shape {
+    kind: ScheduleKind,
+    pp: u32,
+    v: u32,
+    nmb: u32,
+}
+
+/// The program memo: programs most recently used first, within
+/// [`PROGRAM_MEMO_OPS`], with lifetime hit and miss counts. Every
+/// update leaves it valid, so a guard poisoned by a panicking thread is
+/// taken as it is.
+#[derive(Default)]
+struct Programs {
+    mru: Vec<(Shape, Arc<PpProgram>)>,
+    hits: u64,
+    misses: u64,
+}
+
+/// The process-wide program memo behind [`PpProgram::shared`].
+struct ProgramMemo {
+    programs: Mutex<Programs>,
+}
+
+static MEMO: LazyLock<ProgramMemo> = LazyLock::new(|| ProgramMemo {
+    programs: Mutex::new(Programs::default()),
+});
+
+/// The program memo's lifetime hits and misses, and the programs it
+/// holds now.
+pub fn program_cache_stats() -> CacheStats {
+    let p = lock_or_recover(&MEMO.programs);
+    CacheStats {
+        hits: p.hits,
+        misses: p.misses,
+        entries: p.mru.len(),
+    }
+}
+
+/// Empties the program memo (counters kept). Programs are pure
+/// functions of their shapes, so this only costs rebuilding them.
+pub(crate) fn clear_program_cache() {
+    lock_or_recover(&MEMO.programs).mru.clear();
+}
+
+/// Most DP replicas one full-fidelity [`PpProgram::run_lanes`] pass
+/// times at once; one op's eight lane ends fill a 64-byte cache line.
 pub const LANES: usize = 8;
 
 /// Per-op times of one pass over `L` lanes, each lane one set of
@@ -155,7 +244,8 @@ impl<const L: usize> PpTiming<L> {
 }
 
 impl PpProgram {
-    /// Compiles `schedule`.
+    /// Compiles `schedule`: [`build`](Self::build), then
+    /// [`ensure_complete`](Self::ensure_complete).
     ///
     /// # Errors
     /// Returns [`GraphError::Deadlock`] if the op orders admit no
@@ -164,13 +254,54 @@ impl PpProgram {
     /// every op queued behind either.
     pub fn compile(schedule: &PpSchedule) -> Result<PpProgram, GraphError> {
         let p = PpProgram::build(schedule);
-        if p.is_complete() {
-            Ok(p)
-        } else {
-            Err(GraphError::Deadlock(
-                p.stuck().map(OpId::from_index).collect(),
-            ))
+        p.ensure_complete()?;
+        Ok(p)
+    }
+
+    /// The program of `schedule`, built whether or not it can execute
+    /// (as [`build`](Self::build)) and shared through the process-wide
+    /// memo: the first call for a shape builds it, later calls return
+    /// the same program until it is evicted. The memo's lock is never
+    /// held while a program is built; two threads missing on one shape
+    /// both build it, and one copy is kept.
+    ///
+    /// The memo is keyed by the shape alone, so `schedule` must be what
+    /// [`PpSchedule::build`] returns for its own shape fields, never an
+    /// edited copy (debug builds check this on a miss).
+    /// [`StepModel::program`](crate::step::StepModel::program) is the
+    /// public way in.
+    pub(crate) fn shared(schedule: &PpSchedule) -> Arc<PpProgram> {
+        let shape = Shape {
+            kind: schedule.kind,
+            pp: schedule.pp,
+            v: schedule.v,
+            nmb: schedule.nmb,
+        };
+        {
+            let mut memo = lock_or_recover(&MEMO.programs);
+            if let Some(k) = memo.mru.iter().position(|(s, _)| *s == shape) {
+                memo.hits += 1;
+                memo.mru[..=k].rotate_right(1);
+                return Arc::clone(&memo.mru[0].1);
+            }
+            memo.misses += 1;
         }
+        debug_assert_eq!(
+            Ok(schedule),
+            PpSchedule::build(shape.kind, shape.pp, shape.v, shape.nmb).as_ref(),
+            "only a built schedule shares its shape's program"
+        );
+        let program = Arc::new(PpProgram::build(schedule));
+        if program.len() <= PROGRAM_MEMO_OPS {
+            let mut memo = lock_or_recover(&MEMO.programs);
+            if !memo.mru.iter().any(|(s, _)| *s == shape) {
+                memo.mru.insert(0, (shape, Arc::clone(&program)));
+                while memo.mru.iter().map(|(_, p)| p.len()).sum::<usize>() > PROGRAM_MEMO_OPS {
+                    memo.mru.pop();
+                }
+            }
+        }
+        program
     }
 
     /// Compiles `schedule` whether or not it can execute: missing and
@@ -186,11 +317,8 @@ impl PpProgram {
             pp: schedule.pp,
             stages: schedule.num_stages(),
             rank_start: Vec::with_capacity(schedule.ranks.len() + 1),
-            rank: Vec::with_capacity(n),
-            slot: Vec::with_capacity(n),
-            stream_pred: Vec::with_capacity(n),
-            data_pred: vec![NONE; n],
-            crosses: vec![false; n],
+            ops: Vec::with_capacity(n),
+            slot_ops: vec![0; 2 * stages],
             unresolved: Vec::new(),
             order: Vec::with_capacity(n),
         };
@@ -200,19 +328,22 @@ impl PpProgram {
         let mut fwd_ids = vec![NONE; stages * nmb];
         let mut bwd_ids = vec![NONE; stages * nmb];
         for (ppr, ops) in schedule.ranks.iter().enumerate() {
-            let first = p.rank.len() as u32;
+            let first = p.ops.len() as u32;
             p.rank_start.push(first);
             for op in ops {
-                let i = p.rank.len() as u32;
+                let i = p.ops.len() as u32;
                 let stage = schedule.stage_of(ppr as u32, op.chunk());
                 let (ids, slot) = match op {
                     PpOp::Forward { .. } => (&mut fwd_ids, 2 * stage),
                     PpOp::Backward { .. } => (&mut bwd_ids, 2 * stage + 1),
                 };
                 ids[stage as usize * nmb + op.mb() as usize] = i;
-                p.slot.push(slot);
-                p.rank.push(ppr as u32);
-                p.stream_pred.push(if i == first { NONE } else { i - 1 });
+                p.slot_ops[slot as usize] += 1;
+                p.ops.push(Op {
+                    rank: ppr as u32,
+                    slot: if i == first { slot | FIRST } else { slot },
+                    data: NONE,
+                });
             }
         }
         p.rank_start.push(n as u32);
@@ -227,18 +358,17 @@ impl PpProgram {
                 let (own, input) = match op {
                     PpOp::Forward { .. } => (
                         fwd_ids[slot],
-                        (stage > 0).then(|| (fwd_ids[slot - nmb], true)),
+                        (stage > 0).then(|| (fwd_ids[slot - nmb], CROSSES)),
                     ),
                     PpOp::Backward { .. } if stage == stages - 1 => {
-                        (bwd_ids[slot], Some((fwd_ids[slot], false)))
+                        (bwd_ids[slot], Some((fwd_ids[slot], 0)))
                     }
-                    PpOp::Backward { .. } => (bwd_ids[slot], Some((bwd_ids[slot + nmb], true))),
+                    PpOp::Backward { .. } => (bwd_ids[slot], Some((bwd_ids[slot + nmb], CROSSES))),
                 };
                 match input {
                     Some((NONE, _)) if own == i => p.unresolved.push(i),
                     Some((producer, crosses)) if own == i => {
-                        p.data_pred[i as usize] = producer;
-                        p.crosses[i as usize] = crosses;
+                        p.ops[i as usize].data = producer | crosses
                     }
                     _ => {}
                 }
@@ -250,15 +380,15 @@ impl PpProgram {
         // (the next op on its rank); data successors go in a CSR arena.
         // An unresolved op keeps one wait that nothing meets.
         let mut unmet: Vec<u8> = (0..n)
-            .map(|i| u8::from(p.stream_pred[i] != NONE) + u8::from(p.data_pred[i] != NONE))
+            .map(|i| u8::from(p.ops[i].slot & FIRST == 0) + u8::from(p.ops[i].data != NONE))
             .collect();
         for &i in &p.unresolved {
             unmet[i as usize] += 1;
         }
         let mut heads = vec![0u32; n + 1];
-        for &d in &p.data_pred {
+        for &Op { data: d, .. } in &p.ops {
             if d != NONE {
-                heads[d as usize + 1] += 1;
+                heads[(d & !CROSSES) as usize + 1] += 1;
             }
         }
         for i in 0..n {
@@ -266,10 +396,11 @@ impl PpProgram {
         }
         let mut succ = vec![0u32; heads[n] as usize];
         let mut fill = heads[..n].to_vec();
-        for (i, &d) in p.data_pred.iter().enumerate() {
+        for (i, &Op { data: d, .. }) in p.ops.iter().enumerate() {
             if d != NONE {
-                succ[fill[d as usize] as usize] = i as u32;
-                fill[d as usize] += 1;
+                let d = (d & !CROSSES) as usize;
+                succ[fill[d] as usize] = i as u32;
+                fill[d] += 1;
             }
         }
         p.order
@@ -278,7 +409,7 @@ impl PpProgram {
         while let Some(&i) = p.order.get(next) {
             next += 1;
             let i = i as usize;
-            let stream_succ = (i + 1 < n && p.stream_pred[i + 1] == i as u32).then_some(i + 1);
+            let stream_succ = (i + 1 < n && p.ops[i + 1].slot & FIRST == 0).then_some(i + 1);
             let data_succ = succ[heads[i] as usize..heads[i + 1] as usize]
                 .iter()
                 .map(|&j| j as usize);
@@ -294,7 +425,21 @@ impl PpProgram {
 
     /// `true` when every op runs: the schedule executes.
     pub fn is_complete(&self) -> bool {
-        self.order.len() == self.rank.len()
+        self.order.len() == self.ops.len()
+    }
+
+    /// `Ok` when the program is [complete](Self::is_complete).
+    ///
+    /// # Errors
+    /// [`GraphError::Deadlock`] naming the [stuck](Self::stuck) ops.
+    pub fn ensure_complete(&self) -> Result<(), GraphError> {
+        if self.is_complete() {
+            Ok(())
+        } else {
+            Err(GraphError::Deadlock(
+                self.stuck().map(OpId::from_index).collect(),
+            ))
+        }
     }
 
     /// Kahn's topological order of the ops that can run (all of them
@@ -306,11 +451,11 @@ impl PpProgram {
     /// The ops that never run, in program order: those waiting on an
     /// [unresolved](Self::unresolved) producer or on a cycle.
     pub fn stuck(&self) -> impl Iterator<Item = usize> + '_ {
-        let mut runs = vec![false; self.rank.len()];
+        let mut runs = vec![false; self.ops.len()];
         for &i in &self.order {
             runs[i as usize] = true;
         }
-        (0..self.rank.len()).filter(move |&i| !runs[i])
+        (0..self.ops.len()).filter(move |&i| !runs[i])
     }
 
     /// Ops waiting on a producer no rank schedules, in program order.
@@ -320,27 +465,28 @@ impl PpProgram {
 
     /// The pipeline rank running op `i`.
     pub fn rank_of(&self, i: usize) -> u32 {
-        self.rank[i]
+        self.ops[i].rank
     }
 
     /// The previous op on op `i`'s compute stream.
     pub fn stream_pred(&self, i: usize) -> Option<usize> {
-        (self.stream_pred[i] != NONE).then_some(self.stream_pred[i] as usize)
+        (self.ops[i].slot & FIRST == 0).then(|| i - 1)
     }
 
     /// The op producing op `i`'s input.
     pub fn data_pred(&self, i: usize) -> Option<usize> {
-        (self.data_pred[i] != NONE).then_some(self.data_pred[i] as usize)
+        let d = self.ops[i].data & !CROSSES;
+        (d != NONE).then_some(d as usize)
     }
 
     /// Number of compute ops.
     pub fn len(&self) -> usize {
-        self.rank.len()
+        self.ops.len()
     }
 
     /// `true` for a schedule with no ops.
     pub fn is_empty(&self) -> bool {
-        self.rank.is_empty()
+        self.ops.is_empty()
     }
 
     /// Program indices of rank `rank`'s ops, in the order it runs them.
@@ -362,10 +508,15 @@ impl PpProgram {
     /// per-rank compute scales `rank_scale[k]` (as in [`run`](Self::run)).
     /// `costs` needs an entry for each of the schedule's stages. Each
     /// lane scales each `(stage, direction)` cost once; the walk over
-    /// [`order`](Self::order) loads each op's edges, cost slot and rank
-    /// once for all lanes, and each lane does exactly the integer
-    /// operations of a one-lane pass, so lane `k` equals
-    /// `run(costs, rank_scale[k])` bit for bit.
+    /// [`order`](Self::order) loads each op's edges and cost slot once
+    /// for all lanes, and each lane does exactly the integer operations
+    /// of a one-lane pass, so lane `k` equals `run(costs, rank_scale[k])`
+    /// bit for bit.
+    ///
+    /// Per-rank compute is each slot's scaled cost times the ops paying
+    /// it, which is the sum of those ops' durations short of saturating
+    /// `u64` nanoseconds. The makespan is the latest of each rank's
+    /// last op: a rank's ends never decrease along its stream.
     pub fn run_lanes<const L: usize>(
         &self,
         costs: &TableCosts,
@@ -373,48 +524,59 @@ impl PpProgram {
         t: &mut PpTiming<L>,
     ) {
         debug_assert!(self.is_complete(), "only a complete program runs");
+        let pp = self.pp as usize;
         t.dur.clear();
         for s in 0..self.stages as usize {
             // Stage `s` runs on rank `s mod pp` (interleaved placement).
-            let r = s % self.pp as usize;
+            let r = s % pp;
             for d in [costs.fwd[s], costs.bwd[s]] {
                 t.dur
                     .push(rank_scale.map(|sc| scaled(d, sc.get(r).copied().unwrap_or(1.0))));
             }
         }
-        let hop = [SimDuration::ZERO, costs.p2p];
         // Nothing is cleared: the pass follows a topological order of
         // every op, so each end is written before an op reads it.
-        let n = self.rank.len();
+        let n = self.ops.len();
         t.end.resize(n, [SimTime::ZERO; L]);
         t.start.resize(if L == 1 { n } else { 0 }, SimTime::ZERO);
-        t.compute.clear();
-        t.compute.resize(self.pp as usize, [SimDuration::ZERO; L]);
-        let mut last = [SimTime::ZERO; L];
         for &i in &self.order {
             let i = i as usize;
-            let mut start = match self.stream_pred[i] {
-                NONE => [SimTime::ZERO; L],
-                s => t.end[s as usize],
+            let Op { slot, data: d, .. } = self.ops[i];
+            let mut start = if slot & FIRST == 0 {
+                t.end[i - 1]
+            } else {
+                [SimTime::ZERO; L]
             };
-            let d = self.data_pred[i];
             if d != NONE {
-                let (ready, latency) = (&t.end[d as usize], hop[usize::from(self.crosses[i])]);
+                let ready = &t.end[(d & !CROSSES) as usize];
+                let hop = if d & CROSSES == 0 {
+                    SimDuration::ZERO
+                } else {
+                    costs.p2p
+                };
                 for (s, &e) in start.iter_mut().zip(ready) {
-                    *s = (*s).max(e + latency);
+                    *s = (*s).max(e + hop);
                 }
             }
-            let dur = &t.dur[self.slot[i] as usize];
-            let compute = &mut t.compute[self.rank[i] as usize];
-            let mut end = [SimTime::ZERO; L];
-            for k in 0..L {
-                end[k] = start[k] + dur[k];
-                compute[k] += end[k].saturating_since(start[k]);
-                last[k] = last[k].max(end[k]);
-            }
-            t.end[i] = end;
+            let dur = &t.dur[(slot & !FIRST) as usize];
+            t.end[i] = std::array::from_fn(|k| start[k] + dur[k]);
             if L == 1 {
                 t.start[i] = start[0];
+            }
+        }
+        t.compute.clear();
+        t.compute.resize(pp, [SimDuration::ZERO; L]);
+        for (s, (dur, &ops)) in t.dur.iter().zip(&self.slot_ops).enumerate() {
+            for (c, &d) in t.compute[(s / 2) % pp].iter_mut().zip(dur) {
+                *c += d * u64::from(ops);
+            }
+        }
+        let mut last = [SimTime::ZERO; L];
+        for r in 0..self.pp {
+            if let Some(i) = self.rank_ops(r).last() {
+                for (l, &e) in last.iter_mut().zip(&t.end[i]) {
+                    *l = (*l).max(e);
+                }
             }
         }
         t.makespan = last.map(|e| e.saturating_since(SimTime::ZERO));
@@ -430,7 +592,6 @@ fn scaled(d: SimDuration, scale: f64) -> SimDuration {
         d.scale(scale)
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1257,7 +1257,7 @@ pub struct SearchResponse {
 /// One memo layer's stats line.
 fn stats_line(label: &str, s: &CacheStats) -> String {
     format!(
-        "{label:<16} hits {:>8}  misses {:>8}  entries {:>7}  ({:5.1}% hits)",
+        "{label:<17} hits {:>8}  misses {:>8}  entries {:>7}  ({:5.1}% hits)",
         s.hits,
         s.misses,
         s.entries,
@@ -1285,6 +1285,9 @@ pub struct StatsResponse {
     pub tp_cp: CacheStats,
     /// The shared FSDP collective verdict memo.
     pub fsdp: CacheStats,
+    /// The shared pipeline-program memo
+    /// ([`program_cache_stats`](crate::pp::sim::program_cache_stats)).
+    pub programs: CacheStats,
 }
 
 impl StatsResponse {
@@ -1294,7 +1297,7 @@ impl StatsResponse {
              coalesced in-flight   {:>8}\n\
              response-cache hits   {:>8}\n\
              searches computed     {:>8}\n\
-             {}\n{}\n{}\n{}",
+             {}\n{}\n{}\n{}\n{}",
             self.queries,
             self.coalesced,
             self.response_hits,
@@ -1303,6 +1306,7 @@ impl StatsResponse {
             stats_line("sched verdicts", &self.sched),
             stats_line("tp/cp verdicts", &self.tp_cp),
             stats_line("fsdp verdicts", &self.fsdp),
+            stats_line("pipeline programs", &self.programs),
         )
     }
 }
@@ -1824,5 +1828,6 @@ mod tests {
 
         let stats = Response::Stats(StatsResponse::default());
         assert!(stats.render_human().contains("cost cache"));
+        assert!(stats.render_human().contains("pipeline programs"));
     }
 }

@@ -682,9 +682,12 @@ pub fn verdict_cache_stats() -> [CacheStats; 3] {
     ]
 }
 
-/// Empties the shared verdict memos (counters preserved). Verdicts are
-/// pure, so clearing only costs recomputation.
+/// Empties the shared verdict memos and the pipeline program memo
+/// ([`program_cache_stats`](crate::pp::sim::program_cache_stats)),
+/// counters preserved, so the next search starts cold. Verdicts and
+/// programs are pure, so clearing only costs recomputation.
 pub fn clear_verdict_caches() {
+    crate::pp::sim::clear_program_cache();
     SCHED_VERDICTS.clear();
     TP_CP_VERDICTS.clear();
     FSDP_VERDICTS.clear();
@@ -809,7 +812,7 @@ impl<'a> Resolver<'a> {
             cands,
             |c| sched_key(spec, c),
             |_, sched| {
-                let program = PpProgram::build(sched);
+                let program = PpProgram::shared(sched);
                 clean(&analyze::deadlock::check_program(sched, &program))
                     && clean(&analyze::race::check_program(sched, &program))
             },

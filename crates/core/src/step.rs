@@ -36,6 +36,7 @@ use llm_model::memory as mem;
 use llm_model::{ModelLayout, PrecisionPolicy};
 use sim_engine::error::SimError;
 use sim_engine::time::SimDuration;
+use std::sync::Arc;
 use trace_analysis::{EventCategory, Trace, TraceEvent};
 
 /// A fully specified training-step configuration.
@@ -308,6 +309,14 @@ impl StepModel {
     pub fn schedule(&self) -> Result<PpSchedule, SimError> {
         PpSchedule::build(self.schedule, self.mesh.pp(), self.assignment.v, self.nmb())
             .map_err(|e| SimError::InvalidSchedule(e.to_string()))
+    }
+
+    /// The compiled program of [`StepModel::schedule`], shared through
+    /// the process-wide program memo (see [`crate::pp::sim`]). It is
+    /// built whether or not the schedule can execute; the pre-flight
+    /// rules read it either way, and only a complete one is timed.
+    pub fn program(&self) -> Result<Arc<PpProgram>, SimError> {
+        Ok(PpProgram::shared(&self.schedule()?))
     }
 
     fn comm_model(&self) -> CommCostModel {
@@ -604,7 +613,8 @@ impl StepModel {
             times.costs.p2p = times.costs.p2p.scale(comm_stretch);
             dp_cost = dp_cost.scale(comm_stretch);
         }
-        let program = PpProgram::compile(&sched)?;
+        let program = PpProgram::shared(&sched);
+        program.ensure_complete()?;
         let mut one = PpTiming::default();
         let (makespan, bubbles) = time_replicas(
             &program,

@@ -4,8 +4,9 @@
 //!
 //! # The declared hierarchy
 //!
-//! Every named lock in `crates/serve` and `crates/collectives` belongs
-//! to a **class** (its field/receiver name), and the classes are
+//! Every named lock in `crates/serve`, `crates/collectives` and the
+//! pipeline-program memo (`crates/core/src/pp/sim.rs`) belongs to a
+//! **class** (its field/receiver name), and the classes are
 //! totally ordered, outermost first:
 //!
 //! | rank | class       | lives in                                   |
@@ -15,6 +16,7 @@
 //! | 2    | `responses` | `serve::dispatch` — the response cache     |
 //! | 3    | `slot`      | `serve::coalesce` — one flight's slot      |
 //! | 4    | `shard`     | `collectives::sharded` — one cache shard   |
+//! | 5    | `programs`  | `core::pp::sim` — the program memo         |
 //!
 //! A thread may only acquire *downward* (a higher-rank class) while
 //! holding a guard: acquiring `flights` while holding `slot` is an
@@ -60,15 +62,20 @@ use parallelism_core::analyze::{Diagnostic, RuleId};
 /// The declared lock hierarchy, outermost class first. Mirrored in
 /// DESIGN.md §13; the interleave battery checks the dynamic side of
 /// the same contract.
-pub const LOCK_HIERARCHY: [&str; 5] = ["conns", "flights", "responses", "slot", "shard"];
+pub const LOCK_HIERARCHY: [&str; 6] =
+    ["conns", "flights", "responses", "slot", "shard", "programs"];
 
 /// Receiver names treated as condition variables by `LOCK002`.
 pub const CONDVAR_CLASSES: [&str; 1] = ["cv"];
 
 /// Path prefixes the lock rules apply to: the concurrent serve/cache
-/// substrate. (`crates/interleave` *implements* the primitives and is
-/// deliberately out of scope.)
-pub const LOCK_SCOPE: [&str; 2] = ["crates/serve/src/", "crates/collectives/src/"];
+/// substrate and the pipeline-program memo. (`crates/interleave`
+/// *implements* the primitives and is deliberately out of scope.)
+pub const LOCK_SCOPE: [&str; 3] = [
+    "crates/serve/src/",
+    "crates/collectives/src/",
+    "crates/core/src/pp/sim.rs",
+];
 
 /// Marker suppressing LOCK001 at the inner acquisition site.
 pub const LOCK_ORDER_MARKER: &str = "lint: allow(lock-order)";
@@ -545,6 +552,24 @@ mod tests {
         );
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].message.contains("holding `flights`"), "{v:?}");
+    }
+
+    /// The program memo's module is in scope, and its lock is the
+    /// innermost class: taking a cache shard under it is an inversion.
+    #[test]
+    fn program_memo_lock_is_innermost() {
+        let path = "crates/core/src/pp/sim.rs";
+        assert!(in_scope(path));
+        let model = SourceModel::parse(
+            path,
+            "fn f() {\n    let memo = lock_or_recover(&MEMO.programs);\n    let shard = write_or_recover(self.shard(&k));\n}\n",
+        );
+        let mut v = Vec::new();
+        check_locks(&model, &mut v);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0]
+            .message
+            .contains("`shard` acquired while holding `programs`"));
     }
 
     #[test]

@@ -35,6 +35,7 @@ use collectives::cost_cache_stats;
 use conformance::fuzz::run_sweep;
 use conformance::grid::config_grid;
 use interleave::sync::{AtomicU64, Mutex};
+use parallelism_core::pp::sim::program_cache_stats;
 use parallelism_core::query::{
     AnalyzeMode, AnalyzeResponse, InferQuery, InferResponse, Query, QueryError, Response,
     SearchQuery, SearchResponse, StatsResponse, TraceMode, TraceQuery, TraceResponse,
@@ -177,6 +178,7 @@ impl Dispatcher {
             sched,
             tp_cp,
             fsdp,
+            programs: program_cache_stats(),
         }
     }
 }

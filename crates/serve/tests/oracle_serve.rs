@@ -48,6 +48,9 @@ fn oracle_serve_matches_direct_dispatch_cold_and_warm() {
     let cold = dispatcher.stats();
     assert_eq!(cold.queries, GRID_CONFIGS as u64);
     assert_eq!(cold.response_hits, 0, "first pass must compute cold");
+    // The analyzer reads each config's pipeline program through the
+    // shared program memo, which the stats response reports.
+    assert!(cold.programs.hits + cold.programs.misses >= GRID_CONFIGS as u64);
 
     // Second pass: every config again, now against the warm shared
     // cache. Same bytes, and all served from the response memo.

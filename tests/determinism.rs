@@ -248,6 +248,48 @@ fn one_f_one_b_8k_gpu_reports_are_pinned() {
     }
 }
 
+/// The traced healthy `bs = 32` 8K-GPU step keeps every compute
+/// event: an FNV-1a digest of each event's `(rank, start, end)` in
+/// nanoseconds, in trace order, is pinned. Whole-step pins miss a
+/// change in which cost an op pays when it leaves every rank's compute
+/// total and the makespan alone (stage 0's forward and backward cost
+/// slots swapped, say); the per-event times do not. Under the §3.1.2
+/// co-design stage 0 holds only the embedding, whose forward and
+/// backward cost the same, so such a swap is invisible there; the
+/// step is also pinned with a uniform layer split, which gives stage 0
+/// a transformer layer too.
+#[test]
+fn one_f_one_b_8k_gpu_traces_are_pinned() {
+    use bench_harness::configs::production_8k_gpu_step;
+    use llama3_parallelism::core::step::SimOptions;
+    use llama3_parallelism::prelude::{BalancePolicy, StageAssignment};
+    use llama3_parallelism::trace::EventCategory;
+
+    for (balance, pin) in [
+        (BalancePolicy::DropFirstAndLast, 0xa5af_0756_cc55_7930_u64),
+        (BalancePolicy::Uniform, 0xb34e_e762_2764_fb1e),
+    ] {
+        let mut step = production_8k_gpu_step(32);
+        step.assignment = StageAssignment::build(&step.layout, 16, 8, balance);
+        let outcome = step
+            .run(&SimOptions::new().trace(true))
+            .expect("valid step");
+        let trace = outcome.trace.expect("trace requested");
+        let mut events = 0;
+        let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+        for e in &trace.events {
+            assert_eq!(e.category, EventCategory::Compute);
+            events += 1;
+            for word in [u64::from(e.rank), e.start_ns, e.start_ns + e.duration_ns] {
+                for b in word.to_le_bytes() {
+                    digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!((events, digest), (8192, pin), "{balance:?}");
+    }
+}
+
 /// A small 4D step shared by the fault/goodput determinism tests.
 fn fault_test_step(
     cfg: llama3_parallelism::model::TransformerConfig,
