@@ -2,7 +2,9 @@
 //!
 //! - Accessors: every [`PpProgram`] accessor equals a reference read
 //!   straight off the schedule, over the fuzz battery's shapes and
-//!   broken variants of each.
+//!   broken variants of each; each rank's peak in-flight count also
+//!   over the 405B / 8K-GPU step's programs, one of them past the
+//!   memo's budget.
 //! - Eviction: more shapes than [`PROGRAM_MEMO_OPS`] holds, stepped in
 //!   turn so the memo evicts, each step equal to a timing on a freshly
 //!   built program, bit for bit.
@@ -28,13 +30,15 @@ use std::collections::{HashMap, HashSet};
 /// What a program's accessors must return, read off the schedule: for
 /// each op in rank-major program order, its rank, stream predecessor
 /// and wired data producer; the ops whose producer is missing; and the
-/// ops that run (those whose every wait is met, to a fixpoint).
+/// ops that run (those whose every wait is met, to a fixpoint); and
+/// each rank's peak in-flight count.
 struct Reference {
     rank: Vec<u32>,
     stream_pred: Vec<Option<usize>>,
     data_pred: Vec<Option<usize>>,
     unresolved: Vec<usize>,
     runs: Vec<bool>,
+    peak_in_flight: Vec<u32>,
 }
 
 impl Reference {
@@ -95,6 +99,10 @@ impl Reference {
             data_pred,
             unresolved,
             runs,
+            peak_in_flight: (0..)
+                .zip(&s.ranks)
+                .map(|(r, _)| s.peak_in_flight(r))
+                .collect(),
         }
     }
 
@@ -136,6 +144,8 @@ impl Reference {
             assert_eq!(ops.start, next, "{ctx}: rank {r}");
             assert!(ops.clone().all(|i| self.rank[i] == r), "{ctx}: rank {r}");
             next = ops.end;
+            let peak = self.peak_in_flight[r as usize];
+            assert_eq!(p.peak_in_flight(r), peak, "{ctx}: rank {r} in flight");
         }
         assert_eq!(next, n, "{ctx}");
     }
@@ -205,6 +215,20 @@ fn compact_program_accessors_match_the_schedule() {
         dangling > 0 && stuck > dangling,
         "{stuck} stuck, {dangling} dangling"
     );
+
+    // The production step's programs, from the memo and built afresh;
+    // at `bs = 72` (18,432 ops) the memo builds one and keeps none.
+    for bs in [16, 24, 32, 48, 72] {
+        let m = production_8k_gpu_step(bs);
+        let s = m.schedule().expect("valid schedule");
+        let (shared, fresh) = (m.program().expect("valid schedule"), PpProgram::build(&s));
+        assert_eq!(bs == 72, shared.len() > PROGRAM_MEMO_OPS, "bs {bs}");
+        for r in 0..m.mesh.pp() {
+            let peak = s.peak_in_flight(r);
+            assert_eq!(shared.peak_in_flight(r), peak, "bs {bs}: rank {r} shared");
+            assert_eq!(fresh.peak_in_flight(r), peak, "bs {bs}: rank {r} fresh");
+        }
+    }
 }
 
 /// The 405B / 8K-GPU production step (tp 8, cp 1, pp 16, dp 64, v 8)

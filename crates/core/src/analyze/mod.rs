@@ -39,8 +39,9 @@ pub mod memory;
 pub mod race;
 
 use crate::pp::schedule::{PpOp, PpSchedule};
-use crate::pp::sim::PpProgram;
+use crate::pp::sim::{PpProgram, Shape};
 use crate::step::StepModel;
+use std::convert::Infallible;
 use std::fmt;
 
 /// How bad a diagnostic is.
@@ -389,7 +390,7 @@ pub fn analyze_step(m: &StepModel) -> Report {
             return report;
         }
     };
-    let program = PpProgram::shared(&sched);
+    let Ok((program, _)) = PpProgram::shared(Shape::of(&sched), || Ok::<_, Infallible>(&sched));
     report
         .diagnostics
         .extend(deadlock::check_program(&sched, &program));

@@ -22,15 +22,21 @@
 //! [`StepModel::program`](crate::step::StepModel::program) serves it
 //! from a process-wide memo of at most [`PROGRAM_MEMO_OPS`] ops, most
 //! recently used first ([`program_cache_stats`] counts its traffic).
-//! Deadlocking shapes are memoized like any other. A schedule built
-//! any other way (an edited copy, say) is compiled on its own with
-//! [`PpProgram::compile`] or [`PpProgram::build`].
+//! The memo is keyed by the shape, not by a schedule: a hit builds no
+//! schedule, and only a miss builds the shape's schedule, once, to
+//! compile it. A program also carries each rank's peak in-flight
+//! micro-batch count ([`PpProgram::peak_in_flight`]), so a step's peak
+//! memory needs no schedule either. Deadlocking shapes are memoized
+//! like any other. A schedule built any other way (an edited copy, say)
+//! is compiled on its own with [`PpProgram::compile`] or
+//! [`PpProgram::build`].
 
 use super::schedule::{PpOp, PpSchedule, ScheduleKind};
 use collectives::sync::{lock_or_recover, Mutex};
 use collectives::CacheStats;
 use sim_engine::graph::{GraphError, OpId};
 use sim_engine::time::{SimDuration, SimTime};
+use std::borrow::Borrow;
 use std::ops::Range;
 use std::sync::{Arc, LazyLock};
 
@@ -100,10 +106,11 @@ const CROSSES: u32 = 1 << 31;
 /// slot with a first-on-rank bit (the stream predecessor is otherwise
 /// `i − 1`) and its data producer with a crosses-a-link bit, so a pass
 /// loads an op's waits and slot together; and its place in Kahn's
-/// order. Per rank and per cost slot there is one word more (where the
-/// rank's ops start, how many ops pay the slot), and one per op the
-/// schedule leaves unresolved. The rank is stored, not derived from the
-/// slot, because the race rule asks for it in its inner loops.
+/// order. Per rank there are two words more (where the rank's ops
+/// start, its peak in-flight count), per cost slot one (how many ops
+/// pay the slot), and one per op the schedule leaves unresolved. The
+/// rank is stored, not derived from the slot, because the race rule
+/// asks for it in its inner loops.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PpProgram {
     pp: u32,
@@ -111,6 +118,9 @@ pub struct PpProgram {
     stages: u32,
     /// First op of each rank, plus the op count at index `pp`.
     rank_start: Vec<u32>,
+    /// Each rank's peak in-flight micro-batch count, as
+    /// [`PpSchedule::peak_in_flight`] replays it.
+    peak_in_flight: Vec<u32>,
     /// Each op's rank, cost slot and data producer, in program order.
     ops: Vec<Op>,
     /// Ops paying each cost slot. A pass prices each rank's compute
@@ -147,14 +157,27 @@ struct Op {
 /// bound; at this budget each stayed within 4 %.
 pub const PROGRAM_MEMO_OPS: usize = 16_384;
 
-/// A schedule's shape: what [`PpSchedule::build`] builds it from.
-/// Compared exactly, field by field (the kind carries `nc`).
+/// A schedule's shape: what [`PpSchedule::build`] builds it from, and
+/// the program memo's key. Compared exactly, field by field (the kind
+/// carries `nc`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Shape {
-    kind: ScheduleKind,
-    pp: u32,
-    v: u32,
-    nmb: u32,
+pub(crate) struct Shape {
+    pub(crate) kind: ScheduleKind,
+    pub(crate) pp: u32,
+    pub(crate) v: u32,
+    pub(crate) nmb: u32,
+}
+
+impl Shape {
+    /// The shape `schedule` was built from.
+    pub(crate) fn of(schedule: &PpSchedule) -> Shape {
+        Shape {
+            kind: schedule.kind,
+            pp: schedule.pp,
+            v: schedule.v,
+            nmb: schedule.nmb,
+        }
+    }
 }
 
 /// The program memo: programs most recently used first, within
@@ -258,40 +281,38 @@ impl PpProgram {
         Ok(p)
     }
 
-    /// The program of `schedule`, built whether or not it can execute
-    /// (as [`build`](Self::build)) and shared through the process-wide
-    /// memo: the first call for a shape builds it, later calls return
-    /// the same program until it is evicted. The memo's lock is never
-    /// held while a program is built; two threads missing on one shape
-    /// both build it, and one copy is kept.
-    ///
-    /// The memo is keyed by the shape alone, so `schedule` must be what
-    /// [`PpSchedule::build`] returns for its own shape fields, never an
-    /// edited copy (debug builds check this on a miss).
+    /// The program of `shape`'s schedule, built whether or not it can
+    /// execute (as [`build`](Self::build)) and shared through the
+    /// process-wide memo: the first call for a shape builds it, later
+    /// calls return the same program until it is evicted. A hit builds
+    /// no schedule. A miss calls `schedule` once for the schedule
+    /// [`PpSchedule::build`] makes of `shape` (or its error, returned
+    /// as is), compiles it and hands it back with the program, so a
+    /// caller that needs the schedule too never builds it twice. The
+    /// memo's lock is never held while a program is built; two threads
+    /// missing on one shape both build it, and one copy is kept.
     /// [`StepModel::program`](crate::step::StepModel::program) is the
     /// public way in.
-    pub(crate) fn shared(schedule: &PpSchedule) -> Arc<PpProgram> {
-        let shape = Shape {
-            kind: schedule.kind,
-            pp: schedule.pp,
-            v: schedule.v,
-            nmb: schedule.nmb,
-        };
+    pub(crate) fn shared<S: Borrow<PpSchedule>, E>(
+        shape: Shape,
+        schedule: impl FnOnce() -> Result<S, E>,
+    ) -> Result<(Arc<PpProgram>, Option<S>), E> {
         {
             let mut memo = lock_or_recover(&MEMO.programs);
             if let Some(k) = memo.mru.iter().position(|(s, _)| *s == shape) {
                 memo.hits += 1;
                 memo.mru[..=k].rotate_right(1);
-                return Arc::clone(&memo.mru[0].1);
+                return Ok((Arc::clone(&memo.mru[0].1), None));
             }
             memo.misses += 1;
         }
+        let built = schedule()?;
         debug_assert_eq!(
-            Ok(schedule),
-            PpSchedule::build(shape.kind, shape.pp, shape.v, shape.nmb).as_ref(),
-            "only a built schedule shares its shape's program"
+            Shape::of(built.borrow()),
+            shape,
+            "a schedule of another shape"
         );
-        let program = Arc::new(PpProgram::build(schedule));
+        let program = Arc::new(PpProgram::build(built.borrow()));
         if program.len() <= PROGRAM_MEMO_OPS {
             let mut memo = lock_or_recover(&MEMO.programs);
             if !memo.mru.iter().any(|(s, _)| *s == shape) {
@@ -301,7 +322,7 @@ impl PpProgram {
                 }
             }
         }
-        program
+        Ok((program, Some(built)))
     }
 
     /// Compiles `schedule` whether or not it can execute: missing and
@@ -317,6 +338,9 @@ impl PpProgram {
             pp: schedule.pp,
             stages: schedule.num_stages(),
             rank_start: Vec::with_capacity(schedule.ranks.len() + 1),
+            peak_in_flight: (0..schedule.ranks.len() as u32)
+                .map(|r| schedule.peak_in_flight(r))
+                .collect(),
             ops: Vec::with_capacity(n),
             slot_ops: vec![0; 2 * stages],
             unresolved: Vec::new(),
@@ -487,6 +511,13 @@ impl PpProgram {
     /// `true` for a schedule with no ops.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
+    }
+
+    /// Rank `rank`'s peak in-flight micro-batch count: the schedule's
+    /// [`PpSchedule::peak_in_flight`], recorded when the program was
+    /// built.
+    pub fn peak_in_flight(&self, rank: u32) -> u32 {
+        self.peak_in_flight[rank as usize]
     }
 
     /// Program indices of rank `rank`'s ops, in the order it runs them.

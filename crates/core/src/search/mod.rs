@@ -58,7 +58,7 @@ use crate::mesh::Mesh4D;
 use crate::planner::{PlanError, PlannerInput};
 use crate::pp::balance::{BalancePolicy, StageAssignment};
 use crate::pp::schedule::{PpSchedule, ScheduleKind};
-use crate::pp::sim::PpProgram;
+use crate::pp::sim::{PpProgram, Shape};
 use crate::run::{CheckpointPolicy, RunSimulator};
 use crate::step::{SimOptions, StepModel, Workload};
 use cluster_model::faults::{FaultRates, FaultTimeline};
@@ -69,6 +69,7 @@ use llm_model::masks::MaskSpec;
 use llm_model::{ModelLayout, TransformerConfig};
 use sim_engine::time::SimDuration;
 use std::collections::{BTreeMap, HashMap};
+use std::convert::Infallible;
 use std::fmt;
 use std::sync::LazyLock;
 use workload::traffic::{TrafficShape, TrafficSpec};
@@ -812,7 +813,8 @@ impl<'a> Resolver<'a> {
             cands,
             |c| sched_key(spec, c),
             |_, sched| {
-                let program = PpProgram::shared(sched);
+                let Ok((program, _)) =
+                    PpProgram::shared(Shape::of(sched), || Ok::<_, Infallible>(sched));
                 clean(&analyze::deadlock::check_program(sched, &program))
                     && clean(&analyze::race::check_program(sched, &program))
             },

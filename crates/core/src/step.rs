@@ -23,7 +23,7 @@ use crate::fsdp::{self, ZeroMode};
 use crate::mesh::{Dim, Mesh4D};
 use crate::pp::balance::StageAssignment;
 use crate::pp::schedule::{PpSchedule, ScheduleKind};
-use crate::pp::sim::{PpProgram, PpTiming, TableCosts, LANES};
+use crate::pp::sim::{PpProgram, PpTiming, Shape, TableCosts, LANES};
 use crate::tp::TpPlan;
 use cluster_model::faults::ClusterHealth;
 use cluster_model::gpu::{Dtype, KernelCost};
@@ -286,6 +286,43 @@ struct StageTimes {
     cp_wait: SimDuration,
 }
 
+/// One layer kind's share of a step. Layers of one kind cost the same
+/// wherever they sit, so a step prices each kind once.
+#[derive(Debug, Clone, Copy)]
+struct KindCost {
+    /// Forward time of one micro-batch, TP and CP communication folded
+    /// in.
+    fwd: SimDuration,
+    /// Backward time of one micro-batch, recomputation included.
+    bwd: SimDuration,
+    /// Exposed TP time in `fwd + bwd`.
+    tp: SimDuration,
+    /// Exposed CP time in `fwd + bwd`.
+    cp: SimDuration,
+    /// CP slowest-rank wait in `fwd + bwd`.
+    cp_wait: SimDuration,
+    /// Model FLOPs of one whole sequence, forward plus backward.
+    flops: f64,
+    /// Parameters.
+    params: u64,
+    /// Activation bytes per token.
+    act_bytes_per_token: u64,
+}
+
+/// A step's distinct layer kinds with their prices, in first-seen
+/// order. A step has a handful (three for a text model), so a lookup
+/// is a short scan.
+struct LayerCosts(Vec<(LayerKind, KindCost)>);
+
+impl LayerCosts {
+    /// The price of `kind`.
+    fn of(&self, kind: LayerKind) -> &KindCost {
+        let priced = self.0.iter().find(|(k, _)| *k == kind);
+        // lint: allow(unwrap) — `StepModel::layer_costs` prices every kind of the layout and the stage assignment
+        &priced.expect("every layer kind is priced").1
+    }
+}
+
 impl StepModel {
     /// Number of micro-batches (`mbs = 1` sequence per micro-batch, the
     /// Llama 3 setting).
@@ -312,20 +349,37 @@ impl StepModel {
     }
 
     /// The compiled program of [`StepModel::schedule`], shared through
-    /// the process-wide program memo (see [`crate::pp::sim`]). It is
-    /// built whether or not the schedule can execute; the pre-flight
-    /// rules read it either way, and only a complete one is timed.
+    /// the process-wide program memo (see [`crate::pp::sim`]), which is
+    /// keyed by the schedule's shape: a hit builds no schedule, and a
+    /// miss builds it once to compile it. The program is built whether
+    /// or not the schedule can execute; the pre-flight rules read it
+    /// either way, and only a complete one is timed. It also carries
+    /// each rank's peak in-flight count, which a step's peak memory
+    /// reads.
     pub fn program(&self) -> Result<Arc<PpProgram>, SimError> {
-        Ok(PpProgram::shared(&self.schedule()?))
+        Ok(PpProgram::shared(self.shape(), || self.schedule())?.0)
     }
 
     fn comm_model(&self) -> CommCostModel {
         CommCostModel::new(self.cluster.topology.clone())
     }
 
-    /// Computes per-stage forward/backward times for one micro-batch,
-    /// with TP and CP communication folded in (both are exposed).
-    fn stage_times(&self) -> StageTimes {
+    /// The program memo's key for this step's schedule.
+    fn shape(&self) -> Shape {
+        Shape {
+            kind: self.schedule,
+            pp: self.mesh.pp(),
+            v: self.assignment.v,
+            nmb: self.nmb(),
+        }
+    }
+
+    /// Prices each distinct layer kind of the layout and the stage
+    /// assignment once; `frozen` and each `image_tokens` make kinds of
+    /// their own. Each kind gets its per-micro-batch forward and
+    /// backward times, with TP and CP communication folded in (both are
+    /// exposed), its model FLOPs, parameters and activation bytes.
+    fn layer_costs(&self) -> LayerCosts {
         let cfg = &self.layout.cfg;
         let gpu = &self.cluster.gpu;
         let comm = self.comm_model();
@@ -358,13 +412,6 @@ impl StepModel {
         } else {
             SimDuration::ZERO
         };
-
-        let num_stages = self.assignment.stages.len();
-        let mut fwd = Vec::with_capacity(num_stages);
-        let mut bwd = Vec::with_capacity(num_stages);
-        let mut tp_total = SimDuration::ZERO;
-        let mut cp_total = SimDuration::ZERO;
-        let mut cp_wait = SimDuration::ZERO;
         let recompute_factor = if self.recompute { 1.0 } else { 0.0 };
 
         let attn_time = |pairs: u128| {
@@ -380,64 +427,97 @@ impl StepModel {
             )
         };
 
+        let price = |layer: LayerKind| {
+            let zero = SimDuration::ZERO;
+            // (fwd, bwd, exposed TP, exposed CP, CP wait)
+            let (fwd, bwd, tp_exposed, cp_exposed, cp_wait) = match layer {
+                LayerKind::SelfAttention { frozen } => {
+                    // Dense parts (projections, FFN, norms) scale by
+                    // 1/tp; the attention kernel is mask-aware and
+                    // gated by the slowest CP rank.
+                    let dense = llm_model::flops::attention_projections_fwd(cfg, tokens)
+                        .merge(llm_model::flops::ffn_fwd(cfg, tokens))
+                        .merge(llm_model::flops::norms_fwd(cfg, tokens));
+                    let dense_t = gpu.gemm_time(tp.shard_cost(dense), Dtype::Bf16);
+                    let attn_max = attn_time(max_pairs);
+                    let attn_min = attn_time(min_pairs);
+                    let tp_t = tp.layer_fwd_comm(cfg, tokens, &tp_group, &comm);
+                    let lf = dense_t + attn_max + tp_t + cp_ag;
+                    let bwd_factor = if frozen { 1 } else { 2 };
+                    let lb = (dense_t + attn_max) * bwd_factor
+                        + tp_t
+                        + cp_ag // KV-grad reduce-scatter mirrors the AG
+                        + (dense_t + attn_max).scale(recompute_factor);
+                    let wait = (attn_max.saturating_sub(attn_min)) * (1 + bwd_factor);
+                    (lf, lb, tp_t * 2, cp_ag * 2, wait)
+                }
+                LayerKind::CrossAttention { image_tokens } => {
+                    let spec = llm_model::CrossAttentionSpec { image_tokens };
+                    let cost = spec.layer_fwd(cfg, tokens);
+                    let t = gpu.gemm_time(tp.shard_cost(cost), Dtype::Bf16);
+                    let tp_t = tp.layer_fwd_comm(cfg, tokens, &tp_group, &comm);
+                    let lb = t * 2 + tp_t + t.scale(recompute_factor);
+                    (t + tp_t, lb, tp_t * 2, zero, zero)
+                }
+                LayerKind::Embedding => {
+                    let t = gpu.gemm_time(
+                        tp.shard_cost(llm_model::flops::embedding_fwd(cfg, tokens)),
+                        Dtype::Bf16,
+                    );
+                    (t, t, zero, zero, zero)
+                }
+                LayerKind::OutputHead => {
+                    let t = gpu.gemm_time(
+                        tp.shard_cost(llm_model::flops::output_head_fwd(cfg, tokens)),
+                        Dtype::Bf16,
+                    );
+                    let tp_t = tp.layer_fwd_comm(cfg, tokens, &tp_group, &comm);
+                    (t + tp_t, t * 2 + tp_t, tp_t * 2, zero, zero)
+                }
+            };
+            KindCost {
+                fwd,
+                bwd,
+                tp: tp_exposed,
+                cp: cp_exposed,
+                cp_wait,
+                flops: layer.fwd_cost(cfg, self.seq, self.seq, &self.mask).flops
+                    + layer.bwd_cost(cfg, self.seq, self.seq, &self.mask).flops,
+                params: layer.params(cfg),
+                act_bytes_per_token: layer.activation_bytes_per_token(cfg),
+            }
+        };
+
+        let mut kinds = LayerCosts(Vec::with_capacity(4));
+        let layers = self.layout.layers.iter();
+        for &layer in layers.chain(self.assignment.stages.iter().flatten()) {
+            if !kinds.0.iter().any(|(k, _)| *k == layer) {
+                kinds.0.push((layer, price(layer)));
+            }
+        }
+        kinds
+    }
+
+    /// Per-stage forward/backward times for one micro-batch, with TP
+    /// and CP communication folded in (both are exposed): each stage
+    /// sums its layers' kind prices in layer order.
+    fn stage_times(&self, layers: &LayerCosts) -> StageTimes {
+        let num_stages = self.assignment.stages.len();
+        let mut fwd = Vec::with_capacity(num_stages);
+        let mut bwd = Vec::with_capacity(num_stages);
+        let mut tp_total = SimDuration::ZERO;
+        let mut cp_total = SimDuration::ZERO;
+        let mut cp_wait = SimDuration::ZERO;
         for stage in &self.assignment.stages {
             let mut f = SimDuration::ZERO;
             let mut b = SimDuration::ZERO;
-            for layer in stage {
-                match layer {
-                    LayerKind::SelfAttention { frozen } => {
-                        // Dense parts (projections, FFN, norms) scale by
-                        // 1/tp; the attention kernel is mask-aware and
-                        // gated by the slowest CP rank.
-                        let dense = llm_model::flops::attention_projections_fwd(cfg, tokens)
-                            .merge(llm_model::flops::ffn_fwd(cfg, tokens))
-                            .merge(llm_model::flops::norms_fwd(cfg, tokens));
-                        let dense_t = gpu.gemm_time(tp.shard_cost(dense), Dtype::Bf16);
-                        let attn_max = attn_time(max_pairs);
-                        let attn_min = attn_time(min_pairs);
-                        let tp_t = tp.layer_fwd_comm(cfg, tokens, &tp_group, &comm);
-                        let lf = dense_t + attn_max + tp_t + cp_ag;
-                        let bwd_factor = if *frozen { 1 } else { 2 };
-                        let lb = (dense_t + attn_max) * bwd_factor
-                            + tp_t
-                            + cp_ag // KV-grad reduce-scatter mirrors the AG
-                            + (dense_t + attn_max).scale(recompute_factor);
-                        f += lf;
-                        b += lb;
-                        tp_total += tp_t * 2;
-                        cp_total += cp_ag * 2;
-                        cp_wait += (attn_max.saturating_sub(attn_min)) * (1 + bwd_factor);
-                    }
-                    LayerKind::CrossAttention { image_tokens } => {
-                        let spec = llm_model::CrossAttentionSpec {
-                            image_tokens: *image_tokens,
-                        };
-                        let cost = spec.layer_fwd(cfg, tokens);
-                        let t = gpu.gemm_time(tp.shard_cost(cost), Dtype::Bf16);
-                        let tp_t = tp.layer_fwd_comm(cfg, tokens, &tp_group, &comm);
-                        f += t + tp_t;
-                        b += t * 2 + tp_t + t.scale(recompute_factor);
-                        tp_total += tp_t * 2;
-                    }
-                    LayerKind::Embedding => {
-                        let t = gpu.gemm_time(
-                            tp.shard_cost(llm_model::flops::embedding_fwd(cfg, tokens)),
-                            Dtype::Bf16,
-                        );
-                        f += t;
-                        b += t;
-                    }
-                    LayerKind::OutputHead => {
-                        let t = gpu.gemm_time(
-                            tp.shard_cost(llm_model::flops::output_head_fwd(cfg, tokens)),
-                            Dtype::Bf16,
-                        );
-                        let tp_t = tp.layer_fwd_comm(cfg, tokens, &tp_group, &comm);
-                        f += t + tp_t;
-                        b += t * 2 + tp_t;
-                        tp_total += tp_t * 2;
-                    }
-                }
+            for &layer in stage {
+                let c = layers.of(layer);
+                f += c.fwd;
+                b += c.bwd;
+                tp_total += c.tp;
+                cp_total += c.cp;
+                cp_wait += c.cp_wait;
             }
             fwd.push(f);
             bwd.push(b);
@@ -457,10 +537,12 @@ impl StepModel {
     /// Public view of the costs a pass over this step's pipeline
     /// program binds: per-stage forward/backward times for one
     /// micro-batch (TP and CP communication folded in) and the P2P time
-    /// of the inter-stage boundary activation. Used by the multimodal
-    /// composer to overlay encoder work on the text pipeline (§3.2).
+    /// of the inter-stage boundary activation. Each distinct layer kind
+    /// is priced once, and each stage sums its layers' prices in layer
+    /// order. Used by the multimodal composer to overlay encoder work
+    /// on the text pipeline (§3.2).
     pub fn stage_costs(&self) -> TableCosts {
-        self.stage_times().costs
+        self.stage_times(&self.layer_costs()).costs
     }
 
     /// P2P time of the inter-stage boundary activation for one
@@ -517,7 +599,7 @@ impl StepModel {
     /// Unscaled program durations are the stage costs bit for bit, so
     /// the sums are exact in integer nanoseconds.
     pub fn step_time_bound(&self) -> SimDuration {
-        let t = self.stage_times().costs;
+        let t = self.stage_costs();
         let pp = self.mesh.pp();
         let mut hops = SimDuration::ZERO;
         let mut bound = SimDuration::ZERO;
@@ -539,13 +621,16 @@ impl StepModel {
     /// backward, frozen layers counted at reduced backward cost) — the
     /// numerator of TFLOPs/GPU.
     pub fn model_flops_per_step(&self) -> f64 {
-        let cfg = &self.layout.cfg;
+        self.model_flops(&self.layer_costs())
+    }
+
+    /// [`StepModel::model_flops_per_step`] summed in layer order from
+    /// the kind prices.
+    fn model_flops(&self, layers: &LayerCosts) -> f64 {
         let seqs_per_step = self.bs as u64 * self.mesh.dp() as u64;
         let mut per_seq = 0.0f64;
-        for layer in &self.layout.layers {
-            let fwd = layer.fwd_cost(cfg, self.seq, self.seq, &self.mask).flops;
-            let bwd = layer.bwd_cost(cfg, self.seq, self.seq, &self.mask).flops;
-            per_seq += fwd + bwd;
+        for &layer in &self.layout.layers {
+            per_seq += layers.of(layer).flops;
         }
         per_seq * seqs_per_step as f64
     }
@@ -606,14 +691,14 @@ impl StepModel {
         scale: Option<&dyn Fn(u32, u32) -> f64>,
         trace: bool,
     ) -> Result<StepOutcome, SimError> {
-        let mut times = self.stage_times();
-        let sched = self.schedule()?;
+        let layers = self.layer_costs();
+        let mut times = self.stage_times(&layers);
         let mut dp_cost = self.dp_exposed();
         if comm_stretch != 1.0 {
             times.costs.p2p = times.costs.p2p.scale(comm_stretch);
             dp_cost = dp_cost.scale(comm_stretch);
         }
-        let program = PpProgram::shared(&sched);
+        let (program, built) = PpProgram::shared(self.shape(), || self.schedule())?;
         program.ensure_complete()?;
         let mut one = PpTiming::default();
         let (makespan, bubbles) = time_replicas(
@@ -625,10 +710,26 @@ impl StepModel {
             &mut one,
             trace,
         );
-        Ok(StepOutcome {
-            report: self.report_from(makespan + dp_cost, bubbles, &times, dp_cost, &sched),
-            trace: trace.then(|| pipeline_trace(&sched, &program, &one)),
-        })
+        let report = self.report_from(
+            makespan + dp_cost,
+            bubbles,
+            &times,
+            dp_cost,
+            &layers,
+            &program,
+        );
+        let trace = if trace {
+            // A memo miss already built the schedule; a hit builds it
+            // here, for the op names only.
+            let sched = match built {
+                Some(sched) => sched,
+                None => self.schedule()?,
+            };
+            Some(pipeline_trace(&sched, &program, &one))
+        } else {
+            None
+        };
+        Ok(StepOutcome { report, trace })
     }
 
     fn report_from(
@@ -637,7 +738,8 @@ impl StepModel {
         bubble_ratio: Vec<f64>,
         times: &StageTimes,
         dp_exposed: SimDuration,
-        sched: &PpSchedule,
+        layers: &LayerCosts,
+        program: &PpProgram,
     ) -> StepReport {
         let nmb = self.nmb() as u64;
         let exposed = ExposedComm {
@@ -647,7 +749,7 @@ impl StepModel {
             dp: dp_exposed,
         };
         let tokens = self.seq * self.bs as u64 * self.mesh.dp() as u64;
-        let flops = self.model_flops_per_step();
+        let flops = self.model_flops(layers);
         let tflops_per_gpu = crate::costs::tflops_per_gpu(
             flops,
             step_time.as_secs_f64().max(1e-12),
@@ -657,7 +759,11 @@ impl StepModel {
             step_time,
             tflops_per_gpu,
             bubble_ratio,
-            peak_memory: self.peak_memory_of(sched),
+            peak_memory: self
+                .memory_components_of(layers, |r| program.peak_in_flight(r))
+                .iter()
+                .map(MemoryComponents::total)
+                .collect(),
             exposed,
             tokens,
         }
@@ -669,13 +775,7 @@ impl StepModel {
     /// recomputation is off; recomputation keeps only boundary
     /// activations).
     pub fn peak_memory(&self) -> Vec<u64> {
-        self.peak_memory_of(&self.build_schedule())
-    }
-
-    /// [`StepModel::peak_memory`] read off this step's already-built
-    /// schedule.
-    fn peak_memory_of(&self, sched: &PpSchedule) -> Vec<u64> {
-        self.memory_components_of(sched)
+        self.memory_components()
             .iter()
             .map(MemoryComponents::total)
             .collect()
@@ -688,49 +788,53 @@ impl StepModel {
     /// `peak_in_flight` must equal the schedule's own
     /// [`PpSchedule::peak_in_flight`](crate::pp::schedule::PpSchedule::peak_in_flight).
     pub fn memory_components(&self) -> Vec<MemoryComponents> {
-        self.memory_components_of(&self.build_schedule())
+        let sched = self.build_schedule();
+        self.memory_components_of(&self.layer_costs(), |r| sched.peak_in_flight(r))
     }
 
-    /// [`StepModel::memory_components`] read off this step's
-    /// already-built schedule.
-    fn memory_components_of(&self, sched: &PpSchedule) -> Vec<MemoryComponents> {
+    /// [`StepModel::memory_components`] from the kind prices, with rank
+    /// `r`'s peak in-flight count `peak_in_flight(r)` (the schedule's,
+    /// or the program's copy of it).
+    fn memory_components_of(
+        &self,
+        layers: &LayerCosts,
+        peak_in_flight: impl Fn(u32) -> u32,
+    ) -> Vec<MemoryComponents> {
         let cfg = &self.layout.cfg;
         let policy = PrecisionPolicy::llama3();
         let tokens = self.seq / self.mesh.cp() as u64;
         let fsdp_n = (self.mesh.dp() * self.mesh.cp()) as u64;
         (0..self.mesh.pp())
             .map(|rank| {
-                let params: u64 = self
-                    .assignment
-                    .rank_layers(rank)
-                    .iter()
-                    .map(|l| l.params(cfg))
-                    .sum::<u64>()
-                    / self.mesh.tp() as u64;
+                // The rank's layers across its chunks.
+                let (mut params, mut act_bytes, mut count) = (0u64, 0u64, 0u64);
+                for chunk in 0..self.assignment.v {
+                    for &layer in self.assignment.stage(rank, chunk) {
+                        let c = layers.of(layer);
+                        params += c.params;
+                        act_bytes += c.act_bytes_per_token;
+                        count += 1;
+                    }
+                }
+                let params = params / self.mesh.tp() as u64;
                 let state_bytes = fsdp::state_bytes_per_rank(params, policy, self.zero, fsdp_n)
                     // FP32 gradient accumulators live unsharded at the
                     // backward peak even under ZeRO-2 (§6.2).
                     .max(params * (policy.param_bytes + policy.grad_bytes));
                 // Mean activation bytes per stage-micro-batch on this
                 // rank.
-                let act_bytes_per_stage_mb: u64 = {
-                    let layers = self.assignment.rank_layers(rank);
-                    let total: u64 = layers
-                        .iter()
-                        .map(|l| l.activation_bytes_per_token(cfg))
-                        .sum();
-                    let per_token = if self.recompute {
-                        // Only boundary activations are kept.
-                        mem::boundary_activation_bytes_per_token(cfg) * layers.len() as u64
-                    } else {
-                        (total as f64 * crate::planner::ACT_RELEASE_FACTOR) as u64
-                    };
-                    per_token * tokens / self.mesh.tp() as u64 / self.assignment.v as u64
+                let per_token = if self.recompute {
+                    // Only boundary activations are kept.
+                    mem::boundary_activation_bytes_per_token(cfg) * count
+                } else {
+                    (act_bytes as f64 * crate::planner::ACT_RELEASE_FACTOR) as u64
                 };
                 MemoryComponents {
                     state_bytes,
-                    act_bytes_per_stage_mb,
-                    peak_in_flight: sched.peak_in_flight(rank),
+                    act_bytes_per_stage_mb: per_token * tokens
+                        / self.mesh.tp() as u64
+                        / self.assignment.v as u64,
+                    peak_in_flight: peak_in_flight(rank),
                 }
             })
             .collect()
